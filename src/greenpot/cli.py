@@ -30,7 +30,7 @@ from .green import build_green, green_sweep
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
 from .riesz import (assemble_riesz, capacity, equilibrium_measure, potential,
-                    save_kernel_csv)
+                    save_kernel_csv, weight_norm)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -579,10 +579,9 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     if rep["applicable"]:
         exp = explicit_solution(gs, fld)
         diff = gs.measure_on_d(lam) - gs.measure_on_d(exp.minimizer)
-        from .riesz import weight_norm
         rep["lambda_gap_norm"] = weight_norm(gs.green, diff)
         rep["c_gap"] = abs(sol.c_constant - exp.c_constant)
-        dual = dual_check(gs, fld)
+        dual = dual_check(gs, fld, sol=sol)
         rep["dual_w_gap"] = dual["w_gap"]
         rep["dual_c_gap"] = dual["c_gap"]
     kkt = sol.kkt

@@ -20,7 +20,7 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, ValidationErro
                    _index_array, nearest_neighbor_distances,
                    validate_field_separation)
 from .green import GreenSystem, green_equilibrium, green_sweep
-from .riesz import weight_form, weight_norm
+from .riesz import weight_norm
 from .solvers import KKTRecord, simplex_qp
 
 
@@ -182,16 +182,18 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
                                       "green_capacity_of_f": c_g})
 
 
-def dual_check(gs: GreenSystem, fld: ExternalField, f=None) -> dict:
+def dual_check(gs: GreenSystem, fld: ExternalField, f=None,
+               sol: GaussSolution | None = None) -> dict:
     """Solve under the charge's field and under the swept charge's field.
 
     In the continuum the two problems share minimizer, constant, and value;
-    the report carries the three observed gaps plus both solutions.
+    the report carries the three observed gaps plus both solutions. A
+    primal solution already at hand for the same f may be passed as sol.
     """
     if f is None:
         f = gs.cfg.f_indices
     f, f_pos = _f_positions(gs, f)
-    primal = solve_gauss(gs, fld, f)
+    primal = solve_gauss(gs, fld, f) if sol is None else sol
     G = gs.green.block(f_pos)
     b_dual = -fld.dual_field_values[f_pos]
     x2, rec2 = simplex_qp(G, b_dual)
@@ -204,7 +206,7 @@ def dual_check(gs: GreenSystem, fld: ExternalField, f=None) -> dict:
     diff = gs.measure_on_d(primal.minimizer) - gs.measure_on_d(dual.minimizer)
     return {
         "w_gap": abs(primal.w_value - dual.w_value),
-        "lambda_gap_norm": float(np.sqrt(max(diff @ (gs.green.entries @ diff), 0.0))),
+        "lambda_gap_norm": weight_norm(gs.green, diff),
         "c_gap": abs(primal.c_constant - dual.c_constant),
         "primal": primal,
         "dual": dual,
@@ -227,7 +229,7 @@ def lambda_class_characterizations(gs: GreenSystem, fld: ExternalField, f,
     c = sol.c_constant
     lam_d = gs.measure_on_d(sol.minimizer)
     u_lam = gs.green.entries @ lam_d + fld.field_values
-    norm_lam = float(np.sqrt(max(lam_d @ (gs.green.entries @ lam_d), 0.0)))
+    norm_lam = weight_norm(gs.green, lam_d)
     scale = max(1.0, float(np.max(np.abs(u_lam))))
     rows = []
     for mu in candidates:
@@ -246,8 +248,7 @@ def lambda_class_characterizations(gs: GreenSystem, fld: ExternalField, f,
             "member": True,
             "reason": None,
             "potential_margin": float(np.min(u_mu - u_lam)),
-            "norm_gap": float(np.sqrt(max(mu_d @ (gs.green.entries @ mu_d), 0.0))
-                              - norm_lam),
+            "norm_gap": weight_norm(gs.green, mu_d) - norm_lam,
         })
     members = [r for r in rows if r["member"]]
     return {
@@ -314,7 +315,7 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
     cauchy, gaps = [], []
     for ld in lam_ds:
         diff = ld - lam_ds[-1]
-        cauchy.append(float(np.sqrt(max(diff @ (gs.green.entries @ diff), 0.0))))
+        cauchy.append(weight_norm(gs.green, diff))
         gaps.append(float(np.max(np.abs(gs.green.entries @ ld - u_last))))
     para = []
     for i in range(len(sols)):
@@ -367,7 +368,7 @@ def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,
             "swept_mass": swept.total_mass,
             "window_mass": float(lam.weights[window].sum()),
             "support_radius": radius,
-            "dist_to_swept": float(np.sqrt(max(diff @ (gs.green.entries @ diff), 0.0))),
+            "dist_to_swept": weight_norm(gs.green, diff),
             "extremal_energy": c_xi,
         })
     return {"window_size": int(window.size), "stages": rows}

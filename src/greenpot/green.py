@@ -117,7 +117,9 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
     carried by f. The alternative route sweeps mu onto f and Y jointly in the
     Riesz form and keeps the part on f; the worst weight disagreement between
     the routes is recorded, with a warning flag once it exceeds ten times the
-    solver tolerance. A measure already carried by f is returned unchanged
+    solver tolerance. With Y empty the Green matrix is the Riesz matrix on D,
+    so both routes pose the same problem; the cross-check is skipped and the
+    discrepancy reads 0. A measure already carried by f is returned unchanged
     unless force_projection re-runs the solver on it.
     """
     f = _index_array(f, gs.riesz_full.size, "f")
@@ -146,15 +148,13 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
                          inequality_on_target=rec.off_support_slack,
                          domination_off_target=dom)
 
+    discrepancy, warning = 0.0, None
     if gs.cfg.y_indices.size:
         joint = np.union1d(f, gs.cfg.y_indices)
         alt = sweep(gs.riesz_full, mu, joint).swept.weights[f]
-    else:
-        alt = sweep(gs.riesz_full, mu, f).swept.weights[f]
-    discrepancy = float(np.max(np.abs(alt - x))) if f.size else 0.0
-    warning = None
-    if discrepancy > 10 * max(rec.tolerance, 1e-14):
-        warning = "path-disagreement"
+        discrepancy = float(np.max(np.abs(alt - x)))
+        if discrepancy > 10 * max(rec.tolerance, 1e-14):
+            warning = "path-disagreement"
 
     w = np.zeros(gs.riesz_full.size)
     w[f] = x

@@ -1,16 +1,33 @@
-"""Deterministic active-set solvers for small dense convex programs.
+"""Deterministic block-principal-pivoting solvers for small dense convex programs.
 
 Two problems recur throughout the package:
 
   nonneg_qp:   minimize 0.5 x'Ax - b'x  over x >= 0
   simplex_qp:  minimize x'Gx - 2 b'x    over x >= 0, sum(x) = 1
 
-with A, G symmetric positive definite. Both use primal active-set iteration
-with lowest-index tie-breaking, so repeated runs visit identical pivot
-sequences. The Cholesky factor of the free-variable block is maintained
-incrementally: appends extend the factor, deletions restore triangularity
-with Givens rotations, and the terminal solution is polished against one
-fresh factorization of the final free set.
+with A, G symmetric positive definite. Both share one block principal
+pivoting core (Portugal, Judice & Vicente, Math. Comp. 63, 1994). It keeps a
+free set F, fixes x = 0 off F, and solves the subproblem on F from a fresh
+Cholesky factorization of the free block: A_FF x_F = b_F for nonneg_qp, and
+for simplex_qp the same factor applied to [b_F, 1], giving u and v, with
+x_F = u + c v and c = (1 - sum u) / sum v chosen so that x_F sums to one.
+An index is infeasible when it is free with x_i < -tol, or fixed with
+reduced gradient (A x - b - c)_i < -tol, where c = 0 for nonneg_qp. Each
+pivot exchanges infeasible indices between F and its complement:
+
+  - while the infeasible count keeps setting new lows, the whole infeasible
+    set is exchanged;
+  - without a new low the whole set is exchanged at most three more times,
+    after which only its largest index is (Murty's single-index rule, the
+    backup of Judice & Pires, 1994, which guarantees termination).
+
+Only free indices with negative weight leave F, and the free weights of
+simplex_qp sum to one, so its free set never empties. Every choice is by
+index, so repeated runs visit identical pivot sequences. The first free set
+holds every index: an interior minimizer costs one factorization, and
+nonneg_qp accepts that first solve down to -10 tol. KKTRecord.iterations
+counts the free sets solved, one more than the number of pivots, and
+max_iter caps it.
 """
 
 from __future__ import annotations
@@ -18,9 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .core import SolverError
+
+# Whole-set exchanges allowed without a new low in the infeasible count
+# before the single-index backup rule takes over.
+BLOCK_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -43,79 +64,6 @@ class KKTRecord:
     tolerance: float
 
 
-class _ActiveFactor:
-    """Upper-triangular Cholesky factor of A[F][:, F] for a mutable index list F.
-
-    Indices are kept in append order; `delete` removes one position and repairs
-    the factor with Givens rotations, which keeps every operation O(k^2).
-    """
-
-    def __init__(self, A: np.ndarray):
-        self.A = A
-        self.idx: list[int] = []
-        self.R = np.zeros((0, 0))
-
-    def set_all(self, indices) -> None:
-        self.idx = list(indices)
-        self.refactor()
-
-    def refactor(self) -> None:
-        if not self.idx:
-            self.R = np.zeros((0, 0))
-            return
-        block = self.A[np.ix_(self.idx, self.idx)]
-        try:
-            self.R = cholesky(block, lower=False, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"kernel block of size {len(self.idx)} is not "
-                              f"positive definite: {exc}") from exc
-
-    def append(self, j: int) -> None:
-        k = len(self.idx)
-        if k == 0:
-            d = self.A[j, j]
-            if d <= 0:
-                raise SolverError("nonpositive diagonal in kernel matrix")
-            self.idx = [j]
-            self.R = np.array([[np.sqrt(d)]])
-            return
-        col = self.A[self.idx, j]
-        r = solve_triangular(self.R, col, trans=1, lower=False, check_finite=False)
-        d = self.A[j, j] - r @ r
-        if d <= 1e-13 * self.A[j, j]:
-            # incremental factor has degraded; rebuild before giving up
-            self.idx.append(j)
-            self.refactor()
-            return
-        R = np.zeros((k + 1, k + 1))
-        R[:k, :k] = self.R
-        R[:k, k] = r
-        R[k, k] = np.sqrt(d)
-        self.R = R
-        self.idx.append(j)
-
-    def delete(self, pos: int) -> None:
-        k = len(self.idx)
-        R = np.delete(self.R, pos, axis=1)
-        for i in range(pos, k - 1):
-            a, b = R[i, i], R[i + 1, i]
-            rad = np.hypot(a, b)
-            if rad == 0.0:
-                continue
-            c, s = a / rad, b / rad
-            hi, lo = R[i, i:].copy(), R[i + 1, i:].copy()
-            R[i, i:] = c * hi + s * lo
-            R[i + 1, i:] = c * lo - s * hi
-            R[i, i] = rad
-            R[i + 1, i] = 0.0
-        self.R = np.ascontiguousarray(R[:k - 1, :])
-        del self.idx[pos]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = solve_triangular(self.R, rhs, trans=1, lower=False, check_finite=False)
-        return solve_triangular(self.R, y, trans=0, lower=False, check_finite=False)
-
-
 def _scale_tol(b: np.ndarray, diag: np.ndarray, rtol: float) -> float:
     scale = 1.0
     if b.size:
@@ -123,15 +71,70 @@ def _scale_tol(b: np.ndarray, diag: np.ndarray, rtol: float) -> float:
     return rtol * scale
 
 
+def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
+                simplex: bool) -> tuple[np.ndarray, float, float]:
+    """Subproblem on the free set: weights (zero off it), multiplier, raw minimum."""
+    F = np.flatnonzero(free)
+    x = np.zeros(b.size)
+    if F.size == 0:
+        return x, 0.0, 0.0
+    # the transpose of the C-ordered copy is Fortran-ordered, so LAPACK
+    # factors it in place; its lower triangle is the block's upper one
+    block = A[np.ix_(F, F)].T
+    try:
+        fac = cho_factor(block, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"kernel block of size {F.size} is not "
+                          f"positive definite: {exc}") from exc
+    if simplex:
+        uv = cho_solve(fac, np.column_stack((b[F], np.ones(F.size))),
+                       check_finite=False)
+        denom = float(uv[:, 1].sum())
+        if denom <= 0:
+            raise SolverError("lost positive definiteness in simplex solve")
+        c = (1.0 - float(uv[:, 0].sum())) / denom
+        z = uv[:, 0] + c * uv[:, 1]
+    else:
+        c, z = 0.0, cho_solve(fac, b[F], check_finite=False)
+    x[F] = z
+    return x, c, float(np.min(z))
+
+
+def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
+           simplex: bool) -> tuple[np.ndarray, float, float, int]:
+    """Block principal pivoting from the full free set (see the module docstring).
+
+    Returns the clipped minimizer, the multiplier, the most negative free
+    weight of the final solve, and the number of free sets solved.
+    """
+    m = b.size
+    if max_iter is None:
+        max_iter = 40 * m + 100
+    free = np.ones(m, dtype=bool)
+    best, retries = m + 1, BLOCK_RETRIES
+    for iters in range(1, max_iter + 1):
+        x, c, zmin = _solve_free(A, b, free, simplex)
+        floor = 10 * tol if iters == 1 and not simplex else tol
+        infeasible = free & (x < -floor)
+        if not free.all():
+            infeasible |= ~free & (A @ x - b - c < -tol)
+        count = int(np.count_nonzero(infeasible))
+        if count == 0:
+            return np.maximum(x, 0.0), c, zmin, iters
+        if count < best:
+            best, retries = count, BLOCK_RETRIES
+        elif retries:
+            retries -= 1
+        else:
+            infeasible[:np.flatnonzero(infeasible)[-1]] = False
+        free ^= infeasible
+    problem = "simplex solve" if simplex else "cone projection"
+    raise SolverError(f"{problem} failed to converge in {max_iter} pivots")
+
+
 def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
               max_iter: int | None = None) -> tuple[np.ndarray, KKTRecord]:
-    """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A.
-
-    Classic active-set descent: grow the positive set one most-violating index
-    at a time, stepping back to the boundary whenever a free variable would
-    turn negative. Tries a plain linear solve first, which settles the common
-    case of an everywhere-positive minimizer with a single factorization.
-    """
+    """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     m = b.size
@@ -140,81 +143,7 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
     if m == 0:
         return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
     tol = _scale_tol(b, np.diag(A), rtol)
-    if max_iter is None:
-        max_iter = 40 * m + 100
-
-    fac = _ActiveFactor(A)
-
-    # fast path: unconstrained minimizer already admissible
-    fac.set_all(range(m))
-    z = fac.solve(b)
-    if np.min(z) >= -10 * tol:
-        x = np.maximum(z, 0.0)
-        return x, _nonneg_record(A, b, x, float(np.min(z)), 1, tol)
-
-    x = np.zeros(m)
-    fac = _ActiveFactor(A)
-    passive = np.zeros(m, dtype=bool)
-    blocked = np.zeros(m, dtype=bool)
-    w = b.copy()
-    iters = 0
-    while True:
-        iters += 1
-        if iters > max_iter:
-            raise SolverError(f"cone projection failed to converge in {max_iter} steps")
-        cand = np.where(~passive & ~blocked)[0]
-        if cand.size == 0:
-            break
-        jrel = int(np.argmax(w[cand]))
-        if w[cand][jrel] <= tol:
-            break
-        j = int(cand[jrel])
-        fac.append(j)
-        passive[j] = True
-        while True:
-            idx = np.array(fac.idx)
-            z = fac.solve(b[idx])
-            if np.min(z) > 0.0:
-                x[:] = 0.0
-                x[idx] = z
-                break
-            xi = x[idx]
-            neg = z <= 0.0
-            ratios = np.full(idx.size, np.inf)
-            denom = xi - z
-            ok = neg & (denom > 0.0)
-            ratios[ok] = xi[ok] / denom[ok]
-            ratios[neg & ~ok] = 0.0
-            alpha = float(np.min(ratios))
-            xi = xi + alpha * (z - xi)
-            hit = np.where((ratios <= alpha) | (xi <= 0.0))[0]
-            x[:] = 0.0
-            x[idx] = np.maximum(xi, 0.0)
-            if hit.size == idx.size:
-                # entering variable was pinned straight back: freeze it out
-                blocked[j] = True
-            for pos in hit[::-1]:
-                x[idx[pos]] = 0.0
-                passive[idx[pos]] = False
-                fac.delete(int(pos))
-            if not fac.idx:
-                break
-            if alpha == 0.0 and hit.size == 1 and idx[hit[0]] == j:
-                blocked[j] = True
-                break
-        if fac.idx:
-            idx = np.array(fac.idx)
-            w = b - A[:, idx] @ x[idx]
-        else:
-            w = b.copy()
-
-    min_raw = float(np.min(x)) if m else 0.0
-    if fac.idx:
-        fac.refactor()
-        z = fac.solve(b[np.array(fac.idx)])
-        min_raw = min(min_raw, float(np.min(z)))
-        x[:] = 0.0
-        x[np.array(fac.idx)] = np.maximum(z, 0.0)
+    x, _, min_raw, iters = _pivot(A, b, tol, max_iter, simplex=False)
     return x, _nonneg_record(A, b, x, min_raw, iters, tol)
 
 
@@ -223,7 +152,6 @@ def _nonneg_record(A, b, x, min_raw, iters, tol) -> KKTRecord:
     on = x > 0
     support_residual = float(np.max(np.abs(g[on]))) if np.any(on) else 0.0
     off_support_slack = float(max(0.0, np.max(-g[~on]))) if np.any(~on) else 0.0
-    comp = float(np.max(np.abs(x * g))) if x.size else 0.0
     return KKTRecord(support_residual=support_residual,
                      off_support_slack=off_support_slack,
                      min_weight=min(min_raw, 0.0),
@@ -238,9 +166,7 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
     """Minimize x'Gx - 2 b'x over the probability simplex for SPD G.
 
     At the minimizer (G x - b) equals the multiplier c on the support and is
-    >= c elsewhere; the reported multiplier is that constant. The free-set
-    subproblem splits into two solves, u = G_FF^{-1} b_F and v = G_FF^{-1} 1,
-    combined as x_F = u + c v with c = (1 - sum u) / (sum v).
+    >= c elsewhere; the reported multiplier is that constant.
     """
     G = np.asarray(G, dtype=float)
     m = G.shape[0]
@@ -252,76 +178,8 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
     if m == 0:
         raise SolverError("cannot optimize over an empty index set")
     tol = _scale_tol(b, np.diag(G), rtol)
-    if max_iter is None:
-        max_iter = 40 * m + 100
-
-    fac = _ActiveFactor(G)
-    fac.set_all(range(m))
-    x = np.full(m, 1.0 / m)
-    pinned = np.zeros(m, dtype=bool)
-    iters = 0
-    deletions_since_refactor = 0
-    ones_cache: dict[int, np.ndarray] = {}
-
-    while True:
-        iters += 1
-        if iters > max_iter:
-            raise SolverError(f"simplex solve failed to converge in {max_iter} steps")
-        idx = np.array(fac.idx)
-        k = idx.size
-        ones = ones_cache.get(k)
-        if ones is None:
-            ones = np.ones(k)
-            ones_cache[k] = ones
-        u = fac.solve(b[idx])
-        v = fac.solve(ones)
-        denom = float(v.sum())
-        if denom <= 0:
-            raise SolverError("lost positive definiteness in simplex solve")
-        c = (1.0 - float(u.sum())) / denom
-        y = u + c * v
-        ymin = float(np.min(y))
-        if ymin >= -tol:
-            if deletions_since_refactor > 0:
-                # polish: redo the terminal subproblem on a fresh factorization
-                fac.refactor()
-                deletions_since_refactor = 0
-                continue
-            x[:] = 0.0
-            x[idx] = np.maximum(y, 0.0)
-            if not np.any(pinned):
-                return x, _simplex_record(G, b, x, c, ymin, iters, tol)
-            g = G @ x - b
-            wi = np.where(pinned)[0]
-            s = g[wi] - c
-            smin_pos = int(np.argmin(s))
-            if s[smin_pos] >= -tol:
-                return x, _simplex_record(G, b, x, c, ymin, iters, tol)
-            j = int(wi[smin_pos])
-            fac.append(j)
-            pinned[j] = False
-            continue
-        # step from the current feasible point toward y, stop at the first
-        # coordinate leaving the cone, pin every coordinate that hits zero
-        xi = x[idx]
-        neg = y < 0.0
-        ratios = np.full(k, np.inf)
-        denom_r = xi - y
-        ok = neg & (denom_r > 0.0)
-        ratios[ok] = xi[ok] / denom_r[ok]
-        ratios[neg & ~ok] = 0.0
-        alpha = float(np.min(ratios))
-        xi = xi + alpha * (y - xi)
-        hit = np.where(ratios <= alpha)[0]
-        if hit.size == k:
-            raise SolverError("simplex solve pinned every coordinate")
-        x[:] = 0.0
-        x[idx] = np.maximum(xi, 0.0)
-        for pos in hit[::-1]:
-            x[idx[pos]] = 0.0
-            pinned[idx[pos]] = True
-            fac.delete(int(pos))
-            deletions_since_refactor += 1
+    x, c, ymin, iters = _pivot(G, b, tol, max_iter, simplex=True)
+    return x, _simplex_record(G, b, x, c, ymin, iters, tol)
 
 
 def _simplex_record(G, b, x, c, ymin, iters, tol) -> KKTRecord:

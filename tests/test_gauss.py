@@ -147,6 +147,23 @@ class TestDualCheck:
         assert np.allclose(rep["dual"].minimizer.weights, [0.6, 0.4, 0.0],
                            atol=1e-10)
 
+    def test_passed_solution_gives_identical_gaps(self):
+        pts = np.vstack([geometry.sphere_shell(60, 1.0),
+                         geometry.sphere_shell(20, 0.5), [[0.3, 0.2, 1.9]]])
+        cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                           d_indices=np.arange(81),
+                           y_indices=np.array([], dtype=int),
+                           f_indices=np.arange(60), alpha=2.0)
+        gs = build_green(cfg)
+        fld = external_field(gs, DiscreteMeasure.from_dict(81, {80: 0.6}))
+        sol = solve_gauss(gs, fld, check_uniqueness=True, compute_capacity=True)
+        fresh = dual_check(gs, fld)
+        reused = dual_check(gs, fld, sol=sol)
+        assert reused["primal"] is sol
+        for key in ("w_gap", "lambda_gap_norm", "c_gap"):
+            assert reused[key] == fresh[key]
+        assert fresh["w_gap"] > 0.0
+
 
 class TestLambdaClass:
     def test_membership_and_minimality(self):

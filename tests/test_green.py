@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import greenpot.balayage
+import greenpot.green
 from greenpot import geometry
+from greenpot.balayage import sweep
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
                            ValidationError)
 from greenpot.green import (build_green, check_maximum_principles,
                             green_equilibrium, green_potential, green_sweep,
                             mass_equality_probe)
 from greenpot.riesz import assemble_riesz
+from greenpot.solvers import nonneg_qp
 
 
 def line_system():
@@ -153,6 +157,32 @@ class TestGreenSweep:
         gs = line_system()
         with pytest.raises(ValidationError):
             green_sweep(gs, DiscreteMeasure.from_dict(3, {1: 1.0}), [])
+
+    def test_empty_y_skips_identical_cross_route(self, monkeypatch):
+        # with Y empty the Riesz route poses the very same QP, so only the
+        # Green route is solved and the discrepancy reads 0
+        pts = np.vstack([geometry.sphere_shell(40, 1.0), [[0.0, 0.0, 1.7]]])
+        cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                           d_indices=np.arange(41),
+                           y_indices=np.array([], dtype=int),
+                           f_indices=np.arange(40), alpha=2.0)
+        gs = build_green(cfg)
+        mu = DiscreteMeasure.from_dict(41, {40: 1.0})
+        calls = []
+
+        def counting(A, b, **kwargs):
+            calls.append(A.shape[0])
+            return nonneg_qp(A, b, **kwargs)
+
+        monkeypatch.setattr(greenpot.green, "nonneg_qp", counting)
+        monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
+        res = green_sweep(gs, mu, cfg.f_indices)
+        assert calls == [40]
+        assert res.path_discrepancy == 0.0
+        assert res.warning is None
+        riesz = sweep(gs.riesz_full, mu, cfg.f_indices)
+        assert np.allclose(res.swept.weights, riesz.swept.weights,
+                           rtol=0, atol=1e-13)
 
 
 class TestGreenEquilibrium:
