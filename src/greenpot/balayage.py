@@ -126,14 +126,15 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
     outside = np.where(~inside)[0]
     if outside.size == 0:
         return B
-    block = cho_factor(K.block(q), lower=False, check_finite=False)
+    A = K.block(q)
+    block = cho_factor(A, lower=False, check_finite=False)
     rhs = K.block(q, sources[outside])
     W = cho_solve(block, rhs, check_finite=False)
     neg_tol = 1e-11 * max(1.0, float(np.max(rhs)))
     for col, k in enumerate(outside):
         wcol = W[:, col]
         if np.min(wcol) < -neg_tol:
-            wcol, _ = nonneg_qp(K.block(q), rhs[:, col])
+            wcol, _ = nonneg_qp(A, rhs[:, col])
         B[q, k] = np.maximum(wcol, 0.0)
     return B
 

@@ -26,7 +26,7 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
 from .gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
                     external_field, solve_gauss, support_descriptor,
                     truncation_sweep)
-from .green import build_green, green_sweep
+from .green import build_green, green_equilibrium, green_sweep
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
 from .riesz import (assemble_riesz, capacity, equilibrium_measure, potential,
@@ -402,6 +402,18 @@ def _coord_header(dim: int) -> list:
 # task runners: each returns (report-body dict, exit code)
 
 
+def _at_most(name: str, value, tolerance) -> dict:
+    """Invariant record that passes when the reported value is within tolerance."""
+    return {"name": name, "value": value, "tolerance": tolerance,
+            "passed": value <= tolerance}
+
+
+# make_kernel raises SolverError on a failed Cholesky before any report exists,
+# and a Green matrix it did not check is a principal block of one it did
+_POSITIVE_DEFINITE = {"name": "positive_definite", "value": True,
+                      "tolerance": None, "passed": True}
+
+
 def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
     K = sc.kernel()
     save_kernel_csv(K, art.table_path("kernel.csv"))
@@ -418,9 +430,9 @@ def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
             "nearest_neighbor_min": float(nn.min()) if nn is not None else None,
         },
         "invariants": [
-            {"name": "symmetric", "value": 0.0, "tolerance": 0.0, "passed": True},
-            {"name": "positive_definite", "value": True, "tolerance": None,
-             "passed": True},
+            _at_most("symmetric",
+                     float(np.abs(K.entries - K.entries.T).max(initial=0.0)), 0.0),
+            _POSITIVE_DEFINITE,
         ],
         "hypotheses": [
             {"name": "alpha_admissible", "status": "checked",
@@ -448,12 +460,9 @@ def _run_capacity(sc: Scenario, art: Artifacts) -> dict:
             "potential_max_on_support": float(u[supp].max()),
         },
         "invariants": [
-            {"name": "unit_mass", "value": abs(mu.total_mass - 1.0),
-             "tolerance": 1e-12, "passed": abs(mu.total_mass - 1.0) <= 1e-12},
-            {"name": "potential_at_least_energy_on_target",
-             "value": float(energy - u[target].min()),
-             "tolerance": sc.residual_tol * energy,
-             "passed": energy - u[target].min() <= sc.residual_tol * energy},
+            _at_most("unit_mass", abs(mu.total_mass - 1.0), 1e-12),
+            _at_most("potential_at_least_energy_on_target",
+                     float(energy - u[target].min()), sc.residual_tol * energy),
         ],
         "hypotheses": [],
     }
@@ -478,13 +487,9 @@ def _run_equilibrium(sc: Scenario, art: Artifacts) -> dict:
             "potential_min_on_target": float(u[target].min()),
         },
         "invariants": [
-            {"name": "unit_potential_on_support", "value": dev,
-             "tolerance": sc.residual_tol,
-             "passed": dev <= sc.residual_tol},
-            {"name": "potential_at_least_one_on_target",
-             "value": float(1.0 - u[target].min()),
-             "tolerance": sc.residual_tol,
-             "passed": 1.0 - u[target].min() <= sc.residual_tol},
+            _at_most("unit_potential_on_support", dev, sc.residual_tol),
+            _at_most("potential_at_least_one_on_target",
+                     float(1.0 - u[target].min()), sc.residual_tol),
         ],
         "hypotheses": [],
     }
@@ -507,11 +512,8 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
     return {
         "results": body,
         "invariants": [
-            {"name": "projection_first_order_conditions", "value": worst,
-             "tolerance": sc.residual_tol, "passed": worst <= sc.residual_tol},
-            {"name": "mass_not_increased",
-             "value": float(res.mass_out - res.mass_in),
-             "tolerance": 1e-10, "passed": res.mass_out <= res.mass_in + 1e-10},
+            _at_most("projection_first_order_conditions", worst, sc.residual_tol),
+            _at_most("mass_not_increased", float(res.mass_out - res.mass_in), 1e-10),
         ],
         "hypotheses": [
             {"name": "domination_outside_target", "status": "checked",
@@ -548,13 +550,11 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
     return {
         "results": body,
         "invariants": [
-            {"name": "symmetrization_residual", "value": gs.asymmetry_residual,
-             "tolerance": sc.residual_tol,
-             "passed": gs.asymmetry_residual <= sc.residual_tol},
+            _at_most("symmetrization_residual", gs.asymmetry_residual,
+                     sc.residual_tol),
             {"name": "entries_between_zero_and_riesz", "value": body["entry_min"],
-             "tolerance": 1e-10, "passed": True},
-            {"name": "positive_definite", "value": True, "tolerance": None,
-             "passed": True},
+             "tolerance": 1e-10, "passed": body["entry_min"] >= -1e-10},
+            _POSITIVE_DEFINITE,
         ],
         "hypotheses": [
             {"name": "y_closed_and_separated", "status": "checked",
@@ -567,7 +567,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     cfg = sc.domain()
     gs = build_green(cfg, sc.sigma)
     fld = external_field(gs, sc.theta_measure())
-    sol = solve_gauss(gs, fld, check_uniqueness=True, compute_capacity=True)
+    sol = solve_gauss(gs, fld, check_uniqueness=True)
     lam = sol.minimizer
     supp = lam.support
     art.table("minimizer.csv", _coord_header(sc.point_set.dim),
@@ -578,12 +578,15 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     rep: dict = {"applicable": bool(m_swept <= 1.0 + 1e-12)}
     if rep["applicable"]:
         exp = explicit_solution(gs, fld)
+        c_g = exp.diagnostics["green_capacity_of_f"]
         diff = gs.measure_on_d(lam) - gs.measure_on_d(exp.minimizer)
         rep["lambda_gap_norm"] = weight_norm(gs.green, diff)
         rep["c_gap"] = abs(sol.c_constant - exp.c_constant)
         dual = dual_check(gs, fld, sol=sol)
         rep["dual_w_gap"] = dual["w_gap"]
         rep["dual_c_gap"] = dual["c_gap"]
+    else:
+        c_g, _ = green_equilibrium(gs, cfg.f_indices)
     kkt = sol.kkt
     return {
         "results": {
@@ -601,18 +604,15 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
                 "iterations": kkt.iterations,
                 "tolerance": kkt.tolerance,
             },
-            "diagnostics": sol.diagnostics,
+            "diagnostics": {**sol.diagnostics, "green_capacity_of_f": c_g},
             "representation": rep,
         },
         "invariants": [
-            {"name": "unit_mass", "value": kkt.mass_error, "tolerance": 1e-12,
-             "passed": kkt.mass_error <= 1e-12},
-            {"name": "stationarity_on_support", "value": kkt.support_residual,
-             "tolerance": sc.residual_tol,
-             "passed": kkt.support_residual <= sc.residual_tol},
-            {"name": "no_descent_off_support", "value": kkt.off_support_slack,
-             "tolerance": sc.residual_tol,
-             "passed": kkt.off_support_slack <= sc.residual_tol},
+            _at_most("unit_mass", kkt.mass_error, 1e-12),
+            _at_most("stationarity_on_support", kkt.support_residual,
+                     sc.residual_tol),
+            _at_most("no_descent_off_support", kkt.off_support_slack,
+                     sc.residual_tol),
         ],
         "hypotheses": [
             {"name": "charge_separated_from_f", "status": "checked",
@@ -638,6 +638,10 @@ def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
               ("c", [float(s) for s in rep.sizes], rep.c_values)],
              "values along nested truncations", "truncation size", "value")
     excess = max((p["lhs"] - p["rhs"] for p in rep.parallelogram), default=0.0)
+    # w may only fall along a growing family and only rise along a shrinking one
+    sign = 1.0 if rep.direction == "increasing" else -1.0
+    w_against = max((sign * (b - a) for a, b in zip(rep.w_values, rep.w_values[1:])),
+                    default=0.0)
     return {
         "results": {
             "direction": rep.direction, "sizes": [int(s) for s in rep.sizes],
@@ -647,10 +651,8 @@ def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
             "parallelogram_max_excess": excess,
         },
         "invariants": [
-            {"name": "w_monotone", "value": True, "tolerance": 1e-10,
-             "passed": True},
-            {"name": "parallelogram_bound", "value": excess, "tolerance": 1e-9,
-             "passed": excess <= 1e-9},
+            _at_most("w_monotone", w_against, 1e-10),
+            _at_most("parallelogram_bound", excess, 1e-9),
         ],
         "hypotheses": [
             {"name": "swept_mass_at_most_one", "status": "checked",

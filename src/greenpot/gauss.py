@@ -95,8 +95,7 @@ def _check_value_bounds(gs: GreenSystem, fld: ExternalField, w_value: float) -> 
 
 
 def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
-                check_uniqueness: bool = False,
-                compute_capacity: bool = False) -> GaussSolution:
+                check_uniqueness: bool = False) -> GaussSolution:
     """Minimize the functional over probability measures on f.
 
     The simplex solver's equality multiplier is the weighted equilibrium
@@ -124,7 +123,6 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
         "c_cross_gap": abs(rec.multiplier - c_cross),
         "field_energy": field_energy,
         "uniqueness_gap": None,
-        "green_capacity_of_f": None,
     }
     if check_uniqueness:
         perm = np.arange(f_pos.size)[::-1]
@@ -132,9 +130,6 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
         back = np.empty_like(x2)
         back[perm] = x2
         diagnostics["uniqueness_gap"] = float(np.max(np.abs(back - x)))
-    if compute_capacity:
-        c_g, _ = green_equilibrium(gs, f)
-        diagnostics["green_capacity_of_f"] = c_g
     w = np.zeros(gs.riesz_full.size)
     w[f] = x
     return GaussSolution(minimizer=DiscreteMeasure(w), w_value=w_value,

@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import (DiscreteMeasure, DomainConfig, InvariantError, ValidationError,
                    _index_array)
-from .balayage import BalayageResult, SweepResiduals, dirac_sweep_matrix, sweep
+from .balayage import (BalayageResult, SweepResiduals, _domination_excess,
+                       dirac_sweep_matrix, sweep)
 from .riesz import KernelMatrix, assemble_riesz, make_kernel
 from .solvers import nonneg_qp
 
@@ -68,7 +69,9 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0,
     d = cfg.d_indices
     y = cfg.y_indices
     if y.size == 0:
-        green = make_kernel(K.block(d), K.alpha, K.dim, kind="green")
+        # a principal block of the checked SPD K is exactly symmetric and SPD
+        # (Cauchy interlacing); the solvers' own Cholesky still raises SolverError
+        green = KernelMatrix(K.block(d), K.alpha, K.dim, kind="green")
         return GreenSystem(cfg=cfg, riesz_full=K, green=green,
                            dirac_sweep_to_y=np.zeros((K.size, d.size)),
                            asymmetry_residual=0.0)
@@ -137,16 +140,9 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
     G = gs.green
     u_in = G.entries @ w_d
     x, rec = nonneg_qp(G.block(f_pos), u_in[f_pos])
-
-    off = np.ones(G.size, dtype=bool)
-    off[f_pos] = False
-    dom = 0.0
-    if np.any(off):
-        u_off = G.entries[np.ix_(np.where(off)[0], f_pos)] @ x
-        dom = float(max(0.0, np.max(u_off - u_in[off])))
     res = SweepResiduals(equality_on_support=rec.support_residual,
                          inequality_on_target=rec.off_support_slack,
-                         domination_off_target=dom)
+                         domination_off_target=_domination_excess(G, x, f_pos, u_in))
 
     discrepancy, warning = 0.0, None
     if gs.cfg.y_indices.size:

@@ -4,7 +4,7 @@ The kernel on an n-point cloud is the matrix |x_i - x_j|^(alpha - n) off the
 diagonal. The singular diagonal is replaced by a finite cell self-energy
 (sigma * cell_radius)^(alpha - n), which keeps the matrix symmetric positive
 definite for non-overlapping cells; positive definiteness is checked at
-assembly by a Cholesky factorization and the factor is kept for reuse.
+assembly by a Cholesky factorization, whose factor is then discarded.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.spatial.distance import cdist
+from scipy.linalg import cholesky
+from scipy.spatial.distance import pdist, squareform
 
 from .core import DiscreteMeasure, PointSet, SolverError, ValidationError, _index_array
 from .solvers import KKTRecord, simplex_qp
@@ -23,15 +23,13 @@ from .solvers import KKTRecord, simplex_qp
 class KernelMatrix:
     """Symmetric positive definite kernel matrix with parameter metadata.
 
-    kind is "riesz" or "green"; factorization_cache holds the upper-triangular
-    Cholesky factor computed during the definiteness check.
+    kind is "riesz" or "green".
     """
 
     entries: np.ndarray
     alpha: float
     dim: int
     kind: str = "riesz"
-    factorization_cache: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -41,15 +39,6 @@ class KernelMatrix:
         rows = np.asarray(rows, dtype=int)
         cols = rows if cols is None else np.asarray(cols, dtype=int)
         return self.entries[np.ix_(rows, cols)]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K x = rhs using the cached factorization."""
-        if self.factorization_cache is None:
-            raise SolverError("kernel matrix carries no factorization")
-        y = solve_triangular(self.factorization_cache, rhs, trans=1,
-                             lower=False, check_finite=False)
-        return solve_triangular(self.factorization_cache, y, trans=0,
-                                lower=False, check_finite=False)
 
 
 def make_kernel(entries: np.ndarray, alpha: float, dim: int,
@@ -63,14 +52,15 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int,
         raise ValidationError("kernel matrix must be exactly symmetric")
     if m and np.min(np.diag(entries)) <= 0:
         raise SolverError("kernel diagonal must be strictly positive")
-    try:
-        factor = cholesky(entries, lower=False, check_finite=False) if m else np.zeros((0, 0))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            "kernel matrix failed the positive-definiteness check; "
-            f"cells are too coarse for this sampling ({exc})") from exc
-    return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim),
-                        kind=kind, factorization_cache=factor)
+    if m:
+        try:
+            # the factor only certifies definiteness and is discarded
+            cholesky(entries, lower=False, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                "kernel matrix failed the positive-definiteness check; "
+                f"cells are too coarse for this sampling ({exc})") from exc
+    return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim), kind=kind)
 
 
 def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatrix:
@@ -84,13 +74,11 @@ def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatr
         raise ValidationError(f"alpha={alpha} outside (0, {n}] cap 2")
     if not 0 < sigma <= 1:
         raise ValidationError(f"sigma={sigma} outside (0, 1]")
-    dist = cdist(ps.points, ps.points)
+    # squareform turns the empty distance list of an empty cloud into 1 x 1
+    dist = squareform(pdist(ps.points)) if len(ps) else np.zeros((0, 0))
     np.fill_diagonal(dist, sigma * ps.cell_radius)
-    entries = dist ** (alpha - n)
-    # enforce exact symmetry; cdist is symmetric up to rounding only
-    i_up = np.triu_indices(len(ps), k=1)
-    entries[(i_up[1], i_up[0])] = entries[i_up]
-    return make_kernel(entries, alpha, n, kind="riesz")
+    dist **= alpha - n
+    return make_kernel(dist, alpha, n, kind="riesz")
 
 
 def potential(K: KernelMatrix, mu: DiscreteMeasure) -> np.ndarray:
@@ -129,8 +117,9 @@ def _simplex_minimum(K: KernelMatrix, a: np.ndarray):
         energy = float(K.entries[a[0], a[0]])
         rec = KKTRecord(0.0, 0.0, 0.0, 0.0, energy, 0, 0.0)
         return energy, x, rec
-    x, rec = simplex_qp(K.block(a), None)
-    energy = float(x @ K.block(a) @ x)
+    A = K.block(a)
+    x, rec = simplex_qp(A, None)
+    energy = float(x @ A @ x)
     return energy, x, rec
 
 

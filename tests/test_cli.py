@@ -6,8 +6,10 @@ import subprocess
 import numpy as np
 import pytest
 
+import greenpot.riesz
 from greenpot import cli
 from greenpot.core import InvariantError, SolverError
+from greenpot.green import build_green, green_equilibrium
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -181,6 +183,38 @@ class TestGaussTask:
         weights = [float(r.split(",")[-1]) for r in rows[1:]]
         assert weights == pytest.approx([0.6, 0.4], abs=1e-12)
 
+    def test_one_green_equilibrium_solve(self, tmp_path, monkeypatch):
+        # the closed form already holds the Green capacity of F, so the run
+        # solves the equilibrium problem once
+        calls = []
+        inner = greenpot.riesz._simplex_minimum
+
+        def counting(K, a):
+            calls.append(a.size)
+            return inner(K, a)
+
+        monkeypatch.setattr(greenpot.riesz, "_simplex_minimum", counting)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", gauss_config(tmp_path), "--out", out]) == 0
+        assert calls == [2]
+        rep = read_report(out)
+        assert rep["results"]["diagnostics"]["green_capacity_of_f"] == \
+            pytest.approx(2.0 / 3.0, rel=1e-13)
+
+    def test_capacity_reported_without_closed_form(self, tmp_path):
+        path = gauss_config(tmp_path, {
+            "theta": {"points": [[-2.5, 0.0, 0.0]], "weights": [5.0]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", path, "--out", out]) == 0
+        rep = read_report(out)
+        assert rep["results"]["theta_swept_mass"] > 1.0
+        assert not rep["results"]["representation"]["applicable"]
+        with open(path) as fh:
+            sc = cli.Scenario(json.load(fh), str(tmp_path), 0)
+        cfg = sc.domain()
+        c_g, _ = green_equilibrium(build_green(cfg, sc.sigma), cfg.f_indices)
+        assert rep["results"]["diagnostics"]["green_capacity_of_f"] == c_g
+
     def test_report_bytes_deterministic(self, tmp_path):
         cfg = gauss_config(tmp_path)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -244,6 +278,15 @@ class TestFamilyTasks:
         assert rep["results"]["parallelogram_max_excess"] <= 1e-9
         assert os.path.exists(os.path.join(out, "tables", "truncation.csv"))
         assert os.path.exists(os.path.join(out, "plots", "w_curve.svg"))
+
+    def test_truncation_reports_measured_w_step(self, tmp_path):
+        cfg = self.family_config(tmp_path, "truncation")
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == 0
+        inv = {i["name"]: i for i in read_report(out)["invariants"]}
+        # the largest rise of w along the growing family; here w falls 0.6 -> 0.28
+        assert inv["w_monotone"]["value"] == pytest.approx(0.28 - 0.6, abs=1e-12)
+        assert inv["w_monotone"]["passed"]
 
     def test_exhaustion_window_masses(self, tmp_path):
         cfg = self.family_config(tmp_path, "exhaustion")

@@ -8,7 +8,7 @@ from greenpot.gauss import (dual_check, exhaustion_mass_probe, explicit_solution
                             external_field, field_decay_probe, gauss_functional,
                             lambda_class_characterizations, solve_gauss,
                             support_descriptor, truncation_sweep)
-from greenpot.green import build_green
+from greenpot.green import build_green, green_equilibrium
 
 
 def field_system(charge=1.75):
@@ -46,15 +46,14 @@ class TestExternalField:
 class TestSolveGauss:
     def test_hand_minimizer(self):
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld, check_uniqueness=True,
-                          compute_capacity=True)
+        sol = solve_gauss(gs, fld, check_uniqueness=True)
         assert np.allclose(sol.minimizer.weights, [0.6, 0.4, 0.0], atol=1e-12)
         assert sol.c_constant == pytest.approx(0.9, abs=1e-12)
         assert sol.w_value == pytest.approx(0.28, abs=1e-12)
         assert sol.diagnostics["uniqueness_gap"] <= 1e-12
-        assert sol.diagnostics["green_capacity_of_f"] == pytest.approx(
-            2.0 / 3.0, rel=1e-13)
         assert sol.diagnostics["c_cross_gap"] <= 1e-12
+        c_g, _ = green_equilibrium(gs, [0, 1])
+        assert c_g == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     def test_objective_agrees_with_functional(self):
         gs, fld = field_system()
@@ -156,7 +155,7 @@ class TestDualCheck:
                            f_indices=np.arange(60), alpha=2.0)
         gs = build_green(cfg)
         fld = external_field(gs, DiscreteMeasure.from_dict(81, {80: 0.6}))
-        sol = solve_gauss(gs, fld, check_uniqueness=True, compute_capacity=True)
+        sol = solve_gauss(gs, fld, check_uniqueness=True)
         fresh = dual_check(gs, fld)
         reused = dual_check(gs, fld, sol=sol)
         assert reused["primal"] is sol

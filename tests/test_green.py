@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import greenpot.balayage
 import greenpot.green
+import greenpot.riesz
 from greenpot import geometry
 from greenpot.balayage import sweep
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
@@ -68,6 +70,27 @@ class TestBuild:
         assert np.array_equal(gs.green.entries, K.entries)
         assert not gs.dirac_sweep_to_y.any()
         assert gs.asymmetry_residual == 0.0
+
+    def test_empty_y_block_is_checked_once(self, monkeypatch):
+        # with Y empty on a strict subset D the Green matrix is the D-block of
+        # the already checked Riesz matrix, so only that matrix is factored
+        pts = np.vstack([geometry.sphere_shell(30, 1.0), [[0.0, 0.0, 1.7]]])
+        cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                           d_indices=np.arange(20),
+                           y_indices=np.array([], dtype=int),
+                           f_indices=np.arange(10), alpha=2.0)
+        sizes = []
+
+        def counting(a, **kwargs):
+            sizes.append(a.shape[0])
+            return scipy.linalg.cholesky(a, **kwargs)
+
+        monkeypatch.setattr(greenpot.riesz, "cholesky", counting)
+        gs = build_green(cfg)
+        assert sizes == [31]
+        K_d = gs.riesz_full.block(cfg.d_indices)
+        assert gs.green.entries.tobytes() == K_d.tobytes()
+        assert gs.green.kind == "green"
 
     def test_accepts_preassembled_riesz(self):
         gs = line_system()

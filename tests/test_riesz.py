@@ -58,6 +58,10 @@ class TestAssembly:
         K = assemble_riesz(ps, 1.5)
         assert np.array_equal(K.entries, K.entries.T)
 
+    def test_empty_cloud_gives_empty_matrix(self):
+        K = assemble_riesz(PointSet.from_points(np.zeros((0, 3))), 2.0)
+        assert K.entries.shape == (0, 0)
+
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(SolverError):
             make_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0, 3, "riesz")
