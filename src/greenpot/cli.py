@@ -3,7 +3,10 @@
 A single JSON config names a task, a point-cloud geometry, region
 assignments, and an optional external charge; the runner executes the task
 and writes report.json, tables/*.csv (17 significant digits), and optional
-plots/*.svg into the output directory.
+plots/*.svg into the output directory. Files are staged in a hidden
+subdirectory of it and moved in only once report.json is written; a run that
+stops with an error (a config, validation or solver error, or a raised
+invariant error) leaves the directory as it found it.
 
 Exit codes: 0 success, 2 config parse failure, 3 validation failure,
 4 solver failure, 5 invariant failure.
@@ -15,7 +18,9 @@ import argparse
 import inspect
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -347,19 +352,72 @@ class Scenario:
         return assemble_riesz(self.point_set, self.alpha, self.sigma)
 
 
+def _move_into(src: str, dest: str) -> None:
+    """Move every entry of directory src into directory dest, merging
+    directories that exist in both and replacing files."""
+    for entry in os.scandir(src):
+        target = os.path.join(dest, entry.name)
+        if entry.is_dir() and os.path.isdir(target):
+            _move_into(entry.path, target)
+            os.rmdir(entry.path)
+        else:
+            os.replace(entry.path, target)
+
+
 class Artifacts:
-    """Collects output files under one directory, creating it lazily."""
+    """Collects output files in a staging directory inside out_dir.
+
+    The staging directory is a hidden subdirectory of out_dir, made on first
+    use together with out_dir itself. commit() moves the staged files into
+    out_dir once the run is complete and discard() removes what is left, and
+    out_dir too if this run made it and committed nothing, so a run that
+    stops with an error leaves out_dir as it found it.
+    """
 
     def __init__(self, out_dir: str, want_plots: bool):
         self.out_dir = out_dir
         self.want_plots = want_plots
         self.tables: list[str] = []
         self.plots: list[str] = []
+        self._stage: str | None = None
+        self._made_out_dir = False
+
+    @property
+    def stage(self) -> str:
+        if self._stage is None:
+            self._made_out_dir = not os.path.isdir(self.out_dir)
+            if self._made_out_dir:
+                os.makedirs(self.out_dir)
+            self._stage = tempfile.mkdtemp(prefix=".greenpot-stage-",
+                                           dir=self.out_dir)
+        return self._stage
 
     def _dir(self, sub: str) -> str:
-        path = os.path.join(self.out_dir, sub)
+        path = os.path.join(self.stage, sub)
         os.makedirs(path, exist_ok=True)
         return path
+
+    def commit(self) -> None:
+        """Move the staged files into out_dir, replacing files of the same name.
+
+        Files already in out_dir under other names stay. A staged directory
+        that out_dir lacks moves in whole, in one rename.
+        """
+        _move_into(self.stage, self.out_dir)
+        os.rmdir(self._stage)
+        self._stage = None
+
+    def discard(self) -> None:
+        """Remove an uncommitted stage, and out_dir if this run made it."""
+        if self._stage is None:
+            return
+        shutil.rmtree(self._stage, ignore_errors=True)
+        self._stage = None
+        if self._made_out_dir:
+            try:
+                os.rmdir(self.out_dir)
+            except OSError:
+                pass
 
     def table(self, name: str, header, rows) -> str:
         path = os.path.join(self._dir("tables"), name)
@@ -539,13 +597,11 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
     cfg = sc.domain()
     gs = build_green(cfg, sc.sigma)
     n_d = cfg.d_indices.size
-    art.table("green_matrix.csv",
-              [f"d{k}" for k in range(n_d)],
-              [tuple(row) for row in gs.green.entries])
+    art.table("green_matrix.csv", [f"d{k}" for k in range(n_d)],
+              gs.green.entries)
     if cfg.y_indices.size:
-        art.table("dirac_sweep_to_y.csv",
-                  [f"source{k}" for k in range(n_d)],
-                  [tuple(row) for row in gs.dirac_sweep_to_y[cfg.y_indices]])
+        art.table("dirac_sweep_to_y.csv", [f"source{k}" for k in range(n_d)],
+                  gs.dirac_sweep_to_y[cfg.y_indices])
     body = _green_report(gs)
     return {
         "results": body,
@@ -746,8 +802,7 @@ def _run_verify_all(cfg: dict, art: Artifacts, seed: int,
         results = verify.run_all(seed=seed, which=which)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    os.makedirs(art.out_dir, exist_ok=True)
-    names = verify.write_tables(results, art.out_dir)
+    names = verify.write_tables(results, art.stage)
     art.tables.extend(os.path.join("tables", n) for n in names)
     _verify_plots(results, art)
     body = {
@@ -860,13 +915,16 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-
-    report.update(body)
-    report["artifacts"] = {"tables": sorted(art.tables),
-                           "plots": sorted(art.plots)}
-    os.makedirs(art.out_dir, exist_ok=True)
-    write_json(os.path.join(art.out_dir, "report.json"), report)
-    return code
+    else:
+        report.update(body)
+        report["artifacts"] = {"tables": sorted(art.tables),
+                               "plots": sorted(art.plots)}
+        write_json(os.path.join(art.stage, "report.json"), report)
+        art.commit()
+        return code
+    finally:
+        # nothing staged reaches out_dir unless the report was committed
+        art.discard()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ matrix on D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,8 +70,12 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0,
     y = cfg.y_indices
     if y.size == 0:
         # a principal block of the checked SPD K is exactly symmetric and SPD
-        # (Cauchy interlacing); the solvers' own Cholesky still raises SolverError
-        green = KernelMatrix(K.block(d), K.alpha, K.dim, kind="green")
+        # (Cauchy interlacing); the solvers' own Cholesky still raises
+        # SolverError. A D of every point shares K's entries and factor.
+        if d.size == K.size:
+            green = replace(K, kind="green")
+        else:
+            green = KernelMatrix(K.block(d), K.alpha, K.dim, kind="green")
         return GreenSystem(cfg=cfg, riesz_full=K, green=green,
                            dirac_sweep_to_y=np.zeros((K.size, d.size)),
                            asymmetry_residual=0.0)

@@ -48,11 +48,23 @@ def csv_cell(v) -> str:
     return str(v)
 
 
+_FLOAT = "{:.17g}".format
+
+
 def write_csv(path, header, rows) -> None:
+    """One line per row; rows is an iterable of rows of cells, or a 2-D float array.
+
+    A float array is formatted from its Python floats in one pass, with the
+    same bytes csv_cell gives each entry.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        lines = (",".join(map(_FLOAT, row)) for row in rows.tolist())
+    else:
+        lines = (",".join(csv_cell(v) for v in row) for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(str(h) for h in header) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_cell(v) for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

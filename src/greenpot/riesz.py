@@ -4,32 +4,37 @@ The kernel on an n-point cloud is the matrix |x_i - x_j|^(alpha - n) off the
 diagonal. The singular diagonal is replaced by a finite cell self-energy
 (sigma * cell_radius)^(alpha - n), which keeps the matrix symmetric positive
 definite for non-overlapping cells; positive definiteness is checked at
-assembly by a Cholesky factorization, whose factor is then discarded.
+assembly by a Cholesky factorization. The factor is kept on the kernel and
+serves as the first factorization of simplex solves over the whole kernel
+(capacity and equilibrium measure of every point).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky
 from scipy.spatial.distance import pdist, squareform
 
 from .core import DiscreteMeasure, PointSet, SolverError, ValidationError, _index_array
-from .solvers import KKTRecord, simplex_qp
+from .reports import write_csv
+from .solvers import KKTRecord, _cholesky, simplex_qp
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric positive definite kernel matrix with parameter metadata.
 
-    kind is "riesz" or "green".
+    kind is "riesz" or "green". factor is the Cholesky factor of entries in
+    the solvers' (c, lower) form when the matrix was checked by make_kernel,
+    else None; it takes no part in comparisons or the repr.
     """
 
     entries: np.ndarray
     alpha: float
     dim: int
     kind: str = "riesz"
+    factor: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -43,7 +48,10 @@ class KernelMatrix:
 
 def make_kernel(entries: np.ndarray, alpha: float, dim: int,
                 kind: str = "riesz") -> KernelMatrix:
-    """Validate symmetry and positive definiteness, then wrap the matrix."""
+    """Validate symmetry and positive definiteness, then wrap the matrix.
+
+    The Cholesky factor that certifies definiteness is kept as K.factor.
+    """
     entries = np.asarray(entries, dtype=float)
     m = entries.shape[0]
     if entries.shape != (m, m):
@@ -52,15 +60,16 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int,
         raise ValidationError("kernel matrix must be exactly symmetric")
     if m and np.min(np.diag(entries)) <= 0:
         raise SolverError("kernel diagonal must be strictly positive")
+    factor = None
     if m:
         try:
-            # the factor only certifies definiteness and is discarded
-            cholesky(entries, lower=False, check_finite=False)
+            factor = _cholesky(entries)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 "kernel matrix failed the positive-definiteness check; "
                 f"cells are too coarse for this sampling ({exc})") from exc
-    return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim), kind=kind)
+    return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim),
+                        kind=kind, factor=factor)
 
 
 def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatrix:
@@ -110,15 +119,23 @@ def weight_norm(K: KernelMatrix, u: np.ndarray) -> float:
 
 
 def _simplex_minimum(K: KernelMatrix, a: np.ndarray):
-    """Minimal energy over probability measures on `a`, with minimizer."""
+    """Minimal energy over probability measures on `a`, with minimizer.
+
+    `a` holds sorted distinct indices, so a.size == K.size means every
+    point: the solve then reads the entries in place and starts from the
+    kernel's own factor.
+    """
     if a.size == 1:
         # one-point problem: the Dirac is the only probability measure
         x = np.ones(1)
         energy = float(K.entries[a[0], a[0]])
         rec = KKTRecord(0.0, 0.0, 0.0, 0.0, energy, 0, 0.0)
         return energy, x, rec
-    A = K.block(a)
-    x, rec = simplex_qp(A, None)
+    if a.size == K.size:
+        A, factor = K.entries, K.factor
+    else:
+        A, factor = K.block(a), None
+    x, rec = simplex_qp(A, factor=factor)
     energy = float(x @ A @ x)
     return energy, x, rec
 
@@ -151,7 +168,4 @@ def equilibrium_measure(K: KernelMatrix, a) -> DiscreteMeasure:
 
 def save_kernel_csv(K: KernelMatrix, path) -> None:
     """Full matrix dump, 17 significant digits, one row per line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"k{j}" for j in range(K.size)) + "\n")
-        for row in K.entries:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(path, [f"k{j}" for j in range(K.size)], K.entries)

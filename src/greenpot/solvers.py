@@ -24,8 +24,9 @@ pivot exchanges infeasible indices between F and its complement:
 Only free indices with negative weight leave F, and the free weights of
 simplex_qp sum to one, so its free set never empties. Every choice is by
 index, so repeated runs visit identical pivot sequences. The first free set
-holds every index: an interior minimizer costs one factorization, and
-nonneg_qp accepts that first solve down to -10 tol. KKTRecord.iterations
+holds every index: an interior minimizer costs one factorization (none
+when simplex_qp is handed the factor of G, such as KernelMatrix.factor),
+and nonneg_qp accepts that first solve down to -10 tol. KKTRecord.iterations
 counts the free sets solved, one more than the number of pivots, and
 max_iter caps it.
 """
@@ -71,23 +72,38 @@ def _scale_tol(b: np.ndarray, diag: np.ndarray, rtol: float) -> float:
     return rtol * scale
 
 
+def _cholesky(block: np.ndarray, overwrite: bool = False):
+    """Lower Cholesky factor of a symmetric matrix, in cho_solve's (c, lower) form.
+
+    LAPACK reads the transpose, which is Fortran-ordered for a C-ordered
+    block, so overwrite=True factors such a block in place; its lower
+    triangle is the block's upper one. make_kernel's positive-definiteness
+    check and the solvers both factor through here, so a factor kept from
+    the check equals the one a solver would compute, bit for bit. Raises
+    np.linalg.LinAlgError when the block is not positive definite.
+    """
+    return cho_factor(block.T, lower=True, overwrite_a=overwrite,
+                      check_finite=False)
+
+
 def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
-                simplex: bool) -> tuple[np.ndarray, float, float]:
-    """Subproblem on the free set: weights (zero off it), multiplier, raw minimum."""
+                simplex: bool, factor=None) -> tuple[np.ndarray, float, float]:
+    """Subproblem on the free set: weights (zero off it), multiplier, raw minimum.
+
+    factor, when given, is the _cholesky factor of the free block.
+    """
     F = np.flatnonzero(free)
     x = np.zeros(b.size)
     if F.size == 0:
         return x, 0.0, 0.0
-    # the transpose of the C-ordered copy is Fortran-ordered, so LAPACK
-    # factors it in place; its lower triangle is the block's upper one
-    block = A[np.ix_(F, F)].T
-    try:
-        fac = cho_factor(block, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"kernel block of size {F.size} is not "
-                          f"positive definite: {exc}") from exc
+    if factor is None:
+        try:
+            factor = _cholesky(A[np.ix_(F, F)], overwrite=True)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"kernel block of size {F.size} is not "
+                              f"positive definite: {exc}") from exc
     if simplex:
-        uv = cho_solve(fac, np.column_stack((b[F], np.ones(F.size))),
+        uv = cho_solve(factor, np.column_stack((b[F], np.ones(F.size))),
                        check_finite=False)
         denom = float(uv[:, 1].sum())
         if denom <= 0:
@@ -95,15 +111,17 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
         c = (1.0 - float(uv[:, 0].sum())) / denom
         z = uv[:, 0] + c * uv[:, 1]
     else:
-        c, z = 0.0, cho_solve(fac, b[F], check_finite=False)
+        c, z = 0.0, cho_solve(factor, b[F], check_finite=False)
     x[F] = z
     return x, c, float(np.min(z))
 
 
 def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
-           simplex: bool) -> tuple[np.ndarray, float, float, int]:
+           simplex: bool, factor=None) -> tuple[np.ndarray, float, float, int]:
     """Block principal pivoting from the full free set (see the module docstring).
 
+    factor, when given, is the _cholesky factor of all of A and replaces the
+    first free set's factorization; later free sets are factored afresh.
     Returns the clipped minimizer, the multiplier, the most negative free
     weight of the final solve, and the number of free sets solved.
     """
@@ -113,7 +131,8 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
     free = np.ones(m, dtype=bool)
     best, retries = m + 1, BLOCK_RETRIES
     for iters in range(1, max_iter + 1):
-        x, c, zmin = _solve_free(A, b, free, simplex)
+        x, c, zmin = _solve_free(A, b, free, simplex,
+                                 factor if iters == 1 else None)
         floor = 10 * tol if iters == 1 and not simplex else tol
         infeasible = free & (x < -floor)
         if not free.all():
@@ -162,11 +181,14 @@ def _nonneg_record(A, b, x, min_raw, iters, tol) -> KKTRecord:
 
 
 def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
-               max_iter: int | None = None) -> tuple[np.ndarray, KKTRecord]:
+               max_iter: int | None = None, *,
+               factor=None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize x'Gx - 2 b'x over the probability simplex for SPD G.
 
     At the minimizer (G x - b) equals the multiplier c on the support and is
-    >= c elsewhere; the reported multiplier is that constant.
+    >= c elsewhere; the reported multiplier is that constant. factor, when
+    given, is the _cholesky factor of G (such as KernelMatrix.factor) and
+    saves the first factorization.
     """
     G = np.asarray(G, dtype=float)
     m = G.shape[0]
@@ -178,7 +200,7 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
     if m == 0:
         raise SolverError("cannot optimize over an empty index set")
     tol = _scale_tol(b, np.diag(G), rtol)
-    x, c, ymin, iters = _pivot(G, b, tol, max_iter, simplex=True)
+    x, c, ymin, iters = _pivot(G, b, tol, max_iter, simplex=True, factor=factor)
     return x, _simplex_record(G, b, x, c, ymin, iters, tol)
 
 

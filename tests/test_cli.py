@@ -201,6 +201,64 @@ class TestGaussTask:
         assert rep["results"]["diagnostics"]["green_capacity_of_f"] == \
             pytest.approx(2.0 / 3.0, rel=1e-13)
 
+    def test_failed_run_writes_no_outputs(self, tmp_path, monkeypatch):
+        # the minimizer table is written before dual_check runs
+        def failing(*args, **kwargs):
+            raise InvariantError("dual check failed")
+
+        def staged():
+            where = [tmp_path] + ([out] if out.exists() else [])
+            return [p for d in where for p in os.listdir(d)
+                    if p.startswith(".greenpot")]
+
+        cfg, out = gauss_config(tmp_path), tmp_path / "out"
+        monkeypatch.setattr(cli, "dual_check", failing)
+        assert cli.main(["run", cfg, "--out", str(out)]) == 5
+        assert not (out / "tables").exists() and not out.exists()
+        assert not staged()
+
+        # a new output directory, then a rerun into it that keeps other files
+        monkeypatch.undo()
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        (out / "tables" / "minimizer.csv").write_text("stale")
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        assert (out / "notes.txt").read_text() == "kept"
+        assert (out / "tables" / "minimizer.csv").read_text().startswith("index,")
+        assert read_report(out)["artifacts"]["tables"] == ["tables/minimizer.csv"]
+
+        # a failed rerun leaves the earlier complete run as it was
+        before = {p: (out / p).read_bytes()
+                  for p in ("report.json", "tables/minimizer.csv")}
+        monkeypatch.setattr(cli, "dual_check", failing)
+        assert cli.main(["run", cfg, "--out", str(out)]) == 5
+        assert {p: (out / p).read_bytes() for p in before} == before
+        assert not staged()
+
+    def test_stages_inside_out_dir(self, tmp_path, monkeypatch):
+        # an existing out_dir under a read-only parent; the mkdir spy refuses
+        # the parent even where permissions do not bind (running as root)
+        parent = tmp_path / "ro"
+        out = parent / "out"
+        out.mkdir(parents=True)
+        cfg = gauss_config(tmp_path)
+        real_mkdir = os.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            if os.path.dirname(os.path.abspath(path)) == str(parent):
+                raise PermissionError(13, "read-only", path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", mkdir)
+        parent.chmod(0o555)
+        try:
+            assert cli.main(["run", cfg, "--out", str(out)]) == 0
+            assert os.listdir(parent) == ["out"]
+        finally:
+            parent.chmod(0o755)
+        assert sorted(os.listdir(out)) == ["plots", "report.json", "tables"]
+        assert read_report(out)["artifacts"]["tables"] == ["tables/minimizer.csv"]
+
     def test_capacity_reported_without_closed_form(self, tmp_path):
         path = gauss_config(tmp_path, {
             "theta": {"points": [[-2.5, 0.0, 0.0]], "weights": [5.0]}})

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 import greenpot.balayage
 import greenpot.green
 import greenpot.riesz
+import greenpot.solvers
 from greenpot import geometry
 from greenpot.balayage import sweep
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
@@ -80,17 +80,34 @@ class TestBuild:
                            y_indices=np.array([], dtype=int),
                            f_indices=np.arange(10), alpha=2.0)
         sizes = []
+        real = greenpot.solvers._cholesky
 
         def counting(a, **kwargs):
             sizes.append(a.shape[0])
-            return scipy.linalg.cholesky(a, **kwargs)
+            return real(a, **kwargs)
 
-        monkeypatch.setattr(greenpot.riesz, "cholesky", counting)
+        monkeypatch.setattr(greenpot.riesz, "_cholesky", counting)
         gs = build_green(cfg)
         assert sizes == [31]
         K_d = gs.riesz_full.block(cfg.d_indices)
         assert gs.green.entries.tobytes() == K_d.tobytes()
         assert gs.green.kind == "green"
+
+    def test_empty_y_whole_cloud_shares_the_riesz_matrix(self):
+        # with Y empty and D every point the Green matrix is the Riesz one:
+        # no copy, and its kept factor comes along
+        pts = np.vstack([geometry.sphere_shell(30, 1.0), [[0.0, 0.0, 0.5]]])
+        cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                           d_indices=np.arange(31),
+                           y_indices=np.array([], dtype=int),
+                           f_indices=np.arange(30), alpha=2.0)
+        gs = build_green(cfg)
+        assert np.shares_memory(gs.green.entries, gs.riesz_full.entries)
+        assert gs.green.factor is gs.riesz_full.factor
+        assert gs.green.kind == "green" and gs.riesz_full.kind == "riesz"
+        cap, _ = green_equilibrium(gs, np.arange(31))
+        cap_ref, _ = greenpot.riesz.capacity(gs.riesz_full, np.arange(31))
+        assert cap == cap_ref
 
     def test_accepts_preassembled_riesz(self):
         gs = line_system()

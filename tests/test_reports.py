@@ -61,6 +61,23 @@ class TestCsv:
         assert lines[1] == "row1,0.33333333333333331,true"
         assert lines[2] == "row2,2,"
 
+    def test_float_array_matches_cell_formatting(self, tmp_path):
+        # the float-array path must give csv_cell's bytes, edge values included
+        edge = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0 / 3.0,
+                -1e300, 2.0, 123456789.125]
+        mixed = [[7, True, None, *edge[:4]], [np.int64(-3), np.bool_(False),
+                                              "label", *map(np.float64, edge[4:8])]]
+        array = np.array(edge).reshape(2, 5)
+        for name, rows in (("mixed", mixed), ("array", array),
+                           ("float32", array[:, 3:].astype(np.float32))):
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, ["h"], rows)
+            expected = "h\n" + "".join(",".join(csv_cell(v) for v in row) + "\n"
+                                       for row in rows)
+            assert path.read_bytes() == expected.encode()
+        assert (tmp_path / "array.csv").read_text().splitlines()[1] == \
+            "0,-0,nan,inf,-inf"
+
     def test_byte_identical_across_writes(self, tmp_path):
         rows = [[i, np.sqrt(i)] for i in range(20)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

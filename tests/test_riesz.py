@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenpot.riesz
+import greenpot.solvers
+from greenpot import geometry
 from greenpot.core import (DiscreteMeasure, PointSet, SolverError,
                            ValidationError)
-from greenpot.riesz import (assemble_riesz, capacity, energy_norm,
-                            equilibrium_measure, make_kernel, mutual_energy,
-                            potential, weight_norm)
+from greenpot.riesz import (_simplex_minimum, assemble_riesz, capacity,
+                            energy_norm, equilibrium_measure, make_kernel,
+                            mutual_energy, potential, weight_norm)
 
 
 def kernel_2x2(entries, alpha=2.0, dim=3):
@@ -199,3 +204,76 @@ class TestEquilibrium:
         K = kernel_2x2([[4.0, 1.0], [1.0, 4.0]])
         mu = DiscreteMeasure(np.array([0.3, 0.6]))
         assert weight_norm(K, mu.weights) == pytest.approx(energy_norm(K, mu))
+
+
+def count_factorizations(monkeypatch):
+    """Sizes of every Cholesky factorization the package runs, and the
+    matrices simplex_qp is handed."""
+    sizes, operands = [], []
+    real_factor, real_qp = greenpot.solvers.cho_factor, greenpot.riesz.simplex_qp
+
+    def factor(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_factor(a, *args, **kwargs)
+
+    def qp(G, *args, **kwargs):
+        operands.append(G)
+        return real_qp(G, *args, **kwargs)
+
+    monkeypatch.setattr(greenpot.solvers, "cho_factor", factor)
+    monkeypatch.setattr(greenpot.riesz, "simplex_qp", qp)
+    return sizes, operands
+
+
+class TestKeptFactor:
+    @pytest.mark.parametrize("solve", [capacity, equilibrium_measure])
+    def test_whole_kernel_solve_factors_once(self, monkeypatch, solve):
+        # the positive-definiteness check's factor is the solve's only one,
+        # and the solve reads the entries in place
+        sizes, operands = count_factorizations(monkeypatch)
+        K = assemble_riesz(PointSet.from_points(geometry.sphere_shell(200)), 2.0)
+        assert sizes == [200]
+        solve(K, range(200))
+        assert sizes == [200]
+        assert len(operands) == 1 and operands[0] is K.entries
+
+    def test_strict_subset_and_bare_kernel_factor_afresh(self, monkeypatch):
+        sizes, operands = count_factorizations(monkeypatch)
+        K = assemble_riesz(PointSet.from_points(geometry.sphere_shell(50)), 2.0)
+        capacity(K, range(49))
+        capacity(replace(K, factor=None), range(50))
+        assert sizes == [50, 49, 50]
+        assert operands[0].shape == (49, 49)
+        assert operands[1] is K.entries
+
+    def test_factor_takes_no_part_in_repr_or_equality(self):
+        K = kernel_2x2([[2.0, 1.0], [1.0, 3.0]])
+        assert K.factor is not None and "factor" not in repr(K)
+        assert K == replace(K, factor=None)
+
+
+def assert_same_solve(K):
+    everything = np.arange(K.size)
+    energy, x, rec = _simplex_minimum(K, everything)
+    energy_ref, x_ref, rec_ref = _simplex_minimum(replace(K, factor=None), everything)
+    assert x.tobytes() == x_ref.tobytes()
+    assert energy == energy_ref
+    assert rec == rec_ref
+    return rec
+
+
+@given(m=st.integers(2, 80), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_kept_factor_gives_identical_solves(m, seed):
+    # on about a quarter of random Riesz clouds the minimizer leaves points
+    # empty, so later free sets are factored afresh after the kept first one
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    alpha = float(rng.uniform(0.3, min(2.0, dim - 0.2)))
+    K = assemble_riesz(PointSet.from_points(rng.normal(size=(m, dim))), alpha)
+    assert_same_solve(K)
+
+
+def test_kept_factor_gives_identical_solve_on_large_sphere():
+    K = assemble_riesz(PointSet.from_points(geometry.sphere_shell(1000)), 2.0)
+    assert assert_same_solve(K).iterations == 1

@@ -63,8 +63,8 @@ def record_pivots(monkeypatch):
     log = []
     real = solvers._solve_free
 
-    def spy(A, b, free, simplex):
-        out = real(A, b, free, simplex)
+    def spy(A, b, free, simplex, factor=None):
+        out = real(A, b, free, simplex, factor)
         log.append((free.copy(), out[0], out[1]))
         return out
 
