@@ -7,22 +7,17 @@ conditions.
 """
 
 from .balayage import (BalayageResult, SweepResiduals, dirac_sweep_matrix,
-                       harmonic_measure_at_infinity, sweep,
-                       thinness_partial_sums)
+                       sweep)
 from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
                    SolverError, ValidationError, nearest_neighbor_distances,
-                   restrict, validate_field_separation)
+                   validate_field_separation)
 from .gauss import (ExternalField, GaussSolution, dual_check,
                     exhaustion_mass_probe, explicit_solution, external_field,
-                    field_decay_probe, gauss_functional,
-                    lambda_class_characterizations, solve_gauss,
-                    support_descriptor, truncation_sweep)
-from .green import (GreenSystem, build_green, check_maximum_principles,
-                    green_equilibrium, green_potential, green_sweep,
-                    mass_equality_probe)
+                    solve_gauss, support_descriptor, truncation_sweep)
+from .green import (GreenSystem, build_green, frostman_excess,
+                    green_equilibrium, green_sweep)
 from .riesz import (KernelMatrix, assemble_riesz, capacity,
-                    equilibrium_measure, energy_norm, make_kernel,
-                    mutual_energy, potential, weight_form, weight_norm)
+                    equilibrium_measure, make_kernel, potential, weight_norm)
 from .solvers import KKTRecord, nonneg_qp, simplex_qp
 
 __version__ = "1.0.0"
@@ -32,14 +27,10 @@ __all__ = [
     "GaussSolution", "GreenSystem", "InvariantError", "KKTRecord",
     "KernelMatrix", "PointSet", "SolverError", "SweepResiduals",
     "ValidationError", "assemble_riesz", "build_green", "capacity",
-    "check_maximum_principles", "dirac_sweep_matrix", "dual_check",
-    "energy_norm", "equilibrium_measure", "exhaustion_mass_probe",
-    "explicit_solution", "external_field", "field_decay_probe",
-    "gauss_functional", "green_equilibrium", "green_potential", "green_sweep",
-    "harmonic_measure_at_infinity", "lambda_class_characterizations",
-    "make_kernel", "mass_equality_probe", "mutual_energy",
-    "nearest_neighbor_distances", "nonneg_qp", "potential", "restrict",
-    "simplex_qp", "solve_gauss", "support_descriptor", "sweep",
-    "thinness_partial_sums", "truncation_sweep", "validate_field_separation",
-    "weight_form", "weight_norm", "__version__",
+    "dirac_sweep_matrix", "dual_check", "equilibrium_measure",
+    "exhaustion_mass_probe", "explicit_solution", "external_field",
+    "frostman_excess", "green_equilibrium", "green_sweep", "make_kernel",
+    "nearest_neighbor_distances", "nonneg_qp", "potential", "simplex_qp",
+    "solve_gauss", "support_descriptor", "sweep", "truncation_sweep",
+    "validate_field_separation", "weight_norm", "__version__",
 ]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import DiscreteMeasure, PointSet, ValidationError, _index_array
-from .riesz import KernelMatrix, assemble_riesz, capacity, potential
+from .core import DiscreteMeasure, ValidationError, _index_array
+from .riesz import KernelMatrix, potential
 from .solvers import nonneg_qp
 
 
@@ -137,50 +137,3 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
             wcol, _ = nonneg_qp(A, rhs[:, col])
         B[q, k] = np.maximum(wcol, 0.0)
     return B
-
-
-def harmonic_measure_at_infinity(K: KernelMatrix, x: int, delta_complement) -> float:
-    """Mass lost when the unit point mass at x is swept onto the complement.
-
-    With an empty complement nothing retains any mass and the value is 1.
-    """
-    dc = _index_array(delta_complement, K.size, "delta_complement")
-    x = int(x)
-    if not 0 <= x < K.size:
-        raise ValidationError("source index out of range")
-    if np.isin(x, dc):
-        raise ValidationError("source must lie outside the complement set")
-    if dc.size == 0:
-        return 1.0
-    eps = np.zeros(K.size)
-    eps[x] = 1.0
-    res = sweep(K, DiscreteMeasure(eps), dc)
-    return 1.0 - res.mass_out
-
-
-def thinness_partial_sums(ps: PointSet, alpha: float, q_ratio: float,
-                          j_max: int, sigma: float = 1.0) -> list[float]:
-    """Partial sums of shell-capacity over shell-radius-power, out to j_max.
-
-    Shell j collects the cloud points with q_ratio^j < |y| <= q_ratio^(j+1);
-    its capacity is divided by q_ratio^(j (n - alpha)). A sequence that keeps
-    growing without saturating suggests the sampled set is not thin at
-    infinity; a sequence that freezes after finitely many shells is the
-    bounded-set signature.
-    """
-    if q_ratio <= 1:
-        raise ValidationError("q_ratio must exceed 1")
-    if j_max < 1:
-        raise ValidationError("j_max must be >= 1")
-    K = assemble_riesz(ps, alpha, sigma)
-    radii = np.linalg.norm(ps.points, axis=1)
-    n = ps.dim
-    sums, total = [], 0.0
-    for j in range(j_max):
-        lo, hi = q_ratio ** j, q_ratio ** (j + 1)
-        shell = np.where((radii > lo) & (radii <= hi))[0]
-        if shell.size:
-            c, _ = capacity(K, shell)
-            total += c / q_ratio ** (j * (n - alpha))
-        sums.append(total)
-    return sums

@@ -31,7 +31,7 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
 from .gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
                     external_field, solve_gauss, support_descriptor,
                     truncation_sweep)
-from .green import build_green, green_equilibrium, green_sweep
+from .green import build_green, frostman_excess, green_equilibrium
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
 from .riesz import (assemble_riesz, capacity, equilibrium_measure, potential,
@@ -635,6 +635,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     if rep["applicable"]:
         exp = explicit_solution(gs, fld)
         c_g = exp.diagnostics["green_capacity_of_f"]
+        gamma = exp.diagnostics["green_equilibrium_of_f"]
         diff = gs.measure_on_d(lam) - gs.measure_on_d(exp.minimizer)
         rep["lambda_gap_norm"] = weight_norm(gs.green, diff)
         rep["c_gap"] = abs(sol.c_constant - exp.c_constant)
@@ -642,7 +643,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
         rep["dual_w_gap"] = dual["w_gap"]
         rep["dual_c_gap"] = dual["c_gap"]
     else:
-        c_g, _ = green_equilibrium(gs, cfg.f_indices)
+        c_g, gamma = green_equilibrium(gs, cfg.f_indices)
     kkt = sol.kkt
     return {
         "results": {
@@ -660,7 +661,8 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
                 "iterations": kkt.iterations,
                 "tolerance": kkt.tolerance,
             },
-            "diagnostics": {**sol.diagnostics, "green_capacity_of_f": c_g},
+            "diagnostics": {**sol.diagnostics, "green_capacity_of_f": c_g,
+                            "frostman_excess": frostman_excess(gs, gamma)},
             "representation": rep,
         },
         "invariants": [

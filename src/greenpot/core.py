@@ -170,15 +170,6 @@ class DiscreteMeasure:
         return len(self.weights)
 
 
-def restrict(mu: DiscreteMeasure, indices) -> DiscreteMeasure:
-    """Trace of mu to an index set: weights outside it are dropped."""
-    keep = np.zeros(len(mu), dtype=bool)
-    idx = np.asarray(list(indices), dtype=int)
-    if idx.size:
-        keep[idx] = True
-    return DiscreteMeasure(np.where(keep, mu.weights, 0.0))
-
-
 def validate_field_separation(theta: DiscreteMeasure, cfg: DomainConfig) -> float:
     """Check theta is a nonzero measure on Omega and return its distance to F.
 

@@ -74,13 +74,12 @@ def _f_positions(gs: GreenSystem, f) -> tuple[np.ndarray, np.ndarray]:
     return f, gs.d_positions(f)
 
 
-def gauss_functional(gs: GreenSystem, fld: ExternalField,
-                     mu: DiscreteMeasure) -> float:
-    """Energy of mu minus twice its field energy; the quantity being minimized."""
-    if not np.isin(mu.support, gs.cfg.f_indices).all():
-        raise ValidationError("measure must be supported in F")
-    w_d = gs.measure_on_d(mu)
-    return float(w_d @ (gs.green.entries @ w_d) + 2.0 * (fld.field_values @ w_d))
+def _swept_charge(gs: GreenSystem, fld: ExternalField,
+                  f: np.ndarray) -> DiscreteMeasure:
+    """Theta swept onto the sorted target f, reusing the field's sweep onto F."""
+    if np.array_equal(f, gs.cfg.f_indices):
+        return fld.theta_swept
+    return green_sweep(gs, fld.theta, f).swept
 
 
 def _check_value_bounds(gs: GreenSystem, fld: ExternalField, w_value: float) -> None:
@@ -147,10 +146,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
     if f is None:
         f = gs.cfg.f_indices
     f, f_pos = _f_positions(gs, f)
-    if np.array_equal(f, gs.cfg.f_indices):
-        swept = fld.theta_swept
-    else:
-        swept = green_sweep(gs, fld.theta, f).swept
+    swept = _swept_charge(gs, fld, f)
     m = swept.total_mass
     if m > 1.0 + 1e-12:
         raise ValidationError(
@@ -174,7 +170,8 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
     return GaussSolution(minimizer=DiscreteMeasure(lam), w_value=w_value,
                          c_constant=c, kkt=kkt,
                          diagnostics={"theta_swept_mass": m,
-                                      "green_capacity_of_f": c_g})
+                                      "green_capacity_of_f": c_g,
+                                      "green_equilibrium_of_f": gamma})
 
 
 def dual_check(gs: GreenSystem, fld: ExternalField, f=None,
@@ -205,52 +202,6 @@ def dual_check(gs: GreenSystem, fld: ExternalField, f=None,
         "c_gap": abs(primal.c_constant - dual.c_constant),
         "primal": primal,
         "dual": dual,
-    }
-
-
-def lambda_class_characterizations(gs: GreenSystem, fld: ExternalField, f,
-                                   candidates, sol: GaussSolution | None = None,
-                                   tol: float = 1e-9) -> dict:
-    """Test the minimizer against candidates inside the admissible class.
-
-    A candidate belongs to the class when its weighted potential clears the
-    equilibrium constant everywhere on f. Among members, the minimizer should
-    have the pointwise-smallest weighted potential on D and the smallest
-    energy norm; margins are reported per candidate, nothing is asserted.
-    """
-    f, f_pos = _f_positions(gs, f)
-    if sol is None:
-        sol = solve_gauss(gs, fld, f)
-    c = sol.c_constant
-    lam_d = gs.measure_on_d(sol.minimizer)
-    u_lam = gs.green.entries @ lam_d + fld.field_values
-    norm_lam = weight_norm(gs.green, lam_d)
-    scale = max(1.0, float(np.max(np.abs(u_lam))))
-    rows = []
-    for mu in candidates:
-        if not np.isin(mu.support, f).all():
-            rows.append({"member": False, "reason": "support outside target",
-                         "potential_margin": None, "norm_gap": None})
-            continue
-        mu_d = gs.measure_on_d(mu)
-        u_mu = gs.green.entries @ mu_d + fld.field_values
-        member = bool(np.min(u_mu[f_pos]) >= c - tol * scale)
-        if not member:
-            rows.append({"member": False, "reason": "potential below constant",
-                         "potential_margin": None, "norm_gap": None})
-            continue
-        rows.append({
-            "member": True,
-            "reason": None,
-            "potential_margin": float(np.min(u_mu - u_lam)),
-            "norm_gap": weight_norm(gs.green, mu_d) - norm_lam,
-        })
-    members = [r for r in rows if r["member"]]
-    return {
-        "constant": c,
-        "rows": rows,
-        "potential_minimal": all(r["potential_margin"] >= -tol * scale for r in members),
-        "norm_minimal": all(r["norm_gap"] >= -tol * max(1.0, norm_lam) for r in members),
     }
 
 
@@ -292,8 +243,9 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
     direction = _nesting_direction(family)
     sols, masses = [], []
     for member in family:
-        sols.append(solve_gauss(gs, fld, member))
-        masses.append(green_sweep(gs, fld.theta, member).mass_out)
+        f, _ = _f_positions(gs, member)
+        sols.append(solve_gauss(gs, fld, f))
+        masses.append(float(_swept_charge(gs, fld, f).weights[f].sum()))
     w = [s.w_value for s in sols]
     c = [s.c_constant for s in sols]
     for a, b in zip(w, w[1:]):
@@ -349,7 +301,7 @@ def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,
     for member in family:
         member_arr, _ = _f_positions(gs, member)
         sol = solve_gauss(gs, fld, member_arr)
-        swept = green_sweep(gs, fld.theta, member_arr).swept
+        swept = _swept_charge(gs, fld, member_arr)
         lam = sol.minimizer
         lam_d = gs.measure_on_d(lam)
         diff = lam_d - gs.measure_on_d(swept)
@@ -416,34 +368,3 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig,
         "omega_components": int(n_comp),
         "adjacency_factor": adjacency_factor,
     }
-
-
-def field_decay_probe(gs: GreenSystem, fld: ExternalField,
-                      probe_points: np.ndarray) -> list[dict]:
-    """Riesz potential of the charge at far probes against its distance envelope.
-
-    Every value is bounded by total charge times nearest-support-distance to
-    the power alpha - n; that bound is exact kernel monotonicity and is
-    enforced. Rows come back sorted by distance so decay trends read off
-    directly.
-    """
-    probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    supp = fld.theta.support
-    src = gs.cfg.point_set.points[supp]
-    wts = fld.theta.weights[supp]
-    n, alpha = gs.riesz_full.dim, gs.riesz_full.alpha
-    total = fld.theta.total_mass
-    rows = []
-    for p in probes:
-        dists = np.linalg.norm(src - p, axis=1)
-        d_min = float(np.min(dists))
-        if d_min == 0.0:
-            raise ValidationError("probe coincides with a charge point")
-        value = float(wts @ dists ** (alpha - n))
-        envelope = total * d_min ** (alpha - n)
-        if value > envelope * (1 + 1e-12):
-            raise InvariantError(
-                f"potential {value} exceeds its envelope {envelope}")
-        rows.append({"distance": d_min, "value": value, "envelope": envelope})
-    rows.sort(key=lambda r: r["distance"])
-    return rows

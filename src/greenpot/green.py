@@ -96,26 +96,6 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0,
                        dirac_sweep_to_y=B, asymmetry_residual=asym)
 
 
-def green_potential(gs: GreenSystem, mu: DiscreteMeasure,
-                    cross_check: bool = True) -> tuple[np.ndarray, float]:
-    """Potential of mu over the D-points, with a two-path consistency residual.
-
-    Path one is the Green matrix acting on the weights. Path two sweeps mu
-    onto Y in the Riesz form and subtracts the swept potential from the plain
-    Riesz potential. The returned vector is path one; the residual is the
-    worst pointwise gap between the paths (zero when Y is empty or when the
-    cross-check is skipped).
-    """
-    w_d = gs.measure_on_d(mu)
-    u = gs.green.entries @ w_d
-    if not cross_check or gs.cfg.y_indices.size == 0:
-        return u, 0.0
-    u_riesz = gs.riesz_full.entries @ mu.weights
-    swept = sweep(gs.riesz_full, mu, gs.cfg.y_indices).swept
-    u_two = (u_riesz - gs.riesz_full.entries @ swept.weights)[gs.cfg.d_indices]
-    return u, float(np.max(np.abs(u - u_two)))
-
-
 def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
                 force_projection: bool = False) -> BalayageResult:
     """Sweep mu onto f in the Green form, cross-checked against the Riesz route.
@@ -180,55 +160,13 @@ def green_equilibrium(gs: GreenSystem, f) -> tuple[float, DiscreteMeasure]:
     return 1.0 / energy, DiscreteMeasure(gamma)
 
 
-def check_maximum_principles(gs: GreenSystem, mu: DiscreteMeasure,
-                             nu: DiscreteMeasure, hyp_tol: float = 1e-12) -> dict:
-    """Empirical checks, reported but never asserted.
+def frostman_excess(gs: GreenSystem, gamma: DiscreteMeasure) -> float:
+    """Overshoot of gamma's Green potential on D above its maximum on supp(gamma).
 
-    First check: if the potential of mu stays below 1 on its own support, how
-    far above 1 does it get anywhere on D. Second check: if the potential of
-    mu stays below that of nu on the support of mu, how far above nu's
-    potential does it get anywhere on D.
+    The maximum principle bounds the potential everywhere by its supremum on
+    the support, so the value is 0 in the continuum; on a sample it measures
+    the overshoot at D-points between support points. It is never negative,
+    since the support lies in D, and it is reported, never asserted.
     """
-    w_mu = gs.measure_on_d(mu)
-    w_nu = gs.measure_on_d(nu)
-    u_mu = gs.green.entries @ w_mu
-    u_nu = gs.green.entries @ w_nu
-    supp = np.where(w_mu > 0)[0]
-    report: dict = {}
-    if supp.size == 0:
-        report["frostman"] = {"hypothesis_met": True, "excess": float(np.max(u_mu) - 1.0)}
-        report["domination"] = {"hypothesis_met": True,
-                                "excess": float(np.max(u_mu - u_nu))}
-        return report
-    scale = max(1.0, float(np.max(u_mu[supp])))
-    if np.max(u_mu[supp]) <= 1.0 + hyp_tol * scale:
-        report["frostman"] = {"hypothesis_met": True,
-                              "excess": float(np.max(u_mu) - 1.0)}
-    else:
-        report["frostman"] = {"hypothesis_met": False, "excess": None}
-    gap_on_supp = float(np.max(u_mu[supp] - u_nu[supp]))
-    if gap_on_supp <= hyp_tol * scale:
-        report["domination"] = {"hypothesis_met": True,
-                                "excess": float(np.max(u_mu - u_nu))}
-    else:
-        report["domination"] = {"hypothesis_met": False, "excess": None}
-    return report
-
-
-def mass_equality_probe(gs: GreenSystem, mu: DiscreteMeasure) -> dict:
-    """Mass kept by the sweep onto F versus escape routes seen from Omega.
-
-    Reports the sweep's mass loss next to, for each support point of mu in
-    Omega, the mass its unit point charge loses when swept onto F and Y
-    jointly. Both numbers should be small together or large together.
-    """
-    omega = gs.cfg.omega_indices
-    supp_omega = np.intersect1d(mu.support, omega)
-    res = green_sweep(gs, mu, gs.cfg.f_indices)
-    union = np.union1d(gs.cfg.f_indices, gs.cfg.y_indices)
-    B = dirac_sweep_matrix(gs.riesz_full, supp_omega, union)
-    col_mass = B.sum(axis=0)
-    deficiencies = [{"index": int(i), "value": float(1.0 - m)}
-                    for i, m in zip(supp_omega, col_mass)]
-    return {"mass_gap": float(mu.total_mass - res.mass_out),
-            "deficiencies": deficiencies}
+    u = gs.green.entries @ gs.measure_on_d(gamma)
+    return float(np.max(u) - np.max(u[gs.d_positions(gamma.support)]))

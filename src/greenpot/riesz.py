@@ -97,25 +97,10 @@ def potential(K: KernelMatrix, mu: DiscreteMeasure) -> np.ndarray:
     return K.entries @ mu.weights
 
 
-def mutual_energy(K: KernelMatrix, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    if mu.weights.size != K.size or nu.weights.size != K.size:
-        raise ValidationError("measure sizes do not match kernel size")
-    return float(mu.weights @ (K.entries @ nu.weights))
-
-
-def energy_norm(K: KernelMatrix, mu: DiscreteMeasure) -> float:
-    return float(np.sqrt(max(mutual_energy(K, mu, mu), 0.0)))
-
-
-def weight_form(K: KernelMatrix, u: np.ndarray, v: np.ndarray | None = None) -> float:
-    """Bilinear kernel form on raw weight vectors (signed differences allowed)."""
-    u = np.asarray(u, dtype=float)
-    v = u if v is None else np.asarray(v, dtype=float)
-    return float(u @ (K.entries @ v))
-
-
 def weight_norm(K: KernelMatrix, u: np.ndarray) -> float:
-    return float(np.sqrt(max(weight_form(K, u), 0.0)))
+    """Kernel-form norm of a raw weight vector (signed differences allowed)."""
+    u = np.asarray(u, dtype=float)
+    return float(np.sqrt(max(float(u @ (K.entries @ u)), 0.0)))
 
 
 def _simplex_minimum(K: KernelMatrix, a: np.ndarray):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from greenpot.balayage import (dirac_sweep_matrix, harmonic_measure_at_infinity,
-                               sweep, thinness_partial_sums)
+from greenpot.balayage import dirac_sweep_matrix, sweep
 from greenpot.core import DiscreteMeasure, PointSet, ValidationError
 from greenpot.riesz import assemble_riesz, make_kernel, potential, weight_norm
 
@@ -113,18 +112,8 @@ class TestDiracMatrix:
 
 
 class TestHarmonicMeasure:
-    def test_hand_value(self):
-        K = hand_kernel()
-        assert harmonic_measure_at_infinity(K, 2, [0, 1]) == pytest.approx(0.5)
-
-    def test_empty_complement(self):
-        K = hand_kernel()
-        assert harmonic_measure_at_infinity(K, 2, []) == 1.0
-
-    def test_source_inside_complement_rejected(self):
-        K = hand_kernel()
-        with pytest.raises(ValidationError):
-            harmonic_measure_at_infinity(K, 0, [0, 1])
+    """Mass a unit point mass loses when swept onto a set: the discrete
+    harmonic measure of infinity seen from the point."""
 
     def test_vanishes_under_dense_enclosure(self):
         from greenpot import geometry
@@ -135,30 +124,7 @@ class TestHarmonicMeasure:
             shell = geometry.sphere_shell(count, 2.0)
             pts = np.vstack([[[0.0, 0.0, 0.0]], shell])
             K = assemble_riesz(PointSet.from_points(pts), 2.0)
-            values.append(harmonic_measure_at_infinity(K, 0, range(1, count + 1)))
+            eps = DiscreteMeasure.from_dict(count + 1, {0: 1.0})
+            values.append(1.0 - sweep(K, eps, range(1, count + 1)).mass_out)
         assert abs(values[1]) < abs(values[0])
         assert abs(values[1]) <= 0.05
-
-
-class TestThinness:
-    def test_empty_shells_give_zero(self):
-        pts = np.array([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
-        ps = PointSet.from_points(pts)
-        sums = thinness_partial_sums(ps, 2.0, q_ratio=2.0, j_max=4)
-        assert sums == [0.0, 0.0, 0.0, 0.0]
-
-    def test_bounded_cluster_freezes(self):
-        pts = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0],
-                        [2.5, 0.5, 0.0]])
-        ps = PointSet.from_points(pts)
-        sums = thinness_partial_sums(ps, 2.0, q_ratio=2.0, j_max=5)
-        assert sums[0] == 0.0
-        assert sums[1] > 0.0
-        assert sums[1:] == [sums[1]] * 4
-
-    def test_parameter_validation(self):
-        ps = PointSet.from_points(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
-        with pytest.raises(ValidationError):
-            thinness_partial_sums(ps, 2.0, q_ratio=1.0, j_max=3)
-        with pytest.raises(ValidationError):
-            thinness_partial_sums(ps, 2.0, q_ratio=2.0, j_max=0)

@@ -201,6 +201,20 @@ class TestGaussTask:
         assert rep["results"]["diagnostics"]["green_capacity_of_f"] == \
             pytest.approx(2.0 / 3.0, rel=1e-13)
 
+    def test_frostman_excess_reported(self, tmp_path):
+        # both routes to the Green equilibrium of F: the closed form's and,
+        # when the swept charge exceeds 1, the runner's own solve
+        for weight, applicable in ((1.75, True), (5.0, False)):
+            path = gauss_config(tmp_path, {
+                "theta": {"points": [[-2.5, 0.0, 0.0]], "weights": [weight]}})
+            out = str(tmp_path / f"out{weight}")
+            assert cli.main(["run", path, "--out", out]) == 0
+            res = read_report(out)["results"]
+            assert res["representation"]["applicable"] is applicable
+            # the two-point equilibrium potential is 1 on F and below 1 at
+            # the charge
+            assert res["diagnostics"]["frostman_excess"] == 0.0
+
     def test_failed_run_writes_no_outputs(self, tmp_path, monkeypatch):
         # the minimizer table is written before dual_check runs
         def failing(*args, **kwargs):

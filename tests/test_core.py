@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
                            ValidationError, nearest_neighbor_distances,
-                           restrict, validate_field_separation)
+                           validate_field_separation)
 
 
 def two_point_cloud():
@@ -65,46 +63,6 @@ class TestDiscreteMeasure:
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(ValidationError):
             DiscreteMeasure(np.array([0.1, np.inf]))
-
-
-class TestRestrict:
-    def test_full_index_set_is_identity(self):
-        mu = DiscreteMeasure(np.array([0.2, 0.0, 0.5]))
-        out = restrict(mu, [0, 1, 2])
-        assert np.array_equal(out.weights, mu.weights)
-
-    def test_empty_index_set_gives_zero_measure(self):
-        mu = DiscreteMeasure(np.array([0.2, 0.0, 0.5]))
-        out = restrict(mu, [])
-        assert out.total_mass == 0.0
-
-    def test_hand_example(self):
-        mu = DiscreteMeasure.from_dict(3, {1: 0.3, 2: 0.1})
-        out = restrict(mu, [2])
-        assert out.total_mass == pytest.approx(0.1)
-        assert list(out.support) == [2]
-
-    @given(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=12),
-           st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_partition_masses_add_up(self, weights, data):
-        mu = DiscreteMeasure(np.array(weights))
-        split = data.draw(st.lists(st.booleans(), min_size=len(weights),
-                                   max_size=len(weights)))
-        left = [i for i, s in enumerate(split) if s]
-        right = [i for i, s in enumerate(split) if not s]
-        total = restrict(mu, left).total_mass + restrict(mu, right).total_mass
-        assert total == pytest.approx(mu.total_mass, abs=1e-12)
-
-    @given(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=12),
-           st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_restriction_is_idempotent(self, weights, data):
-        mu = DiscreteMeasure(np.array(weights))
-        idx = data.draw(st.lists(st.integers(0, len(weights) - 1), max_size=8))
-        once = restrict(mu, idx)
-        twice = restrict(once, idx)
-        assert np.array_equal(once.weights, twice.weights)
 
 
 def small_domain():

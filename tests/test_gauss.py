@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+import greenpot.gauss
 from greenpot import geometry
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
                            ValidationError)
 from greenpot.gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
-                            external_field, field_decay_probe, gauss_functional,
-                            lambda_class_characterizations, solve_gauss,
-                            support_descriptor, truncation_sweep)
-from greenpot.green import build_green, green_equilibrium
+                            external_field, solve_gauss, support_descriptor,
+                            truncation_sweep)
+from greenpot.green import build_green, green_equilibrium, green_sweep
+from greenpot.riesz import weight_norm
 
 
 def field_system(charge=1.75):
@@ -25,6 +26,12 @@ def field_system(charge=1.75):
     gs = build_green(cfg)
     theta = DiscreteMeasure.from_dict(3, {2: charge})
     return gs, external_field(gs, theta)
+
+
+def gauss_value(gs, fld, mu):
+    """x'Gx + 2 f.x over the D-weights: the functional the solver minimizes."""
+    x = gs.measure_on_d(mu)
+    return float(x @ (gs.green.entries @ x) + 2.0 * (fld.field_values @ x))
 
 
 class TestExternalField:
@@ -58,15 +65,15 @@ class TestSolveGauss:
     def test_objective_agrees_with_functional(self):
         gs, fld = field_system()
         sol = solve_gauss(gs, fld)
-        assert gauss_functional(gs, fld, sol.minimizer) == pytest.approx(
+        assert gauss_value(gs, fld, sol.minimizer) == pytest.approx(
             sol.w_value, abs=1e-13)
 
     def test_minimizer_beats_competitors(self):
         gs, fld = field_system()
         sol = solve_gauss(gs, fld)
         dirac = DiscreteMeasure.from_dict(3, {0: 1.0})
-        assert gauss_functional(gs, fld, dirac) == pytest.approx(0.6, abs=1e-13)
-        assert sol.w_value < gauss_functional(gs, fld, dirac)
+        assert gauss_value(gs, fld, dirac) == pytest.approx(0.6, abs=1e-13)
+        assert sol.w_value < gauss_value(gs, fld, dirac)
 
     def test_target_outside_f_rejected(self):
         gs, fld = field_system()
@@ -92,7 +99,7 @@ class TestSolveGauss:
             for s in samples:
                 w = np.zeros(42)
                 w[:40] = s
-                trial_value = gauss_functional(gs, fld, DiscreteMeasure(w))
+                trial_value = gauss_value(gs, fld, DiscreteMeasure(w))
                 assert sol.w_value <= trial_value + 1e-10
 
     def test_multiplier_equals_extremal_energy(self):
@@ -166,22 +173,30 @@ class TestDualCheck:
 
 class TestLambdaClass:
     def test_membership_and_minimality(self):
+        # among measures on F whose weighted potential clears the constant on
+        # F, the minimizer has the pointwise-smallest weighted potential on D
+        # and the smallest energy norm
         gs, fld = field_system()
         sol = solve_gauss(gs, fld)
+        f_pos = gs.d_positions(gs.cfg.f_indices)
+
+        def weighted(mu):
+            return gs.green.entries @ gs.measure_on_d(mu) + fld.field_values
+
+        c = sol.c_constant
+        u_lam = weighted(sol.minimizer)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(u_lam))))
+        assert c == pytest.approx(0.9, abs=1e-12)
+        assert np.min(u_lam[f_pos]) >= c - tol
         below = DiscreteMeasure.from_dict(3, {0: 1.0})
-        outside = DiscreteMeasure.from_dict(3, {2: 1.0})
+        assert np.min(weighted(below)[f_pos]) < c - tol
         heavier = DiscreteMeasure(1.5 * sol.minimizer.weights)
-        rep = lambda_class_characterizations(
-            gs, fld, gs.cfg.f_indices, [sol.minimizer, below, outside, heavier],
-            sol=sol)
-        assert rep["constant"] == pytest.approx(0.9, abs=1e-12)
-        assert [r["member"] for r in rep["rows"]] == [True, False, False, True]
-        assert rep["rows"][1]["reason"] == "potential below constant"
-        assert rep["rows"][2]["reason"] == "support outside target"
-        assert rep["rows"][3]["potential_margin"] == pytest.approx(
-            0.1771, abs=5e-3)
-        assert rep["potential_minimal"]
-        assert rep["norm_minimal"]
+        u_heavy = weighted(heavier)
+        assert np.min(u_heavy[f_pos]) >= c - tol
+        assert float(np.min(u_heavy - u_lam)) == pytest.approx(0.1771, abs=5e-3)
+        norm = weight_norm(gs.green, gs.measure_on_d(sol.minimizer))
+        heavy_norm = weight_norm(gs.green, gs.measure_on_d(heavier))
+        assert heavy_norm - norm >= -1e-9 * max(1.0, norm)
 
 
 class TestTruncationSweep:
@@ -208,6 +223,28 @@ class TestTruncationSweep:
         gs, fld = field_system()
         with pytest.raises(ValidationError):
             truncation_sweep(gs, fld, [[0], [1]])
+
+
+class TestFamilySweeps:
+    @pytest.mark.parametrize("run", [truncation_sweep, exhaustion_mass_probe])
+    def test_member_equal_to_f_reuses_field_sweep(self, run, monkeypatch):
+        # the field already holds theta swept onto F, so a family ending in F
+        # sweeps only its smaller members
+        gs, fld = field_system()
+        targets = []
+
+        def counting(gs, mu, f, **kwargs):
+            targets.append(list(f))
+            return green_sweep(gs, mu, f, **kwargs)
+
+        monkeypatch.setattr(greenpot.gauss, "green_sweep", counting)
+        out = run(gs, fld, [[0], [0, 1]])
+        assert targets == [[0]]
+        fresh = green_sweep(gs, fld.theta, [0, 1])
+        if run is truncation_sweep:
+            assert out.swept_masses[-1] == fresh.mass_out
+        else:
+            assert out["stages"][-1]["swept_mass"] == fresh.swept.total_mass
 
 
 class TestExhaustionProbe:
@@ -253,21 +290,3 @@ class TestSupportDescriptor:
         rep = support_descriptor(sol, gs.cfg)
         assert not rep["omega_connected"]
         assert rep["omega_components"] == 2
-
-
-class TestFieldDecayProbe:
-    def test_single_source_meets_envelope_exactly(self):
-        gs, fld = field_system()
-        probes = np.array([[-7.5, 0.0, 0.0], [-4.5, 0.0, 0.0],
-                           [0.0, 0.0, 4.0]])
-        rows = field_decay_probe(gs, fld, probes)
-        dists = [r["distance"] for r in rows]
-        assert dists == sorted(dists)
-        assert rows[0]["distance"] == pytest.approx(2.0)
-        for r in rows:
-            assert r["value"] == pytest.approx(r["envelope"], rel=1e-13)
-
-    def test_probe_on_charge_rejected(self):
-        gs, fld = field_system()
-        with pytest.raises(ValidationError):
-            field_decay_probe(gs, fld, np.array([[-2.5, 0.0, 0.0]]))

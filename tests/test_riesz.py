@@ -11,8 +11,8 @@ from greenpot import geometry
 from greenpot.core import (DiscreteMeasure, PointSet, SolverError,
                            ValidationError)
 from greenpot.riesz import (_simplex_minimum, assemble_riesz, capacity,
-                            energy_norm, equilibrium_measure, make_kernel,
-                            mutual_energy, potential, weight_norm)
+                            equilibrium_measure, make_kernel, potential,
+                            weight_norm)
 
 
 def kernel_2x2(entries, alpha=2.0, dim=3):
@@ -102,16 +102,11 @@ class TestPotentialAndEnergy:
         mu = DiscreteMeasure(np.array([0.5, 0.5]))
         assert np.allclose(potential(K, mu), [2.5, 2.5])
 
-    def test_mutual_energy_with_zero_measure(self):
-        K = kernel_2x2([[4.0, 1.0], [1.0, 4.0]])
-        mu = DiscreteMeasure(np.array([0.5, 0.5]))
-        assert mutual_energy(K, mu, DiscreteMeasure(np.zeros(2))) == 0.0
-
     def test_hand_energy_and_norm(self):
         K = kernel_2x2([[4.0, 1.0], [1.0, 4.0]])
-        mu = DiscreteMeasure(np.array([0.5, 0.5]))
-        assert mutual_energy(K, mu, mu) == pytest.approx(2.5)
-        assert energy_norm(K, mu) == pytest.approx(np.sqrt(2.5))
+        w = np.array([0.5, 0.5])
+        assert float(w @ K.entries @ w) == pytest.approx(2.5)
+        assert weight_norm(K, w) == pytest.approx(np.sqrt(2.5))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -120,10 +115,10 @@ class TestPotentialAndEnergy:
         m = int(rng.integers(2, 10))
         M = rng.normal(size=(m, m))
         K = make_kernel(M @ M.T + m * np.eye(m), 2.0, 3, "riesz")
-        mu = DiscreteMeasure(rng.uniform(size=m))
-        nu = DiscreteMeasure(rng.uniform(size=m))
-        lhs = abs(mutual_energy(K, mu, nu))
-        rhs = energy_norm(K, mu) * energy_norm(K, nu)
+        mu = rng.uniform(size=m)
+        nu = rng.uniform(size=m)
+        lhs = abs(float(mu @ (K.entries @ nu)))
+        rhs = np.sqrt(mu @ K.entries @ mu) * np.sqrt(nu @ K.entries @ nu)
         assert lhs <= rhs + 1e-9 * max(1.0, rhs)
 
 
@@ -138,7 +133,7 @@ class TestCapacity:
         K = kernel_2x2([[4.0, 1.0], [1.0, 4.0]])
         c, mu = capacity(K, [0, 1])
         assert np.allclose(mu.weights, [0.5, 0.5], atol=1e-12)
-        assert mutual_energy(K, mu, mu) == pytest.approx(2.5)
+        assert float(mu.weights @ K.entries @ mu.weights) == pytest.approx(2.5)
         assert c == pytest.approx(0.4)
 
     def test_brute_force_grid(self):
@@ -203,7 +198,8 @@ class TestEquilibrium:
     def test_weight_norm_matches_energy_norm(self):
         K = kernel_2x2([[4.0, 1.0], [1.0, 4.0]])
         mu = DiscreteMeasure(np.array([0.3, 0.6]))
-        assert weight_norm(K, mu.weights) == pytest.approx(energy_norm(K, mu))
+        energy = float(mu.weights @ (K.entries @ mu.weights))
+        assert weight_norm(K, mu.weights) == pytest.approx(np.sqrt(energy))
 
 
 def count_factorizations(monkeypatch):
