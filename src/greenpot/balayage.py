@@ -113,7 +113,7 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
     Sources follow sorted, deduplicated order. Sources inside the target keep
     their unit column. The remaining columns come from one shared
     factorization of the target block; any column the plain solve leaves
-    negative is recomputed by cone projection.
+    negative is recomputed by cone projection on a fresh copy of the block.
     """
     sources = _index_array(sources, K.size, "sources")
     q = _index_array(q, K.size, "q")
@@ -126,14 +126,18 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
     outside = np.where(~inside)[0]
     if outside.size == 0:
         return B
-    A = K.block(q)
-    block = cho_factor(A, lower=False, check_finite=False)
+    # the block is exactly symmetric, so its transpose is the Fortran-ordered
+    # copy LAPACK would otherwise make, and is factored in place
+    block = cho_factor(K.block(q).T, lower=False, overwrite_a=True,
+                       check_finite=False)
     rhs = K.block(q, sources[outside])
     W = cho_solve(block, rhs, check_finite=False)
+    del block  # the block now holds the factor; free it before any fallback
     neg_tol = 1e-11 * max(1.0, float(np.max(rhs)))
-    for col, k in enumerate(outside):
-        wcol = W[:, col]
-        if np.min(wcol) < -neg_tol:
-            wcol, _ = nonneg_qp(A, rhs[:, col])
-        B[q, k] = np.maximum(wcol, 0.0)
+    negative = np.flatnonzero(np.min(W, axis=0) < -neg_tol)
+    if negative.size:
+        A = K.block(q)
+        for col in negative:
+            W[:, col], _ = nonneg_qp(A, rhs[:, col])
+    B[np.ix_(q, outside)] = np.maximum(W, 0.0)
     return B

@@ -92,7 +92,8 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0,
     if float(np.max(entries - K.block(d))) > ENTRY_TOL:
         raise InvariantError("Green entries exceed the Riesz entries")
     green = make_kernel(entries, K.alpha, K.dim, kind="green")
-    return GreenSystem(cfg=cfg, riesz_full=K, green=green,
+    # no solve reads the Riesz factor once Y is split off: sweeps take blocks
+    return GreenSystem(cfg=cfg, riesz_full=replace(K, factor=None), green=green,
                        dirac_sweep_to_y=B, asymmetry_residual=asym)
 
 

@@ -48,17 +48,16 @@ def csv_cell(v) -> str:
     return str(v)
 
 
-_FLOAT = "{:.17g}".format
-
-
 def write_csv(path, header, rows) -> None:
     """One line per row; rows is an iterable of rows of cells, or a 2-D float array.
 
-    A float array is formatted from its Python floats in one pass, with the
-    same bytes csv_cell gives each entry.
+    A float array is formatted from its Python floats one row at a time, by
+    one %-format string per row; "%.17g" gives the bytes csv_cell gives each
+    entry, and an integral entry below 2**53 the bytes it gives the integer.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        lines = (",".join(map(_FLOAT, row)) for row in rows.tolist())
+        fmt = ",".join(["%.17g"] * rows.shape[1])
+        lines = (fmt % tuple(row) for row in rows.tolist())
     else:
         lines = (",".join(csv_cell(v) for v in row) for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -14,11 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .core import DiscreteMeasure, PointSet, SolverError, ValidationError, _index_array
 from .reports import write_csv
 from .solvers import KKTRecord, _cholesky, simplex_qp
+
+# Rows per block of the distance fill, and the side of the square tiles of
+# the symmetry check: two tiles stay in cache, and a block's cdist is cheap.
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int,
     m = entries.shape[0]
     if entries.shape != (m, m):
         raise ValidationError(f"kernel matrix must be square, got {entries.shape}")
-    if not np.array_equal(entries, entries.T):
+    if not _exactly_symmetric(entries):
         raise ValidationError("kernel matrix must be exactly symmetric")
     if m and np.min(np.diag(entries)) <= 0:
         raise SolverError("kernel diagonal must be strictly positive")
@@ -72,6 +76,20 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int,
                         kind=kind, factor=factor)
 
 
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """np.array_equal(a, a.T), tile by tile against each tile's transposed partner.
+
+    Tiles keep both reads local, where a.T strides across whole rows.
+    """
+    m = a.shape[0]
+    for i in range(0, m, _TILE):
+        for j in range(i, m, _TILE):
+            if not np.array_equal(a[i:i + _TILE, j:j + _TILE],
+                                  a[j:j + _TILE, i:i + _TILE].T):
+                return False
+    return True
+
+
 def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatrix:
     """Kernel matrix |x_i - x_j|^(alpha - n) with the cell self-energy diagonal.
 
@@ -83,8 +101,12 @@ def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatr
         raise ValidationError(f"alpha={alpha} outside (0, {n}] cap 2")
     if not 0 < sigma <= 1:
         raise ValidationError(f"sigma={sigma} outside (0, 1]")
-    # squareform turns the empty distance list of an empty cloud into 1 x 1
-    dist = squareform(pdist(ps.points)) if len(ps) else np.zeros((0, 0))
+    # cdist row blocks fill the square matrix in place; |x - y| == |y - x|
+    # bit for bit, so the result is exactly symmetric
+    m = len(ps)
+    dist = np.empty((m, m))
+    for i in range(0, m, _TILE):
+        cdist(ps.points[i:i + _TILE], ps.points, out=dist[i:i + _TILE])
     np.fill_diagonal(dist, sigma * ps.cell_radius)
     dist **= alpha - n
     return make_kernel(dist, alpha, n, kind="riesz")

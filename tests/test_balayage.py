@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import greenpot.balayage
 from greenpot.balayage import dirac_sweep_matrix, sweep
 from greenpot.core import DiscreteMeasure, PointSet, ValidationError
 from greenpot.riesz import assemble_riesz, make_kernel, potential, weight_norm
@@ -109,6 +110,29 @@ class TestDiracMatrix:
         for col, src in enumerate([7, 8, 9]):
             one = sweep(K, DiscreteMeasure.from_dict(10, {src: 1.0}), q)
             assert np.allclose(B[:, col], one.swept.weights, atol=1e-9)
+
+    def test_negative_plain_solve_falls_back_to_cone_projection(self, monkeypatch):
+        # at seed 0 the plain solve leaves the last source's column negative;
+        # its cone projection must read the kernel block, not the factor that
+        # overwrote the block's copy
+        rng = np.random.default_rng(0)
+        K = assemble_riesz(PointSet.from_points(rng.uniform(-1, 1, size=(12, 3))), 2.0)
+        q, sources = np.arange(8), np.arange(8, 12)
+        operands = []
+        real = greenpot.balayage.nonneg_qp
+
+        def counting(A, b, *args, **kwargs):
+            operands.append(A)
+            return real(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
+        B = dirac_sweep_matrix(K, sources, q)
+        assert len(operands) == 1
+        assert np.array_equal(operands[0], K.block(q))
+        assert np.count_nonzero(B[q, 3]) < q.size
+        for col, src in enumerate(sources):
+            one = sweep(K, DiscreteMeasure.from_dict(12, {src: 1.0}), q)
+            assert np.max(np.abs(B[:, col] - one.swept.weights)) <= 1e-12
 
 
 class TestHarmonicMeasure:

@@ -407,6 +407,25 @@ class TestVerifyAllCommand:
         assert os.path.exists(os.path.join(out, "tables", "criterion_01.csv"))
         assert os.path.exists(os.path.join(out, "tables", "summary.csv"))
 
+    def test_report_bytes_deterministic_with_timing_beside(self, tmp_path):
+        # wall times go to timing.json, so report and tables repeat byte for byte
+        cfg = write_config(tmp_path, {"task": "verify-all"})
+        outs = [str(tmp_path / name) for name in ("a", "b")]
+        for out in outs:
+            assert cli.main(["verify-all", cfg, "--out", out, "--filter", "1"]) == 0
+        names = ["report.json"] + [os.path.join("tables", t) for t in
+                                   sorted(os.listdir(os.path.join(outs[0], "tables")))]
+        assert len(names) == 3
+        for name in names:
+            b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert b1 == b2, name
+        assert "runtime_s" not in read_report(outs[0])["criteria"][0]
+        with open(os.path.join(outs[0], "timing.json"), encoding="utf-8") as fh:
+            timing = json.load(fh)
+        [row] = timing["criteria"]
+        assert row["id"] == "1" and row["runtime_s"] >= 0.0
+        assert not any(n.startswith(".greenpot-stage-") for n in os.listdir(outs[0]))
+
     def test_criteria_listed_in_config(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["1"]})
         out = str(tmp_path / "out")

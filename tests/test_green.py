@@ -115,6 +115,24 @@ class TestBuild:
         gs2 = build_green(gs.cfg, riesz_full=gs.riesz_full)
         assert np.array_equal(gs2.green.entries, gs.green.entries)
 
+    def test_nonempty_y_drops_the_unread_riesz_factor(self):
+        # with Y non-empty no solve reads the Riesz factor, so the system keeps
+        # the checked entries without it, and nothing it reports changes
+        gs0 = enclosure_system()
+        K = assemble_riesz(gs0.cfg.point_set, 2.0)
+        gs = build_green(gs0.cfg, riesz_full=K)
+        assert gs.riesz_full.factor is None and K.factor is not None
+        assert gs.riesz_full.entries is K.entries
+        assert gs.green.factor is not None
+        assert gs.green.entries.tobytes() == gs0.green.entries.tobytes()
+        assert gs.dirac_sweep_to_y.tobytes() == gs0.dirac_sweep_to_y.tobytes()
+        # the cross-route sweep reads riesz_full
+        mu = DiscreteMeasure.from_dict(K.size, {81: 1.0})
+        res = green_sweep(gs, mu, range(80))
+        res_kept = green_sweep(replace(gs, riesz_full=K), mu, range(80))
+        assert res.swept.weights.tobytes() == res_kept.swept.weights.tobytes()
+        assert res.path_discrepancy == res_kept.path_discrepancy
+
     def test_entries_between_zero_and_riesz(self):
         gs = enclosure_system()
         K_d = gs.riesz_full.block(gs.cfg.d_indices)

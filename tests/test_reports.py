@@ -77,6 +77,16 @@ class TestCsv:
             assert path.read_bytes() == expected.encode()
         assert (tmp_path / "array.csv").read_text().splitlines()[1] == \
             "0,-0,nan,inf,-inf"
+        # an integer index column stacked into a float array prints as the
+        # integer cells of a row tuple did, up to 2**53
+        indices = np.array([0, 7, 1234567, 2 ** 53 - 1])
+        coords = np.array(edge[:8]).reshape(4, 2)
+        cells = [(int(i), *map(float, row)) for i, row in zip(indices, coords)]
+        write_csv(tmp_path / "indexed.csv", ["h"], np.column_stack((indices, coords)))
+        expected = "h\n" + "".join(",".join(csv_cell(v) for v in row) + "\n"
+                                   for row in cells)
+        assert (tmp_path / "indexed.csv").read_bytes() == expected.encode()
+        assert expected.splitlines()[4].startswith("9007199254740991,")
 
     def test_byte_identical_across_writes(self, tmp_path):
         rows = [[i, np.sqrt(i)] for i in range(20)]

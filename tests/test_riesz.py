@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 import greenpot.riesz
 import greenpot.solvers
 from greenpot import geometry
 from greenpot.core import (DiscreteMeasure, PointSet, SolverError,
                            ValidationError)
-from greenpot.riesz import (_simplex_minimum, assemble_riesz, capacity,
+from greenpot.riesz import (_TILE, _simplex_minimum, assemble_riesz, capacity,
                             equilibrium_measure, make_kernel, potential,
                             weight_norm)
 
@@ -84,6 +85,46 @@ class TestAssembly:
         K1 = assemble_riesz(ps1, 2.0)
         K2 = assemble_riesz(ps2, 2.0)
         assert np.allclose(K2.entries, K1.entries / 3.0)
+
+
+class TestTiledSymmetryCheck:
+    @staticmethod
+    def flip_positions(m):
+        """One entry per tile kind: a diagonal tile, an off-diagonal tile and
+        the trailing partial tile, each below and above the diagonal."""
+        positions = [(1, 0), (0, 1)]
+        if m > _TILE:
+            positions += [(_TILE, 0), (_TILE - 1, _TILE)]
+        if m % _TILE:
+            positions += [(m - 1, m - 2), (m - 2, m - 1), (m - 1, 0), (0, m - 1)]
+        return positions
+
+    @pytest.mark.parametrize("m", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+    def test_one_flipped_entry_is_rejected(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.uniform(size=(m, m))
+        entries = (a + a.T) / 2.0 + m * np.eye(m)
+        assert make_kernel(entries, 2.0, 3).size == m
+        for i, j in self.flip_positions(m):
+            flipped = entries.copy()
+            flipped[i, j] = np.nextafter(flipped[i, j], 2.0)
+            with pytest.raises(ValidationError):
+                make_kernel(flipped, 2.0, 3)
+
+
+@given(shape=st.sampled_from([(2, 1.0), (2, 1.5), (3, 1.0), (3, 1.5), (3, 2.0)]),
+       m=st.one_of(st.integers(2, 2 * _TILE + 3),
+                   st.sampled_from([_TILE - 1, _TILE, _TILE + 1, 2 * _TILE])),
+       sigma=st.floats(0.2, 0.99), seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_blocked_assembly_matches_squareform_oracle(shape, m, sigma, seed):
+    dim, alpha = shape
+    pts = np.random.default_rng(seed).normal(size=(m, dim))
+    ps = PointSet.from_points(pts)
+    dist = squareform(pdist(pts))
+    np.fill_diagonal(dist, sigma * ps.cell_radius)
+    dist **= alpha - dim
+    assert assemble_riesz(ps, alpha, sigma).entries.tobytes() == dist.tobytes()
 
 
 class TestPotentialAndEnergy:
