@@ -621,7 +621,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     cfg = sc.domain()
     gs = build_green(cfg, sc.sigma)
     fld = external_field(gs, sc.theta_measure())
-    sol = solve_gauss(gs, fld, check_uniqueness=True)
+    sol = solve_gauss(gs, fld)
     lam = sol.minimizer
     supp = lam.support
     art.table("minimizer.csv", _coord_header(sc.point_set.dim),
@@ -658,6 +658,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
                 "min_weight": kkt.min_weight,
                 "iterations": kkt.iterations,
                 "tolerance": kkt.tolerance,
+                "gap_bound": kkt.gap_bound,
             },
             "diagnostics": {**sol.diagnostics, "green_capacity_of_f": c_g,
                             "frostman_excess": frostman_excess(gs, gamma)},

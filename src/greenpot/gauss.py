@@ -99,15 +99,18 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
 
     The simplex solver's equality multiplier is the weighted equilibrium
     constant; it is cross-checked against the integral of the weighted
-    potential against the minimizer, and the gap is reported. Optionally the
-    problem is re-solved under a reversed index order to witness uniqueness.
+    potential against the minimizer, and the gap is reported. kkt.gap_bound
+    bounds the squared Green distance to the true minimizer at no extra
+    cost; optionally the problem is also re-solved under a reversed index
+    order, and uniqueness_gap reports how far the two computed minimizers
+    lie apart.
     """
     if f is None:
         f = gs.cfg.f_indices
     f, f_pos = _f_positions(gs, f)
-    G = gs.green.block(f_pos)
+    G, factor = gs.block_on(f)
     b = -fld.field_values[f_pos]
-    x, rec = simplex_qp(G, b)
+    x, rec = simplex_qp(G, b, factor=factor)
     if rec.mass_error > 1e-12:
         raise InvariantError(f"minimizer mass off by {rec.mass_error}")
     w_value = float(x @ (G @ x) - 2.0 * (b @ x))
@@ -154,7 +157,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
     c_g, gamma = green_equilibrium(gs, f)
     c = (1.0 - m) / c_g
     lam = swept.weights + c * gamma.weights
-    G = gs.green.block(f_pos)
+    G, _ = gs.block_on(f)
     b = -fld.field_values[f_pos]
     x = lam[f]
     u_wtd = G @ x - b
@@ -186,9 +189,9 @@ def dual_check(gs: GreenSystem, fld: ExternalField, f=None,
         f = gs.cfg.f_indices
     f, f_pos = _f_positions(gs, f)
     primal = solve_gauss(gs, fld, f) if sol is None else sol
-    G = gs.green.block(f_pos)
+    G, factor = gs.block_on(f)
     b_dual = -fld.dual_field_values[f_pos]
-    x2, rec2 = simplex_qp(G, b_dual)
+    x2, rec2 = simplex_qp(G, b_dual, factor=factor)
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     lam2 = np.zeros(gs.riesz_full.size)
     lam2[f] = x2

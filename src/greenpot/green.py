@@ -11,15 +11,16 @@ matrix on D.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .core import (DiscreteMeasure, DomainConfig, InvariantError, ValidationError,
-                   _index_array)
+from .core import (DiscreteMeasure, DomainConfig, InvariantError, SolverError,
+                   ValidationError, _index_array)
 from .balayage import (BalayageResult, SweepResiduals, _domination_excess,
                        dirac_sweep_matrix, sweep)
 from .riesz import KernelMatrix, assemble_riesz, make_kernel
-from .solvers import nonneg_qp
+from .solvers import _cholesky, nonneg_qp
 
 ENTRY_TOL = 1e-10
 
@@ -30,6 +31,8 @@ class GreenSystem:
 
     The green matrix is indexed by position within cfg.d_indices;
     dirac_sweep_to_y column k is the swept unit mass for the k-th D-point.
+    Neither kernel keeps a factor: every solve over all of F starts from
+    green_f's, and every other target is factored by its solver.
     """
 
     cfg: DomainConfig
@@ -46,6 +49,29 @@ class GreenSystem:
         if not np.all(ok):
             raise ValidationError("indices outside the domain D")
         return pos
+
+    @cached_property
+    def green_f(self) -> KernelMatrix:
+        """Green matrix on F, a principal block of the checked green, with its factor.
+
+        Built on the first solve over all of F (sweep, Gauss solve, Green
+        equilibrium, dual problem), which then share one factorization. The
+        factor equals, bit for bit, the one a solver computes for the block.
+        """
+        entries = self.green.block(self.d_positions(self.cfg.f_indices))
+        try:
+            factor = _cholesky(entries)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Green block on F of size {entries.shape[0]} "
+                              f"is not positive definite: {exc}") from exc
+        return KernelMatrix(entries, self.green.alpha, self.green.dim,
+                            kind="green", factor=factor)
+
+    def block_on(self, f: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+        """Green block on the sorted target f within D, and its factor if f is F."""
+        if np.array_equal(f, self.cfg.f_indices):
+            return self.green_f.entries, self.green_f.factor
+        return self.green.block(self.d_positions(f)), None
 
     def measure_on_d(self, mu: DiscreteMeasure) -> np.ndarray:
         if len(mu) != self.riesz_full.size:
@@ -68,32 +94,36 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0,
     K = riesz_full
     d = cfg.d_indices
     y = cfg.y_indices
+    # no solve reads a factor of either kernel: sweeps and strict targets
+    # take blocks, and solves over F share green_f's
+    riesz = replace(K, factor=None)
     if y.size == 0:
         # a principal block of the checked SPD K is exactly symmetric and SPD
         # (Cauchy interlacing); the solvers' own Cholesky still raises
-        # SolverError. A D of every point shares K's entries and factor.
+        # SolverError. A D of every point shares K's entries.
         if d.size == K.size:
-            green = replace(K, kind="green")
+            green = replace(riesz, kind="green")
         else:
             green = KernelMatrix(K.block(d), K.alpha, K.dim, kind="green")
-        return GreenSystem(cfg=cfg, riesz_full=K, green=green,
+        return GreenSystem(cfg=cfg, riesz_full=riesz, green=green,
                            dirac_sweep_to_y=np.zeros((K.size, d.size)),
                            asymmetry_residual=0.0)
     B = dirac_sweep_matrix(K, d, y)
-    # cross[j, i] = potential at x_j of the swept unit mass at x_i
-    cross = K.block(d, y) @ B[y, :]
-    raw = K.block(d) - cross.T
+    # the product's (j, i) entry is the potential at x_j of the swept unit
+    # mass at x_i; one gathered K_d serves raw and the Riesz bound below
+    K_d = K.block(d)
+    raw = K_d - (K.block(d, y) @ B[y, :]).T
     asym = float(np.max(np.abs(raw - raw.T))) if d.size else 0.0
     entries = (raw + raw.T) / 2.0
     low = float(np.min(entries))
     if low < -ENTRY_TOL:
         raise InvariantError(
             f"Green entries reach {low}; complement sampling is too coarse")
-    if float(np.max(entries - K.block(d))) > ENTRY_TOL:
+    if float(np.max(entries - K_d)) > ENTRY_TOL:
         raise InvariantError("Green entries exceed the Riesz entries")
-    green = make_kernel(entries, K.alpha, K.dim, kind="green")
-    # no solve reads the Riesz factor once Y is split off: sweeps take blocks
-    return GreenSystem(cfg=cfg, riesz_full=replace(K, factor=None), green=green,
+    green = replace(make_kernel(entries, K.alpha, K.dim, kind="green"),
+                    factor=None)
+    return GreenSystem(cfg=cfg, riesz_full=riesz, green=green,
                        dirac_sweep_to_y=B, asymmetry_residual=asym)
 
 
@@ -124,7 +154,8 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
                               path_discrepancy=0.0)
     G = gs.green
     u_in = G.entries @ w_d
-    x, rec = nonneg_qp(G.block(f_pos), u_in[f_pos])
+    A, factor = gs.block_on(f)
+    x, rec = nonneg_qp(A, u_in[f_pos], factor=factor)
     res = SweepResiduals(equality_on_support=rec.support_residual,
                          inequality_on_target=rec.off_support_slack,
                          domination_off_target=_domination_excess(G, x, f_pos, u_in))
@@ -154,8 +185,11 @@ def green_equilibrium(gs: GreenSystem, f) -> tuple[float, DiscreteMeasure]:
     f = _index_array(f, gs.riesz_full.size, "f")
     if f.size == 0:
         raise ValidationError("equilibrium target must be nonempty")
-    f_pos = gs.d_positions(f)
-    energy, x, _ = _simplex_minimum(gs.green, f_pos)
+    if np.array_equal(f, gs.cfg.f_indices):
+        # sorted distinct positions covering green_f: its whole-kernel path
+        energy, x, _ = _simplex_minimum(gs.green_f, np.arange(f.size))
+    else:
+        energy, x, _ = _simplex_minimum(gs.green, gs.d_positions(f))
     gamma = np.zeros(gs.riesz_full.size)
     gamma[f] = x / energy
     return 1.0 / energy, DiscreteMeasure(gamma)

@@ -30,8 +30,8 @@ class KernelMatrix:
     """Symmetric positive definite kernel matrix with parameter metadata.
 
     kind is "riesz" or "green". factor is the Cholesky factor of entries in
-    the solvers' (c, lower) form when the matrix was checked by make_kernel,
-    else None; it takes no part in comparisons or the repr.
+    the solvers' (c, lower) form, such as the one make_kernel's check
+    computed, or None; it takes no part in comparisons or the repr.
     """
 
     entries: np.ndarray

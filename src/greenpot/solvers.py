@@ -25,10 +25,10 @@ Only free indices with negative weight leave F, and the free weights of
 simplex_qp sum to one, so its free set never empties. Every choice is by
 index, so repeated runs visit identical pivot sequences. The first free set
 holds every index: an interior minimizer costs one factorization (none
-when simplex_qp is handed the factor of G, such as KernelMatrix.factor),
-and nonneg_qp accepts that first solve down to -10 tol. KKTRecord.iterations
-counts the free sets solved, one more than the number of pivots, and
-max_iter caps it.
+when either solver is handed the factor of its matrix, such as
+KernelMatrix.factor), and nonneg_qp accepts that first solve down to
+-10 tol. KKTRecord.iterations counts the free sets solved, one more than
+the number of pivots, and max_iter caps it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ class KKTRecord:
     min_weight: most negative solution entry before clipping
     mass_error: |sum(x) - 1| (zero for the unconstrained-mass solver)
     multiplier: equality-constraint multiplier (zero when absent)
+    gap_bound: for simplex_qp, the Frank-Wolfe gap g.x - min_i g_i with
+        g = G x - b; it bounds |x - x*|_G^2 for the true minimizer x*
+        (zero when absent)
     """
 
     support_residual: float
@@ -63,6 +66,7 @@ class KKTRecord:
     multiplier: float
     iterations: int
     tolerance: float
+    gap_bound: float = 0.0
 
 
 def _scale_tol(b: np.ndarray, diag: np.ndarray, rtol: float) -> float:
@@ -152,8 +156,13 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
 
 
 def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
-              max_iter: int | None = None) -> tuple[np.ndarray, KKTRecord]:
-    """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A."""
+              max_iter: int | None = None, *,
+              factor=None) -> tuple[np.ndarray, KKTRecord]:
+    """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A.
+
+    factor, when given, is the _cholesky factor of A and saves the first
+    factorization.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     m = b.size
@@ -162,7 +171,8 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
     if m == 0:
         return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
     tol = _scale_tol(b, np.diag(A), rtol)
-    x, _, min_raw, iters = _pivot(A, b, tol, max_iter, simplex=False)
+    x, _, min_raw, iters = _pivot(A, b, tol, max_iter, simplex=False,
+                                  factor=factor)
     return x, _nonneg_record(A, b, x, min_raw, iters, tol)
 
 
@@ -209,10 +219,13 @@ def _simplex_record(G, b, x, c, ymin, iters, tol) -> KKTRecord:
     on = x > 0
     support_residual = float(np.max(np.abs(g[on] - c))) if np.any(on) else 0.0
     off_support_slack = float(max(0.0, np.max(c - g[~on]))) if np.any(~on) else 0.0
+    # g.x - min g for sum(x) = 1, summed as x.(g - min g): every term is
+    # nonnegative in floating point, so the bound never rounds below zero
     return KKTRecord(support_residual=support_residual,
                      off_support_slack=off_support_slack,
                      min_weight=min(float(ymin), 0.0),
                      mass_error=abs(float(x.sum()) - 1.0),
                      multiplier=float(c),
                      iterations=iters,
-                     tolerance=tol)
+                     tolerance=tol,
+                     gap_bound=float(x @ (g - np.min(g))))

@@ -2,11 +2,13 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import greenpot.riesz
+import greenpot.solvers
 from greenpot import cli
 from greenpot.core import InvariantError, SolverError
 from greenpot.green import build_green, green_equilibrium
@@ -200,6 +202,52 @@ class TestGaussTask:
         rep = read_report(out)
         assert rep["results"]["diagnostics"]["green_capacity_of_f"] == \
             pytest.approx(2.0 / 3.0, rel=1e-13)
+
+    def test_f_block_factored_once(self, tmp_path, monkeypatch):
+        # a sphere F with a far complement shell: the field's sweep, the Gauss
+        # solve, the closed form's Green equilibrium and the dual problem all
+        # start from one factor of the Green block on F
+        path = write_config(tmp_path, {
+            "task": "gauss", "alpha": 2.0, "plots": False,
+            "geometry": {"parts": [
+                {"generator": "sphere_shell",
+                 "params": {"count": 60, "radius": 1.0}},
+                {"generator": "sphere_shell",
+                 "params": {"count": 30, "radius": 1.0},
+                 "offset": [5.0, 0.0, 0.0]}]},
+            "regions": {"f": {"kind": "parts", "values": [0]},
+                        "y": {"kind": "parts", "values": [1]}},
+            "theta": {"points": [[2.5, 0.0, 0.0]], "weights": [0.8]}})
+        sizes, qp_calls = [], []
+        real_cholesky = greenpot.solvers._cholesky
+        real_qp = greenpot.solvers.simplex_qp
+
+        def cholesky(block, *args, **kwargs):
+            sizes.append(block.shape[0])
+            return real_cholesky(block, *args, **kwargs)
+
+        def qp(*args, **kwargs):
+            qp_calls.append(1)
+            return real_qp(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "greenpot" or name.startswith("greenpot."):
+                if getattr(mod, "_cholesky", None) is real_cholesky:
+                    monkeypatch.setattr(mod, "_cholesky", cholesky)
+                if getattr(mod, "simplex_qp", None) is real_qp:
+                    monkeypatch.setattr(mod, "simplex_qp", qp)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", path, "--out", out]) == 0
+        assert read_report(out)["results"]["representation"]["applicable"]
+        assert sizes.count(60) == 1
+        assert len(qp_calls) == 3
+
+    def test_gap_bound_replaces_reversed_resolve(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert cli.main(["run", gauss_config(tmp_path), "--out", out]) == 0
+        res = read_report(out)["results"]
+        assert res["kkt"]["gap_bound"] >= 0.0
+        assert res["diagnostics"]["uniqueness_gap"] is None
 
     def test_frostman_excess_reported(self, tmp_path):
         # both routes to the Green equilibrium of F: the closed form's and,

@@ -9,7 +9,8 @@ from greenpot.gauss import (dual_check, exhaustion_mass_probe, explicit_solution
                             external_field, solve_gauss, support_descriptor,
                             truncation_sweep)
 from greenpot.green import build_green, green_equilibrium, green_sweep
-from greenpot.riesz import weight_norm
+from greenpot.riesz import _simplex_minimum, weight_norm
+from greenpot.solvers import nonneg_qp, simplex_qp
 
 
 def field_system(charge=1.75):
@@ -223,6 +224,57 @@ class TestTruncationSweep:
         gs, fld = field_system()
         with pytest.raises(ValidationError):
             truncation_sweep(gs, fld, [[0], [1]])
+
+
+def shell_system():
+    """F = 50-point unit shell, Omega = three points in and around it, far Y-shell."""
+    f_pts = geometry.sphere_shell(50, 1.0, rotate=0.2)
+    omega_pts = np.array([[0.0, 0.0, 0.2], [1.6, 0.0, 0.0], [0.0, 1.3, 0.4]])
+    y_pts = geometry.sphere_shell(30, 1.0, rotate=0.7) + np.array([4.0, 0.0, 0.0])
+    pts = np.vstack([f_pts, omega_pts, y_pts])
+    cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                       d_indices=np.arange(53), y_indices=np.arange(53, 83),
+                       f_indices=np.arange(50), alpha=2.0)
+    return build_green(cfg)
+
+
+class TestSolvesOverF:
+    """Solves over all of F start from green_f's factor, bit for bit as on the block."""
+
+    def test_green_f_is_the_green_block_on_f(self):
+        gs = shell_system()
+        f_pos = gs.d_positions(gs.cfg.f_indices)
+        assert gs.green_f is gs.green_f
+        assert gs.green_f.entries.tobytes() == gs.green.block(f_pos).tobytes()
+        assert gs.green_f.kind == "green" and gs.green_f.factor is not None
+
+    # the first charge leaves every solve on its first free set; under the
+    # second the sweep and both Gauss solves pivot
+    @pytest.mark.parametrize("charge", [{51: 0.5}, {52: 2.0}])
+    def test_solves_match_the_gathered_block(self, charge):
+        gs = shell_system()
+        f = gs.cfg.f_indices
+        f_pos = gs.d_positions(f)
+        G = gs.green.block(f_pos)
+        theta = DiscreteMeasure.from_dict(83, charge)
+        swept = green_sweep(gs, theta, f).swept.weights[f]
+        u_theta = gs.green.entries @ gs.measure_on_d(theta)
+        assert swept.tobytes() == nonneg_qp(G, u_theta[f_pos])[0].tobytes()
+
+        fld = external_field(gs, theta)
+        sol = solve_gauss(gs, fld)
+        x, rec = simplex_qp(G, -fld.field_values[f_pos])
+        assert sol.minimizer.weights[f].tobytes() == x.tobytes()
+        assert sol.kkt == rec
+        dual = dual_check(gs, fld, sol=sol)["dual"]
+        x, rec = simplex_qp(G, -fld.dual_field_values[f_pos])
+        assert dual.minimizer.weights[f].tobytes() == x.tobytes()
+        assert dual.kkt == rec
+
+        cap, gamma = green_equilibrium(gs, f)
+        energy, x, _ = _simplex_minimum(gs.green, f_pos)
+        assert cap == 1.0 / energy
+        assert gamma.weights[f].tobytes() == (x / energy).tobytes()
 
 
 class TestFamilySweeps:

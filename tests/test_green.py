@@ -96,7 +96,7 @@ class TestBuild:
 
     def test_empty_y_whole_cloud_shares_the_riesz_matrix(self):
         # with Y empty and D every point the Green matrix is the Riesz one:
-        # no copy, and its kept factor comes along
+        # no copy, and neither keeps a factor that no solve reads
         pts = np.vstack([geometry.sphere_shell(30, 1.0), [[0.0, 0.0, 0.5]]])
         cfg = DomainConfig(point_set=PointSet.from_points(pts),
                            d_indices=np.arange(31),
@@ -104,7 +104,7 @@ class TestBuild:
                            f_indices=np.arange(30), alpha=2.0)
         gs = build_green(cfg)
         assert np.shares_memory(gs.green.entries, gs.riesz_full.entries)
-        assert gs.green.factor is gs.riesz_full.factor
+        assert gs.green.factor is None and gs.riesz_full.factor is None
         assert gs.green.kind == "green" and gs.riesz_full.kind == "riesz"
         cap, _ = green_equilibrium(gs, np.arange(31))
         cap_ref, _ = greenpot.riesz.capacity(gs.riesz_full, np.arange(31))
@@ -116,14 +116,15 @@ class TestBuild:
         assert np.array_equal(gs2.green.entries, gs.green.entries)
 
     def test_nonempty_y_drops_the_unread_riesz_factor(self):
-        # with Y non-empty no solve reads the Riesz factor, so the system keeps
-        # the checked entries without it, and nothing it reports changes
+        # with Y non-empty no solve reads the Riesz or the Green factor, so the
+        # system keeps the checked entries without them, and nothing it
+        # reports changes
         gs0 = enclosure_system()
         K = assemble_riesz(gs0.cfg.point_set, 2.0)
         gs = build_green(gs0.cfg, riesz_full=K)
         assert gs.riesz_full.factor is None and K.factor is not None
         assert gs.riesz_full.entries is K.entries
-        assert gs.green.factor is not None
+        assert gs.green.factor is None
         assert gs.green.entries.tobytes() == gs0.green.entries.tobytes()
         assert gs.dirac_sweep_to_y.tobytes() == gs0.dirac_sweep_to_y.tobytes()
         # the cross-route sweep reads riesz_full

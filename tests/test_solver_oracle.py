@@ -58,6 +58,28 @@ def test_matches_active_set_reference(problem, make, m, seed):
     assert np.max(np.abs(x - x_ref)) <= 1e-9
 
 
+@pytest.mark.parametrize("make", [random_spd, riesz_instance], ids=["spd", "riesz"])
+@given(m=st.integers(2, 60), seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_gap_bound_covers_distance_to_reference(make, m, seed):
+    # |z - x*|_G^2 <= g.z - min g for every z on the simplex, g = G z - b;
+    # x_ref stands in for x*. The slack covers the rounding of g in both
+    # terms of the gap: m products of entries up to max|G| plus max|b|.
+    rng = np.random.default_rng(seed)
+    G, b = make(rng, m)
+    x, rec = simplex_qp(G, b)
+    x_ref, _ = reference.simplex_qp(G, b)
+    slack = 4 * m * np.finfo(float).eps * (np.max(np.abs(G)) + np.max(np.abs(b)))
+    d = x - x_ref
+    assert rec.gap_bound >= 0.0
+    assert rec.gap_bound + slack >= d @ G @ d
+    # a point off the minimizer, where both sides are far above rounding
+    z = 0.5 * x_ref + 0.5 * rng.dirichlet(np.ones(m))
+    gap = solvers._simplex_record(G, b, z, 0.0, 0.0, 0, 0.0).gap_bound
+    d = z - x_ref
+    assert gap + slack >= d @ G @ d
+
+
 def record_pivots(monkeypatch):
     """Log (free set, weights, multiplier) of every subproblem solved."""
     log = []
