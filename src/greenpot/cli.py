@@ -639,6 +639,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
         rep["c_gap"] = abs(sol.c_constant - exp.c_constant)
         dual = dual_check(gs, fld, sol=sol)
         rep["dual_w_gap"] = dual["w_gap"]
+        rep["dual_iterations"] = dual["dual"].kkt.iterations
         rep["dual_c_gap"] = dual["c_gap"]
     else:
         c_g, gamma = green_equilibrium(gs, cfg.f_indices)

@@ -82,9 +82,15 @@ def _swept_charge(gs: GreenSystem, fld: ExternalField,
     return green_sweep(gs, fld.theta, f).swept
 
 
+def _support_on(mu: DiscreteMeasure, f: np.ndarray) -> np.ndarray:
+    """Sorted positions within f of the support of mu."""
+    return np.flatnonzero(mu.weights[f])
+
+
 def _check_value_bounds(gs: GreenSystem, fld: ExternalField, w_value: float) -> None:
+    # dual_field_values is -(G @ swept_d), and negation is exact
     swept_d = gs.measure_on_d(fld.theta_swept)
-    lower_obs = -float(swept_d @ (gs.green.entries @ swept_d))
+    lower_obs = float(swept_d @ fld.dual_field_values)
     lower_mass = -2.0 * fld.mass_bound
     slack = 1e-8 * max(1.0, abs(w_value))
     if w_value < max(lower_obs, lower_mass) - slack:
@@ -110,12 +116,16 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
     f, f_pos = _f_positions(gs, f)
     G, factor = gs.block_on(f)
     b = -fld.field_values[f_pos]
-    x, rec = simplex_qp(G, b, factor=factor)
+    # over all of F the minimizer is the swept charge plus c times the
+    # equilibrium measure, so the pivoting starts from the sweep's support
+    start = _support_on(fld.theta_swept, f) if factor is not None else None
+    x, rec = simplex_qp(G, b, factor=factor, start=start)
     if rec.mass_error > 1e-12:
         raise InvariantError(f"minimizer mass off by {rec.mass_error}")
-    w_value = float(x @ (G @ x) - 2.0 * (b @ x))
+    energy = x @ (G @ x)
+    w_value = float(energy - 2.0 * (b @ x))
     _check_value_bounds(gs, fld, w_value)
-    c_cross = float(x @ (G @ x) - x @ b)
+    c_cross = float(energy - x @ b)
     field_energy = float(b @ x)
     if field_energy > fld.mass_bound + 1e-8 * max(1.0, fld.mass_bound):
         raise InvariantError(
@@ -160,7 +170,8 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
     G, _ = gs.block_on(f)
     b = -fld.field_values[f_pos]
     x = lam[f]
-    u_wtd = G @ x - b
+    Gx = G @ x
+    u_wtd = Gx - b
     on = x > 0
     support_residual = float(np.max(np.abs(u_wtd[on] - c))) if np.any(on) else 0.0
     off_slack = float(max(0.0, np.max(c - u_wtd[~on]))) if np.any(~on) else 0.0
@@ -169,7 +180,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
                     min_weight=float(min(np.min(x), 0.0)),
                     mass_error=abs(float(x.sum()) - 1.0),
                     multiplier=c, iterations=0, tolerance=0.0)
-    w_value = float(x @ (G @ x) - 2.0 * (b @ x))
+    w_value = float(x @ Gx - 2.0 * (b @ x))
     return GaussSolution(minimizer=DiscreteMeasure(lam), w_value=w_value,
                          c_constant=c, kkt=kkt,
                          diagnostics={"theta_swept_mass": m,
@@ -191,7 +202,9 @@ def dual_check(gs: GreenSystem, fld: ExternalField, f=None,
     primal = solve_gauss(gs, fld, f) if sol is None else sol
     G, factor = gs.block_on(f)
     b_dual = -fld.dual_field_values[f_pos]
-    x2, rec2 = simplex_qp(G, b_dual, factor=factor)
+    # the two problems share their minimizer in the continuum
+    x2, rec2 = simplex_qp(G, b_dual, factor=factor,
+                          start=_support_on(primal.minimizer, f))
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     lam2 = np.zeros(gs.riesz_full.size)
     lam2[f] = x2

@@ -113,8 +113,12 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0,
     # mass at x_i; one gathered K_d serves raw and the Riesz bound below
     K_d = K.block(d)
     raw = K_d - (K.block(d, y) @ B[y, :]).T
-    asym = float(np.max(np.abs(raw - raw.T))) if d.size else 0.0
-    entries = (raw + raw.T) / 2.0
+    # one fresh buffer holds |raw - raw.T| and then (raw + raw.T) / 2
+    entries = np.subtract(raw, raw.T)
+    np.abs(entries, out=entries)
+    asym = float(np.max(entries)) if d.size else 0.0
+    np.add(raw, raw.T, out=entries)
+    entries /= 2.0
     low = float(np.min(entries))
     if low < -ENTRY_TOL:
         raise InvariantError(

@@ -24,9 +24,13 @@ pivot exchanges infeasible indices between F and its complement:
 Only free indices with negative weight leave F, and the free weights of
 simplex_qp sum to one, so its free set never empties. Every choice is by
 index, so repeated runs visit identical pivot sequences. The first free set
-holds every index: an interior minimizer costs one factorization (none
-when either solver is handed the factor of its matrix, such as
-KernelMatrix.factor), and nonneg_qp accepts that first solve down to
+holds every index, unless simplex_qp is handed a start: the pivoting
+converges from any first free set, so a caller that knows the support
+approximately (a swept charge, a companion problem's minimizer) starts
+there and solves fewer free sets. An interior minimizer costs one
+factorization from the full set, and none when either solver is handed the
+factor of its matrix, such as KernelMatrix.factor, which serves every free
+set holding every index. nonneg_qp accepts its first solve down to
 -10 tol. KKTRecord.iterations counts the free sets solved, one more than
 the number of pivots, and max_iter caps it.
 """
@@ -121,25 +125,33 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
 
 
 def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
-           simplex: bool, factor=None) -> tuple[np.ndarray, float, float, int]:
-    """Block principal pivoting from the full free set (see the module docstring).
+           simplex: bool, factor=None,
+           start: np.ndarray | None = None) -> tuple[np.ndarray, float, float, int]:
+    """Block principal pivoting (see the module docstring).
 
-    factor, when given, is the _cholesky factor of all of A and replaces the
-    first free set's factorization; later free sets are factored afresh.
-    Returns the clipped minimizer, the multiplier, the most negative free
-    weight of the final solve, and the number of free sets solved.
+    The first free set holds the positions in start, or every index when
+    start is None or empty. factor, when given, is the _cholesky factor of
+    all of A and replaces the factorization of every free set holding every
+    index; other free sets are factored afresh. Returns the clipped
+    minimizer, the multiplier, the most negative free weight of the final
+    solve, and the number of free sets solved.
     """
     m = b.size
     if max_iter is None:
         max_iter = 40 * m + 100
-    free = np.ones(m, dtype=bool)
+    if start is None or len(start) == 0:
+        free = np.ones(m, dtype=bool)
+    else:
+        free = np.zeros(m, dtype=bool)
+        free[start] = True
     best, retries = m + 1, BLOCK_RETRIES
     for iters in range(1, max_iter + 1):
+        full = bool(free.all())
         x, c, zmin = _solve_free(A, b, free, simplex,
-                                 factor if iters == 1 else None)
+                                 factor if full else None)
         floor = 10 * tol if iters == 1 and not simplex else tol
         infeasible = free & (x < -floor)
-        if not free.all():
+        if not full:
             infeasible |= ~free & (A @ x - b - c < -tol)
         count = int(np.count_nonzero(infeasible))
         if count == 0:
@@ -191,14 +203,17 @@ def _nonneg_record(A, b, x, min_raw, iters, tol) -> KKTRecord:
 
 
 def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
-               max_iter: int | None = None, *,
-               factor=None) -> tuple[np.ndarray, KKTRecord]:
+               max_iter: int | None = None, *, factor=None,
+               start=None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize x'Gx - 2 b'x over the probability simplex for SPD G.
 
     At the minimizer (G x - b) equals the multiplier c on the support and is
     >= c elsewhere; the reported multiplier is that constant. factor, when
     given, is the _cholesky factor of G (such as KernelMatrix.factor) and
-    saves the first factorization.
+    saves the factorization of any free set holding every index. start,
+    when given, holds the sorted positions of the first free set (None or
+    empty: every index); a start near the minimizer's support saves free
+    sets and reaches the same minimizer up to rounding.
     """
     G = np.asarray(G, dtype=float)
     m = G.shape[0]
@@ -209,8 +224,13 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
         raise SolverError(f"matrix shape {G.shape} does not match rhs size {b.size}")
     if m == 0:
         raise SolverError("cannot optimize over an empty index set")
+    if start is not None:
+        start = np.asarray(start, dtype=int)
+        if start.size and (start.min() < 0 or start.max() >= m):
+            raise SolverError(f"start positions outside 0..{m - 1}")
     tol = _scale_tol(b, np.diag(G), rtol)
-    x, c, ymin, iters = _pivot(G, b, tol, max_iter, simplex=True, factor=factor)
+    x, c, ymin, iters = _pivot(G, b, tol, max_iter, simplex=True,
+                               factor=factor, start=start)
     return x, _simplex_record(G, b, x, c, ymin, iters, tol)
 
 

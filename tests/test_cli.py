@@ -204,21 +204,26 @@ class TestGaussTask:
             pytest.approx(2.0 / 3.0, rel=1e-13)
 
     def test_f_block_factored_once(self, tmp_path, monkeypatch):
-        # a sphere F with a far complement shell: the field's sweep, the Gauss
-        # solve, the closed form's Green equilibrium and the dual problem all
-        # start from one factor of the Green block on F
+        # F is a 60-point sphere around a 10-point inner shell, with a far
+        # complement shell: the field's sweep, the closed form's Green
+        # equilibrium and the solves over F share one factor of the 70x70
+        # Green block. Every minimizer leaves the inner shell, and the sweep
+        # already does, so the Gauss solve starting from the sweep's support
+        # and the dual starting from the primal's each factor one block.
         path = write_config(tmp_path, {
             "task": "gauss", "alpha": 2.0, "plots": False,
             "geometry": {"parts": [
                 {"generator": "sphere_shell",
                  "params": {"count": 60, "radius": 1.0}},
                 {"generator": "sphere_shell",
+                 "params": {"count": 10, "radius": 0.3}},
+                {"generator": "sphere_shell",
                  "params": {"count": 30, "radius": 1.0},
                  "offset": [5.0, 0.0, 0.0]}]},
-            "regions": {"f": {"kind": "parts", "values": [0]},
-                        "y": {"kind": "parts", "values": [1]}},
+            "regions": {"f": {"kind": "parts", "values": [0, 1]},
+                        "y": {"kind": "parts", "values": [2]}},
             "theta": {"points": [[2.5, 0.0, 0.0]], "weights": [0.8]}})
-        sizes, qp_calls = [], []
+        sizes, qp_blocks = [], []
         real_cholesky = greenpot.solvers._cholesky
         real_qp = greenpot.solvers.simplex_qp
 
@@ -227,8 +232,10 @@ class TestGaussTask:
             return real_cholesky(block, *args, **kwargs)
 
         def qp(*args, **kwargs):
-            qp_calls.append(1)
-            return real_qp(*args, **kwargs)
+            before = len(sizes)
+            out = real_qp(*args, **kwargs)
+            qp_blocks.append(sizes[before:])
+            return out
 
         for name, mod in list(sys.modules.items()):
             if name == "greenpot" or name.startswith("greenpot."):
@@ -238,9 +245,14 @@ class TestGaussTask:
                     monkeypatch.setattr(mod, "simplex_qp", qp)
         out = str(tmp_path / "out")
         assert cli.main(["run", path, "--out", out]) == 0
-        assert read_report(out)["results"]["representation"]["applicable"]
-        assert sizes.count(60) == 1
-        assert len(qp_calls) == 3
+        res = read_report(out)["results"]
+        assert res["representation"]["applicable"]
+        assert res["support_size"] == 60
+        assert sizes.count(70) == 1
+        # Gauss solve, Green equilibrium, dual problem
+        primal, _, dual = qp_blocks
+        assert primal == [60] and res["kkt"]["iterations"] == 1
+        assert dual == [60] and res["representation"]["dual_iterations"] == 1
 
     def test_gap_bound_replaces_reversed_resolve(self, tmp_path):
         out = str(tmp_path / "out")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,19 @@ def shell_system():
     return build_green(cfg)
 
 
+def assert_warm_record(warm, cold):
+    """A warm-started solve's record: the cold one's, in no more free sets."""
+    assert replace(warm, iterations=cold.iterations) == cold
+    assert warm.iterations <= cold.iterations
+
+
 class TestSolvesOverF:
-    """Solves over all of F start from green_f's factor, bit for bit as on the block."""
+    """Solves over all of F start from green_f's factor, bit for bit as on the block.
+
+    The Gauss and dual solves also start from a support the run holds (the
+    swept charge's, the primal minimizer's), which changes only the number
+    of free sets solved.
+    """
 
     def test_green_f_is_the_green_block_on_f(self):
         gs = shell_system()
@@ -265,11 +278,11 @@ class TestSolvesOverF:
         sol = solve_gauss(gs, fld)
         x, rec = simplex_qp(G, -fld.field_values[f_pos])
         assert sol.minimizer.weights[f].tobytes() == x.tobytes()
-        assert sol.kkt == rec
+        assert_warm_record(sol.kkt, rec)
         dual = dual_check(gs, fld, sol=sol)["dual"]
         x, rec = simplex_qp(G, -fld.dual_field_values[f_pos])
         assert dual.minimizer.weights[f].tobytes() == x.tobytes()
-        assert dual.kkt == rec
+        assert_warm_record(dual.kkt, rec)
 
         cap, gamma = green_equilibrium(gs, f)
         energy, x, _ = _simplex_minimum(gs.green, f_pos)

@@ -6,6 +6,8 @@ core must also obey its exchange rule and stay within a few pivots on the
 ball-and-collar instances of check 8.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import greenpot.gauss
 import greenpot.green
 from greenpot import geometry, solvers
-from greenpot.core import DiscreteMeasure, DomainConfig, PointSet
+from greenpot.core import DiscreteMeasure, DomainConfig, PointSet, SolverError
 from greenpot.gauss import external_field, solve_gauss
 from greenpot.green import build_green
 from greenpot.riesz import assemble_riesz
@@ -78,6 +80,73 @@ def test_gap_bound_covers_distance_to_reference(make, m, seed):
     gap = solvers._simplex_record(G, b, z, 0.0, 0.0, 0, 0.0).gap_bound
     d = z - x_ref
     assert gap + slack >= d @ G @ d
+
+
+def warm_start(rng, m, support, kind):
+    """Sorted start positions of the given kind against the cold support."""
+    others = np.setdiff1d(np.arange(m), support)
+    if kind == "empty":
+        return np.zeros(0, dtype=int)
+    if kind == "single":
+        return np.array([rng.integers(m)])
+    if kind == "missing":
+        # a nonempty start that leaves out at least one support index
+        if support.size == 1:
+            return rng.choice(others, 1)
+        keep = rng.choice(support, int(rng.integers(1, support.size)), replace=False)
+        return np.sort(keep)
+    extra = rng.choice(others, int(rng.integers(0, others.size + 1)), replace=False)
+    return np.union1d(support, extra)
+
+
+@pytest.mark.parametrize("kind", ["empty", "single", "missing", "superset"])
+@pytest.mark.parametrize("make", [random_spd, riesz_instance], ids=["spd", "riesz"])
+@given(m=st.integers(2, 60), seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_start_reaches_the_cold_minimizer(kind, make, m, seed):
+    rng = np.random.default_rng(seed)
+    G, b = make(rng, m)
+    x_cold, rec_cold = simplex_qp(G, b)
+    start = warm_start(rng, m, np.flatnonzero(x_cold), kind)
+    x, rec = simplex_qp(G, b, start=start)
+    x_ref, _ = reference.simplex_qp(G, b)
+    objective = PROBLEMS["simplex"][2]
+    obj, obj_ref = objective(G, b, x), objective(G, b, x_ref)
+    assert abs(obj - obj_ref) <= 1e-12 * max(1.0, abs(obj_ref))
+    assert np.max(np.abs(x - x_ref)) <= 1e-9
+    assert replace(rec, iterations=rec_cold.iterations) == rec_cold
+    if kind == "empty":
+        assert rec.iterations == rec_cold.iterations
+
+
+def test_start_missing_a_support_index(monkeypatch):
+    # G = diag(1, 2, 4), b = 0: x is proportional to (4, 2, 1), and G x
+    # equals c = 4/7 everywhere. From {0} alone the fixed indices have
+    # reduced gradient -1 and -1, so the second free set takes every index
+    # and reads the factor handed in.
+    G = np.diag([1.0, 2.0, 4.0])
+    factors = []
+    real = solvers._solve_free
+
+    def spy(A, b, free, simplex, factor=None):
+        factors.append((free.copy(), factor is not None))
+        return real(A, b, free, simplex, factor)
+
+    monkeypatch.setattr(solvers, "_solve_free", spy)
+    x, rec = simplex_qp(G, start=[0], factor=solvers._cholesky(G))
+    assert [(list(free), kept) for free, kept in factors] == [
+        ([True, False, False], False), ([True, True, True], True)]
+    assert rec.iterations == 2
+    assert x == pytest.approx(np.array([4.0, 2.0, 1.0]) / 7.0, abs=1e-15)
+    assert rec.multiplier == pytest.approx(4.0 / 7.0, abs=1e-15)
+    x_cold, rec_cold = simplex_qp(G)
+    assert x.tobytes() == x_cold.tobytes()
+    assert replace(rec, iterations=1) == rec_cold
+
+
+def test_start_outside_the_matrix_rejected():
+    with pytest.raises(SolverError):
+        simplex_qp(np.eye(3), start=[1, 3])
 
 
 def record_pivots(monkeypatch):
