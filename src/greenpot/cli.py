@@ -35,7 +35,7 @@ from .green import build_green, frostman_excess, green_equilibrium
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
 from .riesz import (assemble_riesz, capacity, equilibrium_measure, potential,
-                    save_kernel_csv, weight_norm)
+                    weight_norm)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,6 +93,11 @@ def _load_config(path: str) -> dict:
     task = raw.get("task")
     if task not in TASKS:
         raise ConfigError(f"config.task: expected one of {list(TASKS)}, got {task!r}")
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"config.seed: expected an integer, got {seed!r}")
+    if not isinstance(raw.get("plots", True), bool):
+        raise ConfigError(f"config.plots: expected true or false, got {raw['plots']!r}")
     return raw
 
 
@@ -425,10 +430,6 @@ class Artifacts:
         self.tables.append(os.path.join("tables", name))
         return path
 
-    def table_path(self, name: str) -> str:
-        self.tables.append(os.path.join("tables", name))
-        return os.path.join(self._dir("tables"), name)
-
     def line(self, name: str, series, title, xlabel, ylabel, logy=False) -> None:
         if not self.want_plots:
             return
@@ -444,14 +445,25 @@ class Artifacts:
         self.plots.append(os.path.join("plots", name))
 
 
-def _measure_rows(ps: PointSet, indices: np.ndarray, weights: np.ndarray):
-    """Float rows (index, coordinates, weight) for write_csv's array path,
-    which prints the integral index column as integers."""
-    return np.column_stack((indices, ps.points[indices], weights[indices]))
+def _write_measure(art: Artifacts, ps: PointSet, name: str, indices: np.ndarray,
+                   mu: DiscreteMeasure, title: str) -> None:
+    """Table of mu on indices (index, coordinates, weight) and its support scatter.
+
+    The rows are floats for write_csv's array path, which prints the integral
+    index column as integers. An empty support draws no scatter.
+    """
+    art.table(name, ["index", *[f"x{k}" for k in range(ps.dim)], "weight"],
+              np.column_stack((indices, ps.points[indices], mu.weights[indices])))
+    supp = mu.support
+    if supp.size:
+        art.scatter("support.svg", ps.points[supp][:, :2], mu.weights[supp], title)
 
 
-def _coord_header(dim: int) -> list:
-    return ["index", *[f"x{k}" for k in range(dim)], "weight"]
+def _field_system(sc: Scenario):
+    """Domain, Green system and external field of a scenario with a charge."""
+    cfg = sc.domain()
+    gs = build_green(cfg, sc.sigma)
+    return cfg, gs, external_field(gs, sc.theta_measure())
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +484,7 @@ _POSITIVE_DEFINITE = {"name": "positive_definite", "value": True,
 
 def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
     K = sc.kernel()
-    save_kernel_csv(K, art.table_path("kernel.csv"))
+    art.table("kernel.csv", [f"k{j}" for j in range(K.size)], K.entries)
     diag = np.diag(K.entries)
     off = K.entries[~np.eye(K.size, dtype=bool)] if K.size > 1 else np.array([0.0])
     nn = nearest_neighbor_distances(sc.point_set.points) if K.size > 1 else None
@@ -503,10 +515,8 @@ def _run_capacity(sc: Scenario, art: Artifacts) -> dict:
     cap, mu = capacity(K, target)
     u = potential(K, mu)
     supp = mu.support
-    art.table("minimizer.csv", _coord_header(sc.point_set.dim),
-              _measure_rows(sc.point_set, target, mu.weights))
-    art.scatter("support.svg", sc.point_set.points[supp][:, :2],
-                mu.weights[supp], "capacity minimizer support")
+    _write_measure(art, sc.point_set, "minimizer.csv", target, mu,
+                   "capacity minimizer support")
     energy = 1.0 / cap
     return {
         "results": {
@@ -530,10 +540,8 @@ def _run_equilibrium(sc: Scenario, art: Artifacts) -> dict:
     gamma = equilibrium_measure(K, target)
     u = potential(K, gamma)
     supp = gamma.support
-    art.table("equilibrium.csv", _coord_header(sc.point_set.dim),
-              _measure_rows(sc.point_set, target, gamma.weights))
-    art.scatter("support.svg", sc.point_set.points[supp][:, :2],
-                gamma.weights[supp], "equilibrium measure support")
+    _write_measure(art, sc.point_set, "equilibrium.csv", target, gamma,
+                   "equilibrium measure support")
     dev = float(np.max(np.abs(u[supp] - 1.0)))
     return {
         "results": {
@@ -556,12 +564,8 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
     theta = sc.theta_measure()
     target = sc.target_indices(default_all=False)
     res = sweep(K, theta, target)
-    art.table("swept.csv", _coord_header(sc.point_set.dim),
-              _measure_rows(sc.point_set, target, res.swept.weights))
-    supp = res.swept.support
-    if supp.size:
-        art.scatter("support.svg", sc.point_set.points[supp][:, :2],
-                    res.swept.weights[supp], "swept measure support")
+    _write_measure(art, sc.point_set, "swept.csv", target, res.swept,
+                   "swept measure support")
     body = res.to_json_dict()
     kk = res.kkt_residuals
     worst = max(kk.equality_on_support, kk.inequality_on_target)
@@ -618,16 +622,12 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
 
 
 def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
-    cfg = sc.domain()
-    gs = build_green(cfg, sc.sigma)
-    fld = external_field(gs, sc.theta_measure())
+    cfg, gs, fld = _field_system(sc)
     sol = solve_gauss(gs, fld)
     lam = sol.minimizer
     supp = lam.support
-    art.table("minimizer.csv", _coord_header(sc.point_set.dim),
-              _measure_rows(sc.point_set, cfg.f_indices, lam.weights))
-    art.scatter("support.svg", sc.point_set.points[supp][:, :2],
-                lam.weights[supp], "weighted minimizer support")
+    _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices, lam,
+                   "weighted minimizer support")
     m_swept = fld.theta_swept.total_mass
     rep: dict = {"applicable": bool(m_swept <= 1.0 + 1e-12)}
     if rep["applicable"]:
@@ -682,9 +682,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
 
 
 def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
-    cfg = sc.domain()
-    gs = build_green(cfg, sc.sigma)
-    fld = external_field(gs, sc.theta_measure())
+    _, gs, fld = _field_system(sc)
     family = sc.family_indices()
     rep = truncation_sweep(gs, fld, family)
     rows = list(zip(rep.sizes, rep.w_values, rep.c_values, rep.swept_masses,
@@ -720,9 +718,7 @@ def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
 
 
 def _run_exhaustion(sc: Scenario, art: Artifacts) -> dict:
-    cfg = sc.domain()
-    gs = build_green(cfg, sc.sigma)
-    fld = external_field(gs, sc.theta_measure())
+    _, gs, fld = _field_system(sc)
     family = sc.family_indices()
     window = None
     if "window" in sc.cfg:
@@ -749,17 +745,11 @@ def _run_exhaustion(sc: Scenario, art: Artifacts) -> dict:
 
 
 def _run_support(sc: Scenario, art: Artifacts) -> dict:
-    cfg = sc.domain()
-    gs = build_green(cfg, sc.sigma)
-    fld = external_field(gs, sc.theta_measure())
+    cfg, gs, fld = _field_system(sc)
     sol = solve_gauss(gs, fld)
     desc = support_descriptor(sol, cfg, adjacency_factor=sc.adjacency_factor)
-    lam = sol.minimizer
-    art.table("minimizer.csv", _coord_header(sc.point_set.dim),
-              _measure_rows(sc.point_set, cfg.f_indices, lam.weights))
-    supp = lam.support
-    art.scatter("support.svg", sc.point_set.points[supp][:, :2],
-                lam.weights[supp], "minimizer support")
+    _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices,
+                   sol.minimizer, "minimizer support")
     return {
         "results": {
             "w_value": sol.w_value, "c_constant": sol.c_constant,
@@ -878,12 +868,9 @@ def main(argv=None) -> int:
     task = cfg["task"]
     if args.command == "verify-all":
         task = "verify-all"
-    seed = args.seed
-    if seed is None:
-        seed = int(cfg.get("seed", 0)) if not isinstance(cfg.get("seed", 0), bool) \
-            else 0
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
     out_dir = args.out or cfg.get("output_dir") or "out"
-    want_plots = bool(cfg.get("plots", True))
+    want_plots = cfg.get("plots", True)
     art = Artifacts(out_dir, want_plots)
     base_dir = os.path.dirname(os.path.abspath(args.config))
 

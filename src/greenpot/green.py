@@ -19,7 +19,7 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, SolverError,
                    ValidationError, _index_array)
 from .balayage import (BalayageResult, SweepResiduals, _domination_excess,
                        dirac_sweep_matrix, sweep)
-from .riesz import KernelMatrix, assemble_riesz, make_kernel
+from .riesz import KernelMatrix, _simplex_minimum, assemble_riesz, make_kernel
 from .solvers import _cholesky, nonneg_qp
 
 ENTRY_TOL = 1e-10
@@ -184,8 +184,6 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
 
 def green_equilibrium(gs: GreenSystem, f) -> tuple[float, DiscreteMeasure]:
     """Green capacity of f and the measure with Green potential 1 on f."""
-    from .riesz import _simplex_minimum
-
     f = _index_array(f, gs.riesz_full.size, "f")
     if f.size == 0:
         raise ValidationError("equilibrium target must be nonempty")

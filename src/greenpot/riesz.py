@@ -17,7 +17,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import DiscreteMeasure, PointSet, SolverError, ValidationError, _index_array
-from .reports import write_csv
 from .solvers import KKTRecord, _cholesky, simplex_qp
 
 # Rows per block of the distance fill, and the side of the square tiles of
@@ -171,8 +170,3 @@ def equilibrium_measure(K: KernelMatrix, a) -> DiscreteMeasure:
     w = np.zeros(K.size)
     w[a] = x / energy
     return DiscreteMeasure(w)
-
-
-def save_kernel_csv(K: KernelMatrix, path) -> None:
-    """Full matrix dump, 17 significant digits, one row per line."""
-    write_csv(path, [f"k{j}" for j in range(K.size)], K.entries)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import greenpot.green
 import greenpot.riesz
 import greenpot.solvers
 from greenpot import cli
@@ -195,7 +196,8 @@ class TestGaussTask:
             calls.append(a.size)
             return inner(K, a)
 
-        monkeypatch.setattr(greenpot.riesz, "_simplex_minimum", counting)
+        for module in (greenpot.riesz, greenpot.green):
+            monkeypatch.setattr(module, "_simplex_minimum", counting)
         out = str(tmp_path / "out")
         assert cli.main(["run", gauss_config(tmp_path), "--out", out]) == 0
         assert calls == [2]
@@ -526,6 +528,24 @@ class TestErrorPaths:
     def test_unknown_task(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "minimize"})
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("seed", ["abc", [1], None, 1.7, True])
+    def test_non_integer_seed(self, tmp_path, capsys, seed):
+        cloud = hand_cloud(tmp_path)
+        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
+                                      "geometry": {"csv": cloud}, "seed": seed})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "config.seed" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("plots", ["false", 0, None])
+    def test_non_boolean_plots(self, tmp_path, capsys, plots):
+        cfg = gauss_config(tmp_path, {"plots": plots})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "config.plots" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_unknown_generator(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

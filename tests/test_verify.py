@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from greenpot import verify
+from greenpot import gauss, green, verify
 
 
 class TestSuiteMetadata:
@@ -21,13 +23,61 @@ class TestSuiteMetadata:
 
 class TestFailureCapture:
     def test_fail_record_carries_exception_text(self):
-        import time
-        res = verify._fail("1", RuntimeError("broken widget"),
-                           time.perf_counter())
+        def broken():
+            raise RuntimeError("broken widget")
+
+        res = verify._run_check("1", broken)
         assert not res.passed
         assert "RuntimeError" in res.measured["error"]
         assert "broken widget" in res.measured["error"]
         assert res.runtime_s >= 0.0
+
+
+class TestRuntimeLimit:
+    def test_runtime_limit_fails_a_check_within_thresholds(self, monkeypatch):
+        (on_time,) = verify.run_all(which=["1"])
+        assert on_time.passed
+        monkeypatch.setitem(verify.RUNTIME_LIMITS, "1", 0.0)
+        (late,) = verify.run_all(which=["1"])
+        assert not late.passed
+        assert late.measured == on_time.measured
+        assert late.table_rows == on_time.table_rows
+
+
+def _spy(monkeypatch, fn) -> list:
+    """Count calls of fn through every greenpot module that holds it."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "greenpot" or name.startswith("greenpot."))
+                and getattr(module, fn.__name__, None) is fn):
+            monkeypatch.setattr(module, fn.__name__, spy)
+    return calls
+
+
+class TestSharedFamily:
+    def test_each_instance_solved_once_per_pass(self, monkeypatch):
+        solves = _spy(monkeypatch, gauss.solve_gauss)
+        equilibria = _spy(monkeypatch, green.green_equilibrium)
+        results = verify.run_all(which=["2", "3", "4"])
+        assert all(r.passed for r in results)
+        assert len(solves) == 24
+        assert len(equilibria) == 24
+
+    def test_every_pass_builds_its_own_family(self, monkeypatch, tmp_path):
+        # each of the 24 instances builds one Green system
+        builds = _spy(monkeypatch, verify._green_from_parts)
+        blobs = []
+        for run in ("a", "b"):
+            results = verify.run_all(which=["2"])
+            assert len(builds) == 24 * (len(blobs) + 1)
+            verify.write_tables(results, str(tmp_path / run))
+            blobs.append((tmp_path / run / "tables" / "criterion_02.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestTableWriter:
