@@ -67,6 +67,11 @@ def _check_keys(obj, ctx: str, required=(), optional=()) -> None:
         raise ConfigError(f"{ctx}: unknown field(s) {unknown}")
 
 
+def _is_int(obj) -> bool:
+    """True for a JSON integer; true and false are not integers here."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _number(obj, ctx: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{ctx}: expected a number")
@@ -94,8 +99,9 @@ def _load_config(path: str) -> dict:
     if task not in TASKS:
         raise ConfigError(f"config.task: expected one of {list(TASKS)}, got {task!r}")
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"config.seed: expected an integer, got {seed!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(
+            f"config.seed: expected a non-negative integer, got {seed!r}")
     if not isinstance(raw.get("plots", True), bool):
         raise ConfigError(f"config.plots: expected true or false, got {raw['plots']!r}")
     return raw
@@ -196,13 +202,14 @@ def _predicate_mask(pred, ctx: str, points: np.ndarray,
             raise ConfigError(f"{ctx}.values: expected an array of indices")
         mask = np.zeros(n, dtype=bool)
         for v in vals:
-            if not isinstance(v, int) or not (0 <= v < n):
-                raise ConfigError(f"{ctx}.values: index {v!r} out of range 0..{n - 1}")
+            if not _is_int(v) or not (0 <= v < n):
+                raise ConfigError(
+                    f"{ctx}.values: expected an index in 0..{n - 1}, got {v!r}")
             mask[v] = True
         return mask
     if kind == "parts":
         vals = pred.get("values")
-        if not isinstance(vals, list) or not all(isinstance(v, int) for v in vals):
+        if not isinstance(vals, list) or not all(_is_int(v) for v in vals):
             raise ConfigError(f"{ctx}.values: expected an array of part numbers")
         return np.isin(part_ids, vals)
     if kind == "radius_band":
@@ -229,9 +236,8 @@ def _predicate_mask(pred, ctx: str, points: np.ndarray,
 class Scenario:
     """Everything a task runner needs, built from a parsed config."""
 
-    def __init__(self, cfg: dict, base_dir: str, seed: int):
+    def __init__(self, cfg: dict, base_dir: str):
         self.cfg = cfg
-        self.seed = seed
         self.alpha = None
         if "alpha" in cfg:
             self.alpha = _number(cfg["alpha"], "config.alpha")
@@ -270,7 +276,7 @@ class Scenario:
             elif "indices" in theta_spec:
                 idx = theta_spec["indices"]
                 if (not isinstance(idx, list) or len(idx) != weights.size
-                        or not all(isinstance(v, int) for v in idx)):
+                        or not all(_is_int(v) for v in idx)):
                     raise ConfigError(
                         "config.theta.indices: expected one index per weight")
                 for v, w in zip(idx, weights):
@@ -865,6 +871,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if args.seed is not None and args.seed < 0:
+        print(f"config error: --seed: expected a non-negative integer, "
+              f"got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     task = cfg["task"]
     if args.command == "verify-all":
         task = "verify-all"
@@ -887,7 +897,7 @@ def main(argv=None) -> int:
                 print("config error: --filter applies to verify-all only",
                       file=sys.stderr)
                 return EXIT_CONFIG
-            sc = Scenario(cfg, base_dir, seed)
+            sc = Scenario(cfg, base_dir)
             body = _RUNNERS[task](sc, art)
             report["alpha"] = sc.alpha
             report["sigma"] = sc.sigma

@@ -69,16 +69,14 @@ class PointSet:
         object.__setattr__(self, "cell_radius", rad)
 
     @classmethod
-    def from_points(cls, points, radius_factor: float = 1.0) -> "PointSet":
-        """Build with cell_radius = radius_factor * (half nearest-neighbor distance)."""
+    def from_points(cls, points) -> "PointSet":
+        """Build with cell_radius = half the nearest-neighbor distance."""
         pts = np.asarray(points, dtype=float)
-        if not 0 < radius_factor <= 1:
-            raise ValidationError("radius_factor must lie in (0, 1]")
         nn = nearest_neighbor_distances(pts)
         if not np.all(np.isfinite(nn)):
             raise ValidationError("a single-point cloud has no neighbor scale; "
                                   "pass explicit cell radii")
-        return cls(pts, radius_factor * nn / 2)
+        return cls(pts, nn / 2)
 
     @property
     def dim(self) -> int:

@@ -99,17 +99,14 @@ def _check_value_bounds(gs: GreenSystem, fld: ExternalField, w_value: float) -> 
             f"({lower_obs}, {lower_mass})")
 
 
-def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
-                check_uniqueness: bool = False) -> GaussSolution:
+def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
     """Minimize the functional over probability measures on f.
 
     The simplex solver's equality multiplier is the weighted equilibrium
     constant; it is cross-checked against the integral of the weighted
     potential against the minimizer, and the gap is reported. kkt.gap_bound
     bounds the squared Green distance to the true minimizer at no extra
-    cost; optionally the problem is also re-solved under a reversed index
-    order, and uniqueness_gap reports how far the two computed minimizers
-    lie apart.
+    cost.
     """
     if f is None:
         f = gs.cfg.f_indices
@@ -134,14 +131,7 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
         "theta_swept_mass": fld.theta_swept.total_mass,
         "c_cross_gap": abs(rec.multiplier - c_cross),
         "field_energy": field_energy,
-        "uniqueness_gap": None,
     }
-    if check_uniqueness:
-        perm = np.arange(f_pos.size)[::-1]
-        x2, _ = simplex_qp(G[np.ix_(perm, perm)], b[perm])
-        back = np.empty_like(x2)
-        back[perm] = x2
-        diagnostics["uniqueness_gap"] = float(np.max(np.abs(back - x)))
     w = np.zeros(gs.riesz_full.size)
     w[f] = x
     return GaussSolution(minimizer=DiscreteMeasure(w), w_value=w_value,
@@ -149,17 +139,15 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None,
                          diagnostics=diagnostics)
 
 
-def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
-    """Closed-form minimizer: swept charge plus a rescaled equilibrium measure.
+def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
+    """Closed-form minimizer on F: swept charge plus a rescaled equilibrium measure.
 
-    Valid when the charge swept onto f carries mass at most 1; the remaining
-    mass is supplied by the equilibrium measure of f scaled by the constant
+    Valid when the charge swept onto F carries mass at most 1; the remaining
+    mass is supplied by the equilibrium measure of F scaled by the constant
     c = (1 - swept mass) / capacity.
     """
-    if f is None:
-        f = gs.cfg.f_indices
-    f, f_pos = _f_positions(gs, f)
-    swept = _swept_charge(gs, fld, f)
+    f = gs.cfg.f_indices
+    swept = fld.theta_swept
     m = swept.total_mass
     if m > 1.0 + 1e-12:
         raise ValidationError(
@@ -167,8 +155,8 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
     c_g, gamma = green_equilibrium(gs, f)
     c = (1.0 - m) / c_g
     lam = swept.weights + c * gamma.weights
-    G, _ = gs.block_on(f)
-    b = -fld.field_values[f_pos]
+    G = gs.green_f.entries
+    b = -fld.field_values[gs.d_positions(f)]
     x = lam[f]
     Gx = G @ x
     u_wtd = Gx - b
@@ -188,35 +176,30 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolut
                                       "green_equilibrium_of_f": gamma})
 
 
-def dual_check(gs: GreenSystem, fld: ExternalField, f=None,
-               sol: GaussSolution | None = None) -> dict:
-    """Solve under the charge's field and under the swept charge's field.
+def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
+    """Solve on F under the swept charge's field and compare with sol.
 
-    In the continuum the two problems share minimizer, constant, and value;
-    the report carries the three observed gaps plus both solutions. A
-    primal solution already at hand for the same f may be passed as sol.
+    sol is the minimizer on F under the charge's own field. In the continuum
+    the two problems share minimizer, constant, and value; the report
+    carries the three observed gaps plus the swept-field solution.
     """
-    if f is None:
-        f = gs.cfg.f_indices
-    f, f_pos = _f_positions(gs, f)
-    primal = solve_gauss(gs, fld, f) if sol is None else sol
-    G, factor = gs.block_on(f)
-    b_dual = -fld.dual_field_values[f_pos]
+    f = gs.cfg.f_indices
+    G, factor = gs.green_f.entries, gs.green_f.factor
+    b_dual = -fld.dual_field_values[gs.d_positions(f)]
     # the two problems share their minimizer in the continuum
     x2, rec2 = simplex_qp(G, b_dual, factor=factor,
-                          start=_support_on(primal.minimizer, f))
+                          start=_support_on(sol.minimizer, f))
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     lam2 = np.zeros(gs.riesz_full.size)
     lam2[f] = x2
     dual = GaussSolution(minimizer=DiscreteMeasure(lam2), w_value=w2,
                          c_constant=rec2.multiplier, kkt=rec2,
                          diagnostics={"theta_swept_mass": fld.theta_swept.total_mass})
-    diff = gs.measure_on_d(primal.minimizer) - gs.measure_on_d(dual.minimizer)
+    diff = gs.measure_on_d(sol.minimizer) - gs.measure_on_d(dual.minimizer)
     return {
-        "w_gap": abs(primal.w_value - dual.w_value),
+        "w_gap": abs(sol.w_value - dual.w_value),
         "lambda_gap_norm": weight_norm(gs.green, diff),
-        "c_gap": abs(primal.c_constant - dual.c_constant),
-        "primal": primal,
+        "c_gap": abs(sol.c_constant - dual.c_constant),
         "dual": dual,
     }
 
@@ -229,9 +212,7 @@ class SweepReport:
     c_values: list
     swept_masses: list
     cauchy_norms: list
-    potential_gaps: list
     parallelogram: list
-    solutions: list
 
 
 def _nesting_direction(family) -> str:
@@ -274,12 +255,7 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
             if b > a + 1e-10:
                 raise InvariantError(f"constant rose along a growing family: {a} -> {b}")
     lam_ds = [gs.measure_on_d(s.minimizer) for s in sols]
-    u_last = gs.green.entries @ lam_ds[-1]
-    cauchy, gaps = [], []
-    for ld in lam_ds:
-        diff = ld - lam_ds[-1]
-        cauchy.append(weight_norm(gs.green, diff))
-        gaps.append(float(np.max(np.abs(gs.green.entries @ ld - u_last))))
+    cauchy = [weight_norm(gs.green, ld - lam_ds[-1]) for ld in lam_ds]
     para = []
     for i in range(len(sols)):
         for j in range(i + 1, len(sols)):
@@ -290,8 +266,7 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
     return SweepReport(direction=direction,
                        sizes=[int(np.asarray(m).size) for m in family],
                        w_values=w, c_values=c, swept_masses=masses,
-                       cauchy_norms=cauchy, potential_gaps=gaps,
-                       parallelogram=para, solutions=sols)
+                       cauchy_norms=cauchy, parallelogram=para)
 
 
 def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,

@@ -81,17 +81,9 @@ class GreenSystem:
             raise ValidationError("measure must be supported in D")
         return mu.weights[self.cfg.d_indices]
 
-    def lift_from_d(self, weights_on_d: np.ndarray) -> DiscreteMeasure:
-        w = np.zeros(self.riesz_full.size)
-        w[self.cfg.d_indices] = weights_on_d
-        return DiscreteMeasure(w)
 
-
-def build_green(cfg: DomainConfig, sigma: float = 1.0,
-                riesz_full: KernelMatrix | None = None) -> GreenSystem:
-    if riesz_full is None:
-        riesz_full = assemble_riesz(cfg.point_set, cfg.alpha, sigma)
-    K = riesz_full
+def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
+    K = assemble_riesz(cfg.point_set, cfg.alpha, sigma)
     d = cfg.d_indices
     y = cfg.y_indices
     # no solve reads a factor of either kernel: sweeps and strict targets

@@ -30,9 +30,10 @@ approximately (a swept charge, a companion problem's minimizer) starts
 there and solves fewer free sets. An interior minimizer costs one
 factorization from the full set, and none when either solver is handed the
 factor of its matrix, such as KernelMatrix.factor, which serves every free
-set holding every index. nonneg_qp accepts its first solve down to
+set holding every index. tol is RTOL times the larger of 1, max |b| and
+the largest diagonal entry; nonneg_qp accepts its first solve down to
 -10 tol. KKTRecord.iterations counts the free sets solved, one more than
-the number of pivots, and max_iter caps it.
+the number of pivots, and 40 m + 100 caps it for an m-index problem.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from .core import SolverError
 # Whole-set exchanges allowed without a new low in the infeasible count
 # before the single-index backup rule takes over.
 BLOCK_RETRIES = 3
+# Relative feasibility tolerance of both solvers (see _scale_tol).
+RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,7 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     return x, c, float(np.min(z))
 
 
-def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
-           simplex: bool, factor=None,
+def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
            start: np.ndarray | None = None) -> tuple[np.ndarray, float, float, int]:
     """Block principal pivoting (see the module docstring).
 
@@ -137,8 +139,7 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
     solve, and the number of free sets solved.
     """
     m = b.size
-    if max_iter is None:
-        max_iter = 40 * m + 100
+    max_iter = 40 * m + 100
     if start is None or len(start) == 0:
         free = np.ones(m, dtype=bool)
     else:
@@ -167,8 +168,7 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None,
     raise SolverError(f"{problem} failed to converge in {max_iter} pivots")
 
 
-def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
-              max_iter: int | None = None, *,
+def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
               factor=None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A.
 
@@ -182,9 +182,8 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
         raise SolverError(f"matrix shape {A.shape} does not match rhs size {m}")
     if m == 0:
         return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
-    tol = _scale_tol(b, np.diag(A), rtol)
-    x, _, min_raw, iters = _pivot(A, b, tol, max_iter, simplex=False,
-                                  factor=factor)
+    tol = _scale_tol(b, np.diag(A), RTOL)
+    x, _, min_raw, iters = _pivot(A, b, tol, simplex=False, factor=factor)
     return x, _nonneg_record(A, b, x, min_raw, iters, tol)
 
 
@@ -202,8 +201,7 @@ def _nonneg_record(A, b, x, min_raw, iters, tol) -> KKTRecord:
                      tolerance=tol)
 
 
-def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
-               max_iter: int | None = None, *, factor=None,
+def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, factor=None,
                start=None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize x'Gx - 2 b'x over the probability simplex for SPD G.
 
@@ -228,9 +226,9 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
         start = np.asarray(start, dtype=int)
         if start.size and (start.min() < 0 or start.max() >= m):
             raise SolverError(f"start positions outside 0..{m - 1}")
-    tol = _scale_tol(b, np.diag(G), rtol)
-    x, c, ymin, iters = _pivot(G, b, tol, max_iter, simplex=True,
-                               factor=factor, start=start)
+    tol = _scale_tol(b, np.diag(G), RTOL)
+    x, c, ymin, iters = _pivot(G, b, tol, simplex=True, factor=factor,
+                               start=start)
     return x, _simplex_record(G, b, x, c, ymin, iters, tol)
 
 

@@ -261,7 +261,7 @@ class TestGaussTask:
         assert cli.main(["run", gauss_config(tmp_path), "--out", out]) == 0
         res = read_report(out)["results"]
         assert res["kkt"]["gap_bound"] >= 0.0
-        assert res["diagnostics"]["uniqueness_gap"] is None
+        assert "uniqueness_gap" not in res["diagnostics"]
 
     def test_frostman_excess_reported(self, tmp_path):
         # both routes to the Green equilibrium of F: the closed form's and,
@@ -344,7 +344,7 @@ class TestGaussTask:
         assert rep["results"]["theta_swept_mass"] > 1.0
         assert not rep["results"]["representation"]["applicable"]
         with open(path) as fh:
-            sc = cli.Scenario(json.load(fh), str(tmp_path), 0)
+            sc = cli.Scenario(json.load(fh), str(tmp_path))
         cfg = sc.domain()
         c_g, _ = green_equilibrium(build_green(cfg, sc.sigma), cfg.f_indices)
         assert rep["results"]["diagnostics"]["green_capacity_of_f"] == c_g
@@ -538,6 +538,41 @@ class TestErrorPaths:
         assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
         assert "config.seed" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("raw,flag", [
+        ({"seed": -20}, []), ({}, ["--seed", "-8"])])
+    def test_negative_seed(self, tmp_path, capsys, raw, flag):
+        # the suite's generators cannot use a negative seed: a config error,
+        # not a failed check
+        cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["2"],
+                                      **raw})
+        out = str(tmp_path / "out")
+        assert cli.main(["verify-all", cfg, "--out", out, *flag]) == cli.EXIT_CONFIG
+        assert "non-negative" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind,values", [
+        ("indices", [True]), ("indices", [False]), ("parts", [True])])
+    def test_boolean_region_values(self, tmp_path, capsys, kind, values):
+        # JSON true is not the index 1; it used to select every point
+        cfg = write_config(tmp_path, {
+            "task": "capacity", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "sphere_shell",
+                                    "params": {"count": 40}}]},
+            "target": {"kind": kind, "values": values}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "config.target.values" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_boolean_theta_index(self, tmp_path, capsys):
+        cloud = hand_cloud(tmp_path)
+        cfg = write_config(tmp_path, {
+            "task": "sweep", "alpha": 2.0, "geometry": {"csv": cloud},
+            "theta": {"indices": [True], "weights": [1.0]},
+            "target": {"kind": "indices", "values": [0]}})
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "config.theta.indices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("plots", ["false", 0, None])
     def test_non_boolean_plots(self, tmp_path, capsys, plots):

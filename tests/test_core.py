@@ -17,16 +17,6 @@ class TestPointSet:
         assert ps.dim == 3
         assert len(ps) == 2
 
-    def test_radius_factor_shrinks_cells(self):
-        ps = PointSet.from_points(two_point_cloud(), radius_factor=0.5)
-        assert np.allclose(ps.cell_radius, [0.25, 0.25])
-
-    def test_radius_factor_out_of_range(self):
-        with pytest.raises(ValidationError):
-            PointSet.from_points(two_point_cloud(), radius_factor=0.0)
-        with pytest.raises(ValidationError):
-            PointSet.from_points(two_point_cloud(), radius_factor=1.5)
-
     def test_explicit_radius_above_half_spacing_rejected(self):
         with pytest.raises(ValidationError):
             PointSet(two_point_cloud(), np.array([0.6, 0.5]))

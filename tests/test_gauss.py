@@ -56,11 +56,11 @@ class TestExternalField:
 class TestSolveGauss:
     def test_hand_minimizer(self):
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld, check_uniqueness=True)
+        sol = solve_gauss(gs, fld)
         assert np.allclose(sol.minimizer.weights, [0.6, 0.4, 0.0], atol=1e-12)
         assert sol.c_constant == pytest.approx(0.9, abs=1e-12)
         assert sol.w_value == pytest.approx(0.28, abs=1e-12)
-        assert sol.diagnostics["uniqueness_gap"] <= 1e-12
+        assert 0.0 <= sol.kkt.gap_bound <= 1e-12
         assert sol.diagnostics["c_cross_gap"] <= 1e-12
         c_g, _ = green_equilibrium(gs, [0, 1])
         assert c_g == pytest.approx(2.0 / 3.0, rel=1e-13)
@@ -149,29 +149,12 @@ class TestExplicitSolution:
 class TestDualCheck:
     def test_hand_instance_gaps_vanish(self):
         gs, fld = field_system()
-        rep = dual_check(gs, fld)
+        rep = dual_check(gs, fld, solve_gauss(gs, fld))
         assert rep["w_gap"] <= 1e-12
         assert rep["lambda_gap_norm"] <= 1e-7
         assert rep["c_gap"] <= 1e-12
         assert np.allclose(rep["dual"].minimizer.weights, [0.6, 0.4, 0.0],
                            atol=1e-10)
-
-    def test_passed_solution_gives_identical_gaps(self):
-        pts = np.vstack([geometry.sphere_shell(60, 1.0),
-                         geometry.sphere_shell(20, 0.5), [[0.3, 0.2, 1.9]]])
-        cfg = DomainConfig(point_set=PointSet.from_points(pts),
-                           d_indices=np.arange(81),
-                           y_indices=np.array([], dtype=int),
-                           f_indices=np.arange(60), alpha=2.0)
-        gs = build_green(cfg)
-        fld = external_field(gs, DiscreteMeasure.from_dict(81, {80: 0.6}))
-        sol = solve_gauss(gs, fld, check_uniqueness=True)
-        fresh = dual_check(gs, fld)
-        reused = dual_check(gs, fld, sol=sol)
-        assert reused["primal"] is sol
-        for key in ("w_gap", "lambda_gap_norm", "c_gap"):
-            assert reused[key] == fresh[key]
-        assert fresh["w_gap"] > 0.0
 
 
 class TestLambdaClass:
