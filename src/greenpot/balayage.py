@@ -32,17 +32,19 @@ class SweepResiduals:
 
 @dataclass(frozen=True)
 class BalayageResult:
+    """A swept measure and its diagnostics; tolerance is the projection
+    solve's feasibility tolerance (0 when the input is returned unchanged)."""
+
     swept: DiscreteMeasure
     mass_in: float
     mass_out: float
     kkt_residuals: SweepResiduals
     algorithm: str
     active_set_size: int
-    path_discrepancy: float | None = None
-    warning: str | None = None
+    tolerance: float
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "weights": {int(i): float(self.swept.weights[i]) for i in self.swept.support},
             "mass_in": self.mass_in,
             "mass_out": self.mass_out,
@@ -54,11 +56,6 @@ class BalayageResult:
             "algorithm": self.algorithm,
             "active_set_size": self.active_set_size,
         }
-        if self.path_discrepancy is not None:
-            out["path_discrepancy"] = self.path_discrepancy
-        if self.warning is not None:
-            out["warning"] = self.warning
-        return out
 
 
 def _domination_excess(K: KernelMatrix, x_on_q: np.ndarray, q: np.ndarray,
@@ -90,7 +87,7 @@ def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
         res = SweepResiduals(0.0, 0.0, 0.0)
         return BalayageResult(swept=xi, mass_in=xi.total_mass, mass_out=xi.total_mass,
                               kkt_residuals=res, algorithm="identity",
-                              active_set_size=int(xi.support.size))
+                              active_set_size=int(xi.support.size), tolerance=0.0)
     u_in = potential(K, xi)
     x, rec = nonneg_qp(K.block(q), u_in[q])
     res = SweepResiduals(
@@ -104,7 +101,8 @@ def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
     return BalayageResult(swept=DiscreteMeasure(w), mass_in=xi.total_mass,
                           mass_out=float(x.sum()), kkt_residuals=res,
                           algorithm=algorithm,
-                          active_set_size=int(np.count_nonzero(x)))
+                          active_set_size=int(np.count_nonzero(x)),
+                          tolerance=rec.tolerance)
 
 
 def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:

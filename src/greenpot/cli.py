@@ -34,8 +34,7 @@ from .gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
 from .green import build_green, frostman_excess, green_equilibrium
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
-from .riesz import (assemble_riesz, capacity, equilibrium_measure, potential,
-                    weight_norm)
+from .riesz import assemble_riesz, capacity, equilibrium_measure, potential
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,12 +42,16 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_INVARIANT = 5
 
+# Tolerance of the reported first-order, unit-potential and symmetrization
+# invariants.
+RESIDUAL_TOL = 1e-8
+
 TASKS = ("kernel", "capacity", "equilibrium", "sweep", "green", "gauss",
          "truncation", "exhaustion", "support", "verify-all")
 
 _TOP_KEYS_REQ = ("task",)
 _TOP_KEYS_OPT = ("alpha", "sigma", "dim", "geometry", "regions", "theta",
-                 "family", "window", "target", "tolerances", "output_dir",
+                 "family", "window", "target", "output_dir",
                  "seed", "criteria", "plots")
 
 
@@ -242,12 +245,6 @@ class Scenario:
         if "alpha" in cfg:
             self.alpha = _number(cfg["alpha"], "config.alpha")
         self.sigma = _number(cfg.get("sigma", 1.0), "config.sigma")
-        tol = cfg.get("tolerances", {})
-        _check_keys(tol, "config.tolerances", (), ("residual", "adjacency_factor"))
-        self.residual_tol = _number(tol.get("residual", 1e-8),
-                                    "config.tolerances.residual")
-        self.adjacency_factor = _number(tol.get("adjacency_factor", 1.5),
-                                        "config.tolerances.adjacency_factor")
 
         geo_points, self.part_ids, radii = _build_cloud(cfg, base_dir)
         self.n_geometry = len(geo_points)
@@ -290,7 +287,9 @@ class Scenario:
         points = np.vstack([geo_points, theta_rows]) if len(theta_rows) \
             else geo_points
         if "dim" in cfg:
-            want = int(_number(cfg["dim"], "config.dim"))
+            want = cfg["dim"]
+            if not _is_int(want):
+                raise ConfigError(f"config.dim: expected an integer, got {want!r}")
             if want != points.shape[1]:
                 raise ValidationError(
                     f"config.dim = {want} but the cloud is {points.shape[1]}-dimensional")
@@ -534,7 +533,7 @@ def _run_capacity(sc: Scenario, art: Artifacts) -> dict:
         "invariants": [
             _at_most("unit_mass", abs(mu.total_mass - 1.0), 1e-12),
             _at_most("potential_at_least_energy_on_target",
-                     float(energy - u[target].min()), sc.residual_tol * energy),
+                     float(energy - u[target].min()), RESIDUAL_TOL * energy),
         ],
         "hypotheses": [],
     }
@@ -557,9 +556,9 @@ def _run_equilibrium(sc: Scenario, art: Artifacts) -> dict:
             "potential_min_on_target": float(u[target].min()),
         },
         "invariants": [
-            _at_most("unit_potential_on_support", dev, sc.residual_tol),
+            _at_most("unit_potential_on_support", dev, RESIDUAL_TOL),
             _at_most("potential_at_least_one_on_target",
-                     float(1.0 - u[target].min()), sc.residual_tol),
+                     float(1.0 - u[target].min()), RESIDUAL_TOL),
         ],
         "hypotheses": [],
     }
@@ -578,7 +577,7 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
     return {
         "results": body,
         "invariants": [
-            _at_most("projection_first_order_conditions", worst, sc.residual_tol),
+            _at_most("projection_first_order_conditions", worst, RESIDUAL_TOL),
             _at_most("mass_not_increased", float(res.mass_out - res.mass_in), 1e-10),
         ],
         "hypotheses": [
@@ -615,7 +614,7 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
         "results": body,
         "invariants": [
             _at_most("symmetrization_residual", gs.asymmetry_residual,
-                     sc.residual_tol),
+                     RESIDUAL_TOL),
             {"name": "entries_between_zero_and_riesz", "value": body["entry_min"],
              "tolerance": 1e-10, "passed": body["entry_min"] >= -1e-10},
             _POSITIVE_DEFINITE,
@@ -640,8 +639,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
         exp = explicit_solution(gs, fld)
         c_g = exp.diagnostics["green_capacity_of_f"]
         gamma = exp.diagnostics["green_equilibrium_of_f"]
-        diff = gs.measure_on_d(lam) - gs.measure_on_d(exp.minimizer)
-        rep["lambda_gap_norm"] = weight_norm(gs.green, diff)
+        rep["lambda_gap_norm"] = gs.distance(lam, exp.minimizer)
         rep["c_gap"] = abs(sol.c_constant - exp.c_constant)
         dual = dual_check(gs, fld, sol=sol)
         rep["dual_w_gap"] = dual["w_gap"]
@@ -674,9 +672,9 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
         "invariants": [
             _at_most("unit_mass", kkt.mass_error, 1e-12),
             _at_most("stationarity_on_support", kkt.support_residual,
-                     sc.residual_tol),
+                     RESIDUAL_TOL),
             _at_most("no_descent_off_support", kkt.off_support_slack,
-                     sc.residual_tol),
+                     RESIDUAL_TOL),
         ],
         "hypotheses": [
             {"name": "charge_separated_from_f", "status": "checked",
@@ -753,7 +751,7 @@ def _run_exhaustion(sc: Scenario, art: Artifacts) -> dict:
 def _run_support(sc: Scenario, art: Artifacts) -> dict:
     cfg, gs, fld = _field_system(sc)
     sol = solve_gauss(gs, fld)
-    desc = support_descriptor(sol, cfg, adjacency_factor=sc.adjacency_factor)
+    desc = support_descriptor(sol, cfg)
     _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices,
                    sol.minimizer, "minimizer support")
     return {

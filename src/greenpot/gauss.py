@@ -20,8 +20,11 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, ValidationErro
                    _index_array, nearest_neighbor_distances,
                    validate_field_separation)
 from .green import GreenSystem, green_equilibrium, green_sweep
-from .riesz import weight_norm
-from .solvers import KKTRecord, simplex_qp
+from .solvers import KKTRecord, _simplex_record, simplex_qp
+
+# An F-point is boundary when an Omega-point lies within this many of its
+# nearest-F-neighbour spacings; Omega-points connect under the same rule.
+ADJACENCY_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,7 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
         "c_cross_gap": abs(rec.multiplier - c_cross),
         "field_energy": field_energy,
     }
-    w = np.zeros(gs.riesz_full.size)
-    w[f] = x
-    return GaussSolution(minimizer=DiscreteMeasure(w), w_value=w_value,
+    return GaussSolution(minimizer=gs.lift(x, f), w_value=w_value,
                          c_constant=rec.multiplier, kkt=rec,
                          diagnostics=diagnostics)
 
@@ -158,19 +159,10 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
     G = gs.green_f.entries
     b = -fld.field_values[gs.d_positions(f)]
     x = lam[f]
-    Gx = G @ x
-    u_wtd = Gx - b
-    on = x > 0
-    support_residual = float(np.max(np.abs(u_wtd[on] - c))) if np.any(on) else 0.0
-    off_slack = float(max(0.0, np.max(c - u_wtd[~on]))) if np.any(~on) else 0.0
-    kkt = KKTRecord(support_residual=support_residual,
-                    off_support_slack=off_slack,
-                    min_weight=float(min(np.min(x), 0.0)),
-                    mass_error=abs(float(x.sum()) - 1.0),
-                    multiplier=c, iterations=0, tolerance=0.0)
-    w_value = float(x @ Gx - 2.0 * (b @ x))
+    w_value = float(x @ (G @ x) - 2.0 * (b @ x))
     return GaussSolution(minimizer=DiscreteMeasure(lam), w_value=w_value,
-                         c_constant=c, kkt=kkt,
+                         c_constant=c,
+                         kkt=_simplex_record(G, b, x, c, np.min(x), 0, 0.0),
                          diagnostics={"theta_swept_mass": m,
                                       "green_capacity_of_f": c_g,
                                       "green_equilibrium_of_f": gamma})
@@ -190,15 +182,12 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
     x2, rec2 = simplex_qp(G, b_dual, factor=factor,
                           start=_support_on(sol.minimizer, f))
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
-    lam2 = np.zeros(gs.riesz_full.size)
-    lam2[f] = x2
-    dual = GaussSolution(minimizer=DiscreteMeasure(lam2), w_value=w2,
+    dual = GaussSolution(minimizer=gs.lift(x2, f), w_value=w2,
                          c_constant=rec2.multiplier, kkt=rec2,
                          diagnostics={"theta_swept_mass": fld.theta_swept.total_mass})
-    diff = gs.measure_on_d(sol.minimizer) - gs.measure_on_d(dual.minimizer)
     return {
         "w_gap": abs(sol.w_value - dual.w_value),
-        "lambda_gap_norm": weight_norm(gs.green, diff),
+        "lambda_gap_norm": gs.distance(sol.minimizer, dual.minimizer),
         "c_gap": abs(sol.c_constant - dual.c_constant),
         "dual": dual,
     }
@@ -254,8 +243,8 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
         for a, b in zip(c, c[1:]):
             if b > a + 1e-10:
                 raise InvariantError(f"constant rose along a growing family: {a} -> {b}")
+    cauchy = [gs.distance(s.minimizer, sols[-1].minimizer) for s in sols]
     lam_ds = [gs.measure_on_d(s.minimizer) for s in sols]
-    cauchy = [weight_norm(gs.green, ld - lam_ds[-1]) for ld in lam_ds]
     para = []
     for i in range(len(sols)):
         for j in range(i + 1, len(sols)):
@@ -295,7 +284,6 @@ def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,
         swept = _swept_charge(gs, fld, member_arr)
         lam = sol.minimizer
         lam_d = gs.measure_on_d(lam)
-        diff = lam_d - gs.measure_on_d(swept)
         supp = lam.support
         radius = float(np.max(np.linalg.norm(pts[supp], axis=1))) if supp.size else 0.0
         c_xi = float(lam_d @ (gs.green.entries @ lam_d) + fld.field_values @ lam_d)
@@ -306,17 +294,16 @@ def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,
             "swept_mass": swept.total_mass,
             "window_mass": float(lam.weights[window].sum()),
             "support_radius": radius,
-            "dist_to_swept": weight_norm(gs.green, diff),
+            "dist_to_swept": gs.distance(lam, swept),
             "extremal_energy": c_xi,
         })
     return {"window_size": int(window.size), "stages": rows}
 
 
-def support_descriptor(sol: GaussSolution, cfg: DomainConfig,
-                       adjacency_factor: float = 1.5) -> dict:
+def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
     """Split the minimizer's mass between the boundary layer of F and its interior.
 
-    An F-point is boundary when some Omega-point sits within adjacency_factor
+    An F-point is boundary when some Omega-point sits within ADJACENCY_FACTOR
     times its spacing to the nearest other F-point. The report also records
     whether the Omega cloud is graph-connected under the same rule, since the
     support predictions assume a connected field region.
@@ -328,7 +315,7 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig,
     spacing = nearest_neighbor_distances(f_pts)
     omega_tree = cKDTree(pts[omega])
     d_to_omega, _ = omega_tree.query(f_pts, k=1)
-    boundary_mask = d_to_omega <= adjacency_factor * spacing
+    boundary_mask = d_to_omega <= ADJACENCY_FACTOR * spacing
     w_f = sol.minimizer.weights[f]
     total = float(w_f.sum())
     boundary_mass = float(w_f[boundary_mask].sum())
@@ -341,7 +328,7 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig,
         o_tree = cKDTree(omega_pts)
         rows_i, rows_j = [], []
         for i in range(omega.size):
-            for j in o_tree.query_ball_point(omega_pts[i], adjacency_factor * o_spacing[i]):
+            for j in o_tree.query_ball_point(omega_pts[i], ADJACENCY_FACTOR * o_spacing[i]):
                 if j != i:
                     rows_i.append(i)
                     rows_j.append(j)
@@ -357,5 +344,5 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig,
         "support_radius": radius,
         "omega_connected": bool(n_comp == 1),
         "omega_components": int(n_comp),
-        "adjacency_factor": adjacency_factor,
+        "adjacency_factor": ADJACENCY_FACTOR,
     }

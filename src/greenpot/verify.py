@@ -193,8 +193,7 @@ def criterion_2(family: list[dict]) -> tuple:
     rows = []
     for inst in family:
         gs, sol, exp = inst["gs"], inst["sol"], inst["exp"]
-        diff = gs.measure_on_d(sol.minimizer) - gs.measure_on_d(exp.minimizer)
-        rel = (weight_norm(gs.green, diff)
+        rel = (gs.distance(sol.minimizer, exp.minimizer)
                / max(weight_norm(gs.green, gs.measure_on_d(sol.minimizer)), 1e-300))
         c_gap = abs(sol.c_constant - exp.c_constant)
         inst_ok = (inst["full_sweep"] and inst["full_eq"]
@@ -381,8 +380,7 @@ def criterion_7(seed: int = 0) -> tuple:
             gs, DiscreteMeasure.from_dict(n, {i_theta: 1.0 / m_hat}))
         sol = solve_gauss(gs, fld_s, member)
         swept = green_sweep(gs, fld_s.theta, member).swept
-        diff = gs.measure_on_d(sol.minimizer) - gs.measure_on_d(swept)
-        gap = weight_norm(gs.green, diff)
+        gap = gs.distance(sol.minimizer, swept)
         gaps.append(gap)
         rows.append(("charge_unit_swept", stage, member.size, gap,
                      swept.total_mass, sol.c_constant))
@@ -450,7 +448,8 @@ def _sweep_algebra(run, norm, xi, whole, part) -> dict:
     """Idempotence, composition, mass and contraction of one sweep operator.
 
     run(mu, target, force_projection=...) sweeps mu onto target and norm(mu)
-    is mu's energy norm; part lies inside whole.
+    is mu's energy norm; part lies inside whole. "sweeps" lists each sweep
+    as (input, target, result).
     """
     full = run(xi, whole)
     again = run(full.swept, whole, force_projection=True)
@@ -463,8 +462,21 @@ def _sweep_algebra(run, norm, xi, whole, part) -> dict:
                           and sub.mass_out <= full.mass_out + 1e-10),
         "contraction": norm(full.swept) <= norm(xi) + 1e-10,
         "sets_differ": not np.array_equal(comp.swept.support, sub.swept.support),
-        "warned": any(r.warning is not None for r in (full, sub, comp, again)),
+        "sweeps": [(xi, whole, full), (full.swept, whole, again),
+                   (xi, part, sub), (full.swept, part, comp)],
     }
+
+
+def _riesz_route_gap(gs, mu, f, res) -> float:
+    """Worst weight gap on the sorted target f between res, mu's Green sweep
+    onto f, and the part on f of mu's Riesz sweep onto f and Y jointly.
+
+    The Green kernel is perfect, so the two routes agree in the continuum;
+    on a sample the gap measures the Y-sampling error.
+    """
+    joint = np.union1d(f, gs.cfg.y_indices)
+    alt = sweep(gs.riesz_full, mu, joint).swept.weights[f]
+    return float(np.max(np.abs(alt - res.swept.weights[f])))
 
 
 def criterion_9(seed: int = 0) -> tuple:
@@ -513,8 +525,11 @@ def criterion_9(seed: int = 0) -> tuple:
                     or not r["mass_monotone"] or not g["mass_monotone"]
                     or not r["contraction"] or not g["contraction"]
                     or (not comp_ok and not sets_differ))
-        # the Riesz sweep never warns; the Green sweep flags route disagreement
-        warn_inst = r["warned"] or g["warned"] or (not comp_ok and sets_differ)
+        # a Green sweep warns when it drifts from the Riesz route
+        route_warned = any(_riesz_route_gap(gs, mu, target, res)
+                           > 10 * max(res.tolerance, 1e-14)
+                           for mu, target, res in g["sweeps"])
+        warn_inst = route_warned or (not comp_ok and sets_differ)
         rows.append((f"inst{inst:02d}", alpha, n_q, n_src,
                      r["idempotence"], g["idempotence"],
                      r["composition"], g["composition"],

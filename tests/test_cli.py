@@ -635,6 +635,26 @@ class TestErrorPaths:
         assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("dim", [3.7, 3.0])
+    def test_non_integer_dim(self, tmp_path, capsys, dim):
+        # a non-integer dim used to be truncated, so 3.7 ran as a 3-d cloud
+        cloud = hand_cloud(tmp_path)
+        cfg = write_config(tmp_path, {
+            "task": "kernel", "alpha": 2.0, "dim": dim,
+            "geometry": {"csv": cloud}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "config.dim" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_tolerances_block_is_unknown(self, tmp_path, capsys):
+        # the residual tolerance and adjacency factor are fixed constants
+        cfg = gauss_config(tmp_path, {"tolerances": {"residual": 1e-8}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "tolerances" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_charge_on_target_is_validation_error(self, tmp_path):
         cfg = gauss_config(tmp_path)
         raw = json.loads(open(cfg).read())

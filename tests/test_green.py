@@ -15,6 +15,7 @@ from greenpot.green import (build_green, frostman_excess, green_equilibrium,
                             green_sweep)
 from greenpot.riesz import assemble_riesz, make_kernel
 from greenpot.solvers import nonneg_qp
+from greenpot.verify import _riesz_route_gap
 
 
 def line_system():
@@ -119,12 +120,15 @@ class TestBuild:
         assert gs.riesz_full.factor is None and K.factor is not None
         assert gs.riesz_full.entries.tobytes() == K.entries.tobytes()
         assert gs.green.factor is None
-        # the cross-route sweep reads riesz_full
+        # the Riesz-route cross-check reads riesz_full
         mu = DiscreteMeasure.from_dict(K.size, {81: 1.0})
-        res = green_sweep(gs, mu, range(80))
-        res_kept = green_sweep(replace(gs, riesz_full=K), mu, range(80))
+        f = np.arange(80)
+        kept = replace(gs, riesz_full=K)
+        res = green_sweep(gs, mu, f)
+        res_kept = green_sweep(kept, mu, f)
         assert res.swept.weights.tobytes() == res_kept.swept.weights.tobytes()
-        assert res.path_discrepancy == res_kept.path_discrepancy
+        assert (_riesz_route_gap(gs, mu, f, res)
+                == _riesz_route_gap(kept, mu, f, res_kept))
 
     def test_entries_between_zero_and_riesz(self):
         gs = enclosure_system()
@@ -171,7 +175,7 @@ class TestGreenSweep:
         mu = DiscreteMeasure.from_dict(3, {0: 0.7})
         res = green_sweep(gs, mu, [0])
         assert res.algorithm == "identity"
-        assert res.path_discrepancy == 0.0
+        assert res.tolerance == 0.0
         assert np.array_equal(res.swept.weights, mu.weights)
 
     def test_forced_projection_is_fixed_point(self):
@@ -187,18 +191,35 @@ class TestGreenSweep:
         gs = enclosure_system()
         mu = DiscreteMeasure.from_dict(len(gs.cfg.point_set), {82: 1.0})
         res = green_sweep(gs, mu, gs.cfg.f_indices)
-        assert res.warning is None
-        assert res.path_discrepancy <= 1e-10
+        assert _riesz_route_gap(gs, mu, gs.cfg.f_indices, res) <= 1e-10
 
     def test_interior_source_flags_sampling_error(self):
         # a charge enclosed by F feels the Y-discretization through the
         # symmetrized Green matrix but not through the joint Riesz sweep, so
-        # the two routes drift apart and the result must say so
+        # the two routes drift apart past check 9's warning threshold
         gs = enclosure_system()
         mu = DiscreteMeasure.from_dict(len(gs.cfg.point_set), {80: 1.0})
         res = green_sweep(gs, mu, gs.cfg.f_indices)
-        assert res.warning == "path-disagreement"
-        assert res.path_discrepancy > 1e-8
+        gap = _riesz_route_gap(gs, mu, gs.cfg.f_indices, res)
+        assert gap > 1e-8
+        assert gap > 10 * max(res.tolerance, 1e-14)
+
+    def test_nonempty_y_solves_one_problem(self, monkeypatch):
+        # the Riesz route is check 9's cross-check; the sweep itself solves
+        # the Green problem on f alone
+        gs = enclosure_system()
+        mu = DiscreteMeasure.from_dict(len(gs.cfg.point_set), {81: 1.0})
+        calls = []
+
+        def counting(A, b, **kwargs):
+            calls.append(A.shape[0])
+            return nonneg_qp(A, b, **kwargs)
+
+        monkeypatch.setattr(greenpot.green, "nonneg_qp", counting)
+        monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
+        res = green_sweep(gs, mu, gs.cfg.f_indices)
+        assert calls == [gs.cfg.f_indices.size]
+        assert res.algorithm != "identity"
 
     def test_enclosed_charge_keeps_most_mass(self):
         gs = enclosure_system()
@@ -212,8 +233,8 @@ class TestGreenSweep:
             green_sweep(gs, DiscreteMeasure.from_dict(3, {1: 1.0}), [])
 
     def test_empty_y_skips_identical_cross_route(self, monkeypatch):
-        # with Y empty the Riesz route poses the very same QP, so only the
-        # Green route is solved and the discrepancy reads 0
+        # with Y empty the Green form is the Riesz form on D: one solve, and
+        # the same projection as the Riesz sweep
         pts = np.vstack([geometry.sphere_shell(40, 1.0), [[0.0, 0.0, 1.7]]])
         cfg = DomainConfig(point_set=PointSet.from_points(pts),
                            d_indices=np.arange(41),
@@ -231,8 +252,6 @@ class TestGreenSweep:
         monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
         res = green_sweep(gs, mu, cfg.f_indices)
         assert calls == [40]
-        assert res.path_discrepancy == 0.0
-        assert res.warning is None
         riesz = sweep(gs.riesz_full, mu, cfg.f_indices)
         assert np.allclose(res.swept.weights, riesz.swept.weights,
                            rtol=0, atol=1e-13)
