@@ -78,6 +78,13 @@ def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
     is found by the nonnegative solver, whose plain-solve fast path covers
     targets swept with full support.
     """
+    return _sweep(K, xi, q, force_projection, lambda q: (K.block(q), None))
+
+
+def _sweep(K: KernelMatrix, xi: DiscreteMeasure, q, force_projection: bool,
+           block_on) -> BalayageResult:
+    """sweep, where block_on maps the sorted target q to K's block on q and
+    that block's Cholesky factor or None; it is called only to solve."""
     q = _index_array(q, K.size, "q")
     if q.size == 0:
         raise ValidationError("sweep target must be nonempty")
@@ -89,7 +96,8 @@ def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
                               kkt_residuals=res, algorithm="identity",
                               active_set_size=int(xi.support.size), tolerance=0.0)
     u_in = potential(K, xi)
-    x, rec = nonneg_qp(K.block(q), u_in[q])
+    A, factor = block_on(q)
+    x, rec = nonneg_qp(A, u_in[q], factor=factor)
     res = SweepResiduals(
         equality_on_support=rec.support_residual,
         inequality_on_target=rec.off_support_slack,
@@ -106,29 +114,27 @@ def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
 
 
 def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
-    """Matrix whose column k is the swept unit point mass at the k-th source.
+    """The |q| x |sources| block W whose column k is the swept unit point mass
+    at the k-th source, restricted to the target q.
 
-    Sources follow sorted, deduplicated order. Sources inside the target keep
-    their unit column. The remaining columns come from one shared
-    factorization of the target block; any column the plain solve leaves
-    negative is recomputed by cone projection on a fresh copy of the block.
+    Sources and target follow sorted, deduplicated order and must be
+    disjoint. The columns come from one shared factorization of the target
+    block; any column the plain solve leaves negative is recomputed by cone
+    projection on a fresh copy of the block.
     """
     sources = _index_array(sources, K.size, "sources")
     q = _index_array(q, K.size, "q")
     if q.size == 0:
         raise ValidationError("sweep target must be nonempty")
-    B = np.zeros((K.size, sources.size))
-    inside = np.isin(sources, q)
-    for k in np.where(inside)[0]:
-        B[sources[k], k] = 1.0
-    outside = np.where(~inside)[0]
-    if outside.size == 0:
-        return B
+    if np.isin(sources, q).any():
+        raise ValidationError("sources and sweep target must be disjoint")
+    if sources.size == 0:
+        return np.zeros((q.size, 0))
     # the block is exactly symmetric, so its transpose is the Fortran-ordered
     # copy LAPACK would otherwise make, and is factored in place
     block = cho_factor(K.block(q).T, lower=False, overwrite_a=True,
                        check_finite=False)
-    rhs = K.block(q, sources[outside])
+    rhs = K.block(q, sources)
     W = cho_solve(block, rhs, check_finite=False)
     del block  # the block now holds the factor; free it before any fallback
     neg_tol = 1e-11 * max(1.0, float(np.max(rhs)))
@@ -137,5 +143,6 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
         A = K.block(q)
         for col in negative:
             W[:, col], _ = nonneg_qp(A, rhs[:, col])
-    B[np.ix_(q, outside)] = np.maximum(W, 0.0)
-    return B
+    # cho_solve leaves W Fortran-ordered; BLAS rounds a product differently
+    # by operand layout, and the Green outputs are pinned to a C-ordered W
+    return np.maximum(W, 0.0, order="C")

@@ -107,6 +107,10 @@ def _load_config(path: str) -> dict:
             f"config.seed: expected a non-negative integer, got {seed!r}")
     if not isinstance(raw.get("plots", True), bool):
         raise ConfigError(f"config.plots: expected true or false, got {raw['plots']!r}")
+    out_dir = raw.get("output_dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(
+            f"config.output_dir: expected a nonempty path string, got {out_dir!r}")
     return raw
 
 
@@ -129,7 +133,10 @@ def _build_part(spec, ctx: str) -> np.ndarray:
         inspect.signature(fn).bind(**params)
     except TypeError as exc:
         raise ConfigError(f"{ctx}.params: {exc}")
-    pts = np.asarray(fn(**params), dtype=float)
+    try:
+        pts = np.asarray(fn(**params), dtype=float)
+    except TypeError as exc:
+        raise ConfigError(f"{ctx}.params: {exc}")
     if pts.ndim != 2 or not len(pts):
         raise ConfigError(f"{ctx}: generator produced no points")
     if "scale" in spec:
@@ -608,7 +615,7 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
               gs.green.entries)
     if cfg.y_indices.size:
         art.table("dirac_sweep_to_y.csv", [f"source{k}" for k in range(n_d)],
-                  gs.dirac_sweep_to_y[cfg.y_indices])
+                  gs.dirac_sweep_to_y)
     body = _green_report(gs)
     return {
         "results": body,

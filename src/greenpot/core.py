@@ -35,6 +35,13 @@ def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
     return d[:, 1]
 
 
+def _check_points(pts: np.ndarray) -> None:
+    if pts.ndim != 2 or pts.shape[1] < 2:
+        raise ValidationError("points must be an (m, n) array with n >= 2")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("point coordinates must be finite")
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Finite cloud in R^n with a positive cell radius per point.
@@ -50,8 +57,7 @@ class PointSet:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         rad = np.asarray(self.cell_radius, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] < 2:
-            raise ValidationError("points must be an (m, n) array with n >= 2")
+        _check_points(pts)
         if rad.shape != (len(pts),):
             raise ValidationError("cell_radius must have one entry per point")
         if not np.all(rad > 0):
@@ -72,6 +78,7 @@ class PointSet:
     def from_points(cls, points) -> "PointSet":
         """Build with cell_radius = half the nearest-neighbor distance."""
         pts = np.asarray(points, dtype=float)
+        _check_points(pts)
         nn = nearest_neighbor_distances(pts)
         if not np.all(np.isfinite(nn)):
             raise ValidationError("a single-point cloud has no neighbor scale; "

@@ -17,11 +17,10 @@ import numpy as np
 
 from .core import (DiscreteMeasure, DomainConfig, InvariantError, SolverError,
                    ValidationError, _index_array)
-from .balayage import (BalayageResult, SweepResiduals, _domination_excess,
-                       dirac_sweep_matrix)
+from .balayage import BalayageResult, _sweep, dirac_sweep_matrix
 from .riesz import (KernelMatrix, _simplex_minimum, assemble_riesz, make_kernel,
                     weight_norm)
-from .solvers import _cholesky, nonneg_qp
+from .solvers import _cholesky
 
 ENTRY_TOL = 1e-10
 
@@ -31,7 +30,8 @@ class GreenSystem:
     """Green kernel on the D-points plus the Riesz system it came from.
 
     The green matrix is indexed by position within cfg.d_indices;
-    dirac_sweep_to_y column k is the swept unit mass for the k-th D-point.
+    dirac_sweep_to_y is the |Y| x |D| block whose column k is the swept unit
+    mass for the k-th D-point, row j its weight at the j-th Y-point.
     Neither kernel keeps a factor: every solve over all of F starts from
     green_f's, and every other target is factored by its solver.
     """
@@ -66,7 +66,7 @@ class GreenSystem:
             raise SolverError(f"Green block on F of size {entries.shape[0]} "
                               f"is not positive definite: {exc}") from exc
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
-                            kind="green", factor=factor)
+                            factor=factor)
 
     def block_on(self, f: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         """Green block on the sorted target f within D, and its factor if f is F."""
@@ -104,18 +104,15 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
         # a principal block of the checked SPD K is exactly symmetric and SPD
         # (Cauchy interlacing); the solvers' own Cholesky still raises
         # SolverError. A D of every point shares K's entries.
-        if d.size == K.size:
-            green = replace(riesz, kind="green")
-        else:
-            green = KernelMatrix(K.block(d), K.alpha, K.dim, kind="green")
+        green = riesz if d.size == K.size else KernelMatrix(K.block(d), K.alpha, K.dim)
         return GreenSystem(cfg=cfg, riesz_full=riesz, green=green,
-                           dirac_sweep_to_y=np.zeros((K.size, d.size)),
+                           dirac_sweep_to_y=np.zeros((0, d.size)),
                            asymmetry_residual=0.0)
-    B = dirac_sweep_matrix(K, d, y)
+    W = dirac_sweep_matrix(K, d, y)
     # the product's (j, i) entry is the potential at x_j of the swept unit
     # mass at x_i; one gathered K_d serves raw and the Riesz bound below
     K_d = K.block(d)
-    raw = K_d - (K.block(d, y) @ B[y, :]).T
+    raw = K_d - (K.block(d, y) @ W).T
     # one fresh buffer holds |raw - raw.T| and then (raw + raw.T) / 2
     entries = np.subtract(raw, raw.T)
     np.abs(entries, out=entries)
@@ -128,47 +125,27 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
             f"Green entries reach {low}; complement sampling is too coarse")
     if float(np.max(entries - K_d)) > ENTRY_TOL:
         raise InvariantError("Green entries exceed the Riesz entries")
-    green = replace(make_kernel(entries, K.alpha, K.dim, kind="green"),
-                    factor=None)
+    green = replace(make_kernel(entries, K.alpha, K.dim), factor=None)
     return GreenSystem(cfg=cfg, riesz_full=riesz, green=green,
-                       dirac_sweep_to_y=B, asymmetry_residual=asym)
+                       dirac_sweep_to_y=W, asymmetry_residual=asym)
 
 
 def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
                 force_projection: bool = False) -> BalayageResult:
     """Project mu in the Green quadratic form onto measures carried by f.
 
-    The Green kernel is perfect, so this equals sweeping mu onto f and Y
-    jointly in the Riesz form and keeping the part on f; check 9 measures
-    that agreement, and this function solves the Green problem alone. A
-    measure already carried by f is returned unchanged unless
+    This is the balayage sweep on the Green kernel over D, lifted back to
+    the cloud; a sweep onto all of F solves on green_f and its factor. The Green
+    kernel is perfect, so this equals sweeping mu onto f and Y jointly in
+    the Riesz form and keeping the part on f; check 9 measures that
+    agreement. A measure already carried by f is returned unchanged unless
     force_projection re-runs the solver on it.
     """
     f = _index_array(f, gs.riesz_full.size, "f")
-    if f.size == 0:
-        raise ValidationError("sweep target must be nonempty")
     f_pos = gs.d_positions(f)
-    w_d = gs.measure_on_d(mu)
-    if not force_projection and np.isin(mu.support, f).all():
-        res = SweepResiduals(0.0, 0.0, 0.0)
-        return BalayageResult(swept=mu, mass_in=mu.total_mass,
-                              mass_out=mu.total_mass, kkt_residuals=res,
-                              algorithm="identity",
-                              active_set_size=int(mu.support.size),
-                              tolerance=0.0)
-    G = gs.green
-    u_in = G.entries @ w_d
-    A, factor = gs.block_on(f)
-    x, rec = nonneg_qp(A, u_in[f_pos], factor=factor)
-    res = SweepResiduals(equality_on_support=rec.support_residual,
-                         inequality_on_target=rec.off_support_slack,
-                         domination_off_target=_domination_excess(G, x, f_pos, u_in))
-    algorithm = "direct-solve" if rec.iterations == 1 else "cone-projection"
-    return BalayageResult(swept=gs.lift(x, f), mass_in=mu.total_mass,
-                          mass_out=float(x.sum()), kkt_residuals=res,
-                          algorithm=algorithm,
-                          active_set_size=int(np.count_nonzero(x)),
-                          tolerance=rec.tolerance)
+    res = _sweep(gs.green, DiscreteMeasure(gs.measure_on_d(mu)), f_pos,
+                 force_projection, lambda _: gs.block_on(f))
+    return replace(res, swept=gs.lift(res.swept.weights[f_pos], f))
 
 
 def green_equilibrium(gs: GreenSystem, f) -> tuple[float, DiscreteMeasure]:

@@ -28,15 +28,14 @@ _TILE = 128
 class KernelMatrix:
     """Symmetric positive definite kernel matrix with parameter metadata.
 
-    kind is "riesz" or "green". factor is the Cholesky factor of entries in
-    the solvers' (c, lower) form, such as the one make_kernel's check
-    computed, or None; it takes no part in comparisons or the repr.
+    factor is the Cholesky factor of entries in the solvers' (c, lower)
+    form, such as the one make_kernel's check computed, or None; it takes no
+    part in comparisons or the repr.
     """
 
     entries: np.ndarray
     alpha: float
     dim: int
-    kind: str = "riesz"
     factor: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -49,8 +48,7 @@ class KernelMatrix:
         return self.entries[np.ix_(rows, cols)]
 
 
-def make_kernel(entries: np.ndarray, alpha: float, dim: int,
-                kind: str = "riesz") -> KernelMatrix:
+def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
     """Validate symmetry and positive definiteness, then wrap the matrix.
 
     The Cholesky factor that certifies definiteness is kept as K.factor.
@@ -72,7 +70,7 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int,
                 "kernel matrix failed the positive-definiteness check; "
                 f"cells are too coarse for this sampling ({exc})") from exc
     return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim),
-                        kind=kind, factor=factor)
+                        factor=factor)
 
 
 def _exactly_symmetric(a: np.ndarray) -> bool:
@@ -108,7 +106,7 @@ def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatr
         cdist(ps.points[i:i + _TILE], ps.points, out=dist[i:i + _TILE])
     np.fill_diagonal(dist, sigma * ps.cell_radius)
     dist **= alpha - n
-    return make_kernel(dist, alpha, n, kind="riesz")
+    return make_kernel(dist, alpha, n)
 
 
 def potential(K: KernelMatrix, mu: DiscreteMeasure) -> np.ndarray:

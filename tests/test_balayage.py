@@ -12,7 +12,7 @@ def hand_kernel():
     entries = np.array([[2.0, 1.0, 1.0],
                         [1.0, 2.0, 0.5],
                         [1.0, 0.5, 2.0]])
-    return make_kernel(entries, 2.0, 3, "riesz")
+    return make_kernel(entries, 2.0, 3)
 
 
 class TestSweep:
@@ -95,21 +95,28 @@ class TestSweep:
 
 
 class TestDiracMatrix:
-    def test_source_in_target_keeps_unit_column(self):
+    def test_source_in_target_rejected(self):
         K = hand_kernel()
-        B = dirac_sweep_matrix(K, [0, 2], [0, 1])
-        assert np.array_equal(B[:, 0], [1.0, 0.0, 0.0])
-        assert np.allclose(B[:, 1], [0.5, 0.0, 0.0], atol=1e-12)
+        with pytest.raises(ValidationError, match="disjoint"):
+            dirac_sweep_matrix(K, [0, 2], [0, 1])
+
+    def test_returns_c_ordered_block_on_target(self):
+        K = hand_kernel()
+        W = dirac_sweep_matrix(K, [2], [0, 1])
+        assert W.shape == (2, 1) and W.flags.c_contiguous
+        assert np.allclose(W[:, 0], [0.5, 0.0], atol=1e-12)
+        assert dirac_sweep_matrix(K, [], [0, 1]).shape == (2, 0)
 
     def test_superposition_matches_individual_sweeps(self):
         rng = np.random.default_rng(14)
         ps = PointSet.from_points(rng.uniform(-1, 1, size=(10, 3)))
         K = assemble_riesz(ps, 2.0)
         q = [0, 1, 2, 3, 4]
-        B = dirac_sweep_matrix(K, [7, 8, 9], q)
+        W = dirac_sweep_matrix(K, [7, 8, 9], q)
+        assert W.shape == (len(q), 3) and W.flags.c_contiguous
         for col, src in enumerate([7, 8, 9]):
             one = sweep(K, DiscreteMeasure.from_dict(10, {src: 1.0}), q)
-            assert np.allclose(B[:, col], one.swept.weights, atol=1e-9)
+            assert np.allclose(W[:, col], one.swept.weights[q], atol=1e-9)
 
     def test_negative_plain_solve_falls_back_to_cone_projection(self, monkeypatch):
         # at seed 0 the plain solve leaves the last source's column negative;
@@ -126,13 +133,13 @@ class TestDiracMatrix:
             return real(A, b, *args, **kwargs)
 
         monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
-        B = dirac_sweep_matrix(K, sources, q)
+        W = dirac_sweep_matrix(K, sources, q)
         assert len(operands) == 1
         assert np.array_equal(operands[0], K.block(q))
-        assert np.count_nonzero(B[q, 3]) < q.size
+        assert np.count_nonzero(W[:, 3]) < q.size
         for col, src in enumerate(sources):
             one = sweep(K, DiscreteMeasure.from_dict(12, {src: 1.0}), q)
-            assert np.max(np.abs(B[:, col] - one.swept.weights)) <= 1e-12
+            assert np.max(np.abs(W[:, col] - one.swept.weights[q])) <= 1e-12
 
 
 class TestHarmonicMeasure:

@@ -599,6 +599,68 @@ class TestErrorPaths:
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert "wobble" in capsys.readouterr().err
 
+    def test_generator_param_of_wrong_type(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "task": "kernel", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "sphere_shell",
+                                    "params": {"count": "a"}}]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "config.geometry.parts[0].params" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_generator_validation_error_keeps_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "task": "kernel", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "box_grid",
+                                    "params": {"lo": [1, 0, 0], "hi": [0, 1, 1],
+                                               "spacing": 0.5}}]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "lo < hi" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("output_dir", [5, True, ["x"], ""],
+                             ids=["int", "bool", "list", "empty"])
+    def test_output_dir_must_be_a_path(self, tmp_path, capsys, monkeypatch,
+                                       output_dir):
+        cloud = hand_cloud(tmp_path)
+        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
+                                      "geometry": {"csv": cloud},
+                                      "output_dir": output_dir})
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert "config.output_dir" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cloud.csv", "config.json"]
+
+    @pytest.mark.parametrize("part", [
+        {"scale": float("nan")},
+        {"offset": [float("inf"), 0.0, 0.0]},
+        {"params": {"count": 10, "radius": float("nan")}}],
+        ids=["scale", "offset", "params"])
+    def test_non_finite_part_is_validation_error(self, tmp_path, capsys, part):
+        # Python's json reads NaN and Infinity
+        spec = {"generator": "sphere_shell", "params": {"count": 10}, **part}
+        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
+                                      "geometry": {"parts": [spec]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("text", [
+        "0,0,0\n1,nan,0\n",
+        "x0,x1,x2,cell_radius\n0,0,0,0.25\n1,nan,0,0.25\n"],
+        ids=["coordinates", "with_radii"])
+    def test_non_finite_csv_is_validation_error(self, tmp_path, capsys, text):
+        (tmp_path / "cloud.csv").write_text(text)
+        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
+                                      "geometry": {"csv": "cloud.csv"}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_predicate_stray_field(self, tmp_path):
         cfg = write_config(tmp_path, {
             "task": "capacity", "alpha": 2.0,

@@ -242,7 +242,7 @@ class TestSolvesOverF:
         f_pos = gs.d_positions(gs.cfg.f_indices)
         assert gs.green_f is gs.green_f
         assert gs.green_f.entries.tobytes() == gs.green.block(f_pos).tobytes()
-        assert gs.green_f.kind == "green" and gs.green_f.factor is not None
+        assert gs.green_f.factor is not None
 
     # the first charge leaves every solve on its first free set; under the
     # second the sweep and both Gauss solves pivot

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import greenpot.balayage
-import greenpot.green
 import greenpot.riesz
 import greenpot.solvers
 from greenpot import geometry
@@ -56,9 +55,8 @@ class TestBuild:
         expected = np.array([[2.0 - 1.0 / 9.0, 1.0 - 1.0 / 6.0],
                              [1.0 - 1.0 / 6.0, 2.0 - 0.25]])
         assert np.allclose(gs.green.entries, expected, atol=1e-15)
-        assert gs.green.kind == "green"
         assert gs.asymmetry_residual == 0.0
-        assert np.allclose(gs.dirac_sweep_to_y[2], [1.0 / 3.0, 0.5],
+        assert np.allclose(gs.dirac_sweep_to_y[0], [1.0 / 3.0, 0.5],
                            atol=1e-15)
 
     def test_empty_y_degenerates_to_riesz(self):
@@ -70,7 +68,7 @@ class TestBuild:
         gs = build_green(cfg)
         K = assemble_riesz(ps, 2.0)
         assert np.array_equal(gs.green.entries, K.entries)
-        assert not gs.dirac_sweep_to_y.any()
+        assert gs.dirac_sweep_to_y.shape == (0, 3)
         assert gs.asymmetry_residual == 0.0
 
     def test_empty_y_block_is_checked_once(self, monkeypatch):
@@ -93,7 +91,6 @@ class TestBuild:
         assert sizes == [31]
         K_d = gs.riesz_full.block(cfg.d_indices)
         assert gs.green.entries.tobytes() == K_d.tobytes()
-        assert gs.green.kind == "green"
 
     def test_empty_y_whole_cloud_shares_the_riesz_matrix(self):
         # with Y empty and D every point the Green matrix is the Riesz one:
@@ -106,7 +103,7 @@ class TestBuild:
         gs = build_green(cfg)
         assert np.shares_memory(gs.green.entries, gs.riesz_full.entries)
         assert gs.green.factor is None and gs.riesz_full.factor is None
-        assert gs.green.kind == "green" and gs.riesz_full.kind == "riesz"
+        assert gs.green is gs.riesz_full
         cap, _ = green_equilibrium(gs, np.arange(31))
         cap_ref, _ = greenpot.riesz.capacity(gs.riesz_full, np.arange(31))
         assert cap == cap_ref
@@ -215,11 +212,29 @@ class TestGreenSweep:
             calls.append(A.shape[0])
             return nonneg_qp(A, b, **kwargs)
 
-        monkeypatch.setattr(greenpot.green, "nonneg_qp", counting)
         monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
         res = green_sweep(gs, mu, gs.cfg.f_indices)
         assert calls == [gs.cfg.f_indices.size]
         assert res.algorithm != "identity"
+
+    @pytest.mark.parametrize("y_empty,strict", [(False, False), (False, True),
+                                                (True, False), (True, True)])
+    def test_is_the_sweep_on_the_green_kernel(self, y_empty, strict):
+        # onto all of F the core starts from green_f's factor, which equals
+        # the one the solver computes for the block, so the bytes agree
+        gs = enclosure_system(n_f=40)
+        if y_empty:
+            gs = build_green(replace(gs.cfg, y_indices=np.array([], dtype=int)))
+        f = gs.cfg.f_indices[::2] if strict else gs.cfg.f_indices
+        mu = DiscreteMeasure.from_dict(len(gs.cfg.point_set), {41: 1.0, 42: 0.5})
+        res = green_sweep(gs, mu, f)
+        f_pos = gs.d_positions(f)
+        ref = sweep(gs.green, DiscreteMeasure(gs.measure_on_d(mu)), f_pos)
+        assert res.algorithm == ref.algorithm != "identity"
+        assert res.swept.weights[f].tobytes() == ref.swept.weights[f_pos].tobytes()
+        assert not np.delete(res.swept.weights, f).any()
+        # the masses, residuals, active-set size and tolerance match exactly
+        assert replace(res, swept=ref.swept) == ref
 
     def test_enclosed_charge_keeps_most_mass(self):
         gs = enclosure_system()
@@ -248,7 +263,6 @@ class TestGreenSweep:
             calls.append(A.shape[0])
             return nonneg_qp(A, b, **kwargs)
 
-        monkeypatch.setattr(greenpot.green, "nonneg_qp", counting)
         monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
         res = green_sweep(gs, mu, cfg.f_indices)
         assert calls == [40]
@@ -294,7 +308,7 @@ class TestMaximumPrinciples:
                            y_indices=np.array([], dtype=int),
                            f_indices=np.array([0, 2]), alpha=2.0)
         G = make_kernel(np.array([[2.0, 1.9, 0.5], [1.9, 4.0, 1.9],
-                                  [0.5, 1.9, 2.0]]), 2.0, 3, "green")
+                                  [0.5, 1.9, 2.0]]), 2.0, 3)
         gs = replace(build_green(cfg), green=G)
         ends = DiscreteMeasure.from_dict(3, {0: 1.0, 2: 1.0})
         assert frostman_excess(gs, ends) == pytest.approx(1.3, abs=1e-14)

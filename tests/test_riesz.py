@@ -18,7 +18,7 @@ from greenpot.solvers import _cholesky, nonneg_qp
 
 
 def kernel_2x2(entries, alpha=2.0, dim=3):
-    return make_kernel(np.array(entries, dtype=float), alpha, dim, "riesz")
+    return make_kernel(np.array(entries, dtype=float), alpha, dim)
 
 
 class TestAssembly:
@@ -71,11 +71,11 @@ class TestAssembly:
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(SolverError):
-            make_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0, 3, "riesz")
+            make_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0, 3)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError):
-            make_kernel(np.array([[2.0, 1.0], [0.5, 2.0]]), 2.0, 3, "riesz")
+            make_kernel(np.array([[2.0, 1.0], [0.5, 2.0]]), 2.0, 3)
 
     def test_scaling_law(self):
         # dilating the cloud by s scales every entry by s^(alpha - n)
@@ -156,7 +156,7 @@ class TestPotentialAndEnergy:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 10))
         M = rng.normal(size=(m, m))
-        K = make_kernel(M @ M.T + m * np.eye(m), 2.0, 3, "riesz")
+        K = make_kernel(M @ M.T + m * np.eye(m), 2.0, 3)
         mu = rng.uniform(size=m)
         nu = rng.uniform(size=m)
         lhs = abs(float(mu @ (K.entries @ nu)))
@@ -181,7 +181,7 @@ class TestCapacity:
     def test_brute_force_grid(self):
         rng = np.random.default_rng(6)
         M = rng.normal(size=(3, 3))
-        K = make_kernel(M @ M.T + 3 * np.eye(3), 2.0, 3, "riesz")
+        K = make_kernel(M @ M.T + 3 * np.eye(3), 2.0, 3)
         c, mu = capacity(K, [0, 1, 2])
         best = np.inf
         steps = 150
@@ -199,7 +199,7 @@ class TestCapacity:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 9))
         M = rng.normal(size=(m, m))
-        K = make_kernel(M @ M.T + m * np.eye(m), 2.0, 3, "riesz")
+        K = make_kernel(M @ M.T + m * np.eye(m), 2.0, 3)
         k = int(rng.integers(1, m))
         small = list(range(k))
         big = list(range(m))
@@ -232,7 +232,7 @@ class TestEquilibrium:
     def test_mass_equals_capacity(self):
         rng = np.random.default_rng(8)
         M = rng.normal(size=(6, 6))
-        K = make_kernel(M @ M.T + 6 * np.eye(6), 2.0, 3, "riesz")
+        K = make_kernel(M @ M.T + 6 * np.eye(6), 2.0, 3)
         c, _ = capacity(K, range(6))
         gamma = equilibrium_measure(K, range(6))
         assert gamma.total_mass == pytest.approx(c, abs=1e-10)

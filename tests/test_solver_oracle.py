@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenpot.balayage
 import greenpot.gauss
-import greenpot.green
 from greenpot import geometry, solvers
 from greenpot.core import DiscreteMeasure, DomainConfig, PointSet, SolverError
 from greenpot.gauss import external_field, solve_gauss
@@ -229,7 +229,7 @@ def test_pivot_bound_on_ball_and_collar(monkeypatch):
             return x, rec
         return wrapped
 
-    monkeypatch.setattr(greenpot.green, "nonneg_qp", spy(nonneg_qp))
+    monkeypatch.setattr(greenpot.balayage, "nonneg_qp", spy(nonneg_qp))
     monkeypatch.setattr(greenpot.gauss, "simplex_qp", spy(simplex_qp))
     gs = build_green(cfg)
     fld = external_field(gs, DiscreteMeasure.from_dict(n, {n - 1: 0.5}))
