@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import DiscreteMeasure, ValidationError, _index_array
+from .core import DiscreteMeasure, SolverError, ValidationError, _index_array
 from .riesz import KernelMatrix, potential
 from .solvers import nonneg_qp
 
@@ -132,8 +132,12 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
         return np.zeros((q.size, 0))
     # the block is exactly symmetric, so its transpose is the Fortran-ordered
     # copy LAPACK would otherwise make, and is factored in place
-    block = cho_factor(K.block(q).T, lower=False, overwrite_a=True,
-                       check_finite=False)
+    try:
+        block = cho_factor(K.block(q).T, lower=False, overwrite_a=True,
+                           check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"sweep target block of size {q.size} is not "
+                          f"positive definite: {exc}") from exc
     rhs = K.block(q, sources)
     W = cho_solve(block, rhs, check_finite=False)
     del block  # the block now holds the factor; free it before any fallback

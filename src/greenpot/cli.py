@@ -310,7 +310,6 @@ class Scenario:
         self.point_set = (PointSet(points, radii) if radii is not None
                           else PointSet.from_points(points))
         self.theta_entries = theta_entries
-        self.theta_row_count = len(theta_rows)
 
     # -- region helpers -----------------------------------------------------
 
@@ -409,10 +408,11 @@ class Artifacts:
                                            dir=self.out_dir)
         return self._stage
 
-    def _dir(self, sub: str) -> str:
-        path = os.path.join(self.stage, sub)
-        os.makedirs(path, exist_ok=True)
-        return path
+    def _path(self, listing: list, sub: str, name: str) -> str:
+        """Stage path of sub/name, which is added to listing."""
+        os.makedirs(os.path.join(self.stage, sub), exist_ok=True)
+        listing.append(os.path.join(sub, name))
+        return os.path.join(self.stage, sub, name)
 
     def commit(self) -> None:
         """Move the staged files into out_dir, replacing files of the same name.
@@ -436,25 +436,17 @@ class Artifacts:
             except OSError:
                 pass
 
-    def table(self, name: str, header, rows) -> str:
-        path = os.path.join(self._dir("tables"), name)
-        write_csv(path, header, rows)
-        self.tables.append(os.path.join("tables", name))
-        return path
+    def table(self, name: str, header, rows) -> None:
+        write_csv(self._path(self.tables, "tables", name), header, rows)
 
     def line(self, name: str, series, title, xlabel, ylabel, logy=False) -> None:
-        if not self.want_plots:
-            return
-        path = os.path.join(self._dir("plots"), name)
-        line_plot(path, series, title, xlabel, ylabel, logy=logy)
-        self.plots.append(os.path.join("plots", name))
+        if self.want_plots:
+            line_plot(self._path(self.plots, "plots", name), series, title,
+                      xlabel, ylabel, logy=logy)
 
     def scatter(self, name: str, xy, values, title) -> None:
-        if not self.want_plots:
-            return
-        path = os.path.join(self._dir("plots"), name)
-        scatter_plot(path, xy, values, title)
-        self.plots.append(os.path.join("plots", name))
+        if self.want_plots:
+            scatter_plot(self._path(self.plots, "plots", name), xy, values, title)
 
 
 def _write_measure(art: Artifacts, ps: PointSet, name: str, indices: np.ndarray,
@@ -594,19 +586,6 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
     }
 
 
-def _green_report(gs) -> dict:
-    G = gs.green.entries
-    return {
-        "f_size": int(gs.cfg.f_indices.size),
-        "y_size": int(gs.cfg.y_indices.size),
-        "d_size": int(gs.cfg.d_indices.size),
-        "alpha": gs.cfg.alpha,
-        "asymmetry_residual": gs.asymmetry_residual,
-        "entry_min": float(G.min()),
-        "diagonal_min": float(np.diag(G).min()),
-    }
-
-
 def _run_green(sc: Scenario, art: Artifacts) -> dict:
     cfg = sc.domain()
     gs = build_green(cfg, sc.sigma)
@@ -616,14 +595,20 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
     if cfg.y_indices.size:
         art.table("dirac_sweep_to_y.csv", [f"source{k}" for k in range(n_d)],
                   gs.dirac_sweep_to_y)
-    body = _green_report(gs)
+    G = gs.green.entries
+    entry_min = float(G.min())
     return {
-        "results": body,
+        "results": {
+            "f_size": int(cfg.f_indices.size), "y_size": int(cfg.y_indices.size),
+            "d_size": int(n_d), "alpha": cfg.alpha,
+            "asymmetry_residual": gs.asymmetry_residual,
+            "entry_min": entry_min, "diagonal_min": float(np.diag(G).min()),
+        },
         "invariants": [
             _at_most("symmetrization_residual", gs.asymmetry_residual,
                      RESIDUAL_TOL),
-            {"name": "entries_between_zero_and_riesz", "value": body["entry_min"],
-             "tolerance": 1e-10, "passed": body["entry_min"] >= -1e-10},
+            {"name": "entries_between_zero_and_riesz", "value": entry_min,
+             "tolerance": 1e-10, "passed": entry_min >= -1e-10},
             _POSITIVE_DEFINITE,
         ],
         "hypotheses": [
@@ -805,9 +790,13 @@ def _run_verify_all(cfg: dict, art: Artifacts, seed: int,
         results = verify.run_all(seed=seed, which=which)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    names = verify.write_tables(results, art.stage)
-    art.tables.extend(os.path.join("tables", n) for n in names)
-    _verify_plots(results, art)
+    for name, header, rows in verify.tables(results):
+        art.table(name, header, rows)
+    for r in results:
+        plot = verify.PLOTS.get(r.cid)
+        series = plot.series(r) if plot else []
+        if series:
+            art.line(plot.file, series, *plot.labels, logy=plot.logy)
     body = {
         "criteria": [
             {"id": r.cid, "title": r.title, "passed": r.passed,
@@ -822,36 +811,6 @@ def _run_verify_all(cfg: dict, art: Artifacts, seed: int,
                              for r in results]})
     code = EXIT_OK if body["all_passed"] else EXIT_INVARIANT
     return body, code
-
-
-def _verify_plots(results, art: Artifacts) -> None:
-    for r in results:
-        if r.cid == "5":
-            pts = [(float(row[1]), float(row[3])) for row in r.table_rows
-                   if row[0] == "half_space_kernel"]
-            if pts:
-                art.line("half_space_error.svg",
-                         [("max relative error", [p[0] for p in pts],
-                           [p[1] for p in pts])],
-                         "half-space kernel error under densification",
-                         "reflecting cloud size", "relative error", logy=True)
-        if r.cid == "7":
-            pts = [(float(row[1]), float(row[3])) for row in r.table_rows
-                   if row[0] == "charge_0.5"]
-            if pts:
-                art.line("window_mass.svg",
-                         [("window mass", [p[0] for p in pts],
-                           [p[1] for p in pts])],
-                         "mass left in the first window, charge 0.5",
-                         "stage", "mass")
-        if r.cid == "6":
-            pts = [(float(row[1]), float(row[2]), float(row[3]))
-                   for row in r.table_rows if row[0] == "grow"]
-            if pts:
-                art.line("truncation_values.svg",
-                         [("w", [p[0] for p in pts], [p[1] for p in pts]),
-                          ("c", [p[0] for p in pts], [p[2] for p in pts])],
-                         "values along growing truncations", "size", "value")
 
 
 def main(argv=None) -> int:

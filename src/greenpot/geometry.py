@@ -16,14 +16,22 @@ from .core import PointSet, ValidationError
 _GOLDEN = np.pi * (1 + 5 ** 0.5)
 
 
+def _integer(count) -> int:
+    """count as an int; a bool or a value of a non-integer type raises TypeError."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise TypeError(f"count must be an integer, got {count!r}")
+    return int(count)
+
+
 def box_grid(lo, hi, spacing: float) -> np.ndarray:
     """Uniform grid on an axis-aligned box, endpoints included."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ValidationError("box_grid needs lo < hi componentwise")
-    if spacing <= 0:
-        raise ValidationError("spacing must be positive")
+    if (lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi))
+            or np.any(hi <= lo)):
+        raise ValidationError("box_grid needs finite lo < hi componentwise")
+    if not 0 < spacing < np.inf:
+        raise ValidationError("spacing must be positive and finite")
     axes = [np.arange(a, b + spacing / 2, spacing) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -32,6 +40,7 @@ def box_grid(lo, hi, spacing: float) -> np.ndarray:
 def sphere_shell(count: int, radius: float = 1.0, center=(0.0, 0.0, 0.0),
                  rotate: float = 0.0) -> np.ndarray:
     """Fibonacci-spiral sample of a sphere surface in R^3."""
+    count = _integer(count)
     if count < 1:
         raise ValidationError("count must be >= 1")
     i = np.arange(count) + 0.5
@@ -45,6 +54,7 @@ def sphere_shell(count: int, radius: float = 1.0, center=(0.0, 0.0, 0.0),
 def spherical_cap(count: int, cos_half_angle: float, radius: float = 1.0,
                   rotate: float = 0.0) -> np.ndarray:
     """Fibonacci sample of the cap {angle from +z <= arccos(cos_half_angle)}."""
+    count = _integer(count)
     if not -1.0 < cos_half_angle < 1.0:
         raise ValidationError("cos_half_angle must lie in (-1, 1)")
     i = np.arange(count) + 0.5
@@ -114,8 +124,12 @@ def plane_rings(ring_start: float, ring_max: float, ratio: float,
     ring, the radial gap and the in-ring spacing agree at every ring, so cells
     stay isotropic from the center out to ring_max.
     """
-    if ratio <= 1:
-        raise ValidationError("ratio must exceed 1")
+    if not 1 < ratio < np.inf:
+        raise ValidationError("ratio must exceed 1 and be finite")
+    # any other start or end would leave the ring loop running forever
+    if not (0 < ring_start < np.inf and np.isfinite(ring_max)):
+        raise ValidationError("ring_start must be positive and finite, "
+                              "ring_max finite")
     per_ring = max(6, int(round(2 * np.pi / (ratio - 1))))
     parts = [np.array([[0.0, 0.0, z]])]
     r = ring_start
@@ -132,6 +146,7 @@ def plane_rings(ring_start: float, ring_max: float, ratio: float,
 def circle_ring(count: int, radius: float = 1.0, center=(0.0, 0.0),
                 rotate: float = 0.0) -> np.ndarray:
     """Evenly spaced points on a circle in R^2."""
+    count = _integer(count)
     th = 2 * np.pi * np.arange(count) / count + rotate
     pts = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
     return pts + np.asarray(center, dtype=float)

@@ -155,9 +155,9 @@ def green_equilibrium(gs: GreenSystem, f) -> tuple[float, DiscreteMeasure]:
         raise ValidationError("equilibrium target must be nonempty")
     if np.array_equal(f, gs.cfg.f_indices):
         # sorted distinct positions covering green_f: its whole-kernel path
-        energy, x, _ = _simplex_minimum(gs.green_f, np.arange(f.size))
+        energy, x = _simplex_minimum(gs.green_f, np.arange(f.size))
     else:
-        energy, x, _ = _simplex_minimum(gs.green, gs.d_positions(f))
+        energy, x = _simplex_minimum(gs.green, gs.d_positions(f))
     return 1.0 / energy, gs.lift(x / energy, f)
 
 

@@ -36,7 +36,11 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+_QUOTED = frozenset(',"\r\n')
+
+
 def csv_cell(v) -> str:
+    """One CSV cell; text with a comma, quote or line break is quoted (RFC 4180)."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
@@ -45,25 +49,34 @@ def csv_cell(v) -> str:
         return str(int(v))
     if v is None:
         return ""
-    return str(v)
+    s = str(v)
+    if _QUOTED.isdisjoint(s):
+        return s
+    return '"' + s.replace('"', '""') + '"'
+
+
+def csv_lines(header, rows):
+    """The newline-ended lines of a CSV table, yielded one row at a time.
+
+    rows is an iterable of rows of cells, or a 2-D float array, formatted
+    from its Python floats by one %-format string per row: "%.17g" gives the
+    bytes csv_cell gives each entry, and an integral entry below 2**53 the
+    bytes it gives the integer.
+    """
+    yield ",".join(csv_cell(h) for h in header) + "\n"
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for row in rows.tolist():
+            yield fmt % tuple(row)
+    else:
+        for row in rows:
+            yield ",".join(csv_cell(v) for v in row) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
-    """One line per row; rows is an iterable of rows of cells, or a 2-D float array.
-
-    A float array is formatted from its Python floats one row at a time, by
-    one %-format string per row; "%.17g" gives the bytes csv_cell gives each
-    entry, and an integral entry below 2**53 the bytes it gives the integer.
-    """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        fmt = ",".join(["%.17g"] * rows.shape[1])
-        lines = (fmt % tuple(row) for row in rows.tolist())
-    else:
-        lines = (",".join(csv_cell(v) for v in row) for row in rows)
+    """Write csv_lines(header, rows) to path, streaming row by row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(str(h) for h in header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(csv_lines(header, rows))
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

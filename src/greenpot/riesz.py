@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import DiscreteMeasure, PointSet, SolverError, ValidationError, _index_array
-from .solvers import KKTRecord, _cholesky, simplex_qp
+from .solvers import _cholesky, simplex_qp
 
 # Rows per block of the distance fill, and the side of the square tiles of
 # the symmetry check: two tiles stay in cache, and a block's cdist is cheap.
@@ -122,8 +122,8 @@ def weight_norm(K: KernelMatrix, u: np.ndarray) -> float:
     return float(np.sqrt(max(float(u @ (K.entries @ u)), 0.0)))
 
 
-def _simplex_minimum(K: KernelMatrix, a: np.ndarray):
-    """Minimal energy over probability measures on `a`, with minimizer.
+def _simplex_minimum(K: KernelMatrix, a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimal energy over probability measures on `a`, and the minimizer.
 
     `a` holds sorted distinct indices, so a.size == K.size means every
     point: the solve then reads the entries in place and starts from the
@@ -131,17 +131,13 @@ def _simplex_minimum(K: KernelMatrix, a: np.ndarray):
     """
     if a.size == 1:
         # one-point problem: the Dirac is the only probability measure
-        x = np.ones(1)
-        energy = float(K.entries[a[0], a[0]])
-        rec = KKTRecord(0.0, 0.0, 0.0, 0.0, energy, 0, 0.0)
-        return energy, x, rec
+        return float(K.entries[a[0], a[0]]), np.ones(1)
     if a.size == K.size:
         A, factor = K.entries, K.factor
     else:
         A, factor = K.block(a), None
-    x, rec = simplex_qp(A, factor=factor)
-    energy = float(x @ A @ x)
-    return energy, x, rec
+    x, _ = simplex_qp(A, factor=factor)
+    return float(x @ A @ x), x
 
 
 def capacity(K: KernelMatrix, a) -> tuple[float, DiscreteMeasure]:
@@ -149,7 +145,7 @@ def capacity(K: KernelMatrix, a) -> tuple[float, DiscreteMeasure]:
     a = _index_array(a, K.size, "a")
     if a.size == 0:
         raise ValidationError("capacity of an empty index set is undefined")
-    energy, x, _ = _simplex_minimum(K, a)
+    energy, x = _simplex_minimum(K, a)
     w = np.zeros(K.size)
     w[a] = x
     return 1.0 / energy, DiscreteMeasure(w)
@@ -164,7 +160,7 @@ def equilibrium_measure(K: KernelMatrix, a) -> DiscreteMeasure:
     a = _index_array(a, K.size, "a")
     if a.size == 0:
         raise ValidationError("equilibrium measure of an empty set is undefined")
-    energy, x, _ = _simplex_minimum(K, a)
+    energy, x = _simplex_minimum(K, a)
     w = np.zeros(K.size)
     w[a] = x / energy
     return DiscreteMeasure(w)

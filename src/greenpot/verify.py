@@ -4,13 +4,11 @@ Each check builds its instances through the public package API, measures the
 relevant residuals or trends, and returns its verdict, measured values and a
 per-instance table; one harness times it, captures its errors and applies its
 runtime limit. The suite is shared by the test harness and the command-line
-runner; check 10 re-runs the other nine from scratch and compares output bytes.
+runner; check 10 re-runs the other nine from scratch and compares their tables' text.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -25,7 +23,7 @@ from .gauss import (exhaustion_mass_probe, explicit_solution, external_field,
                     dual_check, solve_gauss, support_descriptor,
                     truncation_sweep)
 from .green import build_green, green_sweep
-from .reports import write_csv
+from .reports import csv_lines
 from .riesz import assemble_riesz, capacity, weight_norm
 
 CRITERION_IDS = [str(k) for k in range(1, 11)]
@@ -43,22 +41,33 @@ TITLES = {
     "10": "re-running the suite reproduces outputs byte for byte",
 }
 
-THRESHOLDS = {
-    "1": "all errors <= 1e-10, runtime < 1 s",
-    "2": ">= 20 instances, relative gap and c gap <= 1e-6, runtime < 2 min",
-    "3": "residuals <= 1e-8 * scale, perturbation violates >= 10x, runtime < 1 min",
-    "4": "w, lambda-norm and c gaps <= 1e-8, runtime < 1 min",
-    "5": "capacity error <= 5% and kernel error <= 2%, both decreasing, runtime < 5 min",
-    "6": "w monotone and c monotone to 1e-10, parallelogram bound to 1e-9, runtime < 2 min",
-    "7": "window mass strictly falls / tracking gap <= 1e-6 / radius frozen to 1e-12, runtime < 5 min",
-    "8": "boundary mass >= 0.95 at alpha 2, interior mass >= 0.5 at alpha 1, runtime < 3 min",
+# seconds a check may take; check 10 re-runs the others and has no limit
+RUNTIME_LIMITS = {"1": 1.0, "2": 120.0, "3": 60.0, "4": 60.0, "5": 300.0,
+                  "6": 120.0, "7": 300.0, "8": 180.0, "9": 120.0, "10": None}
+
+
+def _within(limit: float) -> str:
+    """A threshold's runtime clause, in minutes where they are whole."""
+    return f"runtime < {limit / 60:g} min" if limit % 60 == 0 else f"runtime < {limit:g} s"
+
+
+# what each check must measure; THRESHOLDS adds its runtime limit
+_BOUNDS = {
+    "1": "all errors <= 1e-10",
+    "2": ">= 20 instances, relative gap and c gap <= 1e-6",
+    "3": "residuals <= 1e-8 * scale, perturbation violates >= 10x",
+    "4": "w, lambda-norm and c gaps <= 1e-8",
+    "5": "capacity error <= 5% and kernel error <= 2%, both decreasing",
+    "6": "w monotone and c monotone to 1e-10, parallelogram bound to 1e-9",
+    "7": "window mass strictly falls / tracking gap <= 1e-6 / radius frozen to 1e-12",
+    "8": "boundary mass >= 0.95 at alpha 2, interior mass >= 0.5 at alpha 1",
     "9": ">= 50 instances, fixed-point 1e-10, composition 1e-8, <= 10% warnings, no hard failures",
     "10": "byte-identical CSV tables and identical pass/fail vector on a fresh re-run",
 }
 
-# seconds a check may take; check 10 re-runs the others and has no limit
-RUNTIME_LIMITS = {"1": 1.0, "2": 120.0, "3": 60.0, "4": 60.0, "5": 300.0,
-                  "6": 120.0, "7": 300.0, "8": 180.0, "9": 120.0, "10": None}
+THRESHOLDS = {cid: bound if RUNTIME_LIMITS[cid] is None
+              else f"{bound}, {_within(RUNTIME_LIMITS[cid])}"
+              for cid, bound in _BOUNDS.items()}
 
 
 @dataclass
@@ -404,6 +413,40 @@ def criterion_7(seed: int = 0) -> tuple:
             rows)
 
 
+@dataclass(frozen=True)
+class LinePlot:
+    """Column x against each (label, column) of ys on the rows of a check's table
+    whose first cell is tag; labels are the title and the two axis labels."""
+
+    file: str
+    tag: str
+    x: str
+    ys: tuple
+    labels: tuple
+    logy: bool = False
+
+    def series(self, res: CriterionResult) -> list:
+        """(label, xs, ys) triples from res's table; none if no row has the tag."""
+        rows = [row for row in res.table_rows if row[0] == self.tag]
+        col = res.table_header.index
+        return [(label, [float(row[col(self.x)]) for row in rows],
+                 [float(row[col(y)]) for row in rows])
+                for label, y in self.ys] if rows else []
+
+
+# the plots of checks 5-7, by check id
+PLOTS = {
+    "5": LinePlot("half_space_error.svg", "half_space_kernel", "size",
+                  (("max relative error", "error"),),
+                  ("half-space kernel error under densification",
+                   "reflecting cloud size", "relative error"), logy=True),
+    "6": LinePlot("truncation_values.svg", "grow", "f_size", (("w", "w"), ("c", "c")),
+                  ("values along growing truncations", "size", "value")),
+    "7": LinePlot("window_mass.svg", "charge_0.5", "stage", (("window mass", "primary"),),
+                  ("mass left in the first window, charge 0.5", "stage", "mass")),
+}
+
+
 _BALL_RADII = (0.985, 0.925, 0.84, 0.725, 0.555, 0.325)
 _BALL_COUNTS = (750, 330, 230, 160, 90, 30)
 _COLLAR_OFFSET = 0.068
@@ -574,22 +617,14 @@ def _run_pass(seed: int, ids: list[str]) -> list[CriterionResult]:
     return [_run_check(cid, body, cid) for cid in ids]
 
 
-def write_tables(results: list[CriterionResult], out_dir: str) -> list[str]:
-    tables = os.path.join(out_dir, "tables")
-    os.makedirs(tables, exist_ok=True)
-    names = []
-    for res in results:
-        name = f"criterion_{int(res.cid):02d}.csv"
-        write_csv(os.path.join(tables, name), res.table_header or ["empty"],
-                  res.table_rows)
-        names.append(name)
-    summary_rows = [(res.cid, res.passed, THRESHOLDS[res.cid],
-                     ";".join(f"{k}={_short(v)}" for k, v in sorted(res.measured.items())))
-                    for res in results]
-    write_csv(os.path.join(tables, "summary.csv"),
-              ["criterion", "passed", "threshold", "measured"], summary_rows)
-    names.append("summary.csv")
-    return names
+def tables(results: list[CriterionResult]) -> list[tuple[str, list, list]]:
+    """Each check's table, then summary.csv, as (file name, header, rows)."""
+    summary = [(res.cid, res.passed, THRESHOLDS[res.cid],
+                ";".join(f"{k}={_short(v)}" for k, v in sorted(res.measured.items())))
+               for res in results]
+    return ([(f"criterion_{int(res.cid):02d}.csv", res.table_header or ["empty"],
+              res.table_rows) for res in results]
+            + [("summary.csv", ["criterion", "passed", "threshold", "measured"], summary)])
 
 
 def _short(v) -> str:
@@ -602,7 +637,8 @@ def _short(v) -> str:
 
 def criterion_10(seed: int = 0,
                  reference: list[CriterionResult] | None = None) -> tuple:
-    """Re-run checks 1-9 as a fresh pass and compare with reference.
+    """Re-run checks 1-9 as a fresh pass and compare the text of its tables
+    with reference's, table by table.
 
     Without a reference (fewer than nine checks ran), a first pass is made
     here too.
@@ -610,27 +646,16 @@ def criterion_10(seed: int = 0,
     if reference is None:
         reference = _run_pass(seed, _CHECK_IDS)
     second = _run_pass(seed, _CHECK_IDS)
-    with tempfile.TemporaryDirectory() as td:
-        dir_a = os.path.join(td, "a")
-        dir_b = os.path.join(td, "b")
-        os.makedirs(dir_a)
-        os.makedirs(dir_b)
-        names_a = write_tables(reference, dir_a)
-        write_tables(second, dir_b)
-        mismatches = []
-        for name in names_a:
-            with open(os.path.join(dir_a, "tables", name), "rb") as fh:
-                blob_a = fh.read()
-            with open(os.path.join(dir_b, "tables", name), "rb") as fh:
-                blob_b = fh.read()
-            if blob_a != blob_b:
-                mismatches.append(name)
+    first, again = ({name: "".join(csv_lines(header, rows))
+                     for name, header, rows in tables(run)}
+                    for run in (reference, second))
+    mismatches = [name for name in first if first[name] != again[name]]
     stable = [r.passed for r in reference] == [r.passed for r in second]
     return (not mismatches and stable,
-            {"files_compared": len(names_a), "byte_mismatches": mismatches,
+            {"files_compared": len(first), "byte_mismatches": mismatches,
              "pass_vector_stable": stable},
             ["file", "identical"],
-            [(n, n not in mismatches) for n in names_a])
+            [(n, n not in mismatches) for n in first])
 
 
 def run_all(seed: int = 0, which: list[str] | None = None) -> list[CriterionResult]:

@@ -3,8 +3,10 @@ import pytest
 
 import greenpot.balayage
 from greenpot.balayage import dirac_sweep_matrix, sweep
-from greenpot.core import DiscreteMeasure, PointSet, ValidationError
-from greenpot.riesz import assemble_riesz, make_kernel, potential, weight_norm
+from greenpot.core import DiscreteMeasure, PointSet, SolverError, ValidationError
+from greenpot.riesz import (KernelMatrix, assemble_riesz, make_kernel, potential,
+                            weight_norm)
+from greenpot.solvers import nonneg_qp
 
 
 def hand_kernel():
@@ -106,6 +108,17 @@ class TestDiracMatrix:
         assert W.shape == (2, 1) and W.flags.c_contiguous
         assert np.allclose(W[:, 0], [0.5, 0.0], atol=1e-12)
         assert dirac_sweep_matrix(K, [], [0, 1]).shape == (2, 0)
+
+    def test_indefinite_target_block_is_a_solver_error(self):
+        # built without make_kernel's check: the target block [[1,2],[2,1]]
+        # is indefinite, and the cone solver already says so the same way
+        K = KernelMatrix(np.array([[1.0, 2.0, 0.5],
+                                   [2.0, 1.0, 0.5],
+                                   [0.5, 0.5, 1.0]]), 2.0, 3)
+        with pytest.raises(SolverError, match="size 2"):
+            nonneg_qp(K.block([0, 1]), K.block([0, 1], [2])[:, 0])
+        with pytest.raises(SolverError, match="size 2 is not positive definite"):
+            dirac_sweep_matrix(K, [2], [0, 1])
 
     def test_superposition_matches_individual_sweeps(self):
         rng = np.random.default_rng(14)

@@ -620,6 +620,38 @@ class TestErrorPaths:
         assert "lo < hi" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_box_grid_nan_spacing_keeps_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "task": "kernel", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "box_grid",
+                                    "params": {"lo": [0, 0, 0], "hi": [1, 1, 1],
+                                               "spacing": float("nan")}}]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "spacing" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_plane_rings_from_zero_keeps_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "task": "capacity", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "plane_rings",
+                                    "params": {"ring_start": 0.0, "ring_max": 2.0,
+                                               "ratio": 1.5}}]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "ring_start" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_non_integer_count_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "task": "kernel", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "sphere_shell",
+                                    "params": {"count": 4.5}}]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "count must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("output_dir", [5, True, ["x"], ""],
                              ids=["int", "bool", "list", "empty"])
     def test_output_dir_must_be_a_path(self, tmp_path, capsys, monkeypatch,

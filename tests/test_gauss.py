@@ -268,7 +268,7 @@ class TestSolvesOverF:
         assert_warm_record(dual.kkt, rec)
 
         cap, gamma = green_equilibrium(gs, f)
-        energy, x, _ = _simplex_minimum(gs.green, f_pos)
+        energy, x = _simplex_minimum(gs.green, f_pos)
         assert cap == 1.0 / energy
         assert gamma.weights[f].tobytes() == (x / energy).tobytes()
 

@@ -20,6 +20,16 @@ class TestBoxGrid:
         with pytest.raises(ValidationError):
             geometry.box_grid([0.0, 0.0], [1.0, 1.0], 0.0)
 
+    @pytest.mark.parametrize("lo, hi, spacing", [
+        ([0.0, 0.0], [1.0, 1.0], float("nan")),
+        ([0.0, 0.0], [1.0, 1.0], float("inf")),
+        ([float("nan"), 0.0], [1.0, 1.0], 0.5),
+        ([0.0, 0.0], [float("inf"), 1.0], 0.5)],
+        ids=["nan_spacing", "inf_spacing", "nan_lo", "inf_hi"])
+    def test_non_finite_inputs_rejected(self, lo, hi, spacing):
+        with pytest.raises(ValidationError):
+            geometry.box_grid(lo, hi, spacing)
+
 
 class TestSphereShell:
     def test_radii_and_shape(self):
@@ -67,6 +77,26 @@ class TestSphericalCap:
     def test_cos_validation(self):
         with pytest.raises(ValidationError):
             geometry.spherical_cap(10, 1.0)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("make", [
+        lambda c: geometry.sphere_shell(c),
+        lambda c: geometry.spherical_cap(c, 0.5),
+        lambda c: geometry.circle_ring(c),
+        lambda c: geometry.annulus(c, [1.0, 2.0]),
+        lambda c: geometry.layered_ball([1.0], [c]),
+        lambda c: geometry.truncated_cone(1, points_per_shell=c)],
+        ids=["sphere_shell", "spherical_cap", "circle_ring", "annulus",
+             "layered_ball", "truncated_cone"])
+    @pytest.mark.parametrize("count", [4.5, 4.0, True], ids=["half", "float", "bool"])
+    def test_non_integer_count_is_a_type_error(self, make, count):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            make(count)
+
+    def test_numpy_integer_count_samples_like_int(self):
+        assert np.array_equal(geometry.sphere_shell(np.int64(9)),
+                              geometry.sphere_shell(9))
 
 
 class TestBallGrid:
@@ -124,6 +154,18 @@ class TestPlaneRings:
     def test_ratio_validation(self):
         with pytest.raises(ValidationError):
             geometry.plane_rings(1.0, 4.0, 1.0)
+
+    @pytest.mark.parametrize("ring_start, ring_max, ratio", [
+        (0.0, 4.0, 2.0), (-1.0, 4.0, 2.0), (float("nan"), 4.0, 2.0),
+        (float("inf"), 4.0, 2.0), (1.0, float("inf"), 2.0),
+        (1.0, float("nan"), 2.0), (1.0, 4.0, float("inf")),
+        (1.0, 4.0, float("nan"))],
+        ids=["zero_start", "negative_start", "nan_start", "inf_start",
+             "inf_max", "nan_max", "inf_ratio", "nan_ratio"])
+    def test_rings_that_would_never_end_rejected(self, ring_start, ring_max, ratio):
+        # a start of 0 or below, or an infinite end, never passes ring_max
+        with pytest.raises(ValidationError):
+            geometry.plane_rings(ring_start, ring_max, ratio)
 
 
 class TestCircleRing:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenpot.reports import (SCHEMA_VERSION, csv_cell, line_plot,
+from greenpot.reports import (SCHEMA_VERSION, csv_cell, csv_lines, line_plot,
                               scatter_plot, write_csv, write_json)
 
 
@@ -87,6 +89,27 @@ class TestCsv:
                                    for row in cells)
         assert (tmp_path / "indexed.csv").read_bytes() == expected.encode()
         assert expected.splitlines()[4].startswith("9007199254740991,")
+
+    def test_text_with_separators_is_quoted(self):
+        assert csv_cell("a, b") == '"a, b"'
+        assert csv_cell('say "hi"') == '"say ""hi"""'
+        assert csv_cell("two\nlines") == '"two\nlines"'
+        assert csv_cell("cr\r") == '"cr\r"'
+        assert csv_cell("x <= 1e-8; y=[1 2]") == "x <= 1e-8; y=[1 2]"
+        rows = [["a, b", 'q"uote', "line\nbreak"], ["plain", 1.5, True]]
+        text = "".join(csv_lines(["h,1", "h2", "h3"], rows))
+        parsed = list(csv.reader(io.StringIO(text, newline="")))
+        assert parsed == [["h,1", "h2", "h3"], ["a, b", 'q"uote', "line\nbreak"],
+                          ["plain", "1.5", "true"]]
+
+    def test_lines_are_what_the_writer_writes(self, tmp_path):
+        rows = [["name", 1.0 / 3.0, None], ["x, y", np.int64(4), False]]
+        array = np.array([[0.5, -0.0], [np.nan, 1e300]])
+        for name, body in (("rows", rows), ("array", array)):
+            lines = list(csv_lines(["c0", "c1", "c2"][:len(body[0])], body))
+            assert len(lines) == 3 and all(ln.endswith("\n") for ln in lines)
+            write_csv(tmp_path / name, ["c0", "c1", "c2"][:len(body[0])], body)
+            assert (tmp_path / name).read_bytes() == "".join(lines).encode()
 
     def test_byte_identical_across_writes(self, tmp_path):
         rows = [[i, np.sqrt(i)] for i in range(20)]

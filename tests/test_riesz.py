@@ -14,7 +14,7 @@ from greenpot.core import (DiscreteMeasure, PointSet, SolverError,
 from greenpot.riesz import (_TILE, _simplex_minimum, assemble_riesz, capacity,
                             equilibrium_measure, make_kernel, potential,
                             weight_norm)
-from greenpot.solvers import _cholesky, nonneg_qp
+from greenpot.solvers import _cholesky, nonneg_qp, simplex_qp
 
 
 def kernel_2x2(entries, alpha=2.0, dim=3):
@@ -292,10 +292,14 @@ class TestKeptFactor:
 
 def assert_same_solve(K):
     everything = np.arange(K.size)
-    energy, x, rec = _simplex_minimum(K, everything)
-    energy_ref, x_ref, rec_ref = _simplex_minimum(replace(K, factor=None), everything)
+    energy, x = _simplex_minimum(K, everything)
+    energy_ref, x_ref = _simplex_minimum(replace(K, factor=None), everything)
     assert x.tobytes() == x_ref.tobytes()
     assert energy == energy_ref
+    # the records of the two whole-kernel solves _simplex_minimum makes
+    x_kept, rec = simplex_qp(K.entries, factor=K.factor)
+    _, rec_ref = simplex_qp(K.entries)
+    assert x_kept.tobytes() == x.tobytes()
     assert rec == rec_ref
     return rec
 

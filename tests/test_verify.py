@@ -1,8 +1,21 @@
+import csv
+import io
 import sys
 
 import pytest
 
 from greenpot import gauss, green, verify
+from greenpot.reports import csv_lines, write_csv
+
+
+def write_tables(results, out) -> list[str]:
+    """Write verify.tables(results) into out/tables, as the CLI stages them."""
+    (out / "tables").mkdir(parents=True)
+    names = []
+    for name, header, rows in verify.tables(results):
+        write_csv(out / "tables" / name, header, rows)
+        names.append(name)
+    return names
 
 
 class TestSuiteMetadata:
@@ -13,6 +26,15 @@ class TestSuiteMetadata:
         for cid in verify.CRITERION_IDS:
             assert verify.TITLES[cid]
             assert verify.THRESHOLDS[cid]
+
+    def test_thresholds_state_each_runtime_limit(self):
+        assert verify.THRESHOLDS["1"].endswith(", runtime < 1 s")
+        assert verify.THRESHOLDS["3"].endswith(", runtime < 1 min")
+        assert verify.THRESHOLDS["9"].endswith(", runtime < 2 min")
+        assert "runtime" not in verify.THRESHOLDS["10"]
+        for cid, limit in verify.RUNTIME_LIMITS.items():
+            # the limit is stated once, and only where the check has one
+            assert verify.THRESHOLDS[cid].count("runtime") == (limit is not None)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
@@ -75,7 +97,7 @@ class TestSharedFamily:
         for run in ("a", "b"):
             results = verify.run_all(which=["2"])
             assert len(builds) == 24 * (len(blobs) + 1)
-            verify.write_tables(results, str(tmp_path / run))
+            write_tables(results, tmp_path / run)
             blobs.append((tmp_path / run / "tables" / "criterion_02.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -93,7 +115,7 @@ class TestTableWriter:
                 cid="2", title=verify.TITLES["2"], passed=False,
                 measured={"error": "SolverError: nope"}, runtime_s=0.2),
         ]
-        names = verify.write_tables(results, str(tmp_path))
+        names = write_tables(results, tmp_path)
         assert names == ["criterion_01.csv", "criterion_02.csv", "summary.csv"]
         summary = (tmp_path / "tables" / "summary.csv").read_text().splitlines()
         assert summary[0] == "criterion,passed,threshold,measured"
@@ -106,3 +128,49 @@ class TestTableWriter:
         # an empty table still yields a parseable file
         c2 = (tmp_path / "tables" / "criterion_02.csv").read_text().splitlines()
         assert c2 == ["empty"]
+
+    def test_summary_is_valid_csv(self):
+        # threshold texts hold commas; every row still parses to four fields
+        name, header, rows = verify.tables(verify.run_all(which=["1"]))[-1]
+        assert name == "summary.csv"
+        text = "".join(csv_lines(header, rows))
+        parsed = list(csv.reader(io.StringIO(text, newline="")))
+        assert parsed[0] == ["criterion", "passed", "threshold", "measured"]
+        assert [len(r) for r in parsed] == [4, 4]
+        assert parsed[1][2] == verify.THRESHOLDS["1"]
+
+
+def _result(cid, rows, header=("check", "size", "value", "error")):
+    return verify.CriterionResult(cid=cid, title=verify.TITLES[cid], passed=True,
+                                  measured={}, runtime_s=0.0,
+                                  table_header=list(header), table_rows=rows)
+
+
+class TestRerunCheck:
+    def test_compares_rendered_tables_in_memory(self, monkeypatch):
+        fresh = [_result("1", [("gap", 0.5)])]
+        monkeypatch.setattr(verify, "_run_pass", lambda seed, ids: fresh)
+        passed, measured, _, rows = verify.criterion_10(reference=fresh)
+        assert passed and measured["files_compared"] == 2
+        assert rows == [("criterion_01.csv", True), ("summary.csv", True)]
+        # a last-digit change shows in the 17-digit text
+        moved = [_result("1", [("gap", 0.5000000000000001)])]
+        passed, measured, _, _ = verify.criterion_10(reference=moved)
+        assert not passed
+        assert measured["byte_mismatches"] == ["criterion_01.csv"]
+
+
+class TestPlots:
+    def test_specs_read_their_checks_by_column_name(self):
+        assert sorted(verify.PLOTS) == ["5", "6", "7"]
+        res = _result("5", [("sphere_capacity", 1000, 0.99, 0.01),
+                            ("half_space_kernel", 358, 0.02, 0.02),
+                            ("half_space_kernel", 931, 0.01, 0.01)])
+        assert verify.PLOTS["5"].series(res) == [
+            ("max relative error", [358.0, 931.0], [0.02, 0.01])]
+
+    def test_no_tagged_rows_draw_nothing(self):
+        failed = verify.CriterionResult(cid="6", title=verify.TITLES["6"],
+                                        passed=False, measured={"error": "x"},
+                                        runtime_s=0.0)
+        assert verify.PLOTS["6"].series(failed) == []
