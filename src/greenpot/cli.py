@@ -28,9 +28,9 @@ from . import geometry, verify
 from .balayage import sweep
 from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
                    SolverError, ValidationError, nearest_neighbor_distances)
-from .gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
-                    external_field, solve_gauss, support_descriptor,
-                    truncation_sweep)
+from .gauss import (closed_form_applies, dual_check, exhaustion_mass_probe,
+                    explicit_solution, external_field, solve_gauss,
+                    support_descriptor, truncation_sweep)
 from .green import build_green, frostman_excess, green_equilibrium
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
@@ -480,12 +480,6 @@ def _at_most(name: str, value, tolerance) -> dict:
             "passed": value <= tolerance}
 
 
-# make_kernel raises SolverError on a failed Cholesky before any report exists,
-# and a Green matrix it did not check is a principal block of one it did
-_POSITIVE_DEFINITE = {"name": "positive_definite", "value": True,
-                      "tolerance": None, "passed": True}
-
-
 def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
     K = sc.kernel()
     art.table("kernel.csv", [f"k{j}" for j in range(K.size)], K.entries)
@@ -501,15 +495,8 @@ def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
             "cell_radius_max": float(np.max(sc.point_set.cell_radius)),
             "nearest_neighbor_min": float(nn.min()) if nn is not None else None,
         },
-        "invariants": [
-            _at_most("symmetric",
-                     float(np.abs(K.entries - K.entries.T).max(initial=0.0)), 0.0),
-            _POSITIVE_DEFINITE,
-        ],
-        "hypotheses": [
-            {"name": "alpha_admissible", "status": "checked",
-             "value": f"0 < {K.alpha} <= 2, alpha < {K.dim}"},
-        ],
+        "invariants": [],
+        "hypotheses": [],
     }
 
 
@@ -596,25 +583,18 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
         art.table("dirac_sweep_to_y.csv", [f"source{k}" for k in range(n_d)],
                   gs.dirac_sweep_to_y)
     G = gs.green.entries
-    entry_min = float(G.min())
     return {
         "results": {
             "f_size": int(cfg.f_indices.size), "y_size": int(cfg.y_indices.size),
             "d_size": int(n_d), "alpha": cfg.alpha,
             "asymmetry_residual": gs.asymmetry_residual,
-            "entry_min": entry_min, "diagonal_min": float(np.diag(G).min()),
+            "entry_min": float(G.min()), "diagonal_min": float(np.diag(G).min()),
         },
         "invariants": [
             _at_most("symmetrization_residual", gs.asymmetry_residual,
                      RESIDUAL_TOL),
-            {"name": "entries_between_zero_and_riesz", "value": entry_min,
-             "tolerance": 1e-10, "passed": entry_min >= -1e-10},
-            _POSITIVE_DEFINITE,
         ],
-        "hypotheses": [
-            {"name": "y_closed_and_separated", "status": "checked",
-             "value": "build rejects overlapping regions"},
-        ],
+        "hypotheses": [],
     }
 
 
@@ -626,7 +606,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices, lam,
                    "weighted minimizer support")
     m_swept = fld.theta_swept.total_mass
-    rep: dict = {"applicable": bool(m_swept <= 1.0 + 1e-12)}
+    rep: dict = {"applicable": closed_form_applies(m_swept)}
     if rep["applicable"]:
         exp = explicit_solution(gs, fld)
         c_g = exp.diagnostics["green_capacity_of_f"]
@@ -662,7 +642,6 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
             "representation": rep,
         },
         "invariants": [
-            _at_most("unit_mass", kkt.mass_error, 1e-12),
             _at_most("stationarity_on_support", kkt.support_residual,
                      RESIDUAL_TOL),
             _at_most("no_descent_off_support", kkt.off_support_slack,
@@ -690,10 +669,6 @@ def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
               ("c", [float(s) for s in rep.sizes], rep.c_values)],
              "values along nested truncations", "truncation size", "value")
     excess = max((p["lhs"] - p["rhs"] for p in rep.parallelogram), default=0.0)
-    # w may only fall along a growing family and only rise along a shrinking one
-    sign = 1.0 if rep.direction == "increasing" else -1.0
-    w_against = max((sign * (b - a) for a, b in zip(rep.w_values, rep.w_values[1:])),
-                    default=0.0)
     return {
         "results": {
             "direction": rep.direction, "sizes": [int(s) for s in rep.sizes],
@@ -703,7 +678,6 @@ def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
             "parallelogram_max_excess": excess,
         },
         "invariants": [
-            _at_most("w_monotone", w_against, 1e-10),
             _at_most("parallelogram_bound", excess, 1e-9),
         ],
         "hypotheses": [

@@ -27,6 +27,12 @@ from .solvers import KKTRecord, _simplex_record, simplex_qp
 ADJACENCY_FACTOR = 1.5
 
 
+def closed_form_applies(swept_mass: float) -> bool:
+    """Mass at most 1 up to rounding: the minimizer is then the swept charge
+    plus a multiple of the equilibrium measure (explicit_solution)."""
+    return bool(swept_mass <= 1.0 + 1e-12)
+
+
 @dataclass(frozen=True)
 class ExternalField:
     """The charge theta, its separation from F, and its derived fields.
@@ -150,7 +156,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
     f = gs.cfg.f_indices
     swept = fld.theta_swept
     m = swept.total_mass
-    if m > 1.0 + 1e-12:
+    if not closed_form_applies(m):
         raise ValidationError(
             f"swept charge mass {m} exceeds 1; the closed form does not apply")
     c_g, gamma = green_equilibrium(gs, f)
@@ -205,6 +211,8 @@ class SweepReport:
 
 
 def _nesting_direction(family) -> str:
+    if not len(family):
+        raise ValidationError("family must be nonempty")
     sets = [set(int(i) for i in np.asarray(m).ravel()) for m in family]
     if len(sets) == 1:
         return "increasing"
@@ -224,8 +232,6 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
     stage to the final stage and the paired bound
     |lam_s - lam_t|^2 <= 2 |w_s - w_t| are recorded for inspection.
     """
-    if not len(family):
-        raise ValidationError("family must be nonempty")
     direction = _nesting_direction(family)
     sols, masses = [], []
     for member in family:
@@ -239,7 +245,7 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
             raise InvariantError(f"value rose along a growing family: {a} -> {b}")
         if direction == "decreasing" and b < a - 1e-10:
             raise InvariantError(f"value fell along a shrinking family: {a} -> {b}")
-    if direction == "increasing" and all(m <= 1.0 + 1e-12 for m in masses):
+    if direction == "increasing" and all(map(closed_form_applies, masses)):
         for a, b in zip(c, c[1:]):
             if b > a + 1e-10:
                 raise InvariantError(f"constant rose along a growing family: {a} -> {b}")
@@ -269,8 +275,6 @@ def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,
     potential integrated against itself (negative once the charge overpowers
     the unit budget), leaving interpretation to the caller.
     """
-    if not len(family):
-        raise ValidationError("family must be nonempty")
     if _nesting_direction(family) != "increasing":
         raise ValidationError("exhaustion families must grow")
     if window is None:

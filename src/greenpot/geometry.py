@@ -2,7 +2,8 @@
 
 All generators are pure functions of their parameters: no hidden randomness.
 Rotational offsets are explicit arguments so staggered multi-layer builds stay
-reproducible.
+reproducible. Each generator computes its point count from its parameters
+before it allocates; a count below 1 or above MAX_POINTS is a ValidationError.
 """
 
 from __future__ import annotations
@@ -15,12 +16,25 @@ from .core import PointSet, ValidationError
 
 _GOLDEN = np.pi * (1 + 5 ** 0.5)
 
+# Most points one generator may produce: a dense kernel on this many points
+# takes 80 GB, so the cap refuses no cloud that a desk-scale run could finish.
+MAX_POINTS = 100_000
+
+
+def _point_count(total, name: str):
+    """total, a point count computed before allocation, if it is 1 to MAX_POINTS."""
+    if not 1 <= total <= MAX_POINTS:
+        raise ValidationError(f"{name} asks for {total:.15g} points; a generator "
+                              f"makes 1 to {MAX_POINTS}")
+    return total
+
 
 def _integer(count) -> int:
-    """count as an int; a bool or a value of a non-integer type raises TypeError."""
+    """count as an int from 1 to MAX_POINTS; a bool or a value of a
+    non-integer type raises TypeError."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise TypeError(f"count must be an integer, got {count!r}")
-    return int(count)
+    return _point_count(int(count), "count")
 
 
 def box_grid(lo, hi, spacing: float) -> np.ndarray:
@@ -32,6 +46,8 @@ def box_grid(lo, hi, spacing: float) -> np.ndarray:
         raise ValidationError("box_grid needs finite lo < hi componentwise")
     if not 0 < spacing < np.inf:
         raise ValidationError("spacing must be positive and finite")
+    # np.arange's own length, ceil((stop - start) / step), axis by axis
+    _point_count(np.prod(np.ceil((hi + spacing / 2 - lo) / spacing)), "box_grid")
     axes = [np.arange(a, b + spacing / 2, spacing) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -41,8 +57,6 @@ def sphere_shell(count: int, radius: float = 1.0, center=(0.0, 0.0, 0.0),
                  rotate: float = 0.0) -> np.ndarray:
     """Fibonacci-spiral sample of a sphere surface in R^3."""
     count = _integer(count)
-    if count < 1:
-        raise ValidationError("count must be >= 1")
     i = np.arange(count) + 0.5
     phi = np.arccos(1 - 2 * i / count)
     th = _GOLDEN * i + rotate
@@ -74,6 +88,7 @@ def ball_grid(spacing: float, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np
 
 def annulus(count_per_ring: int, radii, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Concentric Fibonacci shells at the given radii (a sampled annulus)."""
+    _point_count(_integer(count_per_ring) * len(radii), "annulus")
     layers = [sphere_shell(count_per_ring, r, center, rotate=0.61 * k)
               for k, r in enumerate(radii)]
     return np.vstack(layers)
@@ -83,10 +98,11 @@ def layered_ball(radii, counts, rotations=None, include_center: bool = True) -> 
     """Solid ball sampled as concentric Fibonacci layers with explicit counts."""
     radii = list(radii)
     counts = list(counts)
-    if len(radii) != len(counts):
-        raise ValidationError("radii and counts must have equal length")
     if rotations is None:
         rotations = [0.61 * k for k in range(len(radii))]
+    if not len(radii) == len(counts) == len(rotations):
+        raise ValidationError("radii, counts and rotations must have equal length")
+    _point_count(sum(map(_integer, counts)) + bool(include_center), "layered_ball")
     layers = [sphere_shell(m, r, rotate=rot)
               for r, m, rot in zip(radii, counts, rotations)]
     if include_center:
@@ -105,6 +121,8 @@ def truncated_cone(shells: int, ratio: float = 1.45, inner_radius: float = 1.0,
     """
     if ratio <= 1:
         raise ValidationError("ratio must exceed 1")
+    _point_count(_integer(shells) * _integer(sublayers) * _integer(points_per_shell),
+            "truncated_cone")
     parts = []
     rho = inner_radius
     for s in range(shells):
@@ -131,6 +149,10 @@ def plane_rings(ring_start: float, ring_max: float, ratio: float,
         raise ValidationError("ring_start must be positive and finite, "
                               "ring_max finite")
     per_ring = max(6, int(round(2 * np.pi / (ratio - 1))))
+    # radii ring_start * ratio^k up to ring_max, counted by one logarithm
+    rings = (np.floor(np.log(ring_max / ring_start) / np.log(ratio)) + 1
+             if ring_max >= ring_start else 0)
+    _point_count(1 + per_ring * rings, "plane_rings")
     parts = [np.array([[0.0, 0.0, z]])]
     r = ring_start
     k = 0

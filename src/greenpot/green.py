@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DiscreteMeasure, DomainConfig, InvariantError, SolverError,
+from .core import (DiscreteMeasure, DomainConfig, InvariantError,
                    ValidationError, _index_array)
 from .balayage import BalayageResult, _sweep, dirac_sweep_matrix
 from .riesz import (KernelMatrix, _simplex_minimum, assemble_riesz, make_kernel,
@@ -60,13 +60,8 @@ class GreenSystem:
         factor equals, bit for bit, the one a solver computes for the block.
         """
         entries = self.green.block(self.d_positions(self.cfg.f_indices))
-        try:
-            factor = _cholesky(entries)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"Green block on F of size {entries.shape[0]} "
-                              f"is not positive definite: {exc}") from exc
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
-                            factor=factor)
+                            factor=_cholesky(entries))
 
     def block_on(self, f: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         """Green block on the sorted target f within D, and its factor if f is F."""

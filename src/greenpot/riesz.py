@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import DiscreteMeasure, PointSet, SolverError, ValidationError, _index_array
+from .core import DiscreteMeasure, PointSet, ValidationError, _index_array
 from .solvers import _cholesky, simplex_qp
 
 # Rows per block of the distance fill, and the side of the square tiles of
@@ -51,7 +51,8 @@ class KernelMatrix:
 def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
     """Validate symmetry and positive definiteness, then wrap the matrix.
 
-    The Cholesky factor that certifies definiteness is kept as K.factor.
+    The Cholesky factor that certifies definiteness is kept as K.factor;
+    _cholesky raises SolverError when there is none.
     """
     entries = np.asarray(entries, dtype=float)
     m = entries.shape[0]
@@ -59,18 +60,8 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
         raise ValidationError(f"kernel matrix must be square, got {entries.shape}")
     if not _exactly_symmetric(entries):
         raise ValidationError("kernel matrix must be exactly symmetric")
-    if m and np.min(np.diag(entries)) <= 0:
-        raise SolverError("kernel diagonal must be strictly positive")
-    factor = None
-    if m:
-        try:
-            factor = _cholesky(entries)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                "kernel matrix failed the positive-definiteness check; "
-                f"cells are too coarse for this sampling ({exc})") from exc
     return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim),
-                        factor=factor)
+                        factor=_cholesky(entries) if m else None)
 
 
 def _exactly_symmetric(a: np.ndarray) -> bool:

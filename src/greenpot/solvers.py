@@ -91,10 +91,20 @@ def _cholesky(block: np.ndarray, overwrite: bool = False):
     triangle is the block's upper one. make_kernel's positive-definiteness
     check and the solvers both factor through here, so a factor kept from
     the check equals the one a solver would compute, bit for bit. Raises
-    np.linalg.LinAlgError when the block is not positive definite.
+    SolverError when the block is not positive definite, here and only here.
     """
-    return cho_factor(block.T, lower=True, overwrite_a=overwrite,
-                      check_finite=False)
+    try:
+        factor = cho_factor(block.T, lower=True, overwrite_a=overwrite,
+                            check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        reason = str(exc)
+    else:
+        # OpenBLAS's potrf carries a NaN pivot through instead of failing
+        if np.isfinite(np.diagonal(factor[0])).all():
+            return factor
+        reason = "non-finite pivot"
+    raise SolverError(f"kernel block of size {block.shape[0]} is not positive "
+                      f"definite; cells are too coarse for this sampling ({reason})")
 
 
 def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
@@ -108,11 +118,7 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     if F.size == 0:
         return x, 0.0, 0.0
     if factor is None:
-        try:
-            factor = _cholesky(A[np.ix_(F, F)], overwrite=True)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"kernel block of size {F.size} is not "
-                              f"positive definite: {exc}") from exc
+        factor = _cholesky(A[np.ix_(F, F)], overwrite=True)
     if simplex:
         uv = cho_solve(factor, np.column_stack((b[F], np.ones(F.size))),
                        check_finite=False)

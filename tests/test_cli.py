@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import greenpot.green
 import greenpot.riesz
 import greenpot.solvers
-from greenpot import cli
+from greenpot import cli, geometry
 from greenpot.core import InvariantError, SolverError
 from greenpot.green import build_green, green_equilibrium
 
@@ -413,15 +414,6 @@ class TestFamilyTasks:
         assert os.path.exists(os.path.join(out, "tables", "truncation.csv"))
         assert os.path.exists(os.path.join(out, "plots", "w_curve.svg"))
 
-    def test_truncation_reports_measured_w_step(self, tmp_path):
-        cfg = self.family_config(tmp_path, "truncation")
-        out = str(tmp_path / "out")
-        assert cli.main(["run", cfg, "--out", out]) == 0
-        inv = {i["name"]: i for i in read_report(out)["invariants"]}
-        # the largest rise of w along the growing family; here w falls 0.6 -> 0.28
-        assert inv["w_monotone"]["value"] == pytest.approx(0.28 - 0.6, abs=1e-12)
-        assert inv["w_monotone"]["passed"]
-
     def test_exhaustion_window_masses(self, tmp_path):
         cfg = self.family_config(tmp_path, "exhaustion")
         out = str(tmp_path / "out")
@@ -451,6 +443,69 @@ class TestSupportTask:
         assert rep["results"]["interior_mass_fraction"] == pytest.approx(1.0)
         hyp = {h["name"]: h["value"] for h in rep["hypotheses"]}
         assert hyp["omega_connected"] is True
+
+
+# The invariant rows of each run task. Every other property a run relies on
+# (kernel symmetry and definiteness, Green entry bounds, the minimizer's unit
+# mass, monotone values along a family) ends it with exit 3, 4 or 5 before
+# any report is written.
+INVARIANTS = {
+    "kernel": [],
+    "capacity": ["unit_mass", "potential_at_least_energy_on_target"],
+    "equilibrium": ["unit_potential_on_support",
+                    "potential_at_least_one_on_target"],
+    "sweep": ["projection_first_order_conditions", "mass_not_increased"],
+    "green": ["symmetrization_residual"],
+    "gauss": ["stationarity_on_support", "no_descent_off_support"],
+    "truncation": ["parallelogram_bound"],
+    "exhaustion": [],
+    "support": [],
+}
+
+
+class TestReportContract:
+    def configs(self, tmp_path) -> dict:
+        """One config per run task, on the hand instances of the tests above."""
+        cloud = hand_cloud(tmp_path)
+        (tmp_path / "pair.csv").write_text(
+            "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n")
+        (tmp_path / "line.csv").write_text(
+            "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n3,0,0,1.0\n")
+        bare = {"alpha": 2.0, "geometry": {"csv": cloud}}
+        charged = {"alpha": 2.0, "geometry": {"csv": "pair.csv"},
+                   "theta": {"points": [[-2.5, 0.0, 0.0]], "weights": [1.75]}}
+        on_f = {**charged, "regions": {"f": {"kind": "all"}}}
+        family = {**on_f, "family": [{"kind": "indices", "values": [0]},
+                                     {"kind": "all"}]}
+        bodies = {
+            "kernel": bare, "capacity": bare, "equilibrium": bare,
+            "sweep": {**charged, "target": {"kind": "indices", "values": [0, 1]}},
+            "green": {"alpha": 2.0, "geometry": {"csv": "line.csv"},
+                      "regions": {"f": {"kind": "indices", "values": [0]},
+                                  "y": {"kind": "indices", "values": [2]}}},
+            "gauss": on_f, "support": on_f,
+            "truncation": family, "exhaustion": family,
+        }
+        return {task: write_config(tmp_path, {"task": task, **body}, f"{task}.json")
+                for task, body in bodies.items()}
+
+    def test_every_invariant_compares_a_measured_value(self, tmp_path):
+        # a row that restates a check the library raises on can only pass
+        configs = self.configs(tmp_path)
+        assert sorted(configs) == sorted(cli._RUNNERS)
+        for task, path in configs.items():
+            out = str(tmp_path / f"out_{task}")
+            assert cli.main(["run", path, "--out", out]) == 0, task
+            rep = read_report(out)
+            assert [r["name"] for r in rep["invariants"]] == INVARIANTS[task], task
+            for r in rep["invariants"]:
+                for key in ("value", "tolerance"):
+                    assert (isinstance(r[key], (int, float))
+                            and not isinstance(r[key], bool)), (task, r)
+                assert r["passed"] == (r["value"] <= r["tolerance"]), (task, r)
+            # a hypothesis records a measured value, not a restated rule
+            assert not [h for h in rep["hypotheses"]
+                        if isinstance(h["value"], str)], task
 
 
 class TestVerifyAllCommand:
@@ -641,6 +696,34 @@ class TestErrorPaths:
         assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
         assert "ring_start" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("part", [
+        {"generator": "box_grid",
+         "params": {"lo": [0, 0, 0], "hi": [1, 1, 1], "spacing": 1e-9}},
+        {"generator": "plane_rings",
+         "params": {"ring_start": 0.1, "ring_max": 2.0,
+                    "ratio": 1.000000000001}}],
+        ids=["box_grid", "plane_rings"])
+    def test_point_count_above_the_cap_exits_3_before_allocating(self, tmp_path,
+                                                                 part):
+        # a 7.45 GiB axis and a 6.3e12-point ring: run in a child whose address
+        # space is capped at 1.5 GB, since an allocation attempt must not
+        # happen in this process
+        cfg = write_config(tmp_path, {"task": "capacity", "alpha": 2.0,
+                                      "geometry": {"parts": [part]}})
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenpot.cli", "run", cfg, "--out", str(out)],
+            capture_output=True, text=True, timeout=30, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert f"makes 1 to {geometry.MAX_POINTS}" in proc.stderr
+        assert not out.exists()
 
     def test_non_integer_count_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

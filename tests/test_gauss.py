@@ -5,8 +5,8 @@ import pytest
 
 import greenpot.gauss
 from greenpot import geometry
-from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
-                           ValidationError)
+from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
+                           PointSet, ValidationError)
 from greenpot.gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
                             external_field, solve_gauss, support_descriptor,
                             truncation_sweep)
@@ -77,6 +77,24 @@ class TestSolveGauss:
         dirac = DiscreteMeasure.from_dict(3, {0: 1.0})
         assert gauss_value(gs, fld, dirac) == pytest.approx(0.6, abs=1e-13)
         assert sol.w_value < gauss_value(gs, fld, dirac)
+
+    @pytest.mark.parametrize("mass_error, raises", [(2e-12, True), (1e-12, False)])
+    def test_minimizer_mass_off_by_more_than_1e_12_raises(self, monkeypatch,
+                                                         mass_error, raises):
+        # the gauss report has no unit-mass row: this raise is the check
+        gs, fld = field_system()
+        real = greenpot.gauss.simplex_qp
+
+        def off(*args, **kwargs):
+            x, rec = real(*args, **kwargs)
+            return x, replace(rec, mass_error=mass_error)
+
+        monkeypatch.setattr(greenpot.gauss, "simplex_qp", off)
+        if raises:
+            with pytest.raises(InvariantError, match="minimizer mass off by"):
+                solve_gauss(gs, fld)
+        else:
+            assert solve_gauss(gs, fld).kkt.mass_error == mass_error
 
     def test_target_outside_f_rejected(self):
         gs, fld = field_system()
@@ -209,6 +227,32 @@ class TestTruncationSweep:
         gs, fld = field_system()
         with pytest.raises(ValidationError):
             truncation_sweep(gs, fld, [[0], [1]])
+
+    @pytest.mark.parametrize("run", [truncation_sweep, exhaustion_mass_probe])
+    def test_empty_family_rejected(self, run):
+        gs, fld = field_system()
+        with pytest.raises(ValidationError, match="family must be nonempty"):
+            run(gs, fld, [])
+
+    @pytest.mark.parametrize("family, w, message", [
+        ([[0], [0, 1]], [0.6, 0.6 + 2e-10], "rose along a growing family"),
+        ([[0, 1], [0]], [0.28, 0.28 - 2e-10], "fell along a shrinking family"),
+        ([[0], [0, 1]], [0.6, 0.6 + 5e-11], None),
+        ([[0, 1], [0]], [0.28, 0.28 - 5e-11], None)],
+        ids=["rise_growing", "fall_shrinking", "rise_within_tol",
+             "fall_within_tol"])
+    def test_value_against_the_nesting_raises(self, monkeypatch, family, w,
+                                              message):
+        # the truncation report has no monotonicity row: this raise is the check
+        gs, fld = field_system()
+        real, values = greenpot.gauss.solve_gauss, iter(w)
+        monkeypatch.setattr(greenpot.gauss, "solve_gauss",
+                            lambda *args: replace(real(*args), w_value=next(values)))
+        if message is None:
+            assert truncation_sweep(gs, fld, family).w_values == w
+        else:
+            with pytest.raises(InvariantError, match=message):
+                truncation_sweep(gs, fld, family)
 
 
 def shell_system():

@@ -128,6 +128,9 @@ class TestCompositeClouds:
     def test_layered_ball_validation(self):
         with pytest.raises(ValidationError):
             geometry.layered_ball([1.0], [30, 12])
+        # zip would drop the layers past the end of a short rotation list
+        with pytest.raises(ValidationError, match="rotations"):
+            geometry.layered_ball([1.0, 0.5], [30, 12], rotations=[0.1])
 
     def test_truncated_cone_geometry(self):
         pts = geometry.truncated_cone(2)
@@ -179,6 +182,52 @@ class TestCircleRing:
                            atol=1e-12)
         s = np.sqrt(2.0)
         assert np.allclose(pts[0], [1.0 + s, 1.0 + s], atol=1e-12)
+
+
+class TestPointCap:
+    @pytest.mark.parametrize("make", [
+        lambda: geometry.plane_rings(0.30, 25.0, 1.30),
+        lambda: geometry.plane_rings(0.20, 40.0, 1.20),
+        lambda: geometry.plane_rings(0.14, 60.0, 1.13),
+        lambda: geometry.plane_rings(1.0, 4.0, 2.0),
+        lambda: geometry.box_grid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.1),
+        lambda: geometry.box_grid([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 0.24),
+        lambda: geometry.sphere_shell(50),
+        lambda: geometry.spherical_cap(50, 0.5),
+        lambda: geometry.circle_ring(50),
+        lambda: geometry.annulus(10, [1.0, 2.0, 3.0]),
+        lambda: geometry.layered_ball([1.0, 0.5], [30, 12]),
+        lambda: geometry.layered_ball([1.0, 0.5], [30, 12], include_center=False),
+        lambda: geometry.truncated_cone(8, points_per_shell=28)],
+        ids=["rings_358", "rings_931", "rings_2401", "rings_hand", "box_unit",
+             "box_ball", "sphere_shell", "spherical_cap", "circle_ring",
+             "annulus", "layered_ball", "layered_ball_bare", "truncated_cone"])
+    def test_count_computed_before_allocation_is_the_output_length(
+            self, monkeypatch, make):
+        # the rings are check 5's and the dense benchmark's complement planes
+        n = len(make())
+        monkeypatch.setattr(geometry, "MAX_POINTS", n)
+        assert len(make()) == n
+        monkeypatch.setattr(geometry, "MAX_POINTS", n - 1)
+        with pytest.raises(ValidationError, match=f"asks for {n} points; a generator makes 1 to {n - 1}"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: geometry.truncated_cone(0),
+        lambda: geometry.annulus(10, []),
+        lambda: geometry.layered_ball([], [], include_center=False),
+        lambda: geometry.circle_ring(0),
+        lambda: geometry.spherical_cap(-3, 0.5)],
+        ids=["cone", "annulus", "layered_ball", "circle_ring", "spherical_cap"])
+    def test_no_points_is_a_validation_error(self, make):
+        with pytest.raises(ValidationError, match="asks for -?[03] points"):
+            make()
+
+    def test_ball_grid_counts_the_cube_it_filters(self, monkeypatch):
+        cube = len(geometry.box_grid([-1.0] * 3, [1.0] * 3, 0.5))
+        monkeypatch.setattr(geometry, "MAX_POINTS", cube - 1)
+        with pytest.raises(ValidationError, match="box_grid"):
+            geometry.ball_grid(0.5)
 
 
 class TestGeneratorRegistry:

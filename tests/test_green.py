@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import greenpot.balayage
+import greenpot.green
 import greenpot.riesz
 import greenpot.solvers
 from greenpot import geometry
 from greenpot.balayage import sweep
-from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
-                           ValidationError)
+from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
+                           PointSet, ValidationError)
 from greenpot.green import (build_green, frostman_excess, green_equilibrium,
                             green_sweep)
 from greenpot.riesz import assemble_riesz, make_kernel
@@ -132,6 +133,20 @@ class TestBuild:
         K_d = gs.riesz_full.block(gs.cfg.d_indices)
         assert float(np.min(gs.green.entries)) >= -1e-10
         assert float(np.max(gs.green.entries - K_d)) <= 1e-10
+
+    @pytest.mark.parametrize("scale, message", [
+        (100.0, "Green entries reach"), (-1.0, "exceed the Riesz entries")],
+        ids=["below_zero", "above_riesz"])
+    def test_entries_outside_zero_and_riesz_raise(self, monkeypatch, scale,
+                                                  message):
+        # the green report has no entry-bound row: these raises are the check.
+        # An oversized sweep drives entries below zero, a negative one lifts
+        # them above the Riesz entries.
+        real = greenpot.green.dirac_sweep_matrix
+        monkeypatch.setattr(greenpot.green, "dirac_sweep_matrix",
+                            lambda *args: scale * real(*args))
+        with pytest.raises(InvariantError, match=message):
+            line_system()
 
     def test_d_positions_rejects_y_index(self):
         gs = line_system()

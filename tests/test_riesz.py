@@ -73,6 +73,23 @@ class TestAssembly:
         with pytest.raises(SolverError):
             make_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0, 3)
 
+    @pytest.mark.parametrize("d", [0.0, -1.0], ids=["zero", "negative"])
+    def test_non_positive_diagonal_fails_the_factorization(self, d):
+        entries = np.array([[2.0, 0.5, 0.0], [0.5, d, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(SolverError, match="size 3 is not positive definite"):
+            make_kernel(entries, 2.0, 3)
+
+    def test_nan_diagonal_rejected(self):
+        # NaN != NaN, so the exact symmetry check refuses it before any factor
+        entries = np.array([[2.0, 0.5], [0.5, np.nan]])
+        with pytest.raises(ValidationError, match="symmetric"):
+            make_kernel(entries, 2.0, 3)
+
+    def test_nan_pivot_is_a_failed_factorization(self):
+        # LAPACK's potrf in OpenBLAS returns a NaN factor here without an error
+        with pytest.raises(SolverError, match="non-finite pivot"):
+            _cholesky(np.array([[2.0, 0.5], [0.5, np.nan]]))
+
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError):
             make_kernel(np.array([[2.0, 1.0], [0.5, 2.0]]), 2.0, 3)

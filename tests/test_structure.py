@@ -1,0 +1,38 @@
+import ast
+from pathlib import Path
+
+import greenpot
+
+SRC = Path(greenpot.__file__).parent
+
+# The one place that turns a failed Cholesky into a SolverError, and the
+# Dirac sweep's upper-form factorization, which keeps its own on purpose.
+LINALG_HANDLERS = {("solvers.py", "_cholesky"), ("balayage.py", "dirac_sweep_matrix")}
+
+
+def _catches_linalg_error(handler: ast.ExceptHandler) -> bool:
+    return handler.type is not None and any(
+        getattr(node, "attr", getattr(node, "id", None)) == "LinAlgError"
+        for node in ast.walk(handler.type))
+
+
+def linalg_handlers() -> set:
+    """(file, innermost enclosing function) of every handler of LinAlgError."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name  # inner functions come later and win
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and _catches_linalg_error(node):
+                found.add((path.name, owner.get(node, "<module>")))
+    return found
+
+
+def test_linalg_error_is_mapped_in_one_place():
+    # every other factorization goes through solvers._cholesky, which raises
+    # SolverError itself
+    assert linalg_handlers() == LINALG_HANDLERS
