@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .core import DiscreteMeasure, SolverError, ValidationError, _index_array
+from .core import DiscreteMeasure, ValidationError, _index_array
 from .riesz import KernelMatrix, potential
-from .solvers import nonneg_qp
+from .solvers import _cholesky, nonneg_qp
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,8 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
         raise ValidationError("sources and sweep target must be disjoint")
     if sources.size == 0:
         return np.zeros((q.size, 0))
-    # the block is exactly symmetric, so its transpose is the Fortran-ordered
-    # copy LAPACK would otherwise make, and is factored in place
-    try:
-        block = cho_factor(K.block(q).T, lower=False, overwrite_a=True,
-                           check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"sweep target block of size {q.size} is not "
-                          f"positive definite: {exc}") from exc
+    # factored in place, in the upper form the Green outputs are pinned to
+    block = _cholesky(K.block(q), overwrite=True, _lower=False)
     rhs = K.block(q, sources)
     W = cho_solve(block, rhs, check_finite=False)
     del block  # the block now holds the factor; free it before any fallback

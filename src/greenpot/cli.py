@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config parse failure, 3 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -28,9 +29,9 @@ from . import geometry, verify
 from .balayage import sweep
 from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
                    SolverError, ValidationError, nearest_neighbor_distances)
-from .gauss import (closed_form_applies, dual_check, exhaustion_mass_probe,
-                    explicit_solution, external_field, solve_gauss,
-                    support_descriptor, truncation_sweep)
+from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
+                    exhaustion_mass_probe, explicit_solution, external_field,
+                    solve_gauss, support_descriptor, truncation_sweep)
 from .green import build_green, frostman_excess, green_equilibrium
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
@@ -471,7 +472,8 @@ def _field_system(sc: Scenario):
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns (report-body dict, exit code)
+# task runners: each returns the report's results and, unless there are
+# none, its invariants
 
 
 def _at_most(name: str, value, tolerance) -> dict:
@@ -488,15 +490,13 @@ def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
     nn = nearest_neighbor_distances(sc.point_set.points) if K.size > 1 else None
     return {
         "results": {
-            "size": K.size, "alpha": K.alpha, "dim": K.dim, "sigma": sc.sigma,
+            "size": K.size, "dim": K.dim,
             "diagonal_min": float(diag.min()), "diagonal_max": float(diag.max()),
             "off_diagonal_max": float(off.max()),
             "cell_radius_min": float(np.min(sc.point_set.cell_radius)),
             "cell_radius_max": float(np.max(sc.point_set.cell_radius)),
             "nearest_neighbor_min": float(nn.min()) if nn is not None else None,
         },
-        "invariants": [],
-        "hypotheses": [],
     }
 
 
@@ -521,7 +521,6 @@ def _run_capacity(sc: Scenario, art: Artifacts) -> dict:
             _at_most("potential_at_least_energy_on_target",
                      float(energy - u[target].min()), RESIDUAL_TOL * energy),
         ],
-        "hypotheses": [],
     }
 
 
@@ -546,7 +545,6 @@ def _run_equilibrium(sc: Scenario, art: Artifacts) -> dict:
             _at_most("potential_at_least_one_on_target",
                      float(1.0 - u[target].min()), RESIDUAL_TOL),
         ],
-        "hypotheses": [],
     }
 
 
@@ -566,10 +564,6 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
             _at_most("projection_first_order_conditions", worst, RESIDUAL_TOL),
             _at_most("mass_not_increased", float(res.mass_out - res.mass_in), 1e-10),
         ],
-        "hypotheses": [
-            {"name": "domination_outside_target", "status": "checked",
-             "value": kk.domination_off_target},
-        ],
     }
 
 
@@ -586,7 +580,7 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
     return {
         "results": {
             "f_size": int(cfg.f_indices.size), "y_size": int(cfg.y_indices.size),
-            "d_size": int(n_d), "alpha": cfg.alpha,
+            "d_size": int(n_d),
             "asymmetry_residual": gs.asymmetry_residual,
             "entry_min": float(G.min()), "diagonal_min": float(np.diag(G).min()),
         },
@@ -594,7 +588,6 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
             _at_most("symmetrization_residual", gs.asymmetry_residual,
                      RESIDUAL_TOL),
         ],
-        "hypotheses": [],
     }
 
 
@@ -628,15 +621,9 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
             "theta_swept_mass": m_swept,
             "separation_rho": fld.rho,
             "mass_bound": fld.mass_bound,
-            "kkt": {
-                "support_residual": kkt.support_residual,
-                "off_support_slack": kkt.off_support_slack,
-                "mass_error": kkt.mass_error,
-                "min_weight": kkt.min_weight,
-                "iterations": kkt.iterations,
-                "tolerance": kkt.tolerance,
-                "gap_bound": kkt.gap_bound,
-            },
+            # the record's multiplier is c_constant
+            "kkt": {k: v for k, v in dataclasses.asdict(kkt).items()
+                    if k != "multiplier"},
             "diagnostics": {**sol.diagnostics, "green_capacity_of_f": c_g,
                             "frostman_excess": frostman_excess(gs, gamma)},
             "representation": rep,
@@ -646,12 +633,6 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
                      RESIDUAL_TOL),
             _at_most("no_descent_off_support", kkt.off_support_slack,
                      RESIDUAL_TOL),
-        ],
-        "hypotheses": [
-            {"name": "charge_separated_from_f", "status": "checked",
-             "value": fld.rho},
-            {"name": "swept_mass_at_most_one", "status": "checked",
-             "value": m_swept},
         ],
     }
 
@@ -668,21 +649,16 @@ def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
              [("w", [float(s) for s in rep.sizes], rep.w_values),
               ("c", [float(s) for s in rep.sizes], rep.c_values)],
              "values along nested truncations", "truncation size", "value")
-    excess = max((p["lhs"] - p["rhs"] for p in rep.parallelogram), default=0.0)
     return {
         "results": {
-            "direction": rep.direction, "sizes": [int(s) for s in rep.sizes],
+            "direction": rep.direction, "sizes": rep.sizes,
             "w_values": rep.w_values, "c_values": rep.c_values,
             "swept_masses": rep.swept_masses,
             "cauchy_norms": rep.cauchy_norms,
-            "parallelogram_max_excess": excess,
+            "parallelogram_max_excess": rep.max_excess,
         },
         "invariants": [
-            _at_most("parallelogram_bound", excess, 1e-9),
-        ],
-        "hypotheses": [
-            {"name": "swept_mass_at_most_one", "status": "checked",
-             "value": max(rep.swept_masses)},
+            _at_most("parallelogram_bound", rep.max_excess, PARALLELOGRAM_TOL),
         ],
     }
 
@@ -704,14 +680,7 @@ def _run_exhaustion(sc: Scenario, art: Artifacts) -> dict:
              [("window mass", [float(r["size"]) for r in probe["stages"]],
                [r["window_mass"] for r in probe["stages"]])],
              "mass kept inside the fixed window", "truncation size", "mass")
-    return {
-        "results": probe,
-        "invariants": [],
-        "hypotheses": [
-            {"name": "total_charge", "status": "checked",
-             "value": fld.theta.total_mass},
-        ],
-    }
+    return {"results": {**probe, "theta_mass": fld.theta.total_mass}}
 
 
 def _run_support(sc: Scenario, art: Artifacts) -> dict:
@@ -720,23 +689,8 @@ def _run_support(sc: Scenario, art: Artifacts) -> dict:
     desc = support_descriptor(sol, cfg)
     _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices,
                    sol.minimizer, "minimizer support")
-    return {
-        "results": {
-            "w_value": sol.w_value, "c_constant": sol.c_constant,
-            "boundary_count": desc["boundary_count"],
-            "boundary_mass_fraction": desc["boundary_mass_fraction"],
-            "interior_mass_fraction": desc["interior_mass_fraction"],
-            "support_radius": desc["support_radius"],
-            "adjacency_factor": desc["adjacency_factor"],
-        },
-        "invariants": [],
-        "hypotheses": [
-            {"name": "omega_connected", "status": "checked",
-             "value": desc["omega_connected"]},
-            {"name": "omega_components", "status": "checked",
-             "value": desc["omega_components"]},
-        ],
-    }
+    return {"results": {"w_value": sol.w_value, "c_constant": sol.c_constant,
+                        **desc}}
 
 
 _RUNNERS = {
@@ -836,13 +790,11 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return EXIT_CONFIG
             sc = Scenario(cfg, base_dir)
-            body = _RUNNERS[task](sc, art)
+            body = {"invariants": [], **_RUNNERS[task](sc, art)}
             report["alpha"] = sc.alpha
             report["sigma"] = sc.sigma
-            code = EXIT_OK
-            for inv in body.get("invariants", []):
-                if not inv["passed"]:
-                    code = EXIT_INVARIANT
+            code = (EXIT_OK if all(inv["passed"] for inv in body["invariants"])
+                    else EXIT_INVARIANT)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,6 +25,9 @@ from .solvers import KKTRecord, _simplex_record, simplex_qp
 # An F-point is boundary when an Omega-point lies within this many of its
 # nearest-F-neighbour spacings; Omega-points connect under the same rule.
 ADJACENCY_FACTOR = 1.5
+# Largest excess of |lam_s - lam_t|^2 over 2 |w_s - w_t| that a nested
+# family's pairs may show (SweepReport.max_excess).
+PARALLELOGRAM_TOL = 1e-9
 
 
 def closed_form_applies(swept_mass: float) -> bool:
@@ -137,7 +140,6 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
         raise InvariantError(
             f"field energy {field_energy} exceeds the bound {fld.mass_bound}")
     diagnostics = {
-        "theta_swept_mass": fld.theta_swept.total_mass,
         "c_cross_gap": abs(rec.multiplier - c_cross),
         "field_energy": field_energy,
     }
@@ -169,8 +171,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
     return GaussSolution(minimizer=DiscreteMeasure(lam), w_value=w_value,
                          c_constant=c,
                          kkt=_simplex_record(G, b, x, c, np.min(x), 0, 0.0),
-                         diagnostics={"theta_swept_mass": m,
-                                      "green_capacity_of_f": c_g,
+                         diagnostics={"green_capacity_of_f": c_g,
                                       "green_equilibrium_of_f": gamma})
 
 
@@ -189,8 +190,7 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
                           start=_support_on(sol.minimizer, f))
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     dual = GaussSolution(minimizer=gs.lift(x2, f), w_value=w2,
-                         c_constant=rec2.multiplier, kkt=rec2,
-                         diagnostics={"theta_swept_mass": fld.theta_swept.total_mass})
+                         c_constant=rec2.multiplier, kkt=rec2, diagnostics={})
     return {
         "w_gap": abs(sol.w_value - dual.w_value),
         "lambda_gap_norm": gs.distance(sol.minimizer, dual.minimizer),
@@ -201,6 +201,9 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Values along a nested family; max_excess is the largest lhs - rhs of
+    the parallelogram pairs, 0.0 for a family of one member."""
+
     direction: str
     sizes: list
     w_values: list
@@ -208,6 +211,7 @@ class SweepReport:
     swept_masses: list
     cauchy_norms: list
     parallelogram: list
+    max_excess: float
 
 
 def _nesting_direction(family) -> str:
@@ -233,11 +237,12 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
     |lam_s - lam_t|^2 <= 2 |w_s - w_t| are recorded for inspection.
     """
     direction = _nesting_direction(family)
-    sols, masses = [], []
+    sols, masses, sizes = [], [], []
     for member in family:
         f, _ = _f_positions(gs, member)
         sols.append(solve_gauss(gs, fld, f))
-        masses.append(float(_swept_charge(gs, fld, f).weights[f].sum()))
+        masses.append(_swept_charge(gs, fld, f).total_mass)
+        sizes.append(int(f.size))
     w = [s.w_value for s in sols]
     c = [s.c_constant for s in sols]
     for a, b in zip(w, w[1:]):
@@ -258,10 +263,11 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
             lhs = float(diff @ (gs.green.entries @ diff))
             para.append({"i": i, "j": j, "lhs": lhs,
                          "rhs": 2.0 * abs(w[i] - w[j])})
-    return SweepReport(direction=direction,
-                       sizes=[int(np.asarray(m).size) for m in family],
+    return SweepReport(direction=direction, sizes=sizes,
                        w_values=w, c_values=c, swept_masses=masses,
-                       cauchy_norms=cauchy, parallelogram=para)
+                       cauchy_norms=cauchy, parallelogram=para,
+                       max_excess=max((p["lhs"] - p["rhs"] for p in para),
+                                      default=0.0))
 
 
 def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,

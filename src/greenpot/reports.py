@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _plain(obj):

@@ -83,18 +83,20 @@ def _scale_tol(b: np.ndarray, diag: np.ndarray, rtol: float) -> float:
     return rtol * scale
 
 
-def _cholesky(block: np.ndarray, overwrite: bool = False):
+def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
     """Lower Cholesky factor of a symmetric matrix, in cho_solve's (c, lower) form.
 
     LAPACK reads the transpose, which is Fortran-ordered for a C-ordered
     block, so overwrite=True factors such a block in place; its lower
     triangle is the block's upper one. make_kernel's positive-definiteness
     check and the solvers both factor through here, so a factor kept from
-    the check equals the one a solver would compute, bit for bit. Raises
-    SolverError when the block is not positive definite, here and only here.
+    the check equals the one a solver would compute, bit for bit. The Dirac
+    sweep alone asks for the upper factor (_lower=False), whose rounding its
+    Green outputs are pinned to. Raises SolverError when the block is not
+    positive definite, here and only here.
     """
     try:
-        factor = cho_factor(block.T, lower=True, overwrite_a=overwrite,
+        factor = cho_factor(block.T, lower=_lower, overwrite_a=overwrite,
                             check_finite=False)
     except np.linalg.LinAlgError as exc:
         reason = str(exc)

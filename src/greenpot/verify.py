@@ -19,9 +19,9 @@ from scipy.spatial.distance import cdist
 from . import geometry
 from .balayage import sweep
 from .core import DiscreteMeasure, DomainConfig, PointSet
-from .gauss import (closed_form_applies, exhaustion_mass_probe,
-                    explicit_solution, external_field, dual_check, solve_gauss,
-                    support_descriptor, truncation_sweep)
+from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
+                    exhaustion_mass_probe, explicit_solution, external_field,
+                    solve_gauss, support_descriptor, truncation_sweep)
 from .green import build_green, green_sweep
 from .reports import csv_lines
 from .riesz import assemble_riesz, capacity, weight_norm
@@ -329,7 +329,7 @@ def criterion_6(seed: int = 0) -> tuple:
     family = [f_idx[xs >= t] for t in (0.5, 0.0, -0.5, -2.0)]
     inc = truncation_sweep(gs, fld, family)
     dec = truncation_sweep(gs, fld, family[::-1])
-    para_ok = all(p["lhs"] <= p["rhs"] + 1e-9 for p in inc.parallelogram)
+    para_ok = inc.max_excess <= PARALLELOGRAM_TOL
     rows = [("grow", s, w, c, m, cn)
             for s, w, c, m, cn in zip(inc.sizes, inc.w_values, inc.c_values,
                                       inc.swept_masses, inc.cauchy_norms)]
@@ -340,8 +340,7 @@ def criterion_6(seed: int = 0) -> tuple:
         "w_values": inc.w_values,
         "c_values": inc.c_values,
         "parallelogram_ok": para_ok,
-        "max_parallelogram_excess": max(p["lhs"] - p["rhs"]
-                                        for p in inc.parallelogram),
+        "max_parallelogram_excess": inc.max_excess,
         "shrink_w_values": dec.w_values,
     }
     return (para_ok and all(map(closed_form_applies, inc.swept_masses)),

@@ -120,6 +120,14 @@ class TestDiracMatrix:
         with pytest.raises(SolverError, match="size 2 is not positive definite"):
             dirac_sweep_matrix(K, [2], [0, 1])
 
+    def test_nan_pivot_is_a_solver_error(self):
+        # OpenBLAS's potrf carries this NaN pivot through without an error
+        K = KernelMatrix(np.array([[2.0, 0.5, 0.3],
+                                   [0.5, np.nan, 0.2],
+                                   [0.3, 0.2, 1.0]]), 2.0, 3)
+        with pytest.raises(SolverError, match="non-finite pivot"):
+            dirac_sweep_matrix(K, [2], [0, 1])
+
     def test_superposition_matches_individual_sweeps(self):
         rng = np.random.default_rng(14)
         ps = PointSet.from_points(rng.uniform(-1, 1, size=(10, 3)))

@@ -4,6 +4,7 @@ import resource
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import greenpot.riesz
 import greenpot.solvers
 from greenpot import cli, geometry
 from greenpot.core import InvariantError, SolverError
+from greenpot.gauss import solve_gauss
 from greenpot.green import build_green, green_equilibrium
 
 
@@ -58,7 +60,7 @@ class TestKernelTask:
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["task"] == "kernel"
         assert rep["results"]["diagonal_min"] == 4.0
         assert rep["results"]["off_diagonal_max"] == 1.0
@@ -441,8 +443,7 @@ class TestSupportTask:
         rep = read_report(out)
         assert rep["results"]["boundary_count"] == 0
         assert rep["results"]["interior_mass_fraction"] == pytest.approx(1.0)
-        hyp = {h["name"]: h["value"] for h in rep["hypotheses"]}
-        assert hyp["omega_connected"] is True
+        assert rep["results"]["omega_connected"] is True
 
 
 # The invariant rows of each run task. Every other property a run relies on
@@ -489,23 +490,50 @@ class TestReportContract:
         return {task: write_config(tmp_path, {"task": task, **body}, f"{task}.json")
                 for task, body in bodies.items()}
 
-    def test_every_invariant_compares_a_measured_value(self, tmp_path):
-        # a row that restates a check the library raises on can only pass
+    def reports(self, tmp_path) -> dict:
+        """The report of each run task's config."""
         configs = self.configs(tmp_path)
         assert sorted(configs) == sorted(cli._RUNNERS)
+        reports = {}
         for task, path in configs.items():
             out = str(tmp_path / f"out_{task}")
             assert cli.main(["run", path, "--out", out]) == 0, task
-            rep = read_report(out)
+            reports[task] = read_report(out)
+        return reports
+
+    def test_every_invariant_compares_a_measured_value(self, tmp_path):
+        # a row that restates a check the library raises on can only pass
+        for task, rep in self.reports(tmp_path).items():
             assert [r["name"] for r in rep["invariants"]] == INVARIANTS[task], task
             for r in rep["invariants"]:
                 for key in ("value", "tolerance"):
                     assert (isinstance(r[key], (int, float))
                             and not isinstance(r[key], bool)), (task, r)
                 assert r["passed"] == (r["value"] <= r["tolerance"]), (task, r)
-            # a hypothesis records a measured value, not a restated rule
-            assert not [h for h in rep["hypotheses"]
-                        if isinstance(h["value"], str)], task
+
+    def test_each_value_is_stated_once(self, tmp_path):
+        reports = self.reports(tmp_path)
+        for task, rep in reports.items():
+            assert sorted(rep) == ["alpha", "artifacts", "invariants", "results",
+                                   "schema_version", "seed", "sigma", "task"], task
+            assert rep["schema_version"] == 2
+        # alpha and sigma live at the top level only
+        assert not {"alpha", "sigma"} & set(reports["kernel"]["results"])
+        assert "alpha" not in reports["green"]["results"]
+        # the paper's hypotheses are measured values in results
+        assert reports["exhaustion"]["results"]["theta_mass"] == 1.75
+        assert reports["support"]["results"]["omega_connected"] is True
+        assert reports["support"]["results"]["omega_components"] == 1
+        res = reports["gauss"]["results"]
+        assert "theta_swept_mass" not in res["diagnostics"]
+        assert res["theta_swept_mass"] == pytest.approx(0.4, abs=1e-12)
+        # the kkt block is the solver's record; its multiplier is c_constant
+        with open(tmp_path / "gauss.json") as fh:
+            sc = cli.Scenario(json.load(fh), str(tmp_path))
+        _, gs, fld = cli._field_system(sc)
+        kkt = asdict(solve_gauss(gs, fld).kkt)
+        assert res["c_constant"] == kkt.pop("multiplier")
+        assert res["kkt"] == kkt
 
 
 class TestVerifyAllCommand:

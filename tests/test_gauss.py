@@ -142,8 +142,7 @@ class TestExplicitSolution:
         assert built.c_constant == pytest.approx(solved.c_constant, abs=1e-13)
         assert built.w_value == pytest.approx(solved.w_value, abs=1e-13)
         assert built.kkt.support_residual <= 1e-12
-        assert built.diagnostics["theta_swept_mass"] == pytest.approx(
-            0.4, abs=1e-14)
+        assert fld.theta_swept.total_mass == pytest.approx(0.4, abs=1e-14)
 
     def test_unit_swept_mass_tracks_swept_charge(self):
         # charge scaled so its sweep onto F carries exactly mass one; the
@@ -215,7 +214,13 @@ class TestTruncationSweep:
         assert pair["lhs"] == pytest.approx(0.32, abs=1e-12)
         assert pair["rhs"] == pytest.approx(0.64, abs=1e-12)
         assert pair["lhs"] <= pair["rhs"] + 1e-12
+        assert rep.max_excess == pair["lhs"] - pair["rhs"]
         assert rep.cauchy_norms[-1] == 0.0
+
+    def test_one_member_family_has_no_excess(self):
+        gs, fld = field_system()
+        rep = truncation_sweep(gs, fld, [[0, 1]])
+        assert rep.parallelogram == [] and rep.max_excess == 0.0
 
     def test_shrinking_family_direction(self):
         gs, fld = field_system()
@@ -332,11 +337,19 @@ class TestFamilySweeps:
         monkeypatch.setattr(greenpot.gauss, "green_sweep", counting)
         out = run(gs, fld, [[0], [0, 1]])
         assert targets == [[0]]
-        fresh = green_sweep(gs, fld.theta, [0, 1])
-        if run is truncation_sweep:
-            assert out.swept_masses[-1] == fresh.mass_out
-        else:
-            assert out["stages"][-1]["swept_mass"] == fresh.swept.total_mass
+        masses = (out.swept_masses if run is truncation_sweep
+                  else [s["swept_mass"] for s in out["stages"]])
+        assert masses[-1] == green_sweep(gs, fld.theta, [0, 1]).swept.total_mass
+
+    def test_repeated_indices_count_once(self):
+        # a member is solved as its sorted, deduplicated index set, and both
+        # sweeps report that set's size and the swept measure's total mass
+        gs, fld = field_system()
+        trunc = truncation_sweep(gs, fld, [[0, 0], [1, 0, 1]])
+        probe = exhaustion_mass_probe(gs, fld, [[0, 0], [1, 0, 1]])
+        assert trunc.sizes == [s["size"] for s in probe["stages"]] == [1, 2]
+        assert trunc.swept_masses == [s["swept_mass"] for s in probe["stages"]]
+        assert trunc == truncation_sweep(gs, fld, [[0], [0, 1]])
 
 
 class TestExhaustionProbe:

@@ -5,9 +5,8 @@ import greenpot
 
 SRC = Path(greenpot.__file__).parent
 
-# The one place that turns a failed Cholesky into a SolverError, and the
-# Dirac sweep's upper-form factorization, which keeps its own on purpose.
-LINALG_HANDLERS = {("solvers.py", "_cholesky"), ("balayage.py", "dirac_sweep_matrix")}
+# The one place that turns a failed Cholesky into a SolverError.
+LINALG_HANDLERS = {("solvers.py", "_cholesky")}
 
 
 def _catches_linalg_error(handler: ast.ExceptHandler) -> bool:
@@ -36,3 +35,15 @@ def test_linalg_error_is_mapped_in_one_place():
     # every other factorization goes through solvers._cholesky, which raises
     # SolverError itself
     assert linalg_handlers() == LINALG_HANDLERS
+
+
+def test_only_solvers_calls_cho_factor():
+    # a factorization elsewhere would need its own failure mapping
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and any(a.name == "cho_factor" for a in node.names)
+                    or getattr(node, "attr", None) == "cho_factor"):
+                users.add(path.name)
+    assert users == {"solvers.py"}
