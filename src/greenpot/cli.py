@@ -1,9 +1,10 @@
-"""Config-driven scenario runner.
+"""Config-driven scenario runner: `greenpot run CONFIG [--out DIR]`.
 
-A single JSON config names a task, a point-cloud geometry, region
-assignments, and an optional external charge; the runner executes the task
-and writes report.json, tables/*.csv (17 significant digits), and optional
-plots/*.svg into the output directory. Files are staged in a hidden
+A single JSON config names a task and exactly the inputs that task reads
+(`_TASK_KEYS`): a point-cloud geometry, region assignments, an external
+charge and so on. The runner executes the task and writes report.json,
+tables/*.csv (17 significant digits), and optional plots/*.svg into the
+output directory (default `out`). Files are staged in a hidden
 subdirectory of it and moved in only once report.json is written; a run that
 stops with an error (a config, validation or solver error, or a raised
 invariant error) leaves the directory as it found it.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import shutil
@@ -47,13 +47,23 @@ EXIT_INVARIANT = 5
 # invariants.
 RESIDUAL_TOL = 1e-8
 
-TASKS = ("kernel", "capacity", "equilibrium", "sweep", "green", "gauss",
-         "truncation", "exhaustion", "support", "verify-all")
+_CHARGED = ("alpha", "geometry", "regions", "theta")
 
-_TOP_KEYS_REQ = ("task",)
-_TOP_KEYS_OPT = ("alpha", "sigma", "dim", "geometry", "regions", "theta",
-                 "family", "window", "target", "output_dir",
-                 "seed", "criteria", "plots")
+# The keys each task reads, (required, optional); every config also requires
+# "task". A key outside its task's row is a config error.
+_TASK_KEYS = {
+    "kernel": (("alpha", "geometry"), ("sigma",)),
+    "capacity": (("alpha", "geometry"), ("sigma", "target", "plots")),
+    "equilibrium": (("alpha", "geometry"), ("sigma", "target", "plots")),
+    "sweep": (("alpha", "geometry", "theta", "target"), ("sigma", "plots")),
+    "green": (("alpha", "geometry", "regions"), ("sigma",)),
+    "gauss": (_CHARGED, ("sigma", "plots")),
+    "support": (_CHARGED, ("sigma", "plots")),
+    "truncation": ((*_CHARGED, "family"), ("sigma", "plots")),
+    "exhaustion": ((*_CHARGED, "family"), ("sigma", "window", "plots")),
+    "verify-all": ((), ("seed", "criteria", "plots")),
+}
+TASKS = tuple(_TASK_KEYS)
 
 
 class ConfigError(Exception):
@@ -98,20 +108,19 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}")
-    _check_keys(raw, "config", _TOP_KEYS_REQ, _TOP_KEYS_OPT)
+    if not isinstance(raw, dict):
+        raise ConfigError("config: expected an object")
     task = raw.get("task")
     if task not in TASKS:
         raise ConfigError(f"config.task: expected one of {list(TASKS)}, got {task!r}")
+    required, optional = _TASK_KEYS[task]
+    _check_keys(raw, "config", ("task", *required), optional)
     seed = raw.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise ConfigError(
             f"config.seed: expected a non-negative integer, got {seed!r}")
     if not isinstance(raw.get("plots", True), bool):
         raise ConfigError(f"config.plots: expected true or false, got {raw['plots']!r}")
-    out_dir = raw.get("output_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(
-            f"config.output_dir: expected a nonempty path string, got {out_dir!r}")
     return raw
 
 
@@ -131,10 +140,6 @@ def _build_part(spec, ctx: str) -> np.ndarray:
     if not isinstance(params, dict):
         raise ConfigError(f"{ctx}.params: expected an object")
     try:
-        inspect.signature(fn).bind(**params)
-    except TypeError as exc:
-        raise ConfigError(f"{ctx}.params: {exc}")
-    try:
         pts = np.asarray(fn(**params), dtype=float)
     except TypeError as exc:
         raise ConfigError(f"{ctx}.params: {exc}")
@@ -152,9 +157,7 @@ def _build_part(spec, ctx: str) -> np.ndarray:
 
 def _build_cloud(cfg: dict, base_dir: str):
     """Return (points, part_ids, radii-or-None) for the geometry block."""
-    geom = cfg.get("geometry")
-    if geom is None:
-        raise ConfigError("config.geometry is required for this task")
+    geom = cfg["geometry"]
     _check_keys(geom, "config.geometry", (), ("parts", "csv"))
     has_parts = "parts" in geom
     has_csv = "csv" in geom
@@ -249,9 +252,7 @@ class Scenario:
 
     def __init__(self, cfg: dict, base_dir: str):
         self.cfg = cfg
-        self.alpha = None
-        if "alpha" in cfg:
-            self.alpha = _number(cfg["alpha"], "config.alpha")
+        self.alpha = _number(cfg["alpha"], "config.alpha")
         self.sigma = _number(cfg.get("sigma", 1.0), "config.sigma")
 
         geo_points, self.part_ids, radii = _build_cloud(cfg, base_dir)
@@ -294,13 +295,6 @@ class Scenario:
 
         points = np.vstack([geo_points, theta_rows]) if len(theta_rows) \
             else geo_points
-        if "dim" in cfg:
-            want = cfg["dim"]
-            if not _is_int(want):
-                raise ConfigError(f"config.dim: expected an integer, got {want!r}")
-            if want != points.shape[1]:
-                raise ValidationError(
-                    f"config.dim = {want} but the cloud is {points.shape[1]}-dimensional")
         if radii is not None and len(theta_rows):
             extra = np.empty(len(theta_rows))
             for k, row in enumerate(theta_rows):
@@ -322,16 +316,10 @@ class Scenario:
         return np.where(self._mask(pred, ctx))[0]
 
     def theta_measure(self) -> DiscreteMeasure:
-        if not self.theta_entries:
-            raise ConfigError("config.theta is required for this task")
         return DiscreteMeasure.from_dict(len(self.point_set), self.theta_entries)
 
     def domain(self) -> DomainConfig:
-        if self.alpha is None:
-            raise ConfigError("config.alpha is required for this task")
-        regions = self.cfg.get("regions")
-        if regions is None:
-            raise ConfigError("config.regions is required for this task")
+        regions = self.cfg["regions"]
         _check_keys(regions, "config.regions", ("f",), ("y", "d"))
         f_mask = self._mask(regions["f"], "config.regions.f")
         y_mask = (self._mask(regions["y"], "config.regions.y")
@@ -346,26 +334,20 @@ class Scenario:
         return DomainConfig(self.point_set, d_idx, np.where(y_mask)[0],
                             np.where(f_mask)[0], self.alpha)
 
-    def target_indices(self, default_all: bool = True) -> np.ndarray:
+    def target_indices(self) -> np.ndarray:
+        """The target predicate's points, or every geometry point without one."""
         if "target" in self.cfg:
             return self.region_indices(self.cfg["target"], "config.target")
-        regions = self.cfg.get("regions")
-        if regions is not None and "f" in regions:
-            return np.where(self._mask(regions["f"], "config.regions.f"))[0]
-        if default_all:
-            return np.arange(self.n_geometry)
-        raise ConfigError("config.target is required for this task")
+        return np.arange(self.n_geometry)
 
     def family_indices(self) -> list[np.ndarray]:
-        fam = self.cfg.get("family")
+        fam = self.cfg["family"]
         if not isinstance(fam, list) or not fam:
             raise ConfigError("config.family: expected a nonempty array of predicates")
         return [self.region_indices(p, f"config.family[{k}]")
                 for k, p in enumerate(fam)]
 
     def kernel(self):
-        if self.alpha is None:
-            raise ConfigError("config.alpha is required for this task")
         return assemble_riesz(self.point_set, self.alpha, self.sigma)
 
 
@@ -551,7 +533,7 @@ def _run_equilibrium(sc: Scenario, art: Artifacts) -> dict:
 def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
     K = sc.kernel()
     theta = sc.theta_measure()
-    target = sc.target_indices(default_all=False)
+    target = sc.target_indices()
     res = sweep(K, theta, target)
     _write_measure(art, sc.point_set, "swept.csv", target, res.swept,
                    "swept measure support")
@@ -706,14 +688,10 @@ _RUNNERS = {
 }
 
 
-def _run_verify_all(cfg: dict, art: Artifacts, seed: int,
-                    filters: list[str] | None) -> tuple[dict, int]:
-    which = filters
-    if which is None and "criteria" in cfg:
-        crit = cfg["criteria"]
-        if not isinstance(crit, list) or not crit:
-            raise ConfigError("config.criteria: expected a nonempty array of ids")
-        which = [str(c) for c in crit]
+def _run_verify_all(cfg: dict, art: Artifacts) -> tuple[dict, int]:
+    seed, which = cfg.get("seed", 0), cfg.get("criteria")
+    if which is not None and (not isinstance(which, list) or not which):
+        raise ConfigError("config.criteria: expected a nonempty array of ids")
     try:
         results = verify.run_all(seed=seed, which=which)
     except ValueError as exc:
@@ -726,6 +704,7 @@ def _run_verify_all(cfg: dict, art: Artifacts, seed: int,
         if series:
             art.line(plot.file, series, *plot.labels, logy=plot.logy)
     body = {
+        "seed": seed,
         "criteria": [
             {"id": r.cid, "title": r.title, "passed": r.passed,
              "threshold": verify.THRESHOLDS[r.cid], "measured": r.measured}
@@ -746,16 +725,12 @@ def main(argv=None) -> int:
         prog="greenpot",
         description="potential-theory scenario runner on finite point clouds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (("run", "execute the task named in the config"),
-                       ("verify-all", "run the standard verification suite")):
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("config", help="path to a JSON scenario config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--filter", action="append", default=None,
-                       metavar="CRITERION",
-                       help="criterion id to run (repeatable, verify-all only)")
+    p = sub.add_parser("run", help="execute the task named in the config")
+    p.add_argument("config", help="path to a JSON scenario config")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
     args = parser.parse_args(argv)
+    if not args.out:
+        p.error("--out: expected a nonempty path")
 
     try:
         cfg = _load_config(args.config)
@@ -763,33 +738,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.seed is not None and args.seed < 0:
-        print(f"config error: --seed: expected a non-negative integer, "
-              f"got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
     task = cfg["task"]
-    if args.command == "verify-all":
-        task = "verify-all"
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    out_dir = args.out or cfg.get("output_dir") or "out"
-    want_plots = cfg.get("plots", True)
-    art = Artifacts(out_dir, want_plots)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": task,
-        "seed": seed,
-    }
+    art = Artifacts(args.out, cfg.get("plots", True))
+    report = {"schema_version": SCHEMA_VERSION, "task": task}
     try:
         if task == "verify-all":
-            body, code = _run_verify_all(cfg, art, seed, args.filter)
+            body, code = _run_verify_all(cfg, art)
         else:
-            if args.filter:
-                print("config error: --filter applies to verify-all only",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-            sc = Scenario(cfg, base_dir)
+            sc = Scenario(cfg, os.path.dirname(os.path.abspath(args.config)))
             body = {"invariants": [], **_RUNNERS[task](sc, art)}
             report["alpha"] = sc.alpha
             report["sigma"] = sc.sigma

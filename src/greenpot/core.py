@@ -160,7 +160,10 @@ class DiscreteMeasure:
     def from_dict(cls, size: int, entries: dict) -> "DiscreteMeasure":
         w = np.zeros(size)
         for i, v in entries.items():
-            w[int(i)] = v
+            i = int(i)
+            if not 0 <= i < size:
+                raise ValidationError(f"index {i} outside 0..{size - 1}")
+            w[i] = v
         return cls(w)
 
     @property

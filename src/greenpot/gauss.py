@@ -218,8 +218,6 @@ def _nesting_direction(family) -> str:
     if not len(family):
         raise ValidationError("family must be nonempty")
     sets = [set(int(i) for i in np.asarray(m).ravel()) for m in family]
-    if len(sets) == 1:
-        return "increasing"
     if all(a <= b for a, b in zip(sets, sets[1:])):
         return "increasing"
     if all(a >= b for a, b in zip(sets, sets[1:])):

@@ -189,7 +189,9 @@ GENERATORS = {
 
 def load_csv(path) -> PointSet:
     """Read a cloud from CSV: one row per point, n coordinates, optional last
-    column `cell_radius`. A header row is detected by non-numeric cells."""
+    column `cell_radius`. A header row is detected by non-numeric cells, and
+    only a header whose last cell is `cell_radius` or `radius` marks a radius
+    column: every cell of a headerless row is a coordinate."""
     rows = []
     radius_header = False
     with open(path, newline="") as fh:
@@ -211,17 +213,9 @@ def load_csv(path) -> PointSet:
     if any(len(r) != width for r in rows):
         raise ValidationError(f"ragged rows in {path}")
     arr = np.asarray(rows)
-    # The header decides when present; headerless files fall back to a width
-    # rule: 2 or 3 columns are coordinates, 4 or more columns carry the cell
-    # radius last provided every value there is positive (a 2-D cloud with
-    # radii therefore needs the header to round-trip).
     if radius_header:
         if width < 3:
             raise ValidationError(f"radius column leaves dim < 2 in {path}")
-        return PointSet(arr[:, :-1], arr[:, -1])
-    if width <= 3:
-        return PointSet.from_points(arr)
-    if np.all(arr[:, -1] > 0):
         return PointSet(arr[:, :-1], arr[:, -1])
     return PointSet.from_points(arr)
 

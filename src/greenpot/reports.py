@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _plain(obj):

@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +63,7 @@ class TestKernelTask:
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
-        assert rep["schema_version"] == 2
+        assert rep["schema_version"] == 3
         assert rep["task"] == "kernel"
         assert rep["results"]["diagonal_min"] == 4.0
         assert rep["results"]["off_diagonal_max"] == 1.0
@@ -464,31 +467,35 @@ INVARIANTS = {
 }
 
 
+def task_configs(tmp_path) -> dict:
+    """One config per run task, on the hand instances of the tests above."""
+    cloud = hand_cloud(tmp_path)
+    (tmp_path / "pair.csv").write_text(
+        "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n")
+    (tmp_path / "line.csv").write_text(
+        "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n3,0,0,1.0\n")
+    bare = {"alpha": 2.0, "geometry": {"csv": cloud}}
+    charged = {"alpha": 2.0, "geometry": {"csv": "pair.csv"},
+               "theta": {"points": [[-2.5, 0.0, 0.0]], "weights": [1.75]}}
+    on_f = {**charged, "regions": {"f": {"kind": "all"}}}
+    family = {**on_f, "family": [{"kind": "indices", "values": [0]},
+                                 {"kind": "all"}]}
+    bodies = {
+        "kernel": bare, "capacity": bare, "equilibrium": bare,
+        "sweep": {**charged, "target": {"kind": "indices", "values": [0, 1]}},
+        "green": {"alpha": 2.0, "geometry": {"csv": "line.csv"},
+                  "regions": {"f": {"kind": "indices", "values": [0]},
+                              "y": {"kind": "indices", "values": [2]}}},
+        "gauss": on_f, "support": on_f,
+        "truncation": family, "exhaustion": family,
+    }
+    return {task: {"task": task, **body} for task, body in bodies.items()}
+
+
 class TestReportContract:
     def configs(self, tmp_path) -> dict:
-        """One config per run task, on the hand instances of the tests above."""
-        cloud = hand_cloud(tmp_path)
-        (tmp_path / "pair.csv").write_text(
-            "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n")
-        (tmp_path / "line.csv").write_text(
-            "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n3,0,0,1.0\n")
-        bare = {"alpha": 2.0, "geometry": {"csv": cloud}}
-        charged = {"alpha": 2.0, "geometry": {"csv": "pair.csv"},
-                   "theta": {"points": [[-2.5, 0.0, 0.0]], "weights": [1.75]}}
-        on_f = {**charged, "regions": {"f": {"kind": "all"}}}
-        family = {**on_f, "family": [{"kind": "indices", "values": [0]},
-                                     {"kind": "all"}]}
-        bodies = {
-            "kernel": bare, "capacity": bare, "equilibrium": bare,
-            "sweep": {**charged, "target": {"kind": "indices", "values": [0, 1]}},
-            "green": {"alpha": 2.0, "geometry": {"csv": "line.csv"},
-                      "regions": {"f": {"kind": "indices", "values": [0]},
-                                  "y": {"kind": "indices", "values": [2]}}},
-            "gauss": on_f, "support": on_f,
-            "truncation": family, "exhaustion": family,
-        }
-        return {task: write_config(tmp_path, {"task": task, **body}, f"{task}.json")
-                for task, body in bodies.items()}
+        return {task: write_config(tmp_path, cfg, f"{task}.json")
+                for task, cfg in task_configs(tmp_path).items()}
 
     def reports(self, tmp_path) -> dict:
         """The report of each run task's config."""
@@ -515,8 +522,8 @@ class TestReportContract:
         reports = self.reports(tmp_path)
         for task, rep in reports.items():
             assert sorted(rep) == ["alpha", "artifacts", "invariants", "results",
-                                   "schema_version", "seed", "sigma", "task"], task
-            assert rep["schema_version"] == 2
+                                   "schema_version", "sigma", "task"], task
+            assert rep["schema_version"] == 3
         # alpha and sigma live at the top level only
         assert not {"alpha", "sigma"} & set(reports["kernel"]["results"])
         assert "alpha" not in reports["green"]["results"]
@@ -536,13 +543,85 @@ class TestReportContract:
         assert res["kkt"] == kkt
 
 
+# One key outside each task's row of cli._TASK_KEYS. A theta on a capacity
+# task used to add a point to the cloud and move the reported capacity.
+FOREIGN_KEYS = {
+    "kernel": ("plots", False),
+    "capacity": ("theta", {"points": [[-2.5, 0.0, 0.0]], "weights": [1.0]}),
+    "equilibrium": ("regions", {"f": {"kind": "all"}}),
+    "sweep": ("regions", {"f": {"kind": "all"}}),
+    "green": ("theta", {"points": [[-2.5, 0.0, 0.0]], "weights": [1.0]}),
+    "gauss": ("seed", 0),
+    "support": ("target", {"kind": "all"}),
+    "truncation": ("window", {"kind": "all"}),
+    "exhaustion": ("criteria", ["1"]),
+    "verify-all": ("alpha", 2.0),
+}
+
+
+class TestConfigKeys:
+    def test_tables_cover_every_task(self):
+        assert set(FOREIGN_KEYS) == set(cli._TASK_KEYS) == set(cli.TASKS)
+        assert set(cli._RUNNERS) == set(cli.TASKS) - {"verify-all"}
+
+    @pytest.mark.parametrize("task", sorted(FOREIGN_KEYS))
+    def test_key_outside_the_task_row(self, tmp_path, capsys, task):
+        key, value = FOREIGN_KEYS[task]
+        cfg = task_configs(tmp_path).get(task, {"task": task})
+        assert key not in cfg
+        path = write_config(tmp_path, {**cfg, key: value})
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"unknown field(s) {[key]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_required_key(self, tmp_path, capsys):
+        configs = task_configs(tmp_path)
+        out = tmp_path / "out"
+        for task, (required, _) in cli._TASK_KEYS.items():
+            for key in required:
+                cfg = {k: v for k, v in configs[task].items() if k != key}
+                path = write_config(tmp_path, cfg)
+                assert cli.main(["run", path, "--out", str(out)]) == \
+                    cli.EXIT_CONFIG, (task, key)
+                assert f"missing required field(s) {[key]}" in \
+                    capsys.readouterr().err, (task, key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "v.json"], ["run", "v.json", "--seed", "0"],
+        ["run", "v.json", "--filter", "1"], ["run", "v.json", "--out", ""]],
+        ids=["verify-all", "seed", "filter", "empty-out"])
+    def test_only_run_config_out_parses(self, argv):
+        # run CONFIG [--out DIR] is the whole command line; verify-all,
+        # --seed and --filter are gone, and --out names a directory
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    def test_readme_commands_parse(self, tmp_path, monkeypatch):
+        # every greenpot line of the README's sh blocks names a config that
+        # is not there, so it gets past argparse and stops on the missing file
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"),
+                            re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("greenpot ")]
+        assert lines
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            assert cli.main(shlex.split(line)[1:]) == cli.EXIT_CONFIG, line
+        assert os.listdir(tmp_path) == []
+
+
 class TestVerifyAllCommand:
     def test_single_criterion_filter(self, tmp_path):
-        cfg = write_config(tmp_path, {"task": "verify-all"})
+        cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["1"],
+                                      "seed": 4})
         out = str(tmp_path / "out")
-        code = cli.main(["verify-all", cfg, "--out", out, "--filter", "1"])
-        assert code == 0
+        assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
+        assert rep["schema_version"] == 3 and rep["seed"] == 4
         assert rep["all_passed"]
         assert len(rep["criteria"]) == 1
         row = rep["criteria"][0]
@@ -554,10 +633,10 @@ class TestVerifyAllCommand:
 
     def test_report_bytes_deterministic_with_timing_beside(self, tmp_path):
         # wall times go to timing.json, so report and tables repeat byte for byte
-        cfg = write_config(tmp_path, {"task": "verify-all"})
+        cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["1"]})
         outs = [str(tmp_path / name) for name in ("a", "b")]
         for out in outs:
-            assert cli.main(["verify-all", cfg, "--out", out, "--filter", "1"]) == 0
+            assert cli.main(["run", cfg, "--out", out]) == 0
         names = ["report.json"] + [os.path.join("tables", t) for t in
                                    sorted(os.listdir(os.path.join(outs[0], "tables")))]
         assert len(names) == 3
@@ -579,10 +658,10 @@ class TestVerifyAllCommand:
         assert [r["id"] for r in rep["criteria"]] == ["1"]
 
     def test_unknown_criterion_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, {"task": "verify-all"})
+        cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["99"]})
         out = str(tmp_path / "out")
-        code = cli.main(["verify-all", cfg, "--out", out, "--filter", "99"])
-        assert code == cli.EXIT_CONFIG
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert not os.path.exists(out)
 
 
 class TestErrorPaths:
@@ -614,23 +693,21 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("seed", ["abc", [1], None, 1.7, True])
     def test_non_integer_seed(self, tmp_path, capsys, seed):
-        cloud = hand_cloud(tmp_path)
-        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
-                                      "geometry": {"csv": cloud}, "seed": seed})
+        cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["1"],
+                                      "seed": seed})
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
         assert "config.seed" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("raw,flag", [
-        ({"seed": -20}, []), ({}, ["--seed", "-8"])])
-    def test_negative_seed(self, tmp_path, capsys, raw, flag):
+    @pytest.mark.parametrize("seed", [-20, -8])
+    def test_negative_seed(self, tmp_path, capsys, seed):
         # the suite's generators cannot use a negative seed: a config error,
         # not a failed check
         cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["2"],
-                                      **raw})
+                                      "seed": seed})
         out = str(tmp_path / "out")
-        assert cli.main(["verify-all", cfg, "--out", out, *flag]) == cli.EXIT_CONFIG
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
         assert "non-negative" in capsys.readouterr().err
         assert not os.path.exists(out)
 
@@ -763,19 +840,6 @@ class TestErrorPaths:
         assert "count must be an integer" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("output_dir", [5, True, ["x"], ""],
-                             ids=["int", "bool", "list", "empty"])
-    def test_output_dir_must_be_a_path(self, tmp_path, capsys, monkeypatch,
-                                       output_dir):
-        cloud = hand_cloud(tmp_path)
-        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
-                                      "geometry": {"csv": cloud},
-                                      "output_dir": output_dir})
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
-        assert "config.output_dir" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["cloud.csv", "config.json"]
-
     @pytest.mark.parametrize("part", [
         {"scale": float("nan")},
         {"offset": [float("inf"), 0.0, 0.0]},
@@ -831,27 +895,6 @@ class TestErrorPaths:
             "target": {"kind": "all"}})
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
 
-    def test_dim_mismatch_is_validation_error(self, tmp_path):
-        cloud = hand_cloud(tmp_path)
-        cfg = write_config(tmp_path, {
-            "task": "kernel", "alpha": 2.0, "dim": 2,
-            "geometry": {"csv": cloud}})
-        out = str(tmp_path / "out")
-        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
-        assert not os.path.exists(out)
-
-    @pytest.mark.parametrize("dim", [3.7, 3.0])
-    def test_non_integer_dim(self, tmp_path, capsys, dim):
-        # a non-integer dim used to be truncated, so 3.7 ran as a 3-d cloud
-        cloud = hand_cloud(tmp_path)
-        cfg = write_config(tmp_path, {
-            "task": "kernel", "alpha": 2.0, "dim": dim,
-            "geometry": {"csv": cloud}})
-        out = str(tmp_path / "out")
-        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
-        assert "config.dim" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
     def test_tolerances_block_is_unknown(self, tmp_path, capsys):
         # the residual tolerance and adjacency factor are fixed constants
         cfg = gauss_config(tmp_path, {"tolerances": {"residual": 1e-8}})
@@ -866,12 +909,6 @@ class TestErrorPaths:
         raw["theta"] = {"indices": [0], "weights": [1.0]}
         cfg2 = write_config(tmp_path, raw, name="bad_theta.json")
         assert cli.main(["run", cfg2]) == cli.EXIT_VALIDATION
-
-    def test_filter_rejected_outside_verify_all(self, tmp_path):
-        cloud = hand_cloud(tmp_path)
-        cfg = write_config(tmp_path, {
-            "task": "kernel", "alpha": 2.0, "geometry": {"csv": cloud}})
-        assert cli.main(["run", cfg, "--filter", "1"]) == cli.EXIT_CONFIG
 
     def test_solver_error_maps_to_exit_4(self, tmp_path, monkeypatch):
         cloud = hand_cloud(tmp_path)

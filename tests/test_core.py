@@ -46,6 +46,12 @@ class TestDiscreteMeasure:
         assert list(mu.support) == [1, 2]
         assert len(mu) == 4
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_from_dict_index_out_of_range(self, index):
+        # -1 used to put the mass on the last point, 3 raised IndexError
+        with pytest.raises(ValidationError, match="outside 0..2"):
+            DiscreteMeasure.from_dict(3, {index: 1.0})
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             DiscreteMeasure(np.array([0.1, -0.2]))

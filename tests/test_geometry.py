@@ -265,12 +265,16 @@ class TestCsvRoundTrip:
         assert ps.dim == 3
         assert np.array_equal(ps.cell_radius, [0.5, 0.5])
 
-    def test_headerless_four_columns_take_radius(self, tmp_path):
+    def test_headerless_four_columns_are_coordinates(self, tmp_path):
+        # only a cell_radius header marks a radius column; these rows used to
+        # load as a 3-d cloud with radii [0.1, 0.1, 0.2]
         path = tmp_path / "wide.csv"
-        path.write_text("0,0,0,0.25\n1,0,0,0.25\n")
+        path.write_text("0,0,0,0.1\n1,0,0,0.1\n0,1,0,0.2\n")
         ps = geometry.load_csv(path)
-        assert ps.dim == 3
-        assert np.array_equal(ps.cell_radius, [0.25, 0.25])
+        assert ps.dim == 4
+        assert np.array_equal(ps.points[:, 3], [0.1, 0.1, 0.2])
+        assert ps.cell_radius == pytest.approx([0.5, 0.5, 0.5 * np.sqrt(1.01)],
+                                               rel=1e-15)
 
     def test_malformed_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
