@@ -78,13 +78,15 @@ def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
     is found by the nonnegative solver, whose plain-solve fast path covers
     targets swept with full support.
     """
-    return _sweep(K, xi, q, force_projection, lambda q: (K.block(q), None))
+    return _sweep(K, xi, q, force_projection,
+                  lambda q: (K.block(q), None, None))
 
 
 def _sweep(K: KernelMatrix, xi: DiscreteMeasure, q, force_projection: bool,
            block_on) -> BalayageResult:
-    """sweep, where block_on maps the sorted target q to K's block on q and
-    that block's Cholesky factor or None; it is called only to solve."""
+    """sweep, where block_on maps the sorted target q to K's block on q,
+    that block's Cholesky factor or None, and its FactorSlot or None; it is
+    called only to solve."""
     q = _index_array(q, K.size, "q")
     if q.size == 0:
         raise ValidationError("sweep target must be nonempty")
@@ -96,8 +98,8 @@ def _sweep(K: KernelMatrix, xi: DiscreteMeasure, q, force_projection: bool,
                               kkt_residuals=res, algorithm="identity",
                               active_set_size=int(xi.support.size), tolerance=0.0)
     u_in = potential(K, xi)
-    A, factor = block_on(q)
-    x, rec = nonneg_qp(A, u_in[q], factor=factor)
+    A, factor, slot = block_on(q)
+    x, rec = nonneg_qp(A, u_in[q], factor=factor, slot=slot)
     res = SweepResiduals(
         equality_on_support=rec.support_residual,
         inequality_on_target=rec.off_support_slack,

@@ -583,12 +583,14 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     m_swept = fld.theta_swept.total_mass
     rep: dict = {"applicable": closed_form_applies(m_swept)}
     if rep["applicable"]:
-        exp = explicit_solution(gs, fld)
+        # each solve starts from the support its predecessor ended on, whose
+        # factor green_f's slot then holds
+        dual = dual_check(gs, fld, sol=sol)
+        exp = explicit_solution(gs, fld, dual["dual"])
         c_g = exp.diagnostics["green_capacity_of_f"]
         gamma = exp.diagnostics["green_equilibrium_of_f"]
         rep["lambda_gap_norm"] = gs.distance(lam, exp.minimizer)
         rep["c_gap"] = abs(sol.c_constant - exp.c_constant)
-        dual = dual_check(gs, fld, sol=sol)
         rep["dual_w_gap"] = dual["w_gap"]
         rep["dual_iterations"] = dual["dual"].kkt.iterations
         rep["dual_c_gap"] = dual["c_gap"]

@@ -60,11 +60,15 @@ class PointSet:
         _check_points(pts)
         if rad.shape != (len(pts),):
             raise ValidationError("cell_radius must have one entry per point")
-        if not np.all(rad > 0):
-            raise ValidationError("cell radii must be positive")
+        # distinctness first: from_points turns a duplicate into a zero radius
         nn = nearest_neighbor_distances(pts)
         if np.any(nn <= 0):
-            raise ValidationError("points must be pairwise distinct")
+            i = int(np.flatnonzero(nn <= 0)[0])
+            j = int(np.flatnonzero((pts == pts[i]).all(axis=1))[1])
+            raise ValidationError(
+                f"points must be pairwise distinct; rows {i} and {j} coincide")
+        if not np.all(rad > 0):
+            raise ValidationError("cell radii must be positive")
         # 1e-12 slack keeps radii constructed as exactly half-NN valid
         if np.any(rad > nn / 2 * (1 + 1e-12)):
             worst = int(np.argmax(rad - nn / 2))

@@ -123,12 +123,12 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
     if f is None:
         f = gs.cfg.f_indices
     f, f_pos = _f_positions(gs, f)
-    G, factor = gs.block_on(f)
+    G, factor, slot = gs.block_on(f)
     b = -fld.field_values[f_pos]
     # over all of F the minimizer is the swept charge plus c times the
     # equilibrium measure, so the pivoting starts from the sweep's support
     start = _support_on(fld.theta_swept, f) if factor is not None else None
-    x, rec = simplex_qp(G, b, factor=factor, start=start)
+    x, rec = simplex_qp(G, b, factor=factor, start=start, slot=slot)
     if rec.mass_error > 1e-12:
         raise InvariantError(f"minimizer mass off by {rec.mass_error}")
     energy = x @ (G @ x)
@@ -148,12 +148,16 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
                          diagnostics=diagnostics)
 
 
-def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
+def explicit_solution(gs: GreenSystem, fld: ExternalField,
+                      sol: GaussSolution) -> GaussSolution:
     """Closed-form minimizer on F: swept charge plus a rescaled equilibrium measure.
 
     Valid when the charge swept onto F carries mass at most 1; the remaining
     mass is supplied by the equilibrium measure of F scaled by the constant
-    c = (1 - swept mass) / capacity.
+    c = (1 - swept mass) / capacity. sol is a minimizer on F solved under
+    the charge's field or the swept charge's (dual_check), which share their
+    minimizer; its support holds the equilibrium measure's when c > 0, so
+    the equilibrium solve starts there.
     """
     f = gs.cfg.f_indices
     swept = fld.theta_swept
@@ -161,7 +165,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
     if not closed_form_applies(m):
         raise ValidationError(
             f"swept charge mass {m} exceeds 1; the closed form does not apply")
-    c_g, gamma = green_equilibrium(gs, f)
+    c_g, gamma = green_equilibrium(gs, f, start=_support_on(sol.minimizer, f))
     c = (1.0 - m) / c_g
     lam = swept.weights + c * gamma.weights
     G = gs.green_f.entries
@@ -183,10 +187,10 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
     carries the three observed gaps plus the swept-field solution.
     """
     f = gs.cfg.f_indices
-    G, factor = gs.green_f.entries, gs.green_f.factor
+    G, factor, slot = gs.block_on(f)
     b_dual = -fld.dual_field_values[gs.d_positions(f)]
     # the two problems share their minimizer in the continuum
-    x2, rec2 = simplex_qp(G, b_dual, factor=factor,
+    x2, rec2 = simplex_qp(G, b_dual, factor=factor, slot=slot,
                           start=_support_on(sol.minimizer, f))
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     dual = GaussSolution(minimizer=gs.lift(x2, f), w_value=w2,

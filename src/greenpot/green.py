@@ -20,7 +20,7 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError,
 from .balayage import BalayageResult, _sweep, dirac_sweep_matrix
 from .riesz import (KernelMatrix, _simplex_minimum, assemble_riesz, make_kernel,
                     weight_norm)
-from .solvers import _cholesky
+from .solvers import FactorSlot, _cholesky
 
 ENTRY_TOL = 1e-10
 
@@ -33,7 +33,8 @@ class GreenSystem:
     dirac_sweep_to_y is the |Y| x |D| block whose column k is the swept unit
     mass for the k-th D-point, row j its weight at the j-th Y-point.
     Neither kernel keeps a factor: every solve over all of F starts from
-    green_f's, and every other target is factored by its solver.
+    green_f's factor and factor slot, and every other target is factored by
+    its solver.
     """
 
     cfg: DomainConfig
@@ -53,21 +54,27 @@ class GreenSystem:
 
     @cached_property
     def green_f(self) -> KernelMatrix:
-        """Green matrix on F, a principal block of the checked green, with its factor.
+        """Green matrix on F, a principal block of the checked green, with its
+        factor and a factor slot.
 
         Built on the first solve over all of F (sweep, Gauss solve, Green
-        equilibrium, dual problem), which then share one factorization. The
-        factor equals, bit for bit, the one a solver computes for the block.
+        equilibrium, dual problem), which then share one factorization of
+        the whole block, and through the slot the factor of the free set the
+        last of them ended on: these solves end on nearly the same support.
+        Each factor equals, bit for bit, the one a solver computes for its
+        block.
         """
         entries = self.green.block(self.d_positions(self.cfg.f_indices))
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
-                            factor=_cholesky(entries))
+                            factor=_cholesky(entries), slot=FactorSlot())
 
-    def block_on(self, f: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-        """Green block on the sorted target f within D, and its factor if f is F."""
+    def block_on(self, f: np.ndarray) -> tuple[np.ndarray, tuple | None,
+                                               FactorSlot | None]:
+        """Green block on the sorted target f within D, with its factor and
+        factor slot if f is F (None otherwise)."""
         if np.array_equal(f, self.cfg.f_indices):
-            return self.green_f.entries, self.green_f.factor
-        return self.green.block(self.d_positions(f)), None
+            return self.green_f.entries, self.green_f.factor, self.green_f.slot
+        return self.green.block(self.d_positions(f)), None, None
 
     def measure_on_d(self, mu: DiscreteMeasure) -> np.ndarray:
         if len(mu) != self.riesz_full.size:
@@ -130,10 +137,10 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
     """Project mu in the Green quadratic form onto measures carried by f.
 
     This is the balayage sweep on the Green kernel over D, lifted back to
-    the cloud; a sweep onto all of F solves on green_f and its factor. The Green
-    kernel is perfect, so this equals sweeping mu onto f and Y jointly in
-    the Riesz form and keeping the part on f; check 9 measures that
-    agreement. A measure already carried by f is returned unchanged unless
+    the cloud; a sweep onto all of F solves on green_f, its factor and its
+    factor slot. The Green kernel is perfect, so this equals sweeping mu
+    onto f and Y jointly in the Riesz form and keeping the part on f; check
+    9 measures that agreement. A measure already carried by f is returned unchanged unless
     force_projection re-runs the solver on it.
     """
     f = _index_array(f, gs.riesz_full.size, "f")
@@ -143,16 +150,21 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
     return replace(res, swept=gs.lift(res.swept.weights[f_pos], f))
 
 
-def green_equilibrium(gs: GreenSystem, f) -> tuple[float, DiscreteMeasure]:
-    """Green capacity of f and the measure with Green potential 1 on f."""
+def green_equilibrium(gs: GreenSystem, f,
+                      start=None) -> tuple[float, DiscreteMeasure]:
+    """Green capacity of f and the measure with Green potential 1 on f.
+
+    start, when given, holds the sorted positions within f of the solver's
+    first free set, such as a support the caller knows to be close.
+    """
     f = _index_array(f, gs.riesz_full.size, "f")
     if f.size == 0:
         raise ValidationError("equilibrium target must be nonempty")
     if np.array_equal(f, gs.cfg.f_indices):
         # sorted distinct positions covering green_f: its whole-kernel path
-        energy, x = _simplex_minimum(gs.green_f, np.arange(f.size))
+        energy, x = _simplex_minimum(gs.green_f, np.arange(f.size), start)
     else:
-        energy, x = _simplex_minimum(gs.green, gs.d_positions(f))
+        energy, x = _simplex_minimum(gs.green, gs.d_positions(f), start)
     return 1.0 / energy, gs.lift(x / energy, f)
 
 

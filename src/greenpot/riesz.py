@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import DiscreteMeasure, PointSet, ValidationError, _index_array
-from .solvers import _cholesky, simplex_qp
+from .solvers import FactorSlot, _cholesky, simplex_qp
 
 # Rows per block of the distance fill, and the side of the square tiles of
 # the symmetry check: two tiles stay in cache, and a block's cdist is cheap.
@@ -29,14 +29,16 @@ class KernelMatrix:
     """Symmetric positive definite kernel matrix with parameter metadata.
 
     factor is the Cholesky factor of entries in the solvers' (c, lower)
-    form, such as the one make_kernel's check computed, or None; it takes no
-    part in comparisons or the repr.
+    form, such as the one make_kernel's check computed, or None. slot is a
+    solvers.FactorSlot that whole-kernel solves read and refill, or None.
+    Neither takes part in comparisons or the repr.
     """
 
     entries: np.ndarray
     alpha: float
     dim: int
     factor: tuple | None = field(default=None, compare=False, repr=False)
+    slot: FactorSlot | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -113,21 +115,23 @@ def weight_norm(K: KernelMatrix, u: np.ndarray) -> float:
     return float(np.sqrt(max(float(u @ (K.entries @ u)), 0.0)))
 
 
-def _simplex_minimum(K: KernelMatrix, a: np.ndarray) -> tuple[float, np.ndarray]:
+def _simplex_minimum(K: KernelMatrix, a: np.ndarray,
+                     start=None) -> tuple[float, np.ndarray]:
     """Minimal energy over probability measures on `a`, and the minimizer.
 
     `a` holds sorted distinct indices, so a.size == K.size means every
-    point: the solve then reads the entries in place and starts from the
-    kernel's own factor.
+    point: the solve then reads the entries in place, with the kernel's own
+    factor and slot. start, when given, holds the sorted positions within
+    `a` of the first free set (simplex_qp).
     """
     if a.size == 1:
         # one-point problem: the Dirac is the only probability measure
         return float(K.entries[a[0], a[0]]), np.ones(1)
     if a.size == K.size:
-        A, factor = K.entries, K.factor
+        A, factor, slot = K.entries, K.factor, K.slot
     else:
-        A, factor = K.block(a), None
-    x, _ = simplex_qp(A, factor=factor)
+        A, factor, slot = K.block(a), None, None
+    x, _ = simplex_qp(A, factor=factor, start=start, slot=slot)
     return float(x @ A @ x), x
 
 

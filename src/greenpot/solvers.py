@@ -7,7 +7,7 @@ Two problems recur throughout the package:
 
 with A, G symmetric positive definite. Both share one block principal
 pivoting core (Portugal, Judice & Vicente, Math. Comp. 63, 1994). It keeps a
-free set F, fixes x = 0 off F, and solves the subproblem on F from a fresh
+free set F, fixes x = 0 off F, and solves the subproblem on F from a
 Cholesky factorization of the free block: A_FF x_F = b_F for nonneg_qp, and
 for simplex_qp the same factor applied to [b_F, 1], giving u and v, with
 x_F = u + c v and c = (1 - sum u) / sum v chosen so that x_F sums to one.
@@ -30,10 +30,14 @@ approximately (a swept charge, a companion problem's minimizer) starts
 there and solves fewer free sets. An interior minimizer costs one
 factorization from the full set, and none when either solver is handed the
 factor of its matrix, such as KernelMatrix.factor, which serves every free
-set holding every index. tol is RTOL times the larger of 1, max |b| and
-the largest diagonal entry; nonneg_qp accepts its first solve down to
--10 tol. KKTRecord.iterations counts the free sets solved, one more than
-the number of pivots, and 40 m + 100 caps it for an m-index problem.
+set holding every index. Either solver may also be handed a FactorSlot of
+its matrix, which carries the final free set of the last solve on that
+matrix and its factor: a solve that reaches that free set factors nothing.
+A kept factor is the one _cholesky gives for the block, bit for bit, so
+neither handed factor changes a result. tol is RTOL times the larger of 1,
+max |b| and the largest diagonal entry; nonneg_qp accepts its first solve
+down to -10 tol. KKTRecord.iterations counts the free sets solved, one more
+than the number of pivots, and 40 m + 100 caps it for an m-index problem.
 """
 
 from __future__ import annotations
@@ -109,16 +113,34 @@ def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
                       f"definite; cells are too coarse for this sampling ({reason})")
 
 
-def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
-                simplex: bool, factor=None) -> tuple[np.ndarray, float, float]:
-    """Subproblem on the free set: weights (zero off it), multiplier, raw minimum.
+class FactorSlot:
+    """The final free set of the last solve on one matrix, and its factor.
 
-    factor, when given, is the _cholesky factor of the free block.
+    A solver handed the slot reads it before factoring a free set, empties
+    it before allocating a new free block, and leaves its own final free set
+    (a boolean mask) and that set's factor in it. So solves on one matrix
+    that end on one free set factor it once, and at most one factor besides
+    the matrix's own is live.
+    """
+
+    __slots__ = ("free", "factor")
+
+    def __init__(self) -> None:
+        self.free = self.factor = None
+
+
+def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
+                simplex: bool, factor=None) -> tuple[np.ndarray, float, float, tuple]:
+    """Subproblem on the free set: weights (zero off it), multiplier, raw
+    minimum, and the factor used.
+
+    factor, when given, is the _cholesky factor of the free block; otherwise
+    the block is factored here (an empty free set needs none).
     """
     F = np.flatnonzero(free)
     x = np.zeros(b.size)
     if F.size == 0:
-        return x, 0.0, 0.0
+        return x, 0.0, 0.0, None
     if factor is None:
         factor = _cholesky(A[np.ix_(F, F)], overwrite=True)
     if simplex:
@@ -132,19 +154,21 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     else:
         c, z = 0.0, cho_solve(factor, b[F], check_finite=False)
     x[F] = z
-    return x, c, float(np.min(z))
+    return x, c, float(np.min(z)), factor
 
 
 def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
-           start: np.ndarray | None = None) -> tuple[np.ndarray, float, float, int]:
+           start: np.ndarray | None = None,
+           slot: FactorSlot | None = None) -> tuple[np.ndarray, float, float, int]:
     """Block principal pivoting (see the module docstring).
 
     The first free set holds the positions in start, or every index when
     start is None or empty. factor, when given, is the _cholesky factor of
     all of A and replaces the factorization of every free set holding every
-    index; other free sets are factored afresh. Returns the clipped
-    minimizer, the multiplier, the most negative free weight of the final
-    solve, and the number of free sets solved.
+    index; slot, when given, is A's FactorSlot and replaces the
+    factorization of the free set it holds. Other free sets are factored
+    afresh. Returns the clipped minimizer, the multiplier, the most negative
+    free weight of the final solve, and the number of free sets solved.
     """
     m = b.size
     max_iter = 40 * m + 100
@@ -154,16 +178,28 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
         free = np.zeros(m, dtype=bool)
         free[start] = True
     best, retries = m + 1, BLOCK_RETRIES
+    last = None  # the factor of the last free set solved
     for iters in range(1, max_iter + 1):
         full = bool(free.all())
-        x, c, zmin = _solve_free(A, b, free, simplex,
-                                 factor if full else None)
+        if full and factor is not None:
+            known = factor
+        elif slot is not None and np.array_equal(free, slot.free):
+            known = slot.factor
+        else:
+            # drop the last factor and empty the slot before the new block
+            # is allocated, so no more than one free-set factor is ever live
+            known = last = None
+            if slot is not None:
+                slot.free = slot.factor = None
+        x, c, zmin, last = _solve_free(A, b, free, simplex, known)
         floor = 10 * tol if iters == 1 and not simplex else tol
         infeasible = free & (x < -floor)
         if not full:
             infeasible |= ~free & (A @ x - b - c < -tol)
         count = int(np.count_nonzero(infeasible))
         if count == 0:
+            if slot is not None:
+                slot.free, slot.factor = free, last
             return np.maximum(x, 0.0), c, zmin, iters
         if count < best:
             best, retries = count, BLOCK_RETRIES
@@ -176,12 +212,12 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
     raise SolverError(f"{problem} failed to converge in {max_iter} pivots")
 
 
-def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
-              factor=None) -> tuple[np.ndarray, KKTRecord]:
+def nonneg_qp(A: np.ndarray, b: np.ndarray, *, factor=None,
+              slot: FactorSlot | None = None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A.
 
     factor, when given, is the _cholesky factor of A and saves the first
-    factorization.
+    factorization; slot, when given, is A's FactorSlot (module docstring).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -191,7 +227,8 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
     if m == 0:
         return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
     tol = _scale_tol(b, np.diag(A), RTOL)
-    x, _, min_raw, iters = _pivot(A, b, tol, simplex=False, factor=factor)
+    x, _, min_raw, iters = _pivot(A, b, tol, simplex=False, factor=factor,
+                                  slot=slot)
     return x, _nonneg_record(A, b, x, min_raw, iters, tol)
 
 
@@ -210,7 +247,8 @@ def _nonneg_record(A, b, x, min_raw, iters, tol) -> KKTRecord:
 
 
 def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, factor=None,
-               start=None) -> tuple[np.ndarray, KKTRecord]:
+               start=None,
+               slot: FactorSlot | None = None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize x'Gx - 2 b'x over the probability simplex for SPD G.
 
     At the minimizer (G x - b) equals the multiplier c on the support and is
@@ -219,7 +257,8 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, factor=None,
     saves the factorization of any free set holding every index. start,
     when given, holds the sorted positions of the first free set (None or
     empty: every index); a start near the minimizer's support saves free
-    sets and reaches the same minimizer up to rounding.
+    sets and reaches the same minimizer up to rounding. slot, when given,
+    is G's FactorSlot (module docstring).
     """
     G = np.asarray(G, dtype=float)
     m = G.shape[0]
@@ -236,7 +275,7 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, factor=None,
             raise SolverError(f"start positions outside 0..{m - 1}")
     tol = _scale_tol(b, np.diag(G), RTOL)
     x, c, ymin, iters = _pivot(G, b, tol, simplex=True, factor=factor,
-                               start=start)
+                               start=start, slot=slot)
     return x, _simplex_record(G, b, x, c, ymin, iters, tol)
 
 

@@ -198,9 +198,9 @@ class TestGaussTask:
         calls = []
         inner = greenpot.riesz._simplex_minimum
 
-        def counting(K, a):
+        def counting(K, a, *args):
             calls.append(a.size)
-            return inner(K, a)
+            return inner(K, a, *args)
 
         for module in (greenpot.riesz, greenpot.green):
             monkeypatch.setattr(module, "_simplex_minimum", counting)
@@ -217,7 +217,8 @@ class TestGaussTask:
         # equilibrium and the solves over F share one factor of the 70x70
         # Green block. Every minimizer leaves the inner shell, and the sweep
         # already does, so the Gauss solve starting from the sweep's support
-        # and the dual starting from the primal's each factor one block.
+        # and the dual starting from the primal's each solve one free set,
+        # the one the sweep factored, and factor nothing.
         path = write_config(tmp_path, {
             "task": "gauss", "alpha": 2.0, "plots": False,
             "geometry": {"parts": [
@@ -257,10 +258,42 @@ class TestGaussTask:
         assert res["representation"]["applicable"]
         assert res["support_size"] == 60
         assert sizes.count(70) == 1
-        # Gauss solve, Green equilibrium, dual problem
-        primal, _, dual = qp_blocks
-        assert primal == [60] and res["kkt"]["iterations"] == 1
-        assert dual == [60] and res["representation"]["dual_iterations"] == 1
+        # Gauss solve, dual problem, Green equilibrium
+        primal, dual, _ = qp_blocks
+        assert primal == [] and res["kkt"]["iterations"] == 1
+        assert dual == [] and res["representation"]["dual_iterations"] == 1
+
+    def test_no_block_factored_twice(self, tmp_path, monkeypatch):
+        # check 8's ball and collar at half the layer counts: the sweep, the
+        # Gauss solve, the Green equilibrium and the dual each pivot near one
+        # support of about 700 of the 796 ball points
+        counts = [round(c / 2) for c in (750, 330, 230, 160, 90, 30)]
+        path = write_config(tmp_path, {
+            "task": "gauss", "alpha": 2.0, "plots": False,
+            "geometry": {"parts": [
+                {"generator": "layered_ball",
+                 "params": {"radii": [0.985, 0.925, 0.84, 0.725, 0.555, 0.325],
+                            "counts": counts}},
+                {"generator": "sphere_shell",
+                 "params": {"count": counts[0], "radius": 1.053}}]},
+            "regions": {"f": {"kind": "parts", "values": [0]}},
+            "theta": {"points": [[0.0, 0.0, 1.8]], "weights": [0.5]}})
+        blocks = []
+        real = greenpot.solvers._cholesky
+
+        def cholesky(block, *args, **kwargs):
+            blocks.append(block.tobytes())
+            return real(block, *args, **kwargs)
+
+        monkeypatch.setattr(greenpot.solvers, "_cholesky", cholesky)
+        monkeypatch.setattr(greenpot.riesz, "_cholesky", cholesky)
+        monkeypatch.setattr(greenpot.green, "_cholesky", cholesky)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", path, "--out", out]) == 0
+        assert read_report(out)["results"]["representation"]["applicable"]
+        # the kernel, green_f and at least one free set per pivoting solve
+        assert len(blocks) > 3
+        assert len(set(blocks)) == len(blocks)
 
     def test_gap_bound_replaces_reversed_resolve(self, tmp_path):
         out = str(tmp_path / "out")
@@ -778,6 +811,20 @@ class TestErrorPaths:
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
         assert "lo < hi" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_coincident_charge_points_named(self, tmp_path, capsys):
+        # from_points turns the duplicate into a zero cell radius, which used
+        # to be reported in its place
+        cfg = write_config(tmp_path, {
+            "task": "gauss", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "sphere_shell",
+                                    "params": {"count": 30, "radius": 1.0}}]},
+            "regions": {"f": {"kind": "all"}},
+            "theta": {"points": [[3, 0, 0], [3, 0, 0]], "weights": [0.5, 0.5]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "rows 30 and 31 coincide" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_box_grid_nan_spacing_keeps_exit_3(self, tmp_path, capsys):

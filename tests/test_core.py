@@ -22,8 +22,8 @@ class TestPointSet:
             PointSet(two_point_cloud(), np.array([0.6, 0.5]))
 
     def test_duplicate_points_rejected(self):
-        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ValidationError):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="rows 1 and 2 coincide"):
             PointSet.from_points(pts)
 
     def test_nonpositive_radius_rejected(self):

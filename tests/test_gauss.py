@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import greenpot.gauss
-from greenpot import geometry
+from greenpot import geometry, solvers
 from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
                            PointSet, ValidationError)
 from greenpot.gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
@@ -135,8 +135,8 @@ class TestSolveGauss:
 class TestExplicitSolution:
     def test_matches_solver_on_hand_instance(self):
         gs, fld = field_system()
-        built = explicit_solution(gs, fld)
         solved = solve_gauss(gs, fld)
+        built = explicit_solution(gs, fld, solved)
         assert np.allclose(built.minimizer.weights, solved.minimizer.weights,
                            atol=1e-13)
         assert built.c_constant == pytest.approx(solved.c_constant, abs=1e-13)
@@ -153,14 +153,14 @@ class TestExplicitSolution:
                            atol=1e-12)
         assert abs(sol.c_constant) <= 1e-12
         assert sol.w_value == pytest.approx(-1.625, abs=1e-12)
-        built = explicit_solution(gs, fld)
+        built = explicit_solution(gs, fld, sol)
         assert np.allclose(built.minimizer.weights, sol.minimizer.weights,
                            atol=1e-12)
 
     def test_overweight_sweep_rejected(self):
         gs, fld = field_system(charge=10.0)
         with pytest.raises(ValidationError):
-            explicit_solution(gs, fld)
+            explicit_solution(gs, fld, solve_gauss(gs, fld))
 
 
 class TestDualCheck:
@@ -320,6 +320,72 @@ class TestSolvesOverF:
         energy, x = _simplex_minimum(gs.green, f_pos)
         assert cap == 1.0 / energy
         assert gamma.weights[f].tobytes() == (x / energy).tobytes()
+
+
+def inner_shell_system():
+    """F = a 60-point unit sphere around a 10-point shell of radius 0.3, a
+    far 30-point complement shell, and a charge of 0.8 at (2.5, 0, 0): the
+    cloud of test_cli's test_f_block_factored_once."""
+    pts = np.vstack([geometry.sphere_shell(60, 1.0), geometry.sphere_shell(10, 0.3),
+                     geometry.sphere_shell(30, 1.0) + np.array([5.0, 0.0, 0.0]),
+                     [[2.5, 0.0, 0.0]]])
+    cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                       d_indices=np.r_[0:70, 100], y_indices=np.arange(70, 100),
+                       f_indices=np.arange(70), alpha=2.0)
+    return build_green(cfg), DiscreteMeasure.from_dict(101, {100: 0.8})
+
+
+def half_ball_system():
+    """Check 8's ball and collar at half the layer counts, charge 0.5 at
+    (0, 0, 1.8): every solve over F leaves about 100 of the 796 ball points
+    off its support, after several pivots."""
+    counts = [round(c / 2) for c in (750, 330, 230, 160, 90, 30)]
+    ball = geometry.layered_ball((0.985, 0.925, 0.84, 0.725, 0.555, 0.325), counts)
+    pts = np.vstack([ball, geometry.sphere_shell(counts[0], 1.053),
+                     [[0.0, 0.0, 1.8]]])
+    n = len(pts)
+    cfg = DomainConfig(PointSet.from_points(pts), np.arange(n), [],
+                       np.arange(len(ball)), 2.0)
+    return build_green(cfg), DiscreteMeasure.from_dict(n, {n - 1: 0.5})
+
+
+class TestFactorSlot:
+    """Solves over F leave green_f's slot the factor of the free set they end
+    on, and the next solve starts there; each factor is a fresh one's bytes."""
+
+    @pytest.mark.parametrize("system", [inner_shell_system, half_ball_system])
+    def test_warm_equilibrium_is_the_cold_one(self, system):
+        gs, theta = system()
+        f = gs.cfg.f_indices
+        fld = external_field(gs, theta)
+        sol = solve_gauss(gs, fld)
+        exp = explicit_solution(gs, fld, dual_check(gs, fld, sol)["dual"])
+        cap = exp.diagnostics["green_capacity_of_f"]
+        gamma = exp.diagnostics["green_equilibrium_of_f"]
+        assert 0 < gamma.support.size < f.size
+        # the cold solve: from every index of a gathered block, no factor
+        energy, x = _simplex_minimum(gs.green, gs.d_positions(f))
+        assert cap == 1.0 / energy
+        assert gamma.weights[f].tobytes() == (x / energy).tobytes()
+
+    def test_slot_empty_at_every_fresh_factorization(self, monkeypatch):
+        # so at most one free-set factor is live, however many are solved
+        gs, theta = half_ball_system()
+        slot = gs.green_f.slot
+        sizes = []
+        real = solvers._cholesky
+
+        def cholesky(block, *args, **kwargs):
+            assert slot.free is None and slot.factor is None
+            sizes.append(block.shape[0])
+            return real(block, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_cholesky", cholesky)
+        fld = external_field(gs, theta)
+        sol = solve_gauss(gs, fld)
+        explicit_solution(gs, fld, dual_check(gs, fld, sol)["dual"])
+        assert len(sizes) > 3 and max(sizes) < gs.green_f.size
+        assert slot.free is not None
 
 
 class TestFamilySweeps:

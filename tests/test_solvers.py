@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenpot.solvers import nonneg_qp, simplex_qp
+from greenpot import solvers
+from greenpot.solvers import FactorSlot, nonneg_qp, simplex_qp
 
 
 def random_spd(rng, m, jitter=0.5):
@@ -171,3 +174,74 @@ class TestSimplexQP:
         slack = 50 * max(rec.tolerance, 1e-12)
         assert np.all(np.abs(g[x > 0] - c) <= slack)
         assert np.all(g[x == 0] >= c - slack)
+
+
+def same_bytes(x, rec, x_ref, rec_ref):
+    return (x.tobytes() == x_ref.tobytes() and
+            np.array(astuple(rec)).tobytes() == np.array(astuple(rec_ref)).tobytes())
+
+
+class TestFactorSlot:
+    """A free set held in the slot is not factored again, and the solve
+    returns the bytes of the same solve without the slot."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        sizes = []
+        real = solvers._cholesky
+
+        def cholesky(block, *args, **kwargs):
+            sizes.append(block.shape[0])
+            return real(block, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_cholesky", cholesky)
+        return sizes
+
+    def problem(self):
+        # diagonally dominant with a mixed-sign target: the cone projection
+        # drops the negative targets in one pivot
+        rng = np.random.default_rng(3)
+        A = random_spd(rng, 12, jitter=100.0)
+        return A, rng.normal(size=12)
+
+    def test_nonneg_reads_the_held_free_set(self, factored):
+        # the pivoting goes from every index, read from A's own factor, to
+        # the free set the slot holds
+        A, b = self.problem()
+        whole = solvers._cholesky(A)
+        x_ref, rec_ref = nonneg_qp(A, b, factor=whole)
+        assert rec_ref.iterations == 2
+        slot = FactorSlot()
+        nonneg_qp(A, b, slot=slot)
+        assert 0 < np.count_nonzero(slot.free) < b.size
+        del factored[:]
+        x, rec = nonneg_qp(A, b, factor=whole, slot=slot)
+        assert factored == []
+        assert same_bytes(x, rec, x_ref, rec_ref)
+
+    def test_simplex_started_on_the_held_free_set(self, factored):
+        A, b = self.problem()
+        b *= 30.0  # targets spread wider than the unit mass can cover
+        slot = FactorSlot()
+        simplex_qp(A, b, slot=slot)
+        start = np.flatnonzero(slot.free)
+        assert 0 < start.size < b.size
+        x_ref, rec_ref = simplex_qp(A, b, start=start)
+        assert rec_ref.iterations == 1
+        del factored[:]
+        x, rec = simplex_qp(A, b, start=start, slot=slot)
+        assert factored == []
+        assert same_bytes(x, rec, x_ref, rec_ref)
+        # a rolled target ends on another free set of the same size, which
+        # the slot does not serve
+        b = np.roll(b, 1)
+        other = FactorSlot()
+        simplex_qp(A, b, slot=other)
+        moved = np.flatnonzero(other.free)
+        assert moved.size == start.size and not np.array_equal(moved, start)
+        x_ref, rec_ref = simplex_qp(A, b, start=moved)
+        assert rec_ref.iterations == 1
+        del factored[:]
+        x, rec = simplex_qp(A, b, start=moved, slot=slot)
+        assert factored == [moved.size]
+        assert same_bytes(x, rec, x_ref, rec_ref)
