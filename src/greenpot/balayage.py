@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve
 
 from .core import DiscreteMeasure, ValidationError, _index_array
 from .riesz import KernelMatrix, potential
-from .solvers import _cholesky, nonneg_qp
+from .solvers import _cholesky, _gather, nonneg_qp
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _domination_excess(K: KernelMatrix, x_on_q: np.ndarray, q: np.ndarray,
     off[q] = False
     if not np.any(off):
         return 0.0
-    u_swept_off = K.entries[np.ix_(np.where(off)[0], q)] @ x_on_q
+    u_swept_off = _gather(K.entries, np.flatnonzero(off), q) @ x_on_q
     return float(max(0.0, np.max(u_swept_off - u_in[off])))
 
 
@@ -78,15 +78,13 @@ def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
     is found by the nonnegative solver, whose plain-solve fast path covers
     targets swept with full support.
     """
-    return _sweep(K, xi, q, force_projection,
-                  lambda q: (K.block(q), None, None))
+    return _sweep(K, xi, q, force_projection, lambda q: (K.block(q), None))
 
 
 def _sweep(K: KernelMatrix, xi: DiscreteMeasure, q, force_projection: bool,
            block_on) -> BalayageResult:
-    """sweep, where block_on maps the sorted target q to K's block on q,
-    that block's Cholesky factor or None, and its FactorSlot or None; it is
-    called only to solve."""
+    """sweep, where block_on maps the sorted target q to K's block on q and
+    that block's FactorSlot or None; it is called only to solve."""
     q = _index_array(q, K.size, "q")
     if q.size == 0:
         raise ValidationError("sweep target must be nonempty")
@@ -98,8 +96,8 @@ def _sweep(K: KernelMatrix, xi: DiscreteMeasure, q, force_projection: bool,
                               kkt_residuals=res, algorithm="identity",
                               active_set_size=int(xi.support.size), tolerance=0.0)
     u_in = potential(K, xi)
-    A, factor, slot = block_on(q)
-    x, rec = nonneg_qp(A, u_in[q], factor=factor, slot=slot)
+    A, slot = block_on(q)
+    x, rec = nonneg_qp(A, u_in[q], slot=slot)
     res = SweepResiduals(
         equality_on_support=rec.support_residual,
         inequality_on_target=rec.off_support_slack,
@@ -115,14 +113,16 @@ def _sweep(K: KernelMatrix, xi: DiscreteMeasure, q, force_projection: bool,
                           tolerance=rec.tolerance)
 
 
-def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
+def dirac_sweep_matrix(K: KernelMatrix, sources, q, *,
+                       _fallbacks: list | None = None) -> np.ndarray:
     """The |q| x |sources| block W whose column k is the swept unit point mass
     at the k-th source, restricted to the target q.
 
     Sources and target follow sorted, deduplicated order and must be
     disjoint. The columns come from one shared factorization of the target
     block; any column the plain solve leaves negative is recomputed by cone
-    projection on a fresh copy of the block.
+    projection on a fresh copy of the block. _fallbacks, when given, is a
+    list that receives the number of such columns (build_green reads it).
     """
     sources = _index_array(sources, K.size, "sources")
     q = _index_array(q, K.size, "q")
@@ -139,6 +139,8 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q) -> np.ndarray:
     del block  # the block now holds the factor; free it before any fallback
     neg_tol = 1e-11 * max(1.0, float(np.max(rhs)))
     negative = np.flatnonzero(np.min(W, axis=0) < -neg_tol)
+    if _fallbacks is not None:
+        _fallbacks.append(int(negative.size))
     if negative.size:
         A = K.block(q)
         for col in negative:

@@ -7,7 +7,7 @@ subset F of D. Measures are nonnegative weight vectors over the cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -53,15 +53,18 @@ class PointSet:
 
     points: np.ndarray            # (m, n) float array
     cell_radius: np.ndarray       # (m,) positive floats
+    # from_points hands over the nearest-neighbour distances it derived the
+    # radii from, so the cloud is searched once
+    _nn: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _nn):
         pts = np.asarray(self.points, dtype=float)
         rad = np.asarray(self.cell_radius, dtype=float)
         _check_points(pts)
         if rad.shape != (len(pts),):
             raise ValidationError("cell_radius must have one entry per point")
         # distinctness first: from_points turns a duplicate into a zero radius
-        nn = nearest_neighbor_distances(pts)
+        nn = nearest_neighbor_distances(pts) if _nn is None else _nn
         if np.any(nn <= 0):
             i = int(np.flatnonzero(nn <= 0)[0])
             j = int(np.flatnonzero((pts == pts[i]).all(axis=1))[1])
@@ -87,7 +90,7 @@ class PointSet:
         if not np.all(np.isfinite(nn)):
             raise ValidationError("a single-point cloud has no neighbor scale; "
                                   "pass explicit cell radii")
-        return cls(pts, nn / 2)
+        return cls(pts, nn / 2, nn)
 
     @property
     def dim(self) -> int:
@@ -98,8 +101,22 @@ class PointSet:
 
 
 def _index_array(indices, size: int, name: str) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in np.asarray(indices).ravel())), dtype=int)
-    if len(idx) and (idx[0] < 0 or idx[-1] >= size):
+    """Sorted distinct indices in 0..size-1; a float entry is truncated
+    toward zero, as int() does."""
+    raw = np.asarray(indices).ravel()
+    if raw.dtype.kind == "c":
+        raise ValidationError(f"{name} must hold real indices")
+    if raw.dtype.kind == "f":
+        if not np.isfinite(raw).all():
+            raise ValidationError(f"{name} contains non-finite indices")
+        # clipped so that the cast, undefined past int64, keeps every
+        # out-of-range entry out of range
+        raw = np.clip(np.trunc(raw), -1, size)
+    try:
+        idx = np.unique(raw.astype(int))
+    except OverflowError:
+        raise ValidationError(f"{name} contains out-of-range indices") from None
+    if idx.size and (idx[0] < 0 or idx[-1] >= size):
         raise ValidationError(f"{name} contains out-of-range indices")
     return idx
 

@@ -123,12 +123,13 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
     if f is None:
         f = gs.cfg.f_indices
     f, f_pos = _f_positions(gs, f)
-    G, factor, slot = gs.block_on(f)
+    G, slot = gs.block_on(f)
     b = -fld.field_values[f_pos]
     # over all of F the minimizer is the swept charge plus c times the
     # equilibrium measure, so the pivoting starts from the sweep's support
-    start = _support_on(fld.theta_swept, f) if factor is not None else None
-    x, rec = simplex_qp(G, b, factor=factor, start=start, slot=slot)
+    start = (_support_on(fld.theta_swept, f)
+             if np.array_equal(f, gs.cfg.f_indices) else None)
+    x, rec = simplex_qp(G, b, start=start, slot=slot)
     if rec.mass_error > 1e-12:
         raise InvariantError(f"minimizer mass off by {rec.mass_error}")
     energy = x @ (G @ x)
@@ -187,10 +188,10 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
     carries the three observed gaps plus the swept-field solution.
     """
     f = gs.cfg.f_indices
-    G, factor, slot = gs.block_on(f)
+    G, slot = gs.block_on(f)
     b_dual = -fld.dual_field_values[gs.d_positions(f)]
     # the two problems share their minimizer in the continuum
-    x2, rec2 = simplex_qp(G, b_dual, factor=factor, slot=slot,
+    x2, rec2 = simplex_qp(G, b_dual, slot=slot,
                           start=_support_on(sol.minimizer, f))
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     dual = GaussSolution(minimizer=gs.lift(x2, f), w_value=w2,

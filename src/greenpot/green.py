@@ -10,7 +10,7 @@ matrix on D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -18,9 +18,9 @@ import numpy as np
 from .core import (DiscreteMeasure, DomainConfig, InvariantError,
                    ValidationError, _index_array)
 from .balayage import BalayageResult, _sweep, dirac_sweep_matrix
-from .riesz import (KernelMatrix, _simplex_minimum, assemble_riesz, make_kernel,
-                    weight_norm)
-from .solvers import FactorSlot, _cholesky
+from .riesz import (KernelMatrix, _riesz_entries, _simplex_minimum,
+                    _symmetric_kernel, weight_norm)
+from .solvers import FactorSlot, _certify, _cholesky
 
 ENTRY_TOL = 1e-10
 
@@ -32,9 +32,10 @@ class GreenSystem:
     The green matrix is indexed by position within cfg.d_indices;
     dirac_sweep_to_y is the |Y| x |D| block whose column k is the swept unit
     mass for the k-th D-point, row j its weight at the j-th Y-point.
-    Neither kernel keeps a factor: every solve over all of F starts from
-    green_f's factor and factor slot, and every other target is factored by
-    its solver.
+    Neither kernel keeps a factor. guide is the F block of the factor that
+    certified the build (build_green), or None; solves over all of F share
+    green_f's factor slot, which carries it, and every other target is
+    factored by its solver.
     """
 
     cfg: DomainConfig
@@ -42,6 +43,7 @@ class GreenSystem:
     green: KernelMatrix
     dirac_sweep_to_y: np.ndarray
     asymmetry_residual: float
+    guide: tuple | None = field(default=None, compare=False, repr=False)
 
     def d_positions(self, global_indices) -> np.ndarray:
         idx = np.asarray(global_indices, dtype=int)
@@ -54,27 +56,27 @@ class GreenSystem:
 
     @cached_property
     def green_f(self) -> KernelMatrix:
-        """Green matrix on F, a principal block of the checked green, with its
-        factor and a factor slot.
+        """Green matrix on F, a principal block of the checked green, with a
+        factor slot that carries the guide.
 
         Built on the first solve over all of F (sweep, Gauss solve, Green
-        equilibrium, dual problem), which then share one factorization of
-        the whole block, and through the slot the factor of the free set the
-        last of them ended on: these solves end on nearly the same support.
-        Each factor equals, bit for bit, the one a solver computes for its
-        block.
+        equilibrium, dual problem). The sweep pivots on the guide and
+        factors only its final free set; through the slot each solve hands
+        the factor of the free set it ended on to the next, since these
+        solves end on nearly the same support. So the whole block is
+        factored only when a solve ends on all of F. Each factor equals, bit
+        for bit, the one a solver computes for its block.
         """
         entries = self.green.block(self.d_positions(self.cfg.f_indices))
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
-                            factor=_cholesky(entries), slot=FactorSlot())
+                            slot=FactorSlot(self.guide))
 
-    def block_on(self, f: np.ndarray) -> tuple[np.ndarray, tuple | None,
-                                               FactorSlot | None]:
-        """Green block on the sorted target f within D, with its factor and
-        factor slot if f is F (None otherwise)."""
+    def block_on(self, f: np.ndarray) -> tuple[np.ndarray, FactorSlot | None]:
+        """Green block on the sorted target f within D, with green_f's factor
+        slot if f is F (None otherwise)."""
         if np.array_equal(f, self.cfg.f_indices):
-            return self.green_f.entries, self.green_f.factor, self.green_f.slot
-        return self.green.block(self.d_positions(f)), None, None
+            return self.green_f.entries, self.green_f.slot
+        return self.green.block(self.d_positions(f)), None
 
     def measure_on_d(self, mu: DiscreteMeasure) -> np.ndarray:
         if len(mu) != self.riesz_full.size:
@@ -96,21 +98,37 @@ class GreenSystem:
 
 
 def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
-    K = assemble_riesz(cfg.point_set, cfg.alpha, sigma)
+    """The Green system of cfg, certified positive definite by one Cholesky
+    factorization whose F block becomes the guide.
+
+    With Y empty the certificate factors the Riesz matrix of the whole
+    cloud. Otherwise the Dirac sweep factors K_YY, and the certificate
+    factors the Green matrix on D, which is the Schur complement of K_YY in
+    the Riesz matrix: the two are positive definite if and only if the
+    Riesz matrix is (Haynsworth, 1968). A column the sweep recomputes by
+    cone projection leaves that Schur complement, so then the Riesz matrix
+    is factored as well.
+    """
     d = cfg.d_indices
     y = cfg.y_indices
+    f = cfg.f_indices
     # no solve reads a factor of either kernel: sweeps and strict targets
-    # take blocks, and solves over F share green_f's
-    riesz = replace(K, factor=None)
+    # take blocks, and solves over F share green_f's slot
+    K = _symmetric_kernel(_riesz_entries(cfg.point_set, cfg.alpha, sigma),
+                          cfg.alpha, cfg.point_set.dim)
     if y.size == 0:
-        # a principal block of the checked SPD K is exactly symmetric and SPD
-        # (Cauchy interlacing); the solvers' own Cholesky still raises
-        # SolverError. A D of every point shares K's entries.
-        green = riesz if d.size == K.size else KernelMatrix(K.block(d), K.alpha, K.dim)
-        return GreenSystem(cfg=cfg, riesz_full=riesz, green=green,
+        # a principal block of the certified SPD matrix is exactly symmetric
+        # and SPD (Cauchy interlacing). A D of every point shares its entries.
+        guide = _certify(K.entries, f)
+        green = K if d.size == K.size else KernelMatrix(K.block(d), K.alpha, K.dim)
+        return GreenSystem(cfg=cfg, riesz_full=K, green=green,
                            dirac_sweep_to_y=np.zeros((0, d.size)),
-                           asymmetry_residual=0.0)
-    W = dirac_sweep_matrix(K, d, y)
+                           asymmetry_residual=0.0, guide=guide)
+    fallbacks = []
+    W = dirac_sweep_matrix(K, d, y, _fallbacks=fallbacks)
+    if any(fallbacks):
+        # the Green matrix is then no Schur complement: certify K itself
+        _cholesky(K.entries)
     # the product's (j, i) entry is the potential at x_j of the swept unit
     # mass at x_i; one gathered K_d serves raw and the Riesz bound below
     K_d = K.block(d)
@@ -127,9 +145,11 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
             f"Green entries reach {low}; complement sampling is too coarse")
     if float(np.max(entries - K_d)) > ENTRY_TOL:
         raise InvariantError("Green entries exceed the Riesz entries")
-    green = replace(make_kernel(entries, K.alpha, K.dim), factor=None)
-    return GreenSystem(cfg=cfg, riesz_full=riesz, green=green,
-                       dirac_sweep_to_y=W, asymmetry_residual=asym)
+    del raw, K_d  # before the certificate's copy of the D block
+    green = _symmetric_kernel(entries, K.alpha, K.dim)
+    return GreenSystem(cfg=cfg, riesz_full=K, green=green,
+                       dirac_sweep_to_y=W, asymmetry_residual=asym,
+                       guide=_certify(green.entries, np.searchsorted(d, f)))
 
 
 def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -155,13 +156,22 @@ def scatter_plot(path, xy, values, title: str = "") -> None:
              f'<rect width="{_W}" height="{_H}" fill="white"/>',
              f'<text x="{_W // 2}" y="24" text-anchor="middle" font-size="15">{title}</text>']
     ax = (_PAD, _W - _PAD, _H - _PAD, _PAD)
-    for (x, y), v in zip(xy, values):
-        t = 0.5 if v_hi == v_lo else (v - v_lo) / (v_hi - v_lo)
-        r, g, b = int(40 + 215 * t), 64, int(255 - 215 * t)
-        px = _map(x, x_lo, x_hi, ax[0], ax[1])
-        py = _map(y, y_lo, y_hi, ax[2], ax[3])
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
-                     f'fill="#{r:02x}{g:02x}{b:02x}"/>')
+    # _map on a column does each point's float operations in the scalar
+    # order, so every coordinate rounds as a scalar _map would
+    n = len(xy)
+    px = np.broadcast_to(_map(xy[:, 0], x_lo, x_hi, ax[0], ax[1]), n)
+    py = np.broadcast_to(_map(xy[:, 1], y_lo, y_hi, ax[2], ax[3]), n)
+    t = (np.full(values.shape, 0.5) if v_hi == v_lo
+         else (values - v_lo) / (v_hi - v_lo))
+    if not np.isfinite(t).all():
+        raise ValueError("plotted values must be finite")
+    # astype truncates toward zero, as int() does; green is 64, hex 40
+    red = (40 + 215 * t).astype(int)
+    blue = (255 - 215 * t).astype(int)
+    fields = tuple(chain.from_iterable(zip(px.tolist(), py.tolist(),
+                                           red.tolist(), blue.tolist())))
+    circle = '<circle cx="%.2f" cy="%.2f" r="3" fill="#%02x40%02x"/>'
+    parts.append("\n".join([circle] * (len(fields) // 4)) % fields)
     parts.append(f'<text x="{ax[0]}" y="{_H - 12}" font-size="11">'
                  f'value range [{v_lo:.6g}, {v_hi:.6g}]</text>')
     parts.append("</svg>")

@@ -6,18 +6,19 @@ diagonal. The singular diagonal is replaced by a finite cell self-energy
 definite for non-overlapping cells; positive definiteness is checked at
 assembly by a Cholesky factorization. The factor is kept on the kernel and
 serves as the first factorization of simplex solves over the whole kernel
-(capacity and equilibrium measure of every point).
+(capacity and equilibrium measure of every point). A Green build assembles
+the same entries unfactored and certifies them itself (green.build_green).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import DiscreteMeasure, PointSet, ValidationError, _index_array
-from .solvers import FactorSlot, _cholesky, simplex_qp
+from .solvers import FactorSlot, _cholesky, _gather, simplex_qp
 
 # Rows per block of the distance fill, and the side of the square tiles of
 # the symmetry check: two tiles stay in cache, and a block's cdist is cheap.
@@ -45,9 +46,19 @@ class KernelMatrix:
         return self.entries.shape[0]
 
     def block(self, rows, cols=None) -> np.ndarray:
-        rows = np.asarray(rows, dtype=int)
-        cols = rows if cols is None else np.asarray(cols, dtype=int)
-        return self.entries[np.ix_(rows, cols)]
+        return _gather(self.entries, rows, cols)
+
+
+def _symmetric_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
+    """Validate that the matrix is square and exactly symmetric, then wrap
+    it with no factor."""
+    entries = np.asarray(entries, dtype=float)
+    m = entries.shape[0]
+    if entries.shape != (m, m):
+        raise ValidationError(f"kernel matrix must be square, got {entries.shape}")
+    if not _exactly_symmetric(entries):
+        raise ValidationError("kernel matrix must be exactly symmetric")
+    return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim))
 
 
 def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
@@ -56,14 +67,8 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
     The Cholesky factor that certifies definiteness is kept as K.factor;
     _cholesky raises SolverError when there is none.
     """
-    entries = np.asarray(entries, dtype=float)
-    m = entries.shape[0]
-    if entries.shape != (m, m):
-        raise ValidationError(f"kernel matrix must be square, got {entries.shape}")
-    if not _exactly_symmetric(entries):
-        raise ValidationError("kernel matrix must be exactly symmetric")
-    return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim),
-                        factor=_cholesky(entries) if m else None)
+    K = _symmetric_kernel(entries, alpha, dim)
+    return replace(K, factor=_cholesky(K.entries) if K.size else None)
 
 
 def _exactly_symmetric(a: np.ndarray) -> bool:
@@ -86,6 +91,11 @@ def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatr
     sigma in (0, 1] rescales the diagonal cell radius; smaller values raise
     the self-energy, which compensates for flat (codimension-one) cells.
     """
+    return make_kernel(_riesz_entries(ps, alpha, sigma), alpha, ps.dim)
+
+
+def _riesz_entries(ps: PointSet, alpha: float, sigma: float) -> np.ndarray:
+    """assemble_riesz's entries, neither validated as a kernel nor factored."""
     n = ps.dim
     if not (0 < alpha < n and alpha <= 2):
         raise ValidationError(f"alpha={alpha} outside (0, {n}] cap 2")
@@ -99,7 +109,7 @@ def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatr
         cdist(ps.points[i:i + _TILE], ps.points, out=dist[i:i + _TILE])
     np.fill_diagonal(dist, sigma * ps.cell_radius)
     dist **= alpha - n
-    return make_kernel(dist, alpha, n)
+    return dist
 
 
 def potential(K: KernelMatrix, mu: DiscreteMeasure) -> np.ndarray:

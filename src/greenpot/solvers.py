@@ -27,17 +27,28 @@ index, so repeated runs visit identical pivot sequences. The first free set
 holds every index, unless simplex_qp is handed a start: the pivoting
 converges from any first free set, so a caller that knows the support
 approximately (a swept charge, a companion problem's minimizer) starts
-there and solves fewer free sets. An interior minimizer costs one
-factorization from the full set, and none when either solver is handed the
-factor of its matrix, such as KernelMatrix.factor, which serves every free
-set holding every index. Either solver may also be handed a FactorSlot of
-its matrix, which carries the final free set of the last solve on that
-matrix and its factor: a solve that reaches that free set factors nothing.
-A kept factor is the one _cholesky gives for the block, bit for bit, so
-neither handed factor changes a result. tol is RTOL times the larger of 1,
+there and solves fewer free sets. tol is RTOL times the larger of 1,
 max |b| and the largest diagonal entry; nonneg_qp accepts its first solve
 down to -10 tol. KKTRecord.iterations counts the free sets solved, one more
 than the number of pivots, and 40 m + 100 caps it for an m-index problem.
+
+Kept factors. An interior minimizer costs one factorization from the full
+set, and none when simplex_qp is handed the factor of its matrix, such as
+KernelMatrix.factor, which serves every free set holding every index.
+Either solver may also be handed a FactorSlot of its matrix, which carries
+the final free set of the last solve on that matrix and its factor: a solve
+that reaches that free set factors nothing. A kept factor is the one
+_cholesky gives for the block, bit for bit, so it changes no result.
+
+Guides. A slot may also carry a guide: a factor of the matrix up to
+rounding, such as the leading block of a larger matrix's factor (_certify).
+nonneg_qp solves each free set that misses at most GUIDE_SHARE of the
+indices on the guide, through the bordered system (_Bordered), and pivots
+on that solution. A free set the guide finds final is solved again from its
+own factor, or the slot's, and tested again in the same iteration. So the
+guide only steers the pivoting: the result, its record and the slot's
+content are those of a solve without the guide, unless rounding moves an
+index across the feasibility tolerance on the way.
 """
 
 from __future__ import annotations
@@ -45,7 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .core import SolverError
 
@@ -54,6 +66,12 @@ from .core import SolverError
 BLOCK_RETRIES = 3
 # Relative feasibility tolerance of both solvers (see _scale_tol).
 RTOL = 1e-12
+# Largest share of a problem's indices that a free set may miss and still be
+# solved on a guide (_Bordered); past it the bordered system costs about as
+# much as a fresh factorization.
+GUIDE_SHARE = 0.25
+# Rows per block of _gather.
+_GATHER_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -113,20 +131,98 @@ def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
                       f"definite; cells are too coarse for this sampling ({reason})")
 
 
-class FactorSlot:
-    """The final free set of the last solve on one matrix, and its factor.
+def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
+    """A[np.ix_(rows, cols)], the same bytes, gathered _GATHER_ROWS rows at
+    a time: no temporary is taller than one row block."""
+    rows = np.asarray(rows, dtype=int)
+    cols = rows if cols is None else np.asarray(cols, dtype=int)
+    n = A.shape[1]
+    # take's "wrap" mode neither buffers nor checks, so check here
+    if cols.size and (cols.min() < -n or cols.max() >= n):
+        raise IndexError(f"column index out of bounds for size {n}")
+    out = np.empty((rows.size, cols.size), dtype=A.dtype)
+    for i in range(0, rows.size, _GATHER_ROWS):
+        A.take(rows[i:i + _GATHER_ROWS], axis=0).take(
+            cols, axis=1, out=out[i:i + _GATHER_ROWS], mode="wrap")
+    return out
 
-    A solver handed the slot reads it before factoring a free set, empties
-    it before allocating a new free block, and leaves its own final free set
-    (a boolean mask) and that set's factor in it. So solves on one matrix
-    that end on one free set factor it once, and at most one factor besides
-    the matrix's own is live.
+
+def _certify(A: np.ndarray, lead) -> tuple:
+    """Certify A positive definite by one Cholesky factorization in (lead,
+    rest) order, and return a copy of the factor's leading block: a guide
+    for A's block on the sorted positions lead (FactorSlot).
+
+    The leading block of a factor equals a fresh factor of that block only
+    up to rounding, which is why it guides and is never read as exact.
+    Raises SolverError, through _cholesky, when A is not positive definite.
+    """
+    lead = np.asarray(lead, dtype=int)
+    order = np.concatenate((lead, np.setdiff1d(np.arange(A.shape[0]), lead)))
+    c, lower = _cholesky(_gather(A, order), overwrite=True)
+    k = lead.size
+    return np.array(c[:k, :k], order="F"), lower
+
+
+class FactorSlot:
+    """Factors kept with one matrix across its solves.
+
+    free and factor are the final free set of the last solve on the matrix
+    (a boolean mask) and its _cholesky factor. A solver handed the slot
+    reads them before factoring a free set, empties them before allocating
+    a new free block, and leaves its own final free set and factor in them.
+    So solves on one matrix that end on one free set factor it once, and at
+    most one free-set factor is live. guide, fixed at construction, is a
+    factor of the matrix up to rounding (_certify) on which nonneg_qp solves
+    the free sets it pivots through (module docstring), or None.
     """
 
-    __slots__ = ("free", "factor")
+    __slots__ = ("guide", "free", "factor")
 
-    def __init__(self) -> None:
+    def __init__(self, guide: tuple | None = None) -> None:
+        self.guide = guide
         self.free = self.factor = None
+
+
+class _Bordered:
+    """Free-set solves of A x = b on a guide factor L of A (L L' = A up to
+    rounding), through the bordered system (Haynsworth, 1968).
+
+    With C the fixed indices, y = A^-1 b, V = L^-1 E_C and (V'V) lam = y_C,
+    the solution on the free set is x = y - L^-T V lam, zero on C. V's
+    columns are kept per index while C changes.
+    """
+
+    def __init__(self, guide: tuple, b: np.ndarray) -> None:
+        self.L = guide[0]
+        self.y = cho_solve(guide, b, check_finite=False)
+        self.columns: dict[int, np.ndarray] = {}
+
+    def solve(self, free: np.ndarray) -> np.ndarray | None:
+        """The free-set solution, or None when V'V does not factor."""
+        fixed = np.flatnonzero(~free)
+        if fixed.size == 0:
+            return self.y.copy()
+        new = [int(i) for i in fixed if int(i) not in self.columns]
+        if new:
+            # L^-1 e_i vanishes above row i: solve from the first new row on
+            lo, n = new[0], self.y.size
+            rhs = np.zeros((n - lo, len(new)))
+            rhs[np.asarray(new) - lo, np.arange(len(new))] = 1.0
+            part = solve_triangular(self.L[lo:, lo:], rhs, lower=True,
+                                    check_finite=False)
+            for k, i in enumerate(new):
+                self.columns[i] = np.concatenate((np.zeros(lo), part[:, k]))
+        V = np.column_stack([self.columns[int(i)] for i in fixed])
+        # the Gram matrix is symmetric, so its transpose is a Fortran-ordered
+        # view of it, which potrf factors in place
+        gram, info = dpotrf((V.T @ V).T, lower=1, overwrite_a=1)
+        if info or not np.isfinite(np.diagonal(gram)).all():
+            return None
+        lam = cho_solve((gram, True), self.y[fixed], check_finite=False)
+        x = self.y - solve_triangular(self.L, V @ lam, lower=True, trans="T",
+                                      check_finite=False)
+        x[fixed] = 0.0
+        return x
 
 
 def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
@@ -142,7 +238,7 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     if F.size == 0:
         return x, 0.0, 0.0, None
     if factor is None:
-        factor = _cholesky(A[np.ix_(F, F)], overwrite=True)
+        factor = _cholesky(_gather(A, F), overwrite=True)
     if simplex:
         uv = cho_solve(factor, np.column_stack((b[F], np.ones(F.size))),
                        check_finite=False)
@@ -157,6 +253,14 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     return x, c, float(np.min(z)), factor
 
 
+def _infeasible(A, b, x, c, free, floor, tol) -> np.ndarray:
+    """Free indices with x_i < -floor, and fixed ones with (A x - b - c)_i < -tol."""
+    infeasible = free & (x < -floor)
+    if not free.all():
+        infeasible |= ~free & (A @ x - b - c < -tol)
+    return infeasible
+
+
 def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
            start: np.ndarray | None = None,
            slot: FactorSlot | None = None) -> tuple[np.ndarray, float, float, int]:
@@ -166,9 +270,11 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
     start is None or empty. factor, when given, is the _cholesky factor of
     all of A and replaces the factorization of every free set holding every
     index; slot, when given, is A's FactorSlot and replaces the
-    factorization of the free set it holds. Other free sets are factored
-    afresh. Returns the clipped minimizer, the multiplier, the most negative
-    free weight of the final solve, and the number of free sets solved.
+    factorization of the free set it holds. Other free sets are solved on
+    the slot's guide when nonneg_qp has one and they miss few indices, and
+    otherwise, or when the guide finds them final, factored afresh. Returns
+    the clipped minimizer, the multiplier, the most negative free weight of
+    the final solve, and the number of free sets solved.
     """
     m = b.size
     max_iter = 40 * m + 100
@@ -179,28 +285,41 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
         free[start] = True
     best, retries = m + 1, BLOCK_RETRIES
     last = None  # the factor of the last free set solved
+    guided = (_Bordered(slot.guide, b)
+              if not simplex and slot is not None and slot.guide is not None
+              else None)
     for iters in range(1, max_iter + 1):
-        full = bool(free.all())
-        if full and factor is not None:
+        floor = 10 * tol if iters == 1 and not simplex else tol
+        if free.all() and factor is not None:
             known = factor
         elif slot is not None and np.array_equal(free, slot.free):
             known = slot.factor
         else:
-            # drop the last factor and empty the slot before the new block
-            # is allocated, so no more than one free-set factor is ever live
-            known = last = None
-            if slot is not None:
-                slot.free = slot.factor = None
-        x, c, zmin, last = _solve_free(A, b, free, simplex, known)
-        floor = 10 * tol if iters == 1 and not simplex else tol
-        infeasible = free & (x < -floor)
-        if not full:
-            infeasible |= ~free & (A @ x - b - c < -tol)
+            known = None
+        infeasible = None
+        if (known is None and guided is not None
+                and m - np.count_nonzero(free) <= GUIDE_SHARE * m):
+            x = guided.solve(free)
+            if x is not None:
+                last = None
+                infeasible = _infeasible(A, b, x, 0.0, free, floor, tol)
+                if not infeasible.any():
+                    infeasible = None  # final on the guide: solve it exactly
+        if infeasible is None:
+            if known is None:
+                # drop the last factor and empty the slot before the new
+                # block is allocated, so no more than one free-set factor is
+                # ever live
+                last = None
+                if slot is not None:
+                    slot.free = slot.factor = None
+            x, c, zmin, last = _solve_free(A, b, free, simplex, known)
+            infeasible = _infeasible(A, b, x, c, free, floor, tol)
+            if not infeasible.any():
+                if slot is not None:
+                    slot.free, slot.factor = free, last
+                return np.maximum(x, 0.0), c, zmin, iters
         count = int(np.count_nonzero(infeasible))
-        if count == 0:
-            if slot is not None:
-                slot.free, slot.factor = free, last
-            return np.maximum(x, 0.0), c, zmin, iters
         if count < best:
             best, retries = count, BLOCK_RETRIES
         elif retries:
@@ -212,12 +331,12 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
     raise SolverError(f"{problem} failed to converge in {max_iter} pivots")
 
 
-def nonneg_qp(A: np.ndarray, b: np.ndarray, *, factor=None,
+def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
               slot: FactorSlot | None = None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A.
 
-    factor, when given, is the _cholesky factor of A and saves the first
-    factorization; slot, when given, is A's FactorSlot (module docstring).
+    slot, when given, is A's FactorSlot, whose guide, if any, steers the
+    pivoting (module docstring).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -227,8 +346,7 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, *, factor=None,
     if m == 0:
         return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
     tol = _scale_tol(b, np.diag(A), RTOL)
-    x, _, min_raw, iters = _pivot(A, b, tol, simplex=False, factor=factor,
-                                  slot=slot)
+    x, _, min_raw, iters = _pivot(A, b, tol, simplex=False, slot=slot)
     return x, _nonneg_record(A, b, x, min_raw, iters, tol)
 
 
@@ -258,7 +376,7 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, factor=None,
     when given, holds the sorted positions of the first free set (None or
     empty: every index); a start near the minimizer's support saves free
     sets and reaches the same minimizer up to rounding. slot, when given,
-    is G's FactorSlot (module docstring).
+    is G's FactorSlot (module docstring); its guide is not read.
     """
     G = np.asarray(G, dtype=float)
     m = G.shape[0]

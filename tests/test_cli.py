@@ -213,9 +213,9 @@ class TestGaussTask:
 
     def test_f_block_factored_once(self, tmp_path, monkeypatch):
         # F is a 60-point sphere around a 10-point inner shell, with a far
-        # complement shell: the field's sweep, the closed form's Green
-        # equilibrium and the solves over F share one factor of the 70x70
-        # Green block. Every minimizer leaves the inner shell, and the sweep
+        # complement shell. The field's sweep solves the whole 70x70 Green
+        # block on the guide, and no solve ends on it, so it is never
+        # factored. Every minimizer leaves the inner shell, and the sweep
         # already does, so the Gauss solve starting from the sweep's support
         # and the dual starting from the primal's each solve one free set,
         # the one the sweep factored, and factor nothing.
@@ -257,7 +257,9 @@ class TestGaussTask:
         res = read_report(out)["results"]
         assert res["representation"]["applicable"]
         assert res["support_size"] == 60
-        assert sizes.count(70) == 1
+        # K_YY, the certificate on D (F and the charge), the sweep's last
+        # free set
+        assert sizes == [30, 71, 60]
         # Gauss solve, dual problem, Green equilibrium
         primal, dual, _ = qp_blocks
         assert primal == [] and res["kkt"]["iterations"] == 1
@@ -291,8 +293,9 @@ class TestGaussTask:
         out = str(tmp_path / "out")
         assert cli.main(["run", path, "--out", out]) == 0
         assert read_report(out)["results"]["representation"]["applicable"]
-        # the kernel, green_f and at least one free set per pivoting solve
-        assert len(blocks) > 3
+        # the certificate and the final free sets of the sweep, the Gauss
+        # solve and the dual; the Green equilibrium ends on the dual's
+        assert len(blocks) == 4
         assert len(set(blocks)) == len(blocks)
 
     def test_gap_bound_replaces_reversed_resolve(self, tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import greenpot.core
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
-                           ValidationError, nearest_neighbor_distances,
-                           validate_field_separation)
+                           ValidationError, _index_array,
+                           nearest_neighbor_distances, validate_field_separation)
 
 
 def two_point_cloud():
@@ -37,6 +38,68 @@ class TestPointSet:
     def test_nearest_neighbor_distances(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
         assert np.allclose(nearest_neighbor_distances(pts), [1.0, 1.0, 4.0])
+
+    @pytest.mark.parametrize("pts, message", [
+        (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]]),
+         "rows 1 and 3 coincide"),
+        (np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), None),
+        (np.array([[0.0, 0.0]]), "single-point cloud")],
+        ids=["duplicate", "valid", "single"])
+    def test_from_points_queries_the_tree_once(self, monkeypatch, pts,
+                                               message):
+        queries = []
+
+        class CountingTree(greenpot.core.cKDTree):
+            def query(self, *args, **kwargs):
+                queries.append(len(self.data))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(greenpot.core, "cKDTree", CountingTree)
+        if message is None:
+            ps = PointSet.from_points(pts)
+            assert np.array_equal(ps.cell_radius, [0.5, 0.5, 2.0])
+            assert queries == [3]
+        else:
+            with pytest.raises(ValidationError, match=message):
+                PointSet.from_points(pts)
+            assert queries == ([4] if len(pts) > 1 else [])
+
+    def test_explicit_radii_still_searched(self, monkeypatch):
+        # a caller's radii are checked against a search of their own
+        queries = []
+        real = greenpot.core.nearest_neighbor_distances
+
+        def counting(points):
+            queries.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(greenpot.core, "nearest_neighbor_distances", counting)
+        PointSet(two_point_cloud(), np.array([0.5, 0.4]))
+        assert queries == [2]
+        with pytest.raises(ValidationError, match="exceeds half"):
+            PointSet(two_point_cloud(), np.array([0.5, 0.6]))
+
+
+class TestIndexArray:
+    @pytest.mark.parametrize("indices, expected", [
+        ([3, 1, 1, 2], [1, 2, 3]),
+        (np.array([5, 0, 5], dtype=np.int32), [0, 5]),
+        ([[1, 2], [2, 0]], [0, 1, 2]),
+        ([0.0, 2.7, 2.2, -0.5], [0, 2]),
+        (np.array([True, False]), [0, 1]),
+        (4, [4]),
+        ([], [])])
+    def test_sorted_distinct_and_truncated(self, indices, expected):
+        idx = _index_array(indices, 10, "q")
+        assert idx.dtype == np.int64
+        assert idx.tolist() == expected
+
+    @pytest.mark.parametrize("indices", [
+        [0, np.nan], [np.inf], [1.0, -np.inf], [10], [-1], [-1.5], [1e20],
+        [2 ** 70], [1 + 0j]])
+    def test_invalid_entries_raise(self, indices):
+        with pytest.raises(ValidationError, match="q "):
+            _index_array(indices, 10, "q")
 
 
 class TestDiscreteMeasure:

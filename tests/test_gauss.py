@@ -279,7 +279,7 @@ def assert_warm_record(warm, cold):
 
 
 class TestSolvesOverF:
-    """Solves over all of F start from green_f's factor, bit for bit as on the block.
+    """Solves over all of F give the bytes of the same solves on the block.
 
     The Gauss and dual solves also start from a support the run holds (the
     swept charge's, the primal minimizer's), which changes only the number
@@ -291,7 +291,9 @@ class TestSolvesOverF:
         f_pos = gs.d_positions(gs.cfg.f_indices)
         assert gs.green_f is gs.green_f
         assert gs.green_f.entries.tobytes() == gs.green.block(f_pos).tobytes()
-        assert gs.green_f.factor is not None
+        # nothing factors the block eagerly; its slot carries the guide
+        assert gs.green_f.factor is None
+        assert gs.green_f.slot.guide is gs.guide is not None
 
     # the first charge leaves every solve on its first free set; under the
     # second the sweep and both Gauss solves pivot
@@ -384,7 +386,10 @@ class TestFactorSlot:
         fld = external_field(gs, theta)
         sol = solve_gauss(gs, fld)
         explicit_solution(gs, fld, dual_check(gs, fld, sol)["dual"])
-        assert len(sizes) > 3 and max(sizes) < gs.green_f.size
+        # the final free sets of the sweep, the Gauss solve and the dual: the
+        # guide solves the sweep's other free sets, and the equilibrium ends
+        # on the dual's
+        assert len(sizes) == 3 and max(sizes) < gs.green_f.size
         assert slot.free is not None
 
 

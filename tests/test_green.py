@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import greenpot.solvers
 from greenpot import geometry
 from greenpot.balayage import sweep
 from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
-                           PointSet, ValidationError)
+                           PointSet, SolverError, ValidationError)
 from greenpot.green import (build_green, frostman_excess, green_equilibrium,
                             green_sweep)
 from greenpot.riesz import assemble_riesz, make_kernel
@@ -50,6 +51,98 @@ def enclosure_system(n_f=80, seed=3):
     return build_green(cfg)
 
 
+def count_factorizations(monkeypatch) -> list:
+    """Sizes of the blocks every greenpot module factors from now on."""
+    sizes = []
+    real = greenpot.solvers._cholesky
+
+    def counting(block, *args, **kwargs):
+        sizes.append(block.shape[0])
+        return real(block, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("greenpot")
+                and getattr(mod, "_cholesky", None) is real):
+            monkeypatch.setattr(mod, "_cholesky", counting)
+    return sizes
+
+
+def overlapping_cells(pts, rows, radius) -> PointSet:
+    """The cloud pts with the cells at rows widened to radius, past the
+    half-nearest-neighbour bound that PointSet enforces at construction:
+    wide enough cells make the Riesz matrix indefinite."""
+    ps = PointSet.from_points(pts)
+    radii = ps.cell_radius.copy()
+    radii[rows] = radius
+    object.__setattr__(ps, "cell_radius", radii)
+    return ps
+
+
+def fallback_cloud(radius=None) -> DomainConfig:
+    """Twelve uniform points at seed 0, Y the first eight, D the rest and F
+    two of them: the Dirac sweep recomputes D's last column by cone
+    projection (test_balayage's fallback cloud). radius widens the cells of
+    points 10 and 11, which lie 0.45 apart."""
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(12, 3))
+    ps = (PointSet.from_points(pts) if radius is None
+          else overlapping_cells(pts, [10, 11], radius))
+    return DomainConfig(ps, np.arange(8, 12), np.arange(8), np.arange(8, 10), 2.0)
+
+
+def shell_cloud(radius=None) -> DomainConfig:
+    """F a 40-point unit sphere, two Omega points 0.24 apart inside it, Y a
+    40-point sphere of radius 3: every Dirac column takes the plain solve.
+    radius widens the two Omega cells."""
+    pts = np.vstack([geometry.sphere_shell(40, 1.0, rotate=0.2),
+                     [[0.0, 0.0, 0.2], [0.1, -0.1, 0.0]],
+                     3.0 * geometry.sphere_shell(40, 1.0, rotate=0.7)])
+    ps = (PointSet.from_points(pts) if radius is None
+          else overlapping_cells(pts, [40, 41], radius))
+    return DomainConfig(ps, np.arange(42), np.arange(42, 82), np.arange(40), 2.0)
+
+
+class TestCertificate:
+    """One factorization certifies each build positive definite; a Riesz
+    matrix that is not is rejected with every layout of Y."""
+
+    def test_indefinite_kernel_with_empty_y_is_rejected(self):
+        cfg = replace(fallback_cloud(0.5), d_indices=np.arange(12),
+                      y_indices=np.array([], dtype=int))
+        with pytest.raises(SolverError, match="not positive definite"):
+            build_green(cfg)
+
+    def test_indefinite_kernel_with_y_is_rejected(self):
+        with pytest.raises(SolverError, match="not positive definite"):
+            build_green(shell_cloud(0.3))
+
+    def test_indefinite_kernel_with_a_fallback_column_is_rejected(
+            self, monkeypatch):
+        # a cone-projected column leaves the Green matrix off the Schur
+        # complement, so the whole Riesz matrix is factored
+        sizes = count_factorizations(monkeypatch)
+        with pytest.raises(SolverError, match="not positive definite"):
+            build_green(fallback_cloud(0.5))
+        assert 12 in sizes
+
+    def test_fallback_column_certifies_the_whole_cloud(self, monkeypatch):
+        sizes = count_factorizations(monkeypatch)
+        build_green(fallback_cloud())
+        # K_YY, the fallback column's two free sets, the whole cloud and the
+        # Green matrix on D
+        assert sizes == [8, 8, 6, 12, 4]
+
+    def test_plain_columns_factor_no_whole_cloud(self, monkeypatch):
+        sizes = count_factorizations(monkeypatch)
+        gs = build_green(shell_cloud())
+        # K_YY and the Green matrix on D, whose F block is the guide
+        assert sizes == [40, 42]
+        guide, lower = gs.guide
+        assert lower and guide.shape == (40, 40)
+        assert gs.green_f.slot.guide is gs.guide and gs.green_f.factor is None
+        L = np.tril(guide)
+        assert np.allclose(L @ L.T, gs.green_f.entries, rtol=1e-12, atol=0)
+
+
 class TestBuild:
     def test_hand_matrix(self):
         gs = line_system()
@@ -74,20 +167,13 @@ class TestBuild:
 
     def test_empty_y_block_is_checked_once(self, monkeypatch):
         # with Y empty on a strict subset D the Green matrix is the D-block of
-        # the already checked Riesz matrix, so only that matrix is factored
+        # the certified Riesz matrix, so only that matrix is factored
         pts = np.vstack([geometry.sphere_shell(30, 1.0), [[0.0, 0.0, 1.7]]])
         cfg = DomainConfig(point_set=PointSet.from_points(pts),
                            d_indices=np.arange(20),
                            y_indices=np.array([], dtype=int),
                            f_indices=np.arange(10), alpha=2.0)
-        sizes = []
-        real = greenpot.solvers._cholesky
-
-        def counting(a, **kwargs):
-            sizes.append(a.shape[0])
-            return real(a, **kwargs)
-
-        monkeypatch.setattr(greenpot.riesz, "_cholesky", counting)
+        sizes = count_factorizations(monkeypatch)
         gs = build_green(cfg)
         assert sizes == [31]
         K_d = gs.riesz_full.block(cfg.d_indices)
@@ -144,7 +230,7 @@ class TestBuild:
         # them above the Riesz entries.
         real = greenpot.green.dirac_sweep_matrix
         monkeypatch.setattr(greenpot.green, "dirac_sweep_matrix",
-                            lambda *args: scale * real(*args))
+                            lambda *args, **kwargs: scale * real(*args, **kwargs))
         with pytest.raises(InvariantError, match=message):
             line_system()
 

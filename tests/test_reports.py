@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from greenpot import reports
 from greenpot.reports import (SCHEMA_VERSION, csv_cell, csv_lines, line_plot,
                               scatter_plot, write_csv, write_json)
 
@@ -158,3 +159,47 @@ class TestPlots:
         path = tmp_path / "c.svg"
         scatter_plot(path, np.array([[0.0, 0.0], [1.0, 1.0]]), [5.0, 5.0])
         assert path.read_text().count("<circle") == 2
+
+
+def circles_one_by_one(xy, values) -> list[str]:
+    """scatter_plot's circles formatted point by point, the way the writer
+    did before it formatted them in one pass: the byte oracle."""
+    xy = np.asarray(xy, dtype=float)
+    values = np.asarray(values, dtype=float)
+    x_lo, x_hi = float(np.min(xy[:, 0])), float(np.max(xy[:, 0]))
+    y_lo, y_hi = float(np.min(xy[:, 1])), float(np.max(xy[:, 1]))
+    v_lo, v_hi = float(np.min(values)), float(np.max(values))
+    ax = (reports._PAD, reports._W - reports._PAD, reports._H - reports._PAD,
+          reports._PAD)
+    lines = []
+    for (x, y), v in zip(xy, values):
+        t = 0.5 if v_hi == v_lo else (v - v_lo) / (v_hi - v_lo)
+        r, g, b = int(40 + 215 * t), 64, int(255 - 215 * t)
+        px = reports._map(x, x_lo, x_hi, ax[0], ax[1])
+        py = reports._map(y, y_lo, y_hi, ax[2], ax[3])
+        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
+                     f'fill="#{r:02x}{g:02x}{b:02x}"/>')
+    return lines
+
+
+class TestScatterBytes:
+    @pytest.mark.parametrize("case", ["random", "all_equal", "single_point",
+                                      "tiny_spread"])
+    def test_circles_match_the_per_point_loop(self, tmp_path, case):
+        rng = np.random.default_rng(5)
+        xy, values = {
+            "random": (rng.normal(size=(300, 2)), rng.normal(size=300)),
+            "all_equal": (rng.uniform(-2, 2, (40, 2)), np.full(40, 1.25)),
+            "single_point": (np.array([[0.4, -0.3]]), np.array([2.0])),
+            "tiny_spread": (1e-9 * rng.normal(size=(50, 2)),
+                            rng.exponential(size=50)),
+        }[case]
+        path = tmp_path / "s.svg"
+        scatter_plot(path, xy, values)
+        lines = path.read_text().splitlines()
+        assert [s for s in lines if s.startswith("<circle")] == \
+            circles_one_by_one(xy, values)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="finite"):
+            scatter_plot(tmp_path / "n.svg", np.eye(2), [0.0, np.nan])

@@ -14,7 +14,7 @@ from greenpot.core import (DiscreteMeasure, PointSet, SolverError,
 from greenpot.riesz import (_TILE, _simplex_minimum, assemble_riesz, capacity,
                             equilibrium_measure, make_kernel, potential,
                             weight_norm)
-from greenpot.solvers import _cholesky, nonneg_qp, simplex_qp
+from greenpot.solvers import _cholesky, simplex_qp
 
 
 def kernel_2x2(entries, alpha=2.0, dim=3):
@@ -331,24 +331,6 @@ def test_kept_factor_gives_identical_solves(m, seed):
     alpha = float(rng.uniform(0.3, min(2.0, dim - 0.2)))
     K = assemble_riesz(PointSet.from_points(rng.normal(size=(m, dim))), alpha)
     assert_same_solve(K)
-
-
-@given(m=st.integers(2, 80), seed=st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_kept_factor_gives_identical_cone_projections(m, seed):
-    # the target is the potential of five charges at further points; on
-    # about half of the clouds the projection leaves points empty, so later
-    # free sets are factored afresh after the kept first one
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(2, 4))
-    alpha = float(rng.uniform(0.3, min(2.0, dim - 0.2)))
-    K = assemble_riesz(PointSet.from_points(rng.normal(size=(m + 5, dim))), alpha)
-    A = K.block(range(m))
-    b = K.block(range(m), range(m, m + 5)) @ rng.uniform(0.1, 1.0, 5)
-    x, rec = nonneg_qp(A, b, factor=_cholesky(A))
-    x_ref, rec_ref = nonneg_qp(A, b)
-    assert x.tobytes() == x_ref.tobytes()
-    assert rec == rec_ref
 
 
 def test_kept_factor_gives_identical_solve_on_large_sphere():

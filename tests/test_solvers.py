@@ -7,7 +7,9 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenpot import solvers
+from greenpot import geometry, solvers
+from greenpot.core import PointSet
+from greenpot.riesz import assemble_riesz
 from greenpot.solvers import FactorSlot, nonneg_qp, simplex_qp
 
 
@@ -181,21 +183,23 @@ def same_bytes(x, rec, x_ref, rec_ref):
             np.array(astuple(rec)).tobytes() == np.array(astuple(rec_ref)).tobytes())
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """Sizes of the blocks the solvers factor from now on."""
+    sizes = []
+    real = solvers._cholesky
+
+    def cholesky(block, *args, **kwargs):
+        sizes.append(block.shape[0])
+        return real(block, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_cholesky", cholesky)
+    return sizes
+
+
 class TestFactorSlot:
     """A free set held in the slot is not factored again, and the solve
     returns the bytes of the same solve without the slot."""
-
-    @pytest.fixture
-    def factored(self, monkeypatch):
-        sizes = []
-        real = solvers._cholesky
-
-        def cholesky(block, *args, **kwargs):
-            sizes.append(block.shape[0])
-            return real(block, *args, **kwargs)
-
-        monkeypatch.setattr(solvers, "_cholesky", cholesky)
-        return sizes
 
     def problem(self):
         # diagonally dominant with a mixed-sign target: the cone projection
@@ -205,17 +209,16 @@ class TestFactorSlot:
         return A, rng.normal(size=12)
 
     def test_nonneg_reads_the_held_free_set(self, factored):
-        # the pivoting goes from every index, read from A's own factor, to
-        # the free set the slot holds
+        # the pivoting goes from every index, solved on the guide (here A's
+        # own factor), to the free set the slot holds
         A, b = self.problem()
-        whole = solvers._cholesky(A)
-        x_ref, rec_ref = nonneg_qp(A, b, factor=whole)
+        x_ref, rec_ref = nonneg_qp(A, b)
         assert rec_ref.iterations == 2
-        slot = FactorSlot()
+        slot = FactorSlot(solvers._cholesky(A))
         nonneg_qp(A, b, slot=slot)
         assert 0 < np.count_nonzero(slot.free) < b.size
         del factored[:]
-        x, rec = nonneg_qp(A, b, factor=whole, slot=slot)
+        x, rec = nonneg_qp(A, b, slot=slot)
         assert factored == []
         assert same_bytes(x, rec, x_ref, rec_ref)
 
@@ -245,3 +248,93 @@ class TestFactorSlot:
         x, rec = simplex_qp(A, b, start=moved, slot=slot)
         assert factored == [moved.size]
         assert same_bytes(x, rec, x_ref, rec_ref)
+
+
+def shell_sweep_problem(inner=10):
+    """The Riesz form on a 60-point unit sphere around an inner shell of
+    radius 0.3, and the potential there of a charge 0.8 at (2.5, 0, 0): the
+    cone projection leaves the inner shell empty. The guide is the leading
+    block of the factor of the whole cloud, charge included."""
+    pts = np.vstack([geometry.sphere_shell(60, 1.0),
+                     geometry.sphere_shell(inner, 0.3), [[2.5, 0.0, 0.0]]])
+    K = assemble_riesz(PointSet.from_points(pts), 2.0)
+    m = 60 + inner
+    return K.block(range(m)), 0.8 * K.entries[:m, m], solvers._certify(K.entries, np.arange(m))
+
+
+class TestGuide:
+    """A guide steers nonneg_qp's pivoting through the bordered system; the
+    result, its record and the slot are those of a solve without it."""
+
+    def test_only_the_final_free_set_is_factored(self, factored):
+        A, b, guide = shell_sweep_problem()
+        del factored[:]
+        x_ref, rec_ref = nonneg_qp(A, b)
+        assert factored == [70, 60] and rec_ref.iterations == 2
+        del factored[:]
+        slot = FactorSlot(guide)
+        x, rec = nonneg_qp(A, b, slot=slot)
+        assert factored == [60]
+        assert same_bytes(x, rec, x_ref, rec_ref)
+        assert np.count_nonzero(slot.free) == 60
+        # the slot holds the final free set's own factor
+        F = np.flatnonzero(slot.free)
+        fresh = solvers._cholesky(A[np.ix_(F, F)])
+        assert slot.factor[0].tobytes() == fresh[0].tobytes()
+        assert np.allclose(x, nnls_oracle(A, b), rtol=0, atol=1e-12)
+
+    def test_free_sets_missing_many_indices_are_factored(self, factored):
+        # an inner shell of 30 of 90 points is more than GUIDE_SHARE of the
+        # indices, so its free set is factored afresh; the guide still
+        # solves the full set
+        A, b, guide = shell_sweep_problem(inner=30)
+        del factored[:]
+        x_ref, rec_ref = nonneg_qp(A, b)
+        cold = list(factored)
+        del factored[:]
+        x, rec = nonneg_qp(A, b, slot=FactorSlot(guide))
+        assert factored == cold[1:]
+        assert same_bytes(x, rec, x_ref, rec_ref)
+
+    def test_gram_that_does_not_factor_falls_back_to_a_fresh_factor(
+            self, factored):
+        # a guide scaled past the float range underflows V'V to zero
+        A, b, _ = shell_sweep_problem()
+        del factored[:]
+        x_ref, rec_ref = nonneg_qp(A, b)
+        cold = list(factored)
+        del factored[:]
+        huge = (1e200 * np.eye(A.shape[0]), True)
+        x, rec = nonneg_qp(A, b, slot=FactorSlot(huge))
+        assert factored == cold
+        assert same_bytes(x, rec, x_ref, rec_ref)
+
+    def test_simplex_does_not_read_the_guide(self, factored):
+        A, b, guide = shell_sweep_problem()
+        del factored[:]
+        x_ref, rec_ref = simplex_qp(A, b)
+        cold = list(factored)
+        del factored[:]
+        x, rec = simplex_qp(A, b, slot=FactorSlot(guide))
+        assert factored == cold
+        assert same_bytes(x, rec, x_ref, rec_ref)
+
+
+@given(m=st.integers(2, 80), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_guide_gives_identical_cone_projections(m, seed):
+    # the target is the potential of five charges at further points, and
+    # the guide is the leading block of the whole cloud's factor; on about
+    # half of the clouds the projection leaves points empty, so the guide
+    # solves the free sets before the last
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    alpha = float(rng.uniform(0.3, min(2.0, dim - 0.2)))
+    K = assemble_riesz(PointSet.from_points(rng.normal(size=(m + 5, dim))), alpha)
+    A = K.block(range(m))
+    b = K.block(range(m), range(m, m + 5)) @ rng.uniform(0.1, 1.0, 5)
+    x, rec = nonneg_qp(A, b, slot=FactorSlot(solvers._certify(K.entries, np.arange(m))))
+    x_ref, rec_ref = nonneg_qp(A, b)
+    assert same_bytes(x, rec, x_ref, rec_ref)
+    scale = max(1.0, float(np.max(np.abs(x_ref))))
+    assert np.max(np.abs(x - nnls_oracle(A, b))) <= 1e-8 * scale
