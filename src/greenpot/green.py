@@ -18,9 +18,9 @@ import numpy as np
 from .core import (DiscreteMeasure, DomainConfig, InvariantError,
                    ValidationError, _index_array)
 from .balayage import BalayageResult, _sweep, dirac_sweep_matrix
-from .riesz import (KernelMatrix, _riesz_entries, _simplex_minimum,
-                    _symmetric_kernel, weight_norm)
-from .solvers import FactorSlot, _certify, _cholesky
+from .riesz import (KernelMatrix, _certify_in_place, _riesz_entries,
+                    _simplex_minimum, _symmetric_kernel, weight_norm)
+from .solvers import FactorSlot, _certify
 
 ENTRY_TOL = 1e-10
 
@@ -32,7 +32,7 @@ class GreenSystem:
     The green matrix is indexed by position within cfg.d_indices;
     dirac_sweep_to_y is the |Y| x |D| block whose column k is the swept unit
     mass for the k-th D-point, row j its weight at the j-th Y-point.
-    Neither kernel keeps a factor. guide is the F block of the factor that
+    Neither kernel keeps a solve (KernelMatrix.solve). guide is the F block of the factor that
     certified the build (build_green), or None; solves over all of F share
     green_f's factor slot, which carries it, and every other target is
     factored by its solver.
@@ -107,13 +107,13 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     the Riesz matrix: the two are positive definite if and only if the
     Riesz matrix is (Haynsworth, 1968). A column the sweep recomputes by
     cone projection leaves that Schur complement, so then the Riesz matrix
-    is factored as well.
+    is factored as well, in place, and its entries restored.
     """
     d = cfg.d_indices
     y = cfg.y_indices
     f = cfg.f_indices
-    # no solve reads a factor of either kernel: sweeps and strict targets
-    # take blocks, and solves over F share green_f's slot
+    # no solve reads a kept solve of either kernel: sweeps and strict
+    # targets take blocks, and solves over F share green_f's slot
     K = _symmetric_kernel(_riesz_entries(cfg.point_set, cfg.alpha, sigma),
                           cfg.alpha, cfg.point_set.dim)
     if y.size == 0:
@@ -127,8 +127,9 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     fallbacks = []
     W = dirac_sweep_matrix(K, d, y, _fallbacks=fallbacks)
     if any(fallbacks):
-        # the Green matrix is then no Schur complement: certify K itself
-        _cholesky(K.entries)
+        # the Green matrix is then no Schur complement: certify K itself,
+        # in its own buffer
+        _certify_in_place(K.entries)
     # the product's (j, i) entry is the potential at x_j of the swept unit
     # mass at x_i; one gathered K_d serves raw and the Riesz bound below
     K_d = K.block(d)

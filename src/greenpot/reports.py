@@ -60,15 +60,16 @@ def csv_lines(header, rows):
     """The newline-ended lines of a CSV table, yielded one row at a time.
 
     rows is an iterable of rows of cells, or a 2-D float array, formatted
-    from its Python floats by one %-format string per row: "%.17g" gives the
-    bytes csv_cell gives each entry, and an integral entry below 2**53 the
-    bytes it gives the integer.
+    from each row's Python floats by one %-format string per row: "%.17g"
+    gives the bytes csv_cell gives each entry, and an integral entry below
+    2**53 the bytes it gives the integer. Converting row by row keeps one
+    row of Python floats live, not the whole table.
     """
     yield ",".join(csv_cell(h) for h in header) + "\n"
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
         fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        for row in rows.tolist():
-            yield fmt % tuple(row)
+        for row in rows:
+            yield fmt % tuple(row.tolist())
     else:
         for row in rows:
             yield ",".join(csv_cell(v) for v in row) + "\n"

@@ -4,10 +4,12 @@ The kernel on an n-point cloud is the matrix |x_i - x_j|^(alpha - n) off the
 diagonal. The singular diagonal is replaced by a finite cell self-energy
 (sigma * cell_radius)^(alpha - n), which keeps the matrix symmetric positive
 definite for non-overlapping cells; positive definiteness is checked at
-assembly by a Cholesky factorization. The factor is kept on the kernel and
-serves as the first factorization of simplex solves over the whole kernel
-(capacity and equilibrium measure of every point). A Green build assembles
-the same entries unfactored and certifies them itself (green.build_green).
+assembly by a Cholesky factorization in the matrix's own buffer, whose
+entries are then restored bit for bit. Before the restore the factor gives
+the first solve of simplex solves over the whole kernel (capacity and
+equilibrium measure of every point), which the kernel keeps in place of a
+factor, so a kernel holds one m x m array. A Green build assembles the same
+entries unfactored and certifies them itself (green.build_green).
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 from .core import DiscreteMeasure, PointSet, ValidationError, _index_array
 from .solvers import FactorSlot, _cholesky, _gather, simplex_qp
 
 # Rows per block of the distance fill, and the side of the square tiles of
-# the symmetry check: two tiles stay in cache, and a block's cdist is cheap.
+# the symmetry check and of the certificate's restore: two tiles stay in
+# cache, and a block's cdist is cheap.
 _TILE = 128
 
 
@@ -29,8 +33,10 @@ _TILE = 128
 class KernelMatrix:
     """Symmetric positive definite kernel matrix with parameter metadata.
 
-    factor is the Cholesky factor of entries in the solvers' (c, lower)
-    form, such as the one make_kernel's check computed, or None. slot is a
+    solve is the m x 2 solve [u v] of entries [u v] = [0 1] on the
+    Cholesky factor that make_kernel's check computed, or None: the first
+    free set of a simplex solve over the whole kernel holds every index,
+    and solve replaces its factorization (solvers.simplex_qp). slot is a
     solvers.FactorSlot that whole-kernel solves read and refill, or None.
     Neither takes part in comparisons or the repr.
     """
@@ -38,7 +44,7 @@ class KernelMatrix:
     entries: np.ndarray
     alpha: float
     dim: int
-    factor: tuple | None = field(default=None, compare=False, repr=False)
+    solve: np.ndarray | None = field(default=None, compare=False, repr=False)
     slot: FactorSlot | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -51,8 +57,12 @@ class KernelMatrix:
 
 def _symmetric_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
     """Validate that the matrix is square and exactly symmetric, then wrap
-    it with no factor."""
-    entries = np.asarray(entries, dtype=float)
+    it with no solve.
+
+    A writable C-ordered float array is wrapped as it is; any other input
+    is copied into one, which the in-place certificate needs.
+    """
+    entries = np.require(entries, dtype=float, requirements=("C", "W"))
     m = entries.shape[0]
     if entries.shape != (m, m):
         raise ValidationError(f"kernel matrix must be square, got {entries.shape}")
@@ -64,23 +74,66 @@ def _symmetric_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatr
 def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
     """Validate symmetry and positive definiteness, then wrap the matrix.
 
-    The Cholesky factor that certifies definiteness is kept as K.factor;
-    _cholesky raises SolverError when there is none.
+    The Cholesky factorization that certifies definiteness runs in the
+    entries' own buffer (_certify_in_place), which the caller's array is
+    when it is a writable C-ordered float array: it comes back bit for bit,
+    also when _cholesky raises SolverError because there is no factor. The
+    kernel keeps the factor's solve of the first free set of a whole-kernel
+    simplex solve as K.solve.
     """
     K = _symmetric_kernel(entries, alpha, dim)
-    return replace(K, factor=_cholesky(K.entries) if K.size else None)
+    if not K.size:
+        return K
+    # the right-hand side [b 1] that solvers._solve_free stacks for b = 0
+    rhs = np.column_stack((np.zeros(K.size), np.ones(K.size)))
+    return replace(K, solve=_certify_in_place(K.entries, rhs))
+
+
+def _certify_in_place(a: np.ndarray,
+                      rhs: np.ndarray | None = None) -> np.ndarray | None:
+    """Certify the exactly symmetric C-ordered array a positive definite by
+    one Cholesky factorization in its own buffer, and return the solve of
+    rhs on the factor (None without rhs).
+
+    _cholesky writes the factor over a's diagonal and upper triangle and
+    leaves the strict lower triangle, which a's bitwise symmetry makes the
+    mirror image of the upper one. Copying it back tile by tile and
+    restoring the saved diagonal returns every entry bit for bit, also when
+    _cholesky raises SolverError. Beyond a, the only copies are the diagonal
+    and one tile at a time.
+    """
+    diag = np.diagonal(a).copy()
+    try:
+        factor = _cholesky(a, overwrite=True)
+        return None if rhs is None else cho_solve(factor, rhs, check_finite=False)
+    finally:
+        m = a.shape[0]
+        for i in range(0, m, _TILE):
+            t = a[i:i + _TILE, i:i + _TILE]
+            upper = np.triu_indices(t.shape[0], 1)
+            t[upper] = t.T[upper]
+            for j in range(i + _TILE, m, _TILE):
+                a[i:i + _TILE, j:j + _TILE] = a[j:j + _TILE, i:i + _TILE].T
+        np.fill_diagonal(a, diag)
 
 
 def _exactly_symmetric(a: np.ndarray) -> bool:
-    """np.array_equal(a, a.T), tile by tile against each tile's transposed partner.
+    """np.array_equal(a, a.T) and the same of a's bit patterns, tile by tile
+    against each tile's transposed partner.
 
-    Tiles keep both reads local, where a.T strides across whole rows.
+    The values refuse NaN; the bit patterns refuse a pair of zeros of
+    opposite sign, which the in-place certificate would not restore
+    (_certify_in_place). Tiles keep both reads local, where a.T strides
+    across whole rows.
     """
+    bits = a.view(np.int64)
     m = a.shape[0]
     for i in range(0, m, _TILE):
         for j in range(i, m, _TILE):
-            if not np.array_equal(a[i:i + _TILE, j:j + _TILE],
-                                  a[j:j + _TILE, i:i + _TILE].T):
+            if not (np.array_equal(a[i:i + _TILE, j:j + _TILE],
+                                   a[j:j + _TILE, i:i + _TILE].T)
+                    and np.array_equal(bits[i:i + _TILE, j:j + _TILE],
+                                       bits[j:j + _TILE, i:i + _TILE].T)):
                 return False
     return True
 
@@ -131,17 +184,17 @@ def _simplex_minimum(K: KernelMatrix, a: np.ndarray,
 
     `a` holds sorted distinct indices, so a.size == K.size means every
     point: the solve then reads the entries in place, with the kernel's own
-    factor and slot. start, when given, holds the sorted positions within
+    solve and slot. start, when given, holds the sorted positions within
     `a` of the first free set (simplex_qp).
     """
     if a.size == 1:
         # one-point problem: the Dirac is the only probability measure
         return float(K.entries[a[0], a[0]]), np.ones(1)
     if a.size == K.size:
-        A, factor, slot = K.entries, K.factor, K.slot
+        A, solve, slot = K.entries, K.solve, K.slot
     else:
-        A, factor, slot = K.block(a), None, None
-    x, _ = simplex_qp(A, factor=factor, start=start, slot=slot)
+        A, solve, slot = K.block(a), None, None
+    x, _ = simplex_qp(A, solve=solve, start=start, slot=slot)
     return float(x @ A @ x), x
 
 

@@ -33,12 +33,14 @@ down to -10 tol. KKTRecord.iterations counts the free sets solved, one more
 than the number of pivots, and 40 m + 100 caps it for an m-index problem.
 
 Kept factors. An interior minimizer costs one factorization from the full
-set, and none when simplex_qp is handed the factor of its matrix, such as
-KernelMatrix.factor, which serves every free set holding every index.
-Either solver may also be handed a FactorSlot of its matrix, which carries
-the final free set of the last solve on that matrix and its factor: a solve
-that reaches that free set factors nothing. A kept factor is the one
-_cholesky gives for the block, bit for bit, so it changes no result.
+set, and none when simplex_qp is handed the solve [u v] of that set, such
+as KernelMatrix.solve, which make_kernel's positive-definiteness check
+computes on its factor before restoring the entries; it serves every free
+set holding every index. Either solver may also be handed a FactorSlot of
+its matrix, which carries the final free set of the last solve on that
+matrix and its factor: a solve that reaches that free set factors nothing.
+A kept factor or solve is the one _cholesky or _solve_free gives, bit for
+bit, so it changes no result.
 
 Guides. A slot may also carry a guide: a factor of the matrix up to
 rounding, such as the leading block of a larger matrix's factor (_certify).
@@ -111,7 +113,7 @@ def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
     LAPACK reads the transpose, which is Fortran-ordered for a C-ordered
     block, so overwrite=True factors such a block in place; its lower
     triangle is the block's upper one. make_kernel's positive-definiteness
-    check and the solvers both factor through here, so a factor kept from
+    check and the solvers both factor through here, so the solve kept from
     the check equals the one a solver would compute, bit for bit. The Dirac
     sweep alone asks for the upper factor (_lower=False), whose rounding its
     Green outputs are pinned to. Raises SolverError when the block is not
@@ -226,22 +228,26 @@ class _Bordered:
 
 
 def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
-                simplex: bool, factor=None) -> tuple[np.ndarray, float, float, tuple]:
+                simplex: bool, factor=None,
+                uv=None) -> tuple[np.ndarray, float, float, tuple]:
     """Subproblem on the free set: weights (zero off it), multiplier, raw
     minimum, and the factor used.
 
     factor, when given, is the _cholesky factor of the free block; otherwise
-    the block is factored here (an empty free set needs none).
+    the block is factored here (an empty free set needs none). uv, when
+    given, is simplex_qp's solve of a free set holding every index, which
+    needs no factor: the factor returned is then None.
     """
     F = np.flatnonzero(free)
     x = np.zeros(b.size)
     if F.size == 0:
         return x, 0.0, 0.0, None
-    if factor is None:
+    if factor is None and uv is None:
         factor = _cholesky(_gather(A, F), overwrite=True)
     if simplex:
-        uv = cho_solve(factor, np.column_stack((b[F], np.ones(F.size))),
-                       check_finite=False)
+        if uv is None:
+            uv = cho_solve(factor, np.column_stack((b[F], np.ones(F.size))),
+                           check_finite=False)
         denom = float(uv[:, 1].sum())
         if denom <= 0:
             raise SolverError("lost positive definiteness in simplex solve")
@@ -261,15 +267,15 @@ def _infeasible(A, b, x, c, free, floor, tol) -> np.ndarray:
     return infeasible
 
 
-def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
+def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
            start: np.ndarray | None = None,
            slot: FactorSlot | None = None) -> tuple[np.ndarray, float, float, int]:
     """Block principal pivoting (see the module docstring).
 
     The first free set holds the positions in start, or every index when
-    start is None or empty. factor, when given, is the _cholesky factor of
-    all of A and replaces the factorization of every free set holding every
-    index; slot, when given, is A's FactorSlot and replaces the
+    start is None or empty. solve, when given, is simplex_qp's solve of a
+    free set holding every index and replaces that set's factorization and
+    solve; slot, when given, is A's FactorSlot and replaces the
     factorization of the free set it holds. Other free sets are solved on
     the slot's guide when nonneg_qp has one and they miss few indices, and
     otherwise, or when the guide finds them final, factored afresh. Returns
@@ -290,9 +296,8 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
               else None)
     for iters in range(1, max_iter + 1):
         floor = 10 * tol if iters == 1 and not simplex else tol
-        if free.all() and factor is not None:
-            known = factor
-        elif slot is not None and np.array_equal(free, slot.free):
+        uv = solve if free.all() else None
+        if uv is None and slot is not None and np.array_equal(free, slot.free):
             known = slot.factor
         else:
             known = None
@@ -313,7 +318,7 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, factor=None,
                 last = None
                 if slot is not None:
                     slot.free = slot.factor = None
-            x, c, zmin, last = _solve_free(A, b, free, simplex, known)
+            x, c, zmin, last = _solve_free(A, b, free, simplex, known, uv)
             infeasible = _infeasible(A, b, x, c, free, floor, tol)
             if not infeasible.any():
                 if slot is not None:
@@ -364,15 +369,16 @@ def _nonneg_record(A, b, x, min_raw, iters, tol) -> KKTRecord:
                      tolerance=tol)
 
 
-def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, factor=None,
+def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, solve=None,
                start=None,
                slot: FactorSlot | None = None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize x'Gx - 2 b'x over the probability simplex for SPD G.
 
     At the minimizer (G x - b) equals the multiplier c on the support and is
-    >= c elsewhere; the reported multiplier is that constant. factor, when
-    given, is the _cholesky factor of G (such as KernelMatrix.factor) and
-    saves the factorization of any free set holding every index. start,
+    >= c elsewhere; the reported multiplier is that constant. solve, when
+    given, is the m x 2 solve [u v] of G [u v] = [b 1] on the _cholesky
+    factor of G (b = 0 when None; such as KernelMatrix.solve) and saves the
+    factorization of any free set holding every index. start,
     when given, holds the sorted positions of the first free set (None or
     empty: every index); a start near the minimizer's support saves free
     sets and reaches the same minimizer up to rounding. slot, when given,
@@ -391,8 +397,10 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, factor=None,
         start = np.asarray(start, dtype=int)
         if start.size and (start.min() < 0 or start.max() >= m):
             raise SolverError(f"start positions outside 0..{m - 1}")
+    if solve is not None and np.shape(solve) != (m, 2):
+        raise SolverError(f"solve shape {np.shape(solve)} is not ({m}, 2)")
     tol = _scale_tol(b, np.diag(G), RTOL)
-    x, c, ymin, iters = _pivot(G, b, tol, simplex=True, factor=factor,
+    x, c, ymin, iters = _pivot(G, b, tol, simplex=True, solve=solve,
                                start=start, slot=slot)
     return x, _simplex_record(G, b, x, c, ymin, iters, tol)
 

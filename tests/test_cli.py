@@ -71,6 +71,16 @@ class TestKernelTask:
         assert lines == ["k0,k1", "4,1", "1,4"]
         assert rep["artifacts"]["tables"] == ["tables/kernel.csv"]
 
+    @pytest.mark.parametrize("m", [0, 1, 2, greenpot.riesz._TILE,
+                                   greenpot.riesz._TILE + 1,
+                                   2 * greenpot.riesz._TILE + 3])
+    def test_off_diagonal_max_matches_the_masked_copy(self, m):
+        # a diagonal above every other entry must not count
+        a = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, m))
+        np.fill_diagonal(a, 10.0)
+        expected = float(a[~np.eye(m, dtype=bool)].max()) if m > 1 else 0.0
+        assert cli._off_diagonal_max(a) == expected
+
     def test_console_script_entry_point(self, tmp_path):
         exe = shutil.which("greenpot")
         assert exe is not None
@@ -289,7 +299,6 @@ class TestGaussTask:
 
         monkeypatch.setattr(greenpot.solvers, "_cholesky", cholesky)
         monkeypatch.setattr(greenpot.riesz, "_cholesky", cholesky)
-        monkeypatch.setattr(greenpot.green, "_cholesky", cholesky)
         out = str(tmp_path / "out")
         assert cli.main(["run", path, "--out", out]) == 0
         assert read_report(out)["results"]["representation"]["applicable"]

@@ -292,7 +292,7 @@ class TestSolvesOverF:
         assert gs.green_f is gs.green_f
         assert gs.green_f.entries.tobytes() == gs.green.block(f_pos).tobytes()
         # nothing factors the block eagerly; its slot carries the guide
-        assert gs.green_f.factor is None
+        assert gs.green_f.solve is None
         assert gs.green_f.slot.guide is gs.guide is not None
 
     # the first charge leaves every solve on its first free set; under the

@@ -126,10 +126,14 @@ class TestCertificate:
 
     def test_fallback_column_certifies_the_whole_cloud(self, monkeypatch):
         sizes = count_factorizations(monkeypatch)
-        build_green(fallback_cloud())
+        cfg = fallback_cloud()
+        gs = build_green(cfg)
         # K_YY, the fallback column's two free sets, the whole cloud and the
         # Green matrix on D
         assert sizes == [8, 8, 6, 12, 4]
+        # the whole cloud is factored in its own buffer and restored
+        K = assemble_riesz(cfg.point_set, cfg.alpha)
+        assert gs.riesz_full.entries.tobytes() == K.entries.tobytes()
 
     def test_plain_columns_factor_no_whole_cloud(self, monkeypatch):
         sizes = count_factorizations(monkeypatch)
@@ -138,7 +142,7 @@ class TestCertificate:
         assert sizes == [40, 42]
         guide, lower = gs.guide
         assert lower and guide.shape == (40, 40)
-        assert gs.green_f.slot.guide is gs.guide and gs.green_f.factor is None
+        assert gs.green_f.slot.guide is gs.guide and gs.green_f.solve is None
         L = np.tril(guide)
         assert np.allclose(L @ L.T, gs.green_f.entries, rtol=1e-12, atol=0)
 
@@ -189,7 +193,7 @@ class TestBuild:
                            f_indices=np.arange(30), alpha=2.0)
         gs = build_green(cfg)
         assert np.shares_memory(gs.green.entries, gs.riesz_full.entries)
-        assert gs.green.factor is None and gs.riesz_full.factor is None
+        assert gs.green.solve is None and gs.riesz_full.solve is None
         assert gs.green is gs.riesz_full
         cap, _ = green_equilibrium(gs, np.arange(31))
         cap_ref, _ = greenpot.riesz.capacity(gs.riesz_full, np.arange(31))
@@ -201,9 +205,9 @@ class TestBuild:
         # reports changes
         gs = enclosure_system()
         K = assemble_riesz(gs.cfg.point_set, 2.0)
-        assert gs.riesz_full.factor is None and K.factor is not None
+        assert gs.riesz_full.solve is None and K.solve is not None
         assert gs.riesz_full.entries.tobytes() == K.entries.tobytes()
-        assert gs.green.factor is None
+        assert gs.green.solve is None
         # the Riesz-route cross-check reads riesz_full
         mu = DiscreteMeasure.from_dict(K.size, {81: 1.0})
         f = np.arange(80)

@@ -91,6 +91,18 @@ class TestCsv:
         assert (tmp_path / "indexed.csv").read_bytes() == expected.encode()
         assert expected.splitlines()[4].startswith("9007199254740991,")
 
+    def test_float_array_rows_match_whole_table_formatting(self):
+        # csv_lines converts one row at a time; the bytes are those of one
+        # tolist() of the whole table
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(37, 11)) * 10.0 ** rng.integers(-300, 300, (37, 11))
+        table[0, :6] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+        fmt = ",".join(["%.17g"] * 11) + "\n"
+        for rows in (table, np.asfortranarray(table), table[::2, ::-1],
+                     table[1:].clip(-1e30, 1e30).astype(np.float32)):
+            expected = "h\n" + "".join(fmt % tuple(row) for row in rows.tolist())
+            assert "".join(csv_lines(["h"], rows)) == expected
+
     def test_text_with_separators_is_quoted(self):
         assert csv_cell("a, b") == '"a, b"'
         assert csv_cell('say "hi"') == '"say ""hi"""'

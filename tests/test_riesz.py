@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import pdist, squareform
 
 import greenpot.riesz
@@ -19,6 +21,12 @@ from greenpot.solvers import _cholesky, simplex_qp
 
 def kernel_2x2(entries, alpha=2.0, dim=3):
     return make_kernel(np.array(entries, dtype=float), alpha, dim)
+
+
+def spd(m, seed=0):
+    """A random exactly symmetric, diagonally dominant m x m matrix."""
+    a = np.random.default_rng(seed).uniform(size=(m, m))
+    return (a + a.T) / 2.0 + m * np.eye(m)
 
 
 class TestAssembly:
@@ -80,10 +88,13 @@ class TestAssembly:
             make_kernel(entries, 2.0, 3)
 
     def test_nan_diagonal_rejected(self):
-        # NaN != NaN, so the exact symmetry check refuses it before any factor
+        # NaN != NaN, so the exact symmetry check refuses it before any
+        # factor, though its bit patterns match
         entries = np.array([[2.0, 0.5], [0.5, np.nan]])
         with pytest.raises(ValidationError, match="symmetric"):
             make_kernel(entries, 2.0, 3)
+        with pytest.raises(ValidationError, match="symmetric"):
+            make_kernel(np.array([[2.0, np.nan], [np.nan, 2.0]]), 2.0, 3)
 
     def test_nan_pivot_is_a_failed_factorization(self):
         # LAPACK's potrf in OpenBLAS returns a NaN factor here without an error
@@ -119,15 +130,18 @@ class TestTiledSymmetryCheck:
 
     @pytest.mark.parametrize("m", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
     def test_one_flipped_entry_is_rejected(self, m):
-        rng = np.random.default_rng(m)
-        a = rng.uniform(size=(m, m))
-        entries = (a + a.T) / 2.0 + m * np.eye(m)
+        entries = spd(m, seed=m)
         assert make_kernel(entries, 2.0, 3).size == m
         for i, j in self.flip_positions(m):
             flipped = entries.copy()
             flipped[i, j] = np.nextafter(flipped[i, j], 2.0)
             with pytest.raises(ValidationError):
                 make_kernel(flipped, 2.0, 3)
+            # equal values, unequal bits: zeros of opposite sign
+            signed = entries.copy()
+            signed[i, j], signed[j, i] = -0.0, 0.0
+            with pytest.raises(ValidationError):
+                make_kernel(signed, 2.0, 3)
 
 
 @given(shape=st.sampled_from([(2, 1.0), (2, 1.5), (3, 1.0), (3, 1.5), (3, 2.0)]),
@@ -281,10 +295,13 @@ def count_factorizations(monkeypatch):
 
 
 class TestKeptFactor:
+    """make_kernel's check keeps its factor's solve of the first free set of
+    a whole-kernel simplex solve, not the factor."""
+
     @pytest.mark.parametrize("solve", [capacity, equilibrium_measure])
     def test_whole_kernel_solve_factors_once(self, monkeypatch, solve):
-        # the positive-definiteness check's factor is the solve's only one,
-        # and the solve reads the entries in place
+        # the positive-definiteness check's factorization is the solve's
+        # only one, and the solve reads the entries in place
         sizes, operands = count_factorizations(monkeypatch)
         K = assemble_riesz(PointSet.from_points(geometry.sphere_shell(200)), 2.0)
         assert sizes == [200]
@@ -296,28 +313,38 @@ class TestKeptFactor:
         sizes, operands = count_factorizations(monkeypatch)
         K = assemble_riesz(PointSet.from_points(geometry.sphere_shell(50)), 2.0)
         capacity(K, range(49))
-        capacity(replace(K, factor=None), range(50))
+        capacity(replace(K, solve=None), range(50))
         assert sizes == [50, 49, 50]
         assert operands[0].shape == (49, 49)
         assert operands[1] is K.entries
 
     def test_factor_takes_no_part_in_repr_or_equality(self):
         K = kernel_2x2([[2.0, 1.0], [1.0, 3.0]])
-        assert K.factor is not None and "factor" not in repr(K)
-        assert K == replace(K, factor=None)
+        assert K.solve.shape == (2, 2) and "solve" not in repr(K)
+        assert K == replace(K, solve=None)
 
 
 def assert_same_solve(K):
+    """A whole-kernel solve on the kept solve: no factorization of the whole
+    kernel, and the bytes and records of a cold solve."""
     everything = np.arange(K.size)
-    energy, x = _simplex_minimum(K, everything)
-    energy_ref, x_ref = _simplex_minimum(replace(K, factor=None), everything)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes, _ = count_factorizations(mp)
+        energy, x = _simplex_minimum(K, everything)
+    # later free sets, if any, are strict subsets factored afresh
+    assert K.size not in sizes
+    energy_ref, x_ref = _simplex_minimum(replace(K, solve=None), everything)
     assert x.tobytes() == x_ref.tobytes()
     assert energy == energy_ref
     # the records of the two whole-kernel solves _simplex_minimum makes
-    x_kept, rec = simplex_qp(K.entries, factor=K.factor)
+    x_kept, rec = simplex_qp(K.entries, solve=K.solve)
     _, rec_ref = simplex_qp(K.entries)
     assert x_kept.tobytes() == x.tobytes()
     assert rec == rec_ref
+    # the kept solve is the cold first solve of _solve_free, bit for bit
+    rhs = np.column_stack((np.zeros(K.size), np.ones(K.size)))
+    cold = cho_solve(_cholesky(K.entries), rhs, check_finite=False)
+    assert K.solve.tobytes() == cold.tobytes()
     return rec
 
 
@@ -336,3 +363,75 @@ def test_kept_factor_gives_identical_solves(m, seed):
 def test_kept_factor_gives_identical_solve_on_large_sphere():
     K = assemble_riesz(PointSet.from_points(geometry.sphere_shell(1000)), 2.0)
     assert assert_same_solve(K).iterations == 1
+
+
+class TestInPlaceCertificate:
+    """make_kernel factors the entries in their own buffer and hands every
+    entry back bit for bit, on success and on failure."""
+
+    @pytest.mark.parametrize("m", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+    def test_caller_array_comes_back_unchanged(self, m):
+        entries = spd(m, seed=m)
+        before = entries.tobytes()
+        K = make_kernel(entries, 2.0, 3)
+        assert np.shares_memory(K.entries, entries)
+        assert entries.tobytes() == before
+        assert K.solve.shape == (m, 2)
+
+    @pytest.mark.parametrize("m", [3, 2 * _TILE + 3])
+    def test_caller_array_comes_back_after_a_failed_factorization(self, m):
+        # the last pivot fails, after the factor has overwritten the rest
+        entries = spd(m)
+        entries[-1, -1] = -1.0
+        before = entries.tobytes()
+        with pytest.raises(SolverError, match="not positive definite"):
+            make_kernel(entries, 2.0, 3)
+        assert entries.tobytes() == before
+
+    def test_signed_zeros_come_back(self):
+        entries = np.array([[2.0, -0.0, 0.0], [-0.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+        before = entries.tobytes()
+        make_kernel(entries, 2.0, 3)
+        assert entries.tobytes() == before
+
+    def test_zeros_of_opposite_sign_are_not_symmetric(self):
+        # the certificate's restore would turn the -0.0 into 0.0
+        with pytest.raises(ValidationError, match="symmetric"):
+            make_kernel(np.array([[2.0, -0.0], [0.0, 3.0]]), 2.0, 3)
+
+    def test_read_only_and_non_contiguous_inputs_are_copied(self):
+        m = _TILE + 5
+        ref = make_kernel(spd(m), 2.0, 3)
+        read_only = spd(m)
+        read_only.flags.writeable = False
+        wide = np.zeros((m, 2 * m))
+        wide[:, ::2] = spd(m)
+        for entries in (read_only, np.asfortranarray(spd(m)), wide[:, ::2],
+                        spd(m).tolist()):
+            before = np.array(entries).tobytes()
+            K = make_kernel(entries, 2.0, 3)
+            assert not np.shares_memory(K.entries, entries)
+            assert np.array(entries).tobytes() == before
+            assert K.entries.tobytes() == ref.entries.tobytes()
+            assert K.solve.tobytes() == ref.solve.tobytes()
+
+
+class TestKernelMemory:
+    @pytest.mark.parametrize("solves", [(capacity,), (capacity, equilibrium_measure)],
+                             ids=["capacity", "capacity+equilibrium"])
+    def test_whole_kernel_solves_hold_one_matrix(self, solves):
+        # the kernel holds its entries and an m x 2 solve; neither its check
+        # nor a solve over every point allocates a second m x m array
+        m = 600
+        ps = PointSet.from_points(geometry.sphere_shell(m))
+        tracemalloc.start()
+        try:
+            K = assemble_riesz(ps, 2.0)
+            for solve in solves:
+                solve(K, range(m))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * m * m
+        assert peak <= 1.25 * matrix
+        assert held <= 1.05 * matrix

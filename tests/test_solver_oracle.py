@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 import greenpot.balayage
 import greenpot.gauss
@@ -123,17 +124,19 @@ def test_start_missing_a_support_index(monkeypatch):
     # G = diag(1, 2, 4), b = 0: x is proportional to (4, 2, 1), and G x
     # equals c = 4/7 everywhere. From {0} alone the fixed indices have
     # reduced gradient -1 and -1, so the second free set takes every index
-    # and reads the factor handed in.
+    # and reads the solve handed in.
     G = np.diag([1.0, 2.0, 4.0])
     factors = []
     real = solvers._solve_free
 
-    def spy(A, b, free, simplex, factor=None):
-        factors.append((free.copy(), factor is not None))
-        return real(A, b, free, simplex, factor)
+    def spy(A, b, free, simplex, factor=None, uv=None):
+        factors.append((free.copy(), uv is not None))
+        return real(A, b, free, simplex, factor, uv)
 
     monkeypatch.setattr(solvers, "_solve_free", spy)
-    x, rec = simplex_qp(G, start=[0], factor=solvers._cholesky(G))
+    rhs = np.column_stack((np.zeros(3), np.ones(3)))
+    x, rec = simplex_qp(G, start=[0],
+                        solve=cho_solve(solvers._cholesky(G), rhs))
     assert [(list(free), kept) for free, kept in factors] == [
         ([True, False, False], False), ([True, True, True], True)]
     assert rec.iterations == 2
@@ -149,13 +152,18 @@ def test_start_outside_the_matrix_rejected():
         simplex_qp(np.eye(3), start=[1, 3])
 
 
+def test_solve_of_the_wrong_shape_rejected():
+    with pytest.raises(SolverError, match="solve shape"):
+        simplex_qp(np.eye(3), solve=np.ones((3, 1)))
+
+
 def record_pivots(monkeypatch):
     """Log (free set, weights, multiplier) of every subproblem solved."""
     log = []
     real = solvers._solve_free
 
-    def spy(A, b, free, simplex, factor=None):
-        out = real(A, b, free, simplex, factor)
+    def spy(A, b, free, simplex, factor=None, uv=None):
+        out = real(A, b, free, simplex, factor, uv)
         log.append((free.copy(), out[0], out[1]))
         return out
 
