@@ -35,8 +35,8 @@ from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
 from .green import build_green, frostman_excess, green_equilibrium
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
-from .riesz import (_TILE, assemble_riesz, capacity, equilibrium_measure,
-                    potential)
+from .riesz import assemble_riesz, capacity, equilibrium_measure, potential
+from .solvers import _TILE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

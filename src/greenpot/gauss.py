@@ -69,7 +69,7 @@ def external_field(gs: GreenSystem, theta: DiscreteMeasure) -> ExternalField:
     u_theta = gs.green.entries @ w_d
     swept = green_sweep(gs, theta, gs.cfg.f_indices).swept
     u_swept = gs.green.entries @ gs.measure_on_d(swept)
-    n, alpha = gs.riesz_full.dim, gs.riesz_full.alpha
+    n, alpha = gs.cfg.point_set.dim, gs.cfg.alpha
     return ExternalField(theta=theta, rho=rho,
                          field_values=-u_theta,
                          dual_field_values=-u_swept,
@@ -78,7 +78,7 @@ def external_field(gs: GreenSystem, theta: DiscreteMeasure) -> ExternalField:
 
 
 def _f_positions(gs: GreenSystem, f) -> tuple[np.ndarray, np.ndarray]:
-    f = _index_array(f, gs.riesz_full.size, "f")
+    f = _index_array(f, len(gs.cfg.point_set), "f")
     if f.size == 0:
         raise ValidationError("target set must be nonempty")
     if not np.isin(f, gs.cfg.f_indices).all():
@@ -288,7 +288,7 @@ def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,
         raise ValidationError("exhaustion families must grow")
     if window is None:
         window = family[0]
-    window = _index_array(window, gs.riesz_full.size, "window")
+    window = _index_array(window, len(gs.cfg.point_set), "window")
     pts = gs.cfg.point_set.points
     rows = []
     for member in family:

@@ -2,10 +2,11 @@
 
 Entry (i, j) of the Green matrix is the Riesz kernel minus the potential of
 the unit point mass at x_i swept onto the complement sample Y, evaluated at
-x_j. Rows are assembled source by source, the matrix is symmetrized by
-averaging, and the pre-symmetrization residual is kept as a measure of the
-Y-sampling error. With Y empty the construction degenerates to the Riesz
-matrix on D.
+x_j. Rows are assembled source by source and the matrix is symmetrized by
+averaging. The pre-symmetrization residual is kept; it is rounding in the
+two products (about 1e-15) unless a Dirac column falls back to the cone
+projection. With Y empty the construction degenerates to the Riesz matrix
+on D.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from .core import (DiscreteMeasure, DomainConfig, InvariantError,
                    ValidationError, _index_array)
 from .balayage import BalayageResult, _sweep, dirac_sweep_matrix
-from .riesz import (KernelMatrix, _certify_in_place, _riesz_entries,
-                    _simplex_minimum, _symmetric_kernel, weight_norm)
+from .riesz import (KernelMatrix, _riesz_entries, _simplex_minimum,
+                    _symmetric_kernel, weight_norm)
 from .solvers import FactorSlot, _certify
 
 ENTRY_TOL = 1e-10
@@ -27,19 +28,18 @@ ENTRY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GreenSystem:
-    """Green kernel on the D-points plus the Riesz system it came from.
+    """Green kernel on the D-points of cfg's cloud.
 
-    The green matrix is indexed by position within cfg.d_indices;
+    The green matrix is indexed by position within cfg.d_indices and keeps
+    no solve (KernelMatrix.solve); the system keeps no Riesz matrix.
     dirac_sweep_to_y is the |Y| x |D| block whose column k is the swept unit
-    mass for the k-th D-point, row j its weight at the j-th Y-point.
-    Neither kernel keeps a solve (KernelMatrix.solve). guide is the F block of the factor that
-    certified the build (build_green), or None; solves over all of F share
-    green_f's factor slot, which carries it, and every other target is
-    factored by its solver.
+    mass for the k-th D-point, row j its weight at the j-th Y-point. guide
+    is the F block of the factor that certified the build (build_green), or
+    None; solves over all of F share green_f's factor slot, which carries
+    it, and every other target is factored by its solver.
     """
 
     cfg: DomainConfig
-    riesz_full: KernelMatrix
     green: KernelMatrix
     dirac_sweep_to_y: np.ndarray
     asymmetry_residual: float
@@ -79,7 +79,7 @@ class GreenSystem:
         return self.green.block(self.d_positions(f)), None
 
     def measure_on_d(self, mu: DiscreteMeasure) -> np.ndarray:
-        if len(mu) != self.riesz_full.size:
+        if len(mu) != len(self.cfg.point_set):
             raise ValidationError("measure size does not match the point cloud")
         supp = mu.support
         if not np.isin(supp, self.cfg.d_indices).all():
@@ -88,7 +88,7 @@ class GreenSystem:
 
     def lift(self, x: np.ndarray, f: np.ndarray) -> DiscreteMeasure:
         """The cloud measure with weights x at the sorted indices f."""
-        w = np.zeros(self.riesz_full.size)
+        w = np.zeros(len(self.cfg.point_set))
         w[f] = x
         return DiscreteMeasure(w)
 
@@ -107,7 +107,8 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     the Riesz matrix: the two are positive definite if and only if the
     Riesz matrix is (Haynsworth, 1968). A column the sweep recomputes by
     cone projection leaves that Schur complement, so then the Riesz matrix
-    is factored as well, in place, and its entries restored.
+    is factored as well. Each certificate runs in place when F leads the
+    factored matrix (solvers._certify).
     """
     d = cfg.d_indices
     y = cfg.y_indices
@@ -119,17 +120,16 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     if y.size == 0:
         # a principal block of the certified SPD matrix is exactly symmetric
         # and SPD (Cauchy interlacing). A D of every point shares its entries.
-        guide = _certify(K.entries, f)
+        guide, _ = _certify(K.entries, f)
         green = K if d.size == K.size else KernelMatrix(K.block(d), K.alpha, K.dim)
-        return GreenSystem(cfg=cfg, riesz_full=K, green=green,
+        return GreenSystem(cfg=cfg, green=green,
                            dirac_sweep_to_y=np.zeros((0, d.size)),
                            asymmetry_residual=0.0, guide=guide)
     fallbacks = []
     W = dirac_sweep_matrix(K, d, y, _fallbacks=fallbacks)
     if any(fallbacks):
-        # the Green matrix is then no Schur complement: certify K itself,
-        # in its own buffer
-        _certify_in_place(K.entries)
+        # the Green matrix is then no Schur complement: certify K itself
+        _certify(K.entries)
     # the product's (j, i) entry is the potential at x_j of the swept unit
     # mass at x_i; one gathered K_d serves raw and the Riesz bound below
     K_d = K.block(d)
@@ -146,11 +146,11 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
             f"Green entries reach {low}; complement sampling is too coarse")
     if float(np.max(entries - K_d)) > ENTRY_TOL:
         raise InvariantError("Green entries exceed the Riesz entries")
-    del raw, K_d  # before the certificate's copy of the D block
     green = _symmetric_kernel(entries, K.alpha, K.dim)
-    return GreenSystem(cfg=cfg, riesz_full=K, green=green,
-                       dirac_sweep_to_y=W, asymmetry_residual=asym,
-                       guide=_certify(green.entries, np.searchsorted(d, f)))
+    del K, K_d, raw  # the system keeps none of them: free before the certificate
+    guide, _ = _certify(green.entries, np.searchsorted(d, f))
+    return GreenSystem(cfg=cfg, green=green, dirac_sweep_to_y=W,
+                       asymmetry_residual=asym, guide=guide)
 
 
 def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
@@ -161,10 +161,10 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
     the cloud; a sweep onto all of F solves on green_f, its factor and its
     factor slot. The Green kernel is perfect, so this equals sweeping mu
     onto f and Y jointly in the Riesz form and keeping the part on f; check
-    9 measures that agreement. A measure already carried by f is returned unchanged unless
-    force_projection re-runs the solver on it.
+    9 measures that agreement. A measure already carried by f is returned
+    unchanged unless force_projection re-runs the solver on it.
     """
-    f = _index_array(f, gs.riesz_full.size, "f")
+    f = _index_array(f, len(gs.cfg.point_set), "f")
     f_pos = gs.d_positions(f)
     res = _sweep(gs.green, DiscreteMeasure(gs.measure_on_d(mu)), f_pos,
                  force_projection, lambda _: gs.block_on(f))
@@ -178,7 +178,7 @@ def green_equilibrium(gs: GreenSystem, f,
     start, when given, holds the sorted positions within f of the solver's
     first free set, such as a support the caller knows to be close.
     """
-    f = _index_array(f, gs.riesz_full.size, "f")
+    f = _index_array(f, len(gs.cfg.point_set), "f")
     if f.size == 0:
         raise ValidationError("equilibrium target must be nonempty")
     if np.array_equal(f, gs.cfg.f_indices):

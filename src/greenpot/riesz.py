@@ -17,16 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 from .core import DiscreteMeasure, PointSet, ValidationError, _index_array
-from .solvers import FactorSlot, _cholesky, _gather, simplex_qp
-
-# Rows per block of the distance fill, and the side of the square tiles of
-# the symmetry check and of the certificate's restore: two tiles stay in
-# cache, and a block's cdist is cheap.
-_TILE = 128
+from .solvers import _TILE, FactorSlot, _certify, _gather, simplex_qp
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
     """Validate symmetry and positive definiteness, then wrap the matrix.
 
     The Cholesky factorization that certifies definiteness runs in the
-    entries' own buffer (_certify_in_place), which the caller's array is
+    entries' own buffer (solvers._certify), which the caller's array is
     when it is a writable C-ordered float array: it comes back bit for bit,
     also when _cholesky raises SolverError because there is no factor. The
     kernel keeps the factor's solve of the first free set of a whole-kernel
@@ -86,35 +80,8 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
         return K
     # the right-hand side [b 1] that solvers._solve_free stacks for b = 0
     rhs = np.column_stack((np.zeros(K.size), np.ones(K.size)))
-    return replace(K, solve=_certify_in_place(K.entries, rhs))
-
-
-def _certify_in_place(a: np.ndarray,
-                      rhs: np.ndarray | None = None) -> np.ndarray | None:
-    """Certify the exactly symmetric C-ordered array a positive definite by
-    one Cholesky factorization in its own buffer, and return the solve of
-    rhs on the factor (None without rhs).
-
-    _cholesky writes the factor over a's diagonal and upper triangle and
-    leaves the strict lower triangle, which a's bitwise symmetry makes the
-    mirror image of the upper one. Copying it back tile by tile and
-    restoring the saved diagonal returns every entry bit for bit, also when
-    _cholesky raises SolverError. Beyond a, the only copies are the diagonal
-    and one tile at a time.
-    """
-    diag = np.diagonal(a).copy()
-    try:
-        factor = _cholesky(a, overwrite=True)
-        return None if rhs is None else cho_solve(factor, rhs, check_finite=False)
-    finally:
-        m = a.shape[0]
-        for i in range(0, m, _TILE):
-            t = a[i:i + _TILE, i:i + _TILE]
-            upper = np.triu_indices(t.shape[0], 1)
-            t[upper] = t.T[upper]
-            for j in range(i + _TILE, m, _TILE):
-                a[i:i + _TILE, j:j + _TILE] = a[j:j + _TILE, i:i + _TILE].T
-        np.fill_diagonal(a, diag)
+    _, solve = _certify(K.entries, rhs=rhs)
+    return replace(K, solve=solve)
 
 
 def _exactly_symmetric(a: np.ndarray) -> bool:
@@ -123,7 +90,7 @@ def _exactly_symmetric(a: np.ndarray) -> bool:
 
     The values refuse NaN; the bit patterns refuse a pair of zeros of
     opposite sign, which the in-place certificate would not restore
-    (_certify_in_place). Tiles keep both reads local, where a.T strides
+    (solvers._certify). Tiles keep both reads local, where a.T strides
     across whole rows.
     """
     bits = a.view(np.int64)

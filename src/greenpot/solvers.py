@@ -72,8 +72,9 @@ RTOL = 1e-12
 # solved on a guide (_Bordered); past it the bordered system costs about as
 # much as a fresh factorization.
 GUIDE_SHARE = 0.25
-# Rows per block of _gather.
-_GATHER_ROWS = 128
+# Rows per block of _gather and of riesz's distance fill, and the side of the
+# square tiles of _certify's restore and riesz's symmetry check.
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
 
 
 def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
-    """A[np.ix_(rows, cols)], the same bytes, gathered _GATHER_ROWS rows at
+    """A[np.ix_(rows, cols)], the same bytes, gathered _TILE rows at
     a time: no temporary is taller than one row block."""
     rows = np.asarray(rows, dtype=int)
     cols = rows if cols is None else np.asarray(cols, dtype=int)
@@ -143,26 +144,50 @@ def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
     if cols.size and (cols.min() < -n or cols.max() >= n):
         raise IndexError(f"column index out of bounds for size {n}")
     out = np.empty((rows.size, cols.size), dtype=A.dtype)
-    for i in range(0, rows.size, _GATHER_ROWS):
-        A.take(rows[i:i + _GATHER_ROWS], axis=0).take(
-            cols, axis=1, out=out[i:i + _GATHER_ROWS], mode="wrap")
+    for i in range(0, rows.size, _TILE):
+        A.take(rows[i:i + _TILE], axis=0).take(
+            cols, axis=1, out=out[i:i + _TILE], mode="wrap")
     return out
 
 
-def _certify(A: np.ndarray, lead) -> tuple:
-    """Certify A positive definite by one Cholesky factorization in (lead,
-    rest) order, and return a copy of the factor's leading block: a guide
-    for A's block on the sorted positions lead (FactorSlot).
+def _certify(a: np.ndarray, lead=(), rhs: np.ndarray | None = None) -> tuple:
+    """Certify the exactly symmetric C-ordered array a positive definite by
+    one Cholesky factorization, and return (guide, solve): a copy of the
+    factor's leading block on the sorted positions lead, a guide for a's
+    block there (FactorSlot; None without lead), and the solve of rhs on the
+    factor (None without rhs).
 
-    The leading block of a factor equals a fresh factor of that block only
-    up to rounding, which is why it guides and is never read as exact.
-    Raises SolverError, through _cholesky, when A is not positive definite.
+    When lead leads a, the factor is written over a's diagonal and upper
+    triangle, and a's bitwise symmetry lets the untouched lower triangle
+    restore every entry bit for bit, one tile at a time, also when
+    _cholesky raises SolverError. Otherwise a private copy in (lead, rest)
+    order is factored, with rhs in that order. The leading block of a factor
+    equals a fresh factor of that block only up to rounding: it guides, and
+    is never read as exact.
     """
     lead = np.asarray(lead, dtype=int)
-    order = np.concatenate((lead, np.setdiff1d(np.arange(A.shape[0]), lead)))
-    c, lower = _cholesky(_gather(A, order), overwrite=True)
     k = lead.size
-    return np.array(c[:k, :k], order="F"), lower
+    in_place = np.array_equal(lead, np.arange(k))
+    if in_place:
+        diag = np.diagonal(a).copy()
+    else:
+        a = _gather(a, np.concatenate(
+            (lead, np.setdiff1d(np.arange(a.shape[0]), lead))))
+    try:
+        factor = _cholesky(a, overwrite=True)
+        guide = (np.array(factor[0][:k, :k], order="F"), factor[1]) if k else None
+        return guide, (None if rhs is None
+                       else cho_solve(factor, rhs, check_finite=False))
+    finally:
+        if in_place:
+            m = a.shape[0]
+            for i in range(0, m, _TILE):
+                t = a[i:i + _TILE, i:i + _TILE]
+                upper = np.triu_indices(t.shape[0], 1)
+                t[upper] = t.T[upper]
+                for j in range(i + _TILE, m, _TILE):
+                    a[i:i + _TILE, j:j + _TILE] = a[j:j + _TILE, i:i + _TILE].T
+            np.fill_diagonal(a, diag)
 
 
 class FactorSlot:

@@ -144,7 +144,7 @@ def _family(seed: int) -> list[dict]:
         th_w = rng.uniform(0.2, 0.5, 2)
         th_w *= 0.8 / th_w.sum()
         gs = _green_from_parts(f_pts, y_pts, th_pts, alpha)
-        n = gs.riesz_full.size
+        n = len(gs.cfg.point_set)
         theta = DiscreteMeasure.from_dict(n, {n - 2: th_w[0], n - 1: th_w[1]})
         fld = external_field(gs, theta)
         sol = solve_gauss(gs, fld)
@@ -321,7 +321,7 @@ def criterion_6(seed: int = 0) -> tuple:
     y_pts = geometry.sphere_shell(90, 0.8) + np.array([4.5, 0.0, 0.0])
     th_pts = np.array([[2.2, 0.1, 0.0], [2.6, -0.1, 0.0]])
     gs = _green_from_parts(f_pts, y_pts, th_pts, alpha=2.0)
-    n = gs.riesz_full.size
+    n = len(gs.cfg.point_set)
     theta = DiscreteMeasure.from_dict(n, {n - 2: 0.5, n - 1: 0.3})
     fld = external_field(gs, theta)
     f_idx = gs.cfg.f_indices
@@ -369,7 +369,7 @@ def _cone_system():
 
 def criterion_7(seed: int = 0) -> tuple:
     gs, family, i_theta = _cone_system()
-    n = gs.riesz_full.size
+    n = len(gs.cfg.point_set)
     rows = []
 
     fld_half = external_field(gs, DiscreteMeasure.from_dict(n, {i_theta: 0.5}))
@@ -509,15 +509,16 @@ def _sweep_algebra(run, norm, xi, whole, part) -> dict:
     }
 
 
-def _riesz_route_gap(gs, mu, f, res) -> float:
+def _riesz_route_gap(gs, K, mu, f, res) -> float:
     """Worst weight gap on the sorted target f between res, mu's Green sweep
-    onto f, and the part on f of mu's Riesz sweep onto f and Y jointly.
+    onto f, and the part on f of mu's Riesz sweep onto f and Y jointly in
+    K, the Riesz kernel of gs's cloud.
 
     The Green kernel is perfect, so the two routes agree in the continuum;
     on a sample the gap measures the Y-sampling error.
     """
     joint = np.union1d(f, gs.cfg.y_indices)
-    alt = sweep(gs.riesz_full, mu, joint).swept.weights[f]
+    alt = sweep(K, mu, joint).swept.weights[f]
     return float(np.max(np.abs(alt - res.swept.weights[f])))
 
 
@@ -550,7 +551,8 @@ def criterion_9(seed: int = 0) -> tuple:
         y_pts = geometry.sphere_shell(70, 1.0, rotate=rng.uniform(0, 6)) + 5.0 * y_dir
 
         gs = _green_from_parts(q_pts, y_pts, src, alpha)
-        K = gs.riesz_full
+        # the Riesz kernel the build assembled, also at sigma 1
+        K = assemble_riesz(gs.cfg.point_set, alpha)
         n_all = K.size
         q_idx = np.arange(n_q)
         src_idx = np.arange(n_all - n_src, n_all)
@@ -568,7 +570,7 @@ def criterion_9(seed: int = 0) -> tuple:
                     or not r["contraction"] or not g["contraction"]
                     or (not comp_ok and not sets_differ))
         # a Green sweep warns when it drifts from the Riesz route
-        route_warned = any(_riesz_route_gap(gs, mu, target, res)
+        route_warned = any(_riesz_route_gap(gs, K, mu, target, res)
                            > 10 * max(res.tolerance, 1e-14)
                            for mu, target, res in g["sweeps"])
         warn_inst = route_warned or (not comp_ok and sets_differ)

@@ -71,9 +71,9 @@ class TestKernelTask:
         assert lines == ["k0,k1", "4,1", "1,4"]
         assert rep["artifacts"]["tables"] == ["tables/kernel.csv"]
 
-    @pytest.mark.parametrize("m", [0, 1, 2, greenpot.riesz._TILE,
-                                   greenpot.riesz._TILE + 1,
-                                   2 * greenpot.riesz._TILE + 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, greenpot.solvers._TILE,
+                                   greenpot.solvers._TILE + 1,
+                                   2 * greenpot.solvers._TILE + 3])
     def test_off_diagonal_max_matches_the_masked_copy(self, m):
         # a diagonal above every other entry must not count
         a = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, m))
@@ -298,7 +298,6 @@ class TestGaussTask:
             return real(block, *args, **kwargs)
 
         monkeypatch.setattr(greenpot.solvers, "_cholesky", cholesky)
-        monkeypatch.setattr(greenpot.riesz, "_cholesky", cholesky)
         out = str(tmp_path / "out")
         assert cli.main(["run", path, "--out", out]) == 0
         assert read_report(out)["results"]["representation"]["applicable"]

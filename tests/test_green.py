@@ -1,5 +1,6 @@
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
                            PointSet, SolverError, ValidationError)
 from greenpot.green import (build_green, frostman_excess, green_equilibrium,
                             green_sweep)
-from greenpot.riesz import assemble_riesz, make_kernel
+from greenpot.riesz import KernelMatrix, assemble_riesz, make_kernel
 from greenpot.solvers import nonneg_qp
 from greenpot.verify import _riesz_route_gap
 
@@ -49,6 +50,12 @@ def enclosure_system(n_f=80, seed=3):
                        f_indices=np.arange(n_f),
                        alpha=2.0)
     return build_green(cfg)
+
+
+def riesz_of(gs):
+    """The Riesz kernel of gs's cloud at sigma 1, the entries its build
+    assembled; the system keeps none."""
+    return assemble_riesz(gs.cfg.point_set, gs.cfg.alpha)
 
 
 def count_factorizations(monkeypatch) -> list:
@@ -131,9 +138,12 @@ class TestCertificate:
         # K_YY, the fallback column's two free sets, the whole cloud and the
         # Green matrix on D
         assert sizes == [8, 8, 6, 12, 4]
-        # the whole cloud is factored in its own buffer and restored
-        K = assemble_riesz(cfg.point_set, cfg.alpha)
-        assert gs.riesz_full.entries.tobytes() == K.entries.tobytes()
+        # the whole cloud is factored in its own buffer and restored before
+        # the Green entries are read off it
+        K = riesz_of(gs)
+        d, y = cfg.d_indices, cfg.y_indices
+        raw = K.block(d) - (K.block(d, y) @ gs.dirac_sweep_to_y).T
+        assert gs.green.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
     def test_plain_columns_factor_no_whole_cloud(self, monkeypatch):
         sizes = count_factorizations(monkeypatch)
@@ -145,6 +155,23 @@ class TestCertificate:
         assert gs.green_f.slot.guide is gs.guide and gs.green_f.solve is None
         L = np.tril(guide)
         assert np.allclose(L @ L.T, gs.green_f.entries, rtol=1e-12, atol=0)
+
+    def test_f_behind_omega_guides_from_a_private_copy(self, monkeypatch):
+        # shell_cloud with the two Omega points first: F does not lead D, so
+        # the certificate factors a copy of the Green matrix in (F, Omega)
+        # order
+        pts = np.vstack([[[0.0, 0.0, 0.2], [0.1, -0.1, 0.0]],
+                         geometry.sphere_shell(40, 1.0, rotate=0.2),
+                         3.0 * geometry.sphere_shell(40, 1.0, rotate=0.7)])
+        cfg = DomainConfig(PointSet.from_points(pts), np.arange(42),
+                           np.arange(42, 82), np.arange(2, 42), 2.0)
+        sizes = count_factorizations(monkeypatch)
+        gs = build_green(cfg)
+        assert sizes == [40, 42]
+        c, lower = greenpot.solvers._cholesky(gs.green.block(np.r_[2:42, 0:2]))
+        guide, guide_lower = gs.guide
+        assert guide_lower == lower and guide.flags.f_contiguous
+        assert guide.tobytes() == c[:40, :40].tobytes()
 
 
 class TestBuild:
@@ -180,47 +207,44 @@ class TestBuild:
         sizes = count_factorizations(monkeypatch)
         gs = build_green(cfg)
         assert sizes == [31]
-        K_d = gs.riesz_full.block(cfg.d_indices)
+        K_d = riesz_of(gs).block(cfg.d_indices)
         assert gs.green.entries.tobytes() == K_d.tobytes()
 
     def test_empty_y_whole_cloud_shares_the_riesz_matrix(self):
-        # with Y empty and D every point the Green matrix is the Riesz one:
-        # no copy, and neither keeps a factor that no solve reads
+        # with Y empty and D every point the Green matrix is the Riesz one,
+        # with no factor that no solve reads (TestMemory: and no copy)
         pts = np.vstack([geometry.sphere_shell(30, 1.0), [[0.0, 0.0, 0.5]]])
         cfg = DomainConfig(point_set=PointSet.from_points(pts),
                            d_indices=np.arange(31),
                            y_indices=np.array([], dtype=int),
                            f_indices=np.arange(30), alpha=2.0)
         gs = build_green(cfg)
-        assert np.shares_memory(gs.green.entries, gs.riesz_full.entries)
-        assert gs.green.solve is None and gs.riesz_full.solve is None
-        assert gs.green is gs.riesz_full
+        K = riesz_of(gs)
+        assert gs.green.entries.tobytes() == K.entries.tobytes()
+        assert gs.green.solve is None
         cap, _ = green_equilibrium(gs, np.arange(31))
-        cap_ref, _ = greenpot.riesz.capacity(gs.riesz_full, np.arange(31))
+        cap_ref, _ = greenpot.riesz.capacity(K, np.arange(31))
         assert cap == cap_ref
 
     def test_nonempty_y_drops_the_unread_riesz_factor(self):
-        # with Y non-empty no solve reads the Riesz or the Green factor, so the
-        # system keeps the checked entries without them, and nothing it
-        # reports changes
+        # with Y non-empty no solve reads the Green factor, and only check
+        # 9's Riesz route reads a Riesz matrix, which it assembles itself:
+        # the system keeps neither
         gs = enclosure_system()
-        K = assemble_riesz(gs.cfg.point_set, 2.0)
-        assert gs.riesz_full.solve is None and K.solve is not None
-        assert gs.riesz_full.entries.tobytes() == K.entries.tobytes()
         assert gs.green.solve is None
-        # the Riesz-route cross-check reads riesz_full
+        assert "riesz_full" not in {field.name for field in fields(gs)}
+        # the route reads the kernel's entries, not its kept solve
+        K = riesz_of(gs)
+        bare = KernelMatrix(K.entries, K.alpha, K.dim)
         mu = DiscreteMeasure.from_dict(K.size, {81: 1.0})
         f = np.arange(80)
-        kept = replace(gs, riesz_full=K)
         res = green_sweep(gs, mu, f)
-        res_kept = green_sweep(kept, mu, f)
-        assert res.swept.weights.tobytes() == res_kept.swept.weights.tobytes()
-        assert (_riesz_route_gap(gs, mu, f, res)
-                == _riesz_route_gap(kept, mu, f, res_kept))
+        assert (_riesz_route_gap(gs, K, mu, f, res)
+                == _riesz_route_gap(gs, bare, mu, f, res))
 
     def test_entries_between_zero_and_riesz(self):
         gs = enclosure_system()
-        K_d = gs.riesz_full.block(gs.cfg.d_indices)
+        K_d = riesz_of(gs).block(gs.cfg.d_indices)
         assert float(np.min(gs.green.entries)) >= -1e-10
         assert float(np.max(gs.green.entries - K_d)) <= 1e-10
 
@@ -249,6 +273,45 @@ class TestBuild:
             gs.measure_on_d(DiscreteMeasure.from_dict(3, {2: 1.0}))
 
 
+class TestMemory:
+    """A build certifies in the factored matrix's own buffer and keeps only
+    the Green system (tracemalloc, in m x m doubles of the whole cloud)."""
+
+    @staticmethod
+    def traced_build(pts, y, f, omega) -> tuple[float, float]:
+        ps = PointSet.from_points(pts)
+        cfg = DomainConfig(ps, np.setdiff1d(np.arange(len(pts)), y), y, f, 2.0)
+        tracemalloc.start()
+        try:
+            gs = build_green(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gs.cfg.omega_indices.size == omega
+        matrix = 8 * len(pts) ** 2
+        return held / matrix, peak / matrix
+
+    def test_empty_y_with_f_leading_peaks_near_one_matrix(self):
+        # the Riesz matrix, which is the Green one, and the guide on its
+        # leading 400 x 400 block: no second copy of the cloud's matrix
+        pts = np.vstack([geometry.sphere_shell(400, 1.0),
+                         geometry.sphere_shell(200, 1.1, rotate=0.3),
+                         [[0.0, 0.0, 1.8]]])
+        _, peak = self.traced_build(pts, np.array([], dtype=int),
+                                    np.arange(400), omega=201)
+        assert peak <= 1.6
+
+    def test_nonempty_y_keeps_no_riesz_matrix(self):
+        # the system holds the 501 x 501 Green matrix, the 800 x 501 Dirac
+        # block and the 500 x 500 guide: about 0.53 of the cloud's matrix
+        pts = np.vstack([geometry.sphere_shell(500, 1.0),
+                         geometry.sphere_shell(800, 2.0, rotate=0.3),
+                         [[0.0, 0.0, 0.0]]])
+        held, _ = self.traced_build(pts, np.arange(500, 1300),
+                                    np.arange(500), omega=1)
+        assert held <= 0.6
+
+
 class TestPotential:
     def test_two_path_consistency(self):
         # path one is the Green matrix; path two subtracts the potential of
@@ -258,8 +321,9 @@ class TestPotential:
                                        {80: 0.6, 81: 0.4})
         d = gs.cfg.d_indices
         u = gs.green.entries @ gs.measure_on_d(mu)
-        K = gs.riesz_full.entries
-        swept = sweep(gs.riesz_full, mu, gs.cfg.y_indices).swept
+        R = riesz_of(gs)
+        K = R.entries
+        swept = sweep(R, mu, gs.cfg.y_indices).swept
         u_two = (K @ mu.weights - K @ swept.weights)[d]
         assert np.max(np.abs(u - u_two)) <= 1e-9
         assert u.shape == (gs.green.size,)
@@ -293,7 +357,8 @@ class TestGreenSweep:
         gs = enclosure_system()
         mu = DiscreteMeasure.from_dict(len(gs.cfg.point_set), {82: 1.0})
         res = green_sweep(gs, mu, gs.cfg.f_indices)
-        assert _riesz_route_gap(gs, mu, gs.cfg.f_indices, res) <= 1e-10
+        assert _riesz_route_gap(gs, riesz_of(gs), mu, gs.cfg.f_indices,
+                                res) <= 1e-10
 
     def test_interior_source_flags_sampling_error(self):
         # a charge enclosed by F feels the Y-discretization through the
@@ -302,7 +367,7 @@ class TestGreenSweep:
         gs = enclosure_system()
         mu = DiscreteMeasure.from_dict(len(gs.cfg.point_set), {80: 1.0})
         res = green_sweep(gs, mu, gs.cfg.f_indices)
-        gap = _riesz_route_gap(gs, mu, gs.cfg.f_indices, res)
+        gap = _riesz_route_gap(gs, riesz_of(gs), mu, gs.cfg.f_indices, res)
         assert gap > 1e-8
         assert gap > 10 * max(res.tolerance, 1e-14)
 
@@ -371,7 +436,7 @@ class TestGreenSweep:
         monkeypatch.setattr(greenpot.balayage, "nonneg_qp", counting)
         res = green_sweep(gs, mu, cfg.f_indices)
         assert calls == [40]
-        riesz = sweep(gs.riesz_full, mu, cfg.f_indices)
+        riesz = sweep(riesz_of(gs), mu, cfg.f_indices)
         assert np.allclose(res.swept.weights, riesz.swept.weights,
                            rtol=0, atol=1e-13)
 

@@ -13,10 +13,10 @@ import greenpot.solvers
 from greenpot import geometry
 from greenpot.core import (DiscreteMeasure, PointSet, SolverError,
                            ValidationError)
-from greenpot.riesz import (_TILE, _simplex_minimum, assemble_riesz, capacity,
+from greenpot.riesz import (_simplex_minimum, assemble_riesz, capacity,
                             equilibrium_measure, make_kernel, potential,
                             weight_norm)
-from greenpot.solvers import _cholesky, simplex_qp
+from greenpot.solvers import _TILE, _certify, _cholesky, simplex_qp
 
 
 def kernel_2x2(entries, alpha=2.0, dim=3):
@@ -366,13 +366,26 @@ def test_kept_factor_gives_identical_solve_on_large_sphere():
 
 
 class TestInPlaceCertificate:
-    """make_kernel factors the entries in their own buffer and hands every
-    entry back bit for bit, on success and on failure."""
+    """solvers._certify factors a matrix in its own buffer and hands every
+    entry back bit for bit, on success and on failure; make_kernel
+    certifies the caller's array through it."""
 
     @pytest.mark.parametrize("m", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
     def test_caller_array_comes_back_unchanged(self, m):
         entries = spd(m, seed=m)
         before = entries.tobytes()
+        k = m // 2
+        rhs = np.random.default_rng(m).normal(size=(m, 2))
+        guide, solve = _certify(entries, np.arange(k), rhs)
+        assert entries.tobytes() == before
+        # both are read off the factor before the restore
+        factor = _cholesky(entries)
+        assert solve.tobytes() == cho_solve(factor, rhs).tobytes()
+        if k:
+            assert guide[1] == factor[1]
+            assert guide[0].tobytes() == factor[0][:k, :k].tobytes()
+        else:
+            assert guide is None
         K = make_kernel(entries, 2.0, 3)
         assert np.shares_memory(K.entries, entries)
         assert entries.tobytes() == before
@@ -384,13 +397,17 @@ class TestInPlaceCertificate:
         entries = spd(m)
         entries[-1, -1] = -1.0
         before = entries.tobytes()
-        with pytest.raises(SolverError, match="not positive definite"):
-            make_kernel(entries, 2.0, 3)
-        assert entries.tobytes() == before
+        for certify in (lambda a: _certify(a, np.arange(2), np.ones((m, 2))),
+                        lambda a: make_kernel(a, 2.0, 3)):
+            with pytest.raises(SolverError, match="not positive definite"):
+                certify(entries)
+            assert entries.tobytes() == before
 
     def test_signed_zeros_come_back(self):
         entries = np.array([[2.0, -0.0, 0.0], [-0.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
         before = entries.tobytes()
+        assert _certify(entries) == (None, None)
+        assert entries.tobytes() == before
         make_kernel(entries, 2.0, 3)
         assert entries.tobytes() == before
 

@@ -259,7 +259,8 @@ def shell_sweep_problem(inner=10):
                      geometry.sphere_shell(inner, 0.3), [[2.5, 0.0, 0.0]]])
     K = assemble_riesz(PointSet.from_points(pts), 2.0)
     m = 60 + inner
-    return K.block(range(m)), 0.8 * K.entries[:m, m], solvers._certify(K.entries, np.arange(m))
+    guide, _ = solvers._certify(K.entries, np.arange(m))
+    return K.block(range(m)), 0.8 * K.entries[:m, m], guide
 
 
 class TestGuide:
@@ -333,7 +334,8 @@ def test_guide_gives_identical_cone_projections(m, seed):
     K = assemble_riesz(PointSet.from_points(rng.normal(size=(m + 5, dim))), alpha)
     A = K.block(range(m))
     b = K.block(range(m), range(m, m + 5)) @ rng.uniform(0.1, 1.0, 5)
-    x, rec = nonneg_qp(A, b, slot=FactorSlot(solvers._certify(K.entries, np.arange(m))))
+    guide, _ = solvers._certify(K.entries, np.arange(m))
+    x, rec = nonneg_qp(A, b, slot=FactorSlot(guide))
     x_ref, rec_ref = nonneg_qp(A, b)
     assert same_bytes(x, rec, x_ref, rec_ref)
     scale = max(1.0, float(np.max(np.abs(x_ref))))

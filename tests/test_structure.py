@@ -15,9 +15,8 @@ def _catches_linalg_error(handler: ast.ExceptHandler) -> bool:
         for node in ast.walk(handler.type))
 
 
-def linalg_handlers() -> set:
-    """(file, innermost enclosing function) of every handler of LinAlgError."""
-    found = set()
+def owned_nodes():
+    """(file, innermost enclosing function, node) of every source node."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}
@@ -26,9 +25,13 @@ def linalg_handlers() -> set:
                 for node in ast.walk(fn):
                     owner[node] = fn.name  # inner functions come later and win
         for node in ast.walk(tree):
-            if isinstance(node, ast.ExceptHandler) and _catches_linalg_error(node):
-                found.add((path.name, owner.get(node, "<module>")))
-    return found
+            yield path.name, owner.get(node, "<module>"), node
+
+
+def linalg_handlers() -> set:
+    """(file, innermost enclosing function) of every handler of LinAlgError."""
+    return {(name, fn) for name, fn, node in owned_nodes()
+            if isinstance(node, ast.ExceptHandler) and _catches_linalg_error(node)}
 
 
 def test_linalg_error_is_mapped_in_one_place():
@@ -47,3 +50,15 @@ def test_only_solvers_calls_cho_factor():
                     or getattr(node, "attr", None) == "cho_factor"):
                 users.add(path.name)
     assert users == {"solvers.py"}
+
+
+def test_certificates_go_through_solvers():
+    # outside solvers.py (whose _certify is every positive-definiteness
+    # certificate) only the Dirac sweep factors, in the upper form its Green
+    # outputs are pinned to
+    callers = {(name, fn) for name, fn, node in owned_nodes()
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "_cholesky"}
+    assert {c for c in callers if c[0] != "solvers.py"} == {
+        ("balayage.py", "dirac_sweep_matrix")}
