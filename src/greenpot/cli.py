@@ -132,9 +132,9 @@ def _load_config(path: str) -> dict:
 def _build_part(spec, ctx: str) -> np.ndarray:
     _check_keys(spec, ctx, ("generator",), ("params", "offset", "scale"))
     name = spec["generator"]
-    if name not in geometry.GENERATORS:
+    if not isinstance(name, str) or name not in geometry.GENERATORS:
         raise ConfigError(
-            f"{ctx}: unknown generator {name!r}; available: "
+            f"{ctx}.generator: unknown generator {name!r}; available: "
             f"{sorted(geometry.GENERATORS)}")
     fn = geometry.GENERATORS[name]
     params = spec.get("params", {})
@@ -142,7 +142,9 @@ def _build_part(spec, ctx: str) -> np.ndarray:
         raise ConfigError(f"{ctx}.params: expected an object")
     try:
         pts = np.asarray(fn(**params), dtype=float)
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}.params: {exc}")
     if pts.ndim != 2 or not len(pts):
         raise ConfigError(f"{ctx}: generator produced no points")
@@ -189,30 +191,28 @@ def _build_cloud(cfg: dict, base_dir: str):
     return np.vstack(chunks), np.concatenate(ids), None
 
 
+# The keys each predicate kind reads besides "kind", (required, optional).
 _PRED_KEYS = {
-    "all": (),
-    "indices": ("values",),
-    "parts": ("values",),
-    "radius_band": ("lo", "hi", "center"),
-    "half_space": ("normal", "offset"),
+    "all": ((), ()),
+    "indices": (("values",), ()),
+    "parts": (("values",), ()),
+    "radius_band": (("hi",), ("lo", "center")),
+    "half_space": (("normal", "offset"), ()),
 }
 
 
 def _predicate_mask(pred, ctx: str, points: np.ndarray,
                     part_ids: np.ndarray) -> np.ndarray:
-    _check_keys(pred, ctx, ("kind",),
-                tuple({k for keys in _PRED_KEYS.values() for k in keys}))
-    kind = pred["kind"]
-    if kind not in _PRED_KEYS:
+    kind = pred.get("kind") if isinstance(pred, dict) else None
+    if not isinstance(kind, str) or kind not in _PRED_KEYS:
         raise ConfigError(f"{ctx}.kind: expected one of {sorted(_PRED_KEYS)}")
-    stray = sorted(k for k in pred if k != "kind" and k not in _PRED_KEYS[kind])
-    if stray:
-        raise ConfigError(f"{ctx}: field(s) {stray} do not apply to kind {kind!r}")
+    required, optional = _PRED_KEYS[kind]
+    _check_keys(pred, ctx, ("kind", *required), optional)
     n = len(points)
     if kind == "all":
         return np.ones(n, dtype=bool)
     if kind == "indices":
-        vals = pred.get("values")
+        vals = pred["values"]
         if not isinstance(vals, list):
             raise ConfigError(f"{ctx}.values: expected an array of indices")
         mask = np.zeros(n, dtype=bool)
@@ -223,14 +223,12 @@ def _predicate_mask(pred, ctx: str, points: np.ndarray,
             mask[v] = True
         return mask
     if kind == "parts":
-        vals = pred.get("values")
+        vals = pred["values"]
         if not isinstance(vals, list) or not all(_is_int(v) for v in vals):
             raise ConfigError(f"{ctx}.values: expected an array of part numbers")
         return np.isin(part_ids, vals)
     if kind == "radius_band":
         lo = _number(pred.get("lo", 0.0), f"{ctx}.lo")
-        if "hi" not in pred:
-            raise ConfigError(f"{ctx}: radius_band requires 'hi'")
         hi = _number(pred["hi"], f"{ctx}.hi")
         center = np.zeros(points.shape[1])
         if "center" in pred:
@@ -239,10 +237,7 @@ def _predicate_mask(pred, ctx: str, points: np.ndarray,
                 raise ConfigError(f"{ctx}.center: dimension mismatch")
         r = np.linalg.norm(points - center, axis=1)
         return (r >= lo) & (r <= hi)
-    normal = _vector(pred.get("normal", []), f"{ctx}.normal") if "normal" in pred \
-        else None
-    if normal is None or "offset" not in pred:
-        raise ConfigError(f"{ctx}: half_space requires 'normal' and 'offset'")
+    normal = _vector(pred["normal"], f"{ctx}.normal")
     if normal.size != points.shape[1]:
         raise ConfigError(f"{ctx}.normal: dimension mismatch")
     return points @ normal >= _number(pred["offset"], f"{ctx}.offset")
@@ -274,10 +269,10 @@ class Scenario:
                 if not isinstance(rows, list) or len(rows) != weights.size:
                     raise ConfigError(
                         "config.theta.points: expected one row per weight")
-                theta_rows = np.array(
-                    [_vector(r, "config.theta.points") for r in rows])
-                if theta_rows.shape[1] != geo_points.shape[1]:
+                rows = [_vector(r, "config.theta.points") for r in rows]
+                if any(r.size != geo_points.shape[1] for r in rows):
                     raise ConfigError("config.theta.points: dimension mismatch")
+                theta_rows = np.array(rows)
                 for k, w in enumerate(weights):
                     theta_entries[self.n_geometry + k] = float(w)
             elif "indices" in theta_spec:

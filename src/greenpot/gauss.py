@@ -338,14 +338,13 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
     omega_pts = pts[omega]
     if omega.size > 1:
         o_spacing = nearest_neighbor_distances(omega_pts)
-        o_tree = cKDTree(omega_pts)
-        rows_i, rows_j = [], []
-        for i in range(omega.size):
-            for j in o_tree.query_ball_point(omega_pts[i], ADJACENCY_FACTOR * o_spacing[i]):
-                if j != i:
-                    rows_i.append(i)
-                    rows_j.append(j)
-        adj = csr_matrix((np.ones(len(rows_i)), (rows_i, rows_j)),
+        # each point's list holds the point itself; connected_components
+        # ignores such self-pairs
+        near = cKDTree(omega_pts).query_ball_point(
+            omega_pts, ADJACENCY_FACTOR * o_spacing)
+        rows_i = np.repeat(np.arange(omega.size), [len(n) for n in near])
+        rows_j = np.concatenate(near)
+        adj = csr_matrix((np.ones(rows_i.size), (rows_i, rows_j)),
                          shape=(omega.size, omega.size))
         n_comp, _ = connected_components(adj, directed=False)
     else:

@@ -107,8 +107,9 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     the Riesz matrix: the two are positive definite if and only if the
     Riesz matrix is (Haynsworth, 1968). A column the sweep recomputes by
     cone projection leaves that Schur complement, so then the Riesz matrix
-    is factored as well. Each certificate runs in place when F leads the
-    factored matrix (solvers._certify).
+    is factored as well. Every certificate factors in place
+    (solvers._certify), and the build has a guide only when F leads the
+    matrix that certifies it: when F's positions in it are 0, ..., |F| - 1.
     """
     d = cfg.d_indices
     y = cfg.y_indices
@@ -120,35 +121,35 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     if y.size == 0:
         # a principal block of the certified SPD matrix is exactly symmetric
         # and SPD (Cauchy interlacing). A D of every point shares its entries.
-        guide, _ = _certify(K.entries, f)
         green = K if d.size == K.size else KernelMatrix(K.block(d), K.alpha, K.dim)
-        return GreenSystem(cfg=cfg, green=green,
-                           dirac_sweep_to_y=np.zeros((0, d.size)),
-                           asymmetry_residual=0.0, guide=guide)
-    fallbacks = []
-    W = dirac_sweep_matrix(K, d, y, _fallbacks=fallbacks)
-    if any(fallbacks):
-        # the Green matrix is then no Schur complement: certify K itself
-        _certify(K.entries)
-    # the product's (j, i) entry is the potential at x_j of the swept unit
-    # mass at x_i; one gathered K_d serves raw and the Riesz bound below
-    K_d = K.block(d)
-    raw = K_d - (K.block(d, y) @ W).T
-    # one fresh buffer holds |raw - raw.T| and then (raw + raw.T) / 2
-    entries = np.subtract(raw, raw.T)
-    np.abs(entries, out=entries)
-    asym = float(np.max(entries)) if d.size else 0.0
-    np.add(raw, raw.T, out=entries)
-    entries /= 2.0
-    low = float(np.min(entries))
-    if low < -ENTRY_TOL:
-        raise InvariantError(
-            f"Green entries reach {low}; complement sampling is too coarse")
-    if float(np.max(entries - K_d)) > ENTRY_TOL:
-        raise InvariantError("Green entries exceed the Riesz entries")
-    green = _symmetric_kernel(entries, K.alpha, K.dim)
-    del K, K_d, raw  # the system keeps none of them: free before the certificate
-    guide, _ = _certify(green.entries, np.searchsorted(d, f))
+        certified, f_pos, W, asym = K, f, np.zeros((0, d.size)), 0.0
+    else:
+        fallbacks = []
+        W = dirac_sweep_matrix(K, d, y, _fallbacks=fallbacks)
+        if any(fallbacks):
+            # the Green matrix is then no Schur complement: certify K itself
+            _certify(K.entries)
+        # the product's (j, i) entry is the potential at x_j of the swept
+        # unit mass at x_i; one gathered K_d serves raw and the Riesz bound
+        K_d = K.block(d)
+        raw = K_d - (K.block(d, y) @ W).T
+        # one fresh buffer holds |raw - raw.T| and then (raw + raw.T) / 2
+        entries = np.subtract(raw, raw.T)
+        np.abs(entries, out=entries)
+        asym = float(np.max(entries)) if d.size else 0.0
+        np.add(raw, raw.T, out=entries)
+        entries /= 2.0
+        low = float(np.min(entries))
+        if low < -ENTRY_TOL:
+            raise InvariantError(
+                f"Green entries reach {low}; complement sampling is too coarse")
+        if float(np.max(entries - K_d)) > ENTRY_TOL:
+            raise InvariantError("Green entries exceed the Riesz entries")
+        green = _symmetric_kernel(entries, K.alpha, K.dim)
+        del K, K_d, raw  # the system keeps none of them: free before the certificate
+        certified, f_pos = green, np.searchsorted(d, f)
+    leads = np.array_equal(f_pos, np.arange(f.size))
+    guide, _ = _certify(certified.entries, f.size if leads else 0)
     return GreenSystem(cfg=cfg, green=green, dirac_sweep_to_y=W,
                        asymmetry_residual=asym, guide=guide)
 

@@ -150,44 +150,33 @@ def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
     return out
 
 
-def _certify(a: np.ndarray, lead=(), rhs: np.ndarray | None = None) -> tuple:
+def _certify(a: np.ndarray, k: int = 0, rhs: np.ndarray | None = None) -> tuple:
     """Certify the exactly symmetric C-ordered array a positive definite by
     one Cholesky factorization, and return (guide, solve): a copy of the
-    factor's leading block on the sorted positions lead, a guide for a's
-    block there (FactorSlot; None without lead), and the solve of rhs on the
-    factor (None without rhs).
+    factor's leading k x k block, a guide for a's leading block (FactorSlot;
+    None when k is 0), and the solve of rhs on the factor (None without rhs).
 
-    When lead leads a, the factor is written over a's diagonal and upper
-    triangle, and a's bitwise symmetry lets the untouched lower triangle
-    restore every entry bit for bit, one tile at a time, also when
-    _cholesky raises SolverError. Otherwise a private copy in (lead, rest)
-    order is factored, with rhs in that order. The leading block of a factor
-    equals a fresh factor of that block only up to rounding: it guides, and
-    is never read as exact.
+    The factor is written over a's diagonal and upper triangle, and a's
+    bitwise symmetry lets the untouched lower triangle restore every entry
+    bit for bit, one tile at a time, also when _cholesky raises SolverError.
+    The leading block of a factor equals a fresh factor of that block only
+    up to rounding: it guides, and is never read as exact.
     """
-    lead = np.asarray(lead, dtype=int)
-    k = lead.size
-    in_place = np.array_equal(lead, np.arange(k))
-    if in_place:
-        diag = np.diagonal(a).copy()
-    else:
-        a = _gather(a, np.concatenate(
-            (lead, np.setdiff1d(np.arange(a.shape[0]), lead))))
+    diag = np.diagonal(a).copy()
     try:
         factor = _cholesky(a, overwrite=True)
         guide = (np.array(factor[0][:k, :k], order="F"), factor[1]) if k else None
         return guide, (None if rhs is None
                        else cho_solve(factor, rhs, check_finite=False))
     finally:
-        if in_place:
-            m = a.shape[0]
-            for i in range(0, m, _TILE):
-                t = a[i:i + _TILE, i:i + _TILE]
-                upper = np.triu_indices(t.shape[0], 1)
-                t[upper] = t.T[upper]
-                for j in range(i + _TILE, m, _TILE):
-                    a[i:i + _TILE, j:j + _TILE] = a[j:j + _TILE, i:i + _TILE].T
-            np.fill_diagonal(a, diag)
+        m = a.shape[0]
+        for i in range(0, m, _TILE):
+            t = a[i:i + _TILE, i:i + _TILE]
+            upper = np.triu_indices(t.shape[0], 1)
+            t[upper] = t.T[upper]
+            for j in range(i + _TILE, m, _TILE):
+                a[i:i + _TILE, j:j + _TILE] = a[j:j + _TILE, i:i + _TILE].T
+        np.fill_diagonal(a, diag)
 
 
 class FactorSlot:

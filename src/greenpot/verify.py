@@ -24,7 +24,8 @@ from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
                     solve_gauss, support_descriptor, truncation_sweep)
 from .green import build_green, green_sweep
 from .reports import csv_lines
-from .riesz import assemble_riesz, capacity, weight_norm
+from .riesz import (_riesz_entries, _symmetric_kernel, assemble_riesz, capacity,
+                    weight_norm)
 
 CRITERION_IDS = [str(k) for k in range(1, 11)]
 
@@ -551,8 +552,10 @@ def criterion_9(seed: int = 0) -> tuple:
         y_pts = geometry.sphere_shell(70, 1.0, rotate=rng.uniform(0, 6)) + 5.0 * y_dir
 
         gs = _green_from_parts(q_pts, y_pts, src, alpha)
-        # the Riesz kernel the build assembled, also at sigma 1
-        K = assemble_riesz(gs.cfg.point_set, alpha)
+        # the Riesz entries the build assembled and certified, at sigma 1:
+        # the sweeps and norms read only entries, so no second certificate
+        ps = gs.cfg.point_set
+        K = _symmetric_kernel(_riesz_entries(ps, alpha, 1.0), alpha, ps.dim)
         n_all = K.size
         q_idx = np.arange(n_q)
         src_idx = np.arange(n_all - n_src, n_all)

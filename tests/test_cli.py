@@ -6,11 +6,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenpot.green
 import greenpot.riesz
@@ -536,6 +539,64 @@ def task_configs(tmp_path) -> dict:
     return {task: {"task": task, **body} for task, body in bodies.items()}
 
 
+def hand_configs(tmp_path) -> dict:
+    """task_configs, and two capacity configs whose clouds and targets go
+    through the generators and the radius_band and half_space predicates."""
+    return {**task_configs(tmp_path),
+            "parts": {"task": "capacity", "alpha": 2.0,
+                      "geometry": {"parts": [
+                          {"generator": "sphere_shell",
+                           "params": {"count": 8, "radius": 1.0}}]},
+                      "target": {"kind": "radius_band", "lo": 0.5, "hi": 1.5,
+                                 "center": [0.0, 0.0, 0.0]}},
+            "parts_2d": {"task": "capacity", "alpha": 1.0,
+                         "geometry": {"parts": [
+                             {"generator": "circle_ring",
+                              "params": {"count": 4, "radius": 0.5},
+                              "scale": 1.0, "offset": [0.0, 0.0]}]},
+                         "target": {"kind": "half_space", "normal": [1.0, 0.0],
+                                    "offset": 0.0}}}
+
+
+def leaf_paths(obj, path=()):
+    """Key paths of every scalar in a parsed JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path]
+    return [p for k, v in items for p in leaf_paths(v, (*path, k))]
+
+
+NON_NUMERIC = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(-2, 3), st.text(max_size=2)),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "values", "count", "x"]),
+                    st.one_of(st.none(), st.integers(-2, 3)), max_size=2))
+
+
+class TestMalformedValues:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_non_numeric_leaf_gets_a_documented_exit_code(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            configs = hand_configs(Path(tmp))
+            cfg = configs[data.draw(st.sampled_from(sorted(configs)))]
+            path = data.draw(st.sampled_from(leaf_paths(cfg)))
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = data.draw(NON_NUMERIC)
+            out = Path(tmp) / "out"
+            code = cli.main(["run", write_config(Path(tmp), cfg), "--out",
+                             str(out)])
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_VALIDATION,
+                            cli.EXIT_SOLVER, cli.EXIT_INVARIANT)
+            assert out.exists() == (code in (cli.EXIT_OK, cli.EXIT_INVARIANT))
+
+
 class TestReportContract:
     def configs(self, tmp_path) -> dict:
         return {task: write_config(tmp_path, cfg, f"{task}.json")
@@ -925,6 +986,32 @@ class TestErrorPaths:
         assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("task, part, extra, key", [
+        ("capacity", {}, {"target": {"kind": ["all"]}}, "config.target.kind"),
+        ("capacity", {}, {"target": {"kind": {"all": 1}}}, "config.target.kind"),
+        ("kernel", {"generator": ["sphere_shell"]}, {},
+         "config.geometry.parts[0].generator"),
+        ("gauss", {}, {"regions": {"f": {"kind": "all"}},
+                       "theta": {"points": [[3, 0, 0], [3, 0]],
+                                 "weights": [0.5, 0.5]}},
+         "config.theta.points: dimension mismatch"),
+        ("kernel", {"params": {"count": 10, "radius": [1, 2]}}, {},
+         "config.geometry.parts[0].params"),
+        ("kernel", {"params": {"count": 10, "center": [0, 0]}}, {},
+         "config.geometry.parts[0].params")],
+        ids=["kind_array", "kind_object", "generator_array", "ragged_theta",
+             "radius_array", "short_center"])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, task,
+                                               part, extra, key):
+        # each used to escape as a TypeError or a numpy ValueError
+        spec = {"generator": "sphere_shell", "params": {"count": 10}, **part}
+        cfg = {"task": task, "alpha": 2.0, "geometry": {"parts": [spec]}, **extra}
+        out = tmp_path / "out"
+        code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_predicate_stray_field(self, tmp_path):
         cfg = write_config(tmp_path, {

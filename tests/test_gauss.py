@@ -6,7 +6,7 @@ import pytest
 import greenpot.gauss
 from greenpot import geometry, solvers
 from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
-                           PointSet, ValidationError)
+                           PointSet, ValidationError, nearest_neighbor_distances)
 from greenpot.gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
                             external_field, solve_gauss, support_descriptor,
                             truncation_sweep)
@@ -466,3 +466,33 @@ class TestSupportDescriptor:
         rep = support_descriptor(sol, gs.cfg)
         assert not rep["omega_connected"]
         assert rep["omega_components"] == 2
+
+    def test_components_match_a_brute_force_adjacency(self):
+        # two seeded clusters of Omega points, ten apart: each point is
+        # joined to every point within ADJACENCY_FACTOR times its spacing
+        rng = np.random.default_rng(4)
+        omega = np.vstack([rng.normal(0.0, 0.3, (25, 3)),
+                           rng.normal(0.0, 0.3, (25, 3)) + [10.0, 0.0, 0.0]])
+        pts = np.vstack([[[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]], omega])
+        cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                           d_indices=np.arange(52),
+                           y_indices=np.array([], dtype=int),
+                           f_indices=np.array([0, 1]), alpha=2.0)
+        gs = build_green(cfg)
+        theta = DiscreteMeasure.from_dict(52, {2: 0.5})
+        sol = solve_gauss(gs, external_field(gs, theta))
+        reach = (greenpot.gauss.ADJACENCY_FACTOR
+                 * nearest_neighbor_distances(omega))[:, None]
+        dist = np.linalg.norm(omega[:, None] - omega[None], axis=2)
+        adj = (dist <= reach) | (dist <= reach).T
+        label = -np.ones(50, dtype=int)
+        for start in range(50):
+            if label[start] < 0:
+                label[start], todo = start, [start]
+                while todo:
+                    for j in np.flatnonzero(adj[todo.pop()] & (label < 0)):
+                        label[j] = start
+                        todo.append(j)
+        count = np.unique(label).size
+        assert count >= 2
+        assert support_descriptor(sol, gs.cfg)["omega_components"] == count

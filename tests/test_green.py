@@ -156,10 +156,10 @@ class TestCertificate:
         L = np.tril(guide)
         assert np.allclose(L @ L.T, gs.green_f.entries, rtol=1e-12, atol=0)
 
-    def test_f_behind_omega_guides_from_a_private_copy(self, monkeypatch):
+    def test_f_behind_omega_has_no_guide(self, monkeypatch):
         # shell_cloud with the two Omega points first: F does not lead D, so
-        # the certificate factors a copy of the Green matrix in (F, Omega)
-        # order
+        # the Green matrix is certified in place with no guide, and the
+        # sweep onto F factors its free sets afresh
         pts = np.vstack([[[0.0, 0.0, 0.2], [0.1, -0.1, 0.0]],
                          geometry.sphere_shell(40, 1.0, rotate=0.2),
                          3.0 * geometry.sphere_shell(40, 1.0, rotate=0.7)])
@@ -168,10 +168,14 @@ class TestCertificate:
         sizes = count_factorizations(monkeypatch)
         gs = build_green(cfg)
         assert sizes == [40, 42]
-        c, lower = greenpot.solvers._cholesky(gs.green.block(np.r_[2:42, 0:2]))
-        guide, guide_lower = gs.guide
-        assert guide_lower == lower and guide.flags.f_contiguous
-        assert guide.tobytes() == c[:40, :40].tobytes()
+        assert gs.guide is None and gs.green_f.slot.guide is None
+        # the same sweep as on shell_cloud, whose F leads, up to rounding
+        res = green_sweep(gs, DiscreteMeasure.from_dict(82, {0: 1.0}),
+                          cfg.f_indices)
+        ref = green_sweep(build_green(shell_cloud()),
+                          DiscreteMeasure.from_dict(82, {40: 1.0}), np.arange(40))
+        assert np.allclose(res.swept.weights[2:42], ref.swept.weights[:40],
+                           rtol=0, atol=1e-12)
 
 
 class TestBuild:
@@ -300,6 +304,17 @@ class TestMemory:
         _, peak = self.traced_build(pts, np.array([], dtype=int),
                                     np.arange(400), omega=201)
         assert peak <= 1.6
+
+    def test_empty_y_with_f_behind_factors_in_place(self):
+        # the charge and the collar lead, so the build has no guide and its
+        # certificate factors the Riesz matrix in place: the peak is about
+        # that one matrix, whatever the order of the parts
+        pts = np.vstack([[[0.0, 0.0, 1.8]],
+                         geometry.sphere_shell(200, 1.1, rotate=0.3),
+                         geometry.sphere_shell(400, 1.0)])
+        _, peak = self.traced_build(pts, np.array([], dtype=int),
+                                    np.arange(201, 601), omega=201)
+        assert peak <= 1.25
 
     def test_nonempty_y_keeps_no_riesz_matrix(self):
         # the system holds the 501 x 501 Green matrix, the 800 x 501 Dirac

@@ -376,7 +376,7 @@ class TestInPlaceCertificate:
         before = entries.tobytes()
         k = m // 2
         rhs = np.random.default_rng(m).normal(size=(m, 2))
-        guide, solve = _certify(entries, np.arange(k), rhs)
+        guide, solve = _certify(entries, k, rhs)
         assert entries.tobytes() == before
         # both are read off the factor before the restore
         factor = _cholesky(entries)
@@ -397,7 +397,7 @@ class TestInPlaceCertificate:
         entries = spd(m)
         entries[-1, -1] = -1.0
         before = entries.tobytes()
-        for certify in (lambda a: _certify(a, np.arange(2), np.ones((m, 2))),
+        for certify in (lambda a: _certify(a, 2, np.ones((m, 2))),
                         lambda a: make_kernel(a, 2.0, 3)):
             with pytest.raises(SolverError, match="not positive definite"):
                 certify(entries)

@@ -259,7 +259,7 @@ def shell_sweep_problem(inner=10):
                      geometry.sphere_shell(inner, 0.3), [[2.5, 0.0, 0.0]]])
     K = assemble_riesz(PointSet.from_points(pts), 2.0)
     m = 60 + inner
-    guide, _ = solvers._certify(K.entries, np.arange(m))
+    guide, _ = solvers._certify(K.entries, m)
     return K.block(range(m)), 0.8 * K.entries[:m, m], guide
 
 
@@ -334,7 +334,7 @@ def test_guide_gives_identical_cone_projections(m, seed):
     K = assemble_riesz(PointSet.from_points(rng.normal(size=(m + 5, dim))), alpha)
     A = K.block(range(m))
     b = K.block(range(m), range(m, m + 5)) @ rng.uniform(0.1, 1.0, 5)
-    guide, _ = solvers._certify(K.entries, np.arange(m))
+    guide, _ = solvers._certify(K.entries, m)
     x, rec = nonneg_qp(A, b, slot=FactorSlot(guide))
     x_ref, rec_ref = nonneg_qp(A, b)
     assert same_bytes(x, rec, x_ref, rec_ref)
