@@ -12,8 +12,8 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
                    SolverError, ValidationError, nearest_neighbor_distances,
                    validate_field_separation)
 from .gauss import (ExternalField, GaussSolution, dual_check,
-                    exhaustion_mass_probe, explicit_solution, external_field,
-                    solve_gauss, support_descriptor, truncation_sweep)
+                    explicit_solution, external_field, family_sweep,
+                    solve_gauss, support_descriptor)
 from .green import (GreenSystem, build_green, frostman_excess,
                     green_equilibrium, green_sweep)
 from .riesz import (KernelMatrix, assemble_riesz, capacity,
@@ -28,9 +28,9 @@ __all__ = [
     "KernelMatrix", "PointSet", "SolverError", "SweepResiduals",
     "ValidationError", "assemble_riesz", "build_green", "capacity",
     "dirac_sweep_matrix", "dual_check", "equilibrium_measure",
-    "exhaustion_mass_probe", "explicit_solution", "external_field",
-    "frostman_excess", "green_equilibrium", "green_sweep", "make_kernel",
+    "explicit_solution", "external_field", "family_sweep", "frostman_excess",
+    "green_equilibrium", "green_sweep", "make_kernel",
     "nearest_neighbor_distances", "nonneg_qp", "potential", "simplex_qp",
-    "solve_gauss", "support_descriptor", "sweep", "truncation_sweep",
-    "validate_field_separation", "weight_norm", "__version__",
+    "solve_gauss", "support_descriptor", "sweep", "validate_field_separation",
+    "weight_norm", "__version__",
 ]

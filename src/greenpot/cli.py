@@ -30,8 +30,8 @@ from .balayage import sweep
 from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
                    SolverError, ValidationError, nearest_neighbor_distances)
 from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
-                    exhaustion_mass_probe, explicit_solution, external_field,
-                    solve_gauss, support_descriptor, truncation_sweep)
+                    explicit_solution, external_field, family_sweep,
+                    solve_gauss, support_descriptor)
 from .green import build_green, frostman_excess, green_equilibrium
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
@@ -60,8 +60,7 @@ _TASK_KEYS = {
     "green": (("alpha", "geometry", "regions"), ("sigma",)),
     "gauss": (_CHARGED, ("sigma", "plots")),
     "support": (_CHARGED, ("sigma", "plots")),
-    "truncation": ((*_CHARGED, "family"), ("sigma", "plots")),
-    "exhaustion": ((*_CHARGED, "family"), ("sigma", "window", "plots")),
+    "family": ((*_CHARGED, "family"), ("sigma", "window", "plots")),
     "verify-all": ((), ("seed", "criteria", "plots")),
 }
 TASKS = tuple(_TASK_KEYS)
@@ -629,18 +628,24 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     }
 
 
-def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
+def _run_family(sc: Scenario, art: Artifacts) -> dict:
     _, gs, fld = _field_system(sc)
-    family = sc.family_indices()
-    rep = truncation_sweep(gs, fld, family)
-    rows = list(zip(rep.sizes, rep.w_values, rep.c_values, rep.swept_masses,
-                    rep.cauchy_norms))
-    art.table("truncation.csv",
-              ["f_size", "w", "c", "swept_mass", "cauchy_to_final"], rows)
-    art.line("w_curve.svg",
-             [("w", [float(s) for s in rep.sizes], rep.w_values),
-              ("c", [float(s) for s in rep.sizes], rep.c_values)],
+    window = None
+    if "window" in sc.cfg:
+        window = sc.region_indices(sc.cfg["window"], "config.window")
+    rep = family_sweep(gs, fld, sc.family_indices(), window=window)
+    columns = {"f_size": rep.sizes, "w": rep.w_values, "c": rep.c_values,
+               "swept_mass": rep.swept_masses, "cauchy_to_final": rep.cauchy_norms,
+               "window_mass": rep.window_masses,
+               "support_radius": rep.support_radii,
+               "dist_to_swept": rep.dist_to_swept,
+               "extremal_energy": rep.extremal_energies}
+    art.table("family.csv", list(columns), list(zip(*columns.values())))
+    sizes = [float(s) for s in rep.sizes]
+    art.line("w_curve.svg", [("w", sizes, rep.w_values), ("c", sizes, rep.c_values)],
              "values along nested truncations", "truncation size", "value")
+    art.line("window_mass.svg", [("window mass", sizes, rep.window_masses)],
+             "mass kept inside the fixed window", "truncation size", "mass")
     return {
         "results": {
             "direction": rep.direction, "sizes": rep.sizes,
@@ -648,31 +653,17 @@ def _run_truncation(sc: Scenario, art: Artifacts) -> dict:
             "swept_masses": rep.swept_masses,
             "cauchy_norms": rep.cauchy_norms,
             "parallelogram_max_excess": rep.max_excess,
+            "window_size": rep.window_size,
+            "window_masses": rep.window_masses,
+            "support_radii": rep.support_radii,
+            "dist_to_swept": rep.dist_to_swept,
+            "extremal_energies": rep.extremal_energies,
+            "theta_mass": fld.theta.total_mass,
         },
         "invariants": [
             _at_most("parallelogram_bound", rep.max_excess, PARALLELOGRAM_TOL),
         ],
     }
-
-
-def _run_exhaustion(sc: Scenario, art: Artifacts) -> dict:
-    _, gs, fld = _field_system(sc)
-    family = sc.family_indices()
-    window = None
-    if "window" in sc.cfg:
-        window = sc.region_indices(sc.cfg["window"], "config.window")
-    probe = exhaustion_mass_probe(gs, fld, family, window=window)
-    rows = [(r["size"], r["w"], r["c"], r["swept_mass"], r["window_mass"],
-             r["support_radius"], r["dist_to_swept"], r["extremal_energy"])
-            for r in probe["stages"]]
-    art.table("exhaustion.csv",
-              ["f_size", "w", "c", "swept_mass", "window_mass",
-               "support_radius", "dist_to_swept", "extremal_energy"], rows)
-    art.line("window_mass.svg",
-             [("window mass", [float(r["size"]) for r in probe["stages"]],
-               [r["window_mass"] for r in probe["stages"]])],
-             "mass kept inside the fixed window", "truncation size", "mass")
-    return {"results": {**probe, "theta_mass": fld.theta.total_mass}}
 
 
 def _run_support(sc: Scenario, art: Artifacts) -> dict:
@@ -692,8 +683,7 @@ _RUNNERS = {
     "sweep": _run_sweep,
     "green": _run_green,
     "gauss": _run_gauss,
-    "truncation": _run_truncation,
-    "exhaustion": _run_exhaustion,
+    "family": _run_family,
     "support": _run_support,
 }
 

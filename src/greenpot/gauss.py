@@ -3,13 +3,13 @@
 The external charge theta sits in Omega and acts on probability measures mu
 carried by F through the functional |mu|_g^2 - 2 int U^theta_g dmu, a strictly
 convex quadratic on the simplex. The minimizer, the weighted equilibrium
-constant, monotone truncation sweeps, mass-escape probes, support splits, and
-the dual-field consistency checks all live here.
+constant, the walk along a nested family (monotone values and escaping
+mass), support splits, and the dual-field consistency checks all live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,7 +26,7 @@ from .solvers import KKTRecord, _simplex_record, simplex_qp
 # nearest-F-neighbour spacings; Omega-points connect under the same rule.
 ADJACENCY_FACTOR = 1.5
 # Largest excess of |lam_s - lam_t|^2 over 2 |w_s - w_t| that a nested
-# family's pairs may show (SweepReport.max_excess).
+# family's pairs may show (FamilyReport.max_excess).
 PARALLELOGRAM_TOL = 1e-9
 
 
@@ -205,18 +205,32 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
 
 
 @dataclass(frozen=True)
-class SweepReport:
-    """Values along a nested family; max_excess is the largest lhs - rhs of
-    the parallelogram pairs, 0.0 for a family of one member."""
+class FamilyReport:
+    """Values along a nested family, one list entry per member.
+
+    cauchy_norms are Green distances to the last member's minimizer,
+    window_masses the minimizers' masses on the window (window_size points),
+    dist_to_swept their distances to the charge swept onto the member, and
+    extremal_energies their weighted potentials integrated against
+    themselves. parallelogram holds each pair's lhs |lam_s - lam_t|^2 and rhs
+    2 |w_s - w_t|; max_excess is the largest lhs - rhs, 0.0 for a family of
+    one member.
+    """
 
     direction: str
+    window_size: int
     sizes: list
     w_values: list
     c_values: list
     swept_masses: list
     cauchy_norms: list
+    window_masses: list
+    support_radii: list
+    dist_to_swept: list
+    extremal_energies: list
     parallelogram: list
     max_excess: float
+    minimizers: list = field(compare=False)
 
 
 def _nesting_direction(family) -> str:
@@ -230,24 +244,40 @@ def _nesting_direction(family) -> str:
     raise ValidationError("family members must be nested")
 
 
-def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport:
-    """Solve along a nested family and check the monotone-value laws.
+def _support_radius(pts: np.ndarray, mu: DiscreteMeasure) -> float:
+    """Largest norm of a support point of mu, 0.0 for an empty support."""
+    supp = mu.support
+    return float(np.max(np.linalg.norm(pts[supp], axis=1))) if supp.size else 0.0
+
+
+def family_sweep(gs: GreenSystem, fld: ExternalField, family,
+                 window=None) -> FamilyReport:
+    """Solve and sweep each member of a nested family once, in order, and
+    check the monotone-value laws.
 
     Along growing targets the optimal value may only fall (and the constant
-    may only fall when every swept mass is at most 1); along shrinking targets
-    the value may only rise. Violations beyond 1e-10 raise. Distances of each
-    stage to the final stage and the paired bound
-    |lam_s - lam_t|^2 <= 2 |w_s - w_t| are recorded for inspection.
+    may only fall when every swept mass is at most 1); along shrinking
+    targets the value may only rise. Violations beyond 1e-10 raise.
+
+    The window defaults to the smallest member. Along growing truncations a
+    total charge below 1 leaks the minimizer's mass out of any fixed window;
+    with charge exactly 1 the minimizer tracks the swept charge; with charge
+    above 1 its support freezes. The report leaves interpretation to the
+    caller.
     """
     direction = _nesting_direction(family)
-    sols, masses, sizes = [], [], []
+    if window is None:
+        window = family[0] if direction == "increasing" else family[-1]
+    window = _index_array(window, len(gs.cfg.point_set), "window")
+    sols, swept, sizes = [], [], []
     for member in family:
         f, _ = _f_positions(gs, member)
         sols.append(solve_gauss(gs, fld, f))
-        masses.append(_swept_charge(gs, fld, f).total_mass)
+        swept.append(_swept_charge(gs, fld, f))
         sizes.append(int(f.size))
     w = [s.w_value for s in sols]
     c = [s.c_constant for s in sols]
+    masses = [s.total_mass for s in swept]
     for a, b in zip(w, w[1:]):
         if direction == "increasing" and b > a + 1e-10:
             raise InvariantError(f"value rose along a growing family: {a} -> {b}")
@@ -257,60 +287,28 @@ def truncation_sweep(gs: GreenSystem, fld: ExternalField, family) -> SweepReport
         for a, b in zip(c, c[1:]):
             if b > a + 1e-10:
                 raise InvariantError(f"constant rose along a growing family: {a} -> {b}")
-    cauchy = [gs.distance(s.minimizer, sols[-1].minimizer) for s in sols]
-    lam_ds = [gs.measure_on_d(s.minimizer) for s in sols]
+    lams = [s.minimizer for s in sols]
+    lam_ds = [gs.measure_on_d(lam) for lam in lams]
+    G = gs.green.entries
     para = []
     for i in range(len(sols)):
         for j in range(i + 1, len(sols)):
             diff = lam_ds[i] - lam_ds[j]
-            lhs = float(diff @ (gs.green.entries @ diff))
-            para.append({"i": i, "j": j, "lhs": lhs,
+            para.append({"i": i, "j": j, "lhs": float(diff @ (G @ diff)),
                          "rhs": 2.0 * abs(w[i] - w[j])})
-    return SweepReport(direction=direction, sizes=sizes,
-                       w_values=w, c_values=c, swept_masses=masses,
-                       cauchy_norms=cauchy, parallelogram=para,
-                       max_excess=max((p["lhs"] - p["rhs"] for p in para),
-                                      default=0.0))
-
-
-def exhaustion_mass_probe(gs: GreenSystem, fld: ExternalField, family,
-                          window=None) -> dict:
-    """Watch where the minimizer's mass goes along growing truncations.
-
-    With total charge below 1 the minimizer leaks mass out of any fixed
-    window; with charge exactly 1 it tracks the swept charge; with charge
-    above 1 its support freezes. The probe reports window mass, support
-    radius, distance to the swept charge, and the minimizer's own weighted
-    potential integrated against itself (negative once the charge overpowers
-    the unit budget), leaving interpretation to the caller.
-    """
-    if _nesting_direction(family) != "increasing":
-        raise ValidationError("exhaustion families must grow")
-    if window is None:
-        window = family[0]
-    window = _index_array(window, len(gs.cfg.point_set), "window")
     pts = gs.cfg.point_set.points
-    rows = []
-    for member in family:
-        member_arr, _ = _f_positions(gs, member)
-        sol = solve_gauss(gs, fld, member_arr)
-        swept = _swept_charge(gs, fld, member_arr)
-        lam = sol.minimizer
-        lam_d = gs.measure_on_d(lam)
-        supp = lam.support
-        radius = float(np.max(np.linalg.norm(pts[supp], axis=1))) if supp.size else 0.0
-        c_xi = float(lam_d @ (gs.green.entries @ lam_d) + fld.field_values @ lam_d)
-        rows.append({
-            "size": int(member_arr.size),
-            "w": sol.w_value,
-            "c": sol.c_constant,
-            "swept_mass": swept.total_mass,
-            "window_mass": float(lam.weights[window].sum()),
-            "support_radius": radius,
-            "dist_to_swept": gs.distance(lam, swept),
-            "extremal_energy": c_xi,
-        })
-    return {"window_size": int(window.size), "stages": rows}
+    return FamilyReport(
+        direction=direction, window_size=int(window.size), sizes=sizes,
+        w_values=w, c_values=c, swept_masses=masses,
+        cauchy_norms=[gs.distance(lam, lams[-1]) for lam in lams],
+        window_masses=[float(lam.weights[window].sum()) for lam in lams],
+        support_radii=[_support_radius(pts, lam) for lam in lams],
+        dist_to_swept=[gs.distance(lam, nu) for lam, nu in zip(lams, swept)],
+        extremal_energies=[float(x @ (G @ x) + fld.field_values @ x)
+                           for x in lam_ds],
+        parallelogram=para,
+        max_excess=max((p["lhs"] - p["rhs"] for p in para), default=0.0),
+        minimizers=lams)
 
 
 def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
@@ -332,8 +330,6 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
     w_f = sol.minimizer.weights[f]
     total = float(w_f.sum())
     boundary_mass = float(w_f[boundary_mask].sum())
-    supp = sol.minimizer.support
-    radius = float(np.max(np.linalg.norm(pts[supp], axis=1))) if supp.size else 0.0
 
     omega_pts = pts[omega]
     if omega.size > 1:
@@ -353,7 +349,7 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
         "boundary_count": int(np.count_nonzero(boundary_mask)),
         "boundary_mass_fraction": boundary_mass / total if total else 0.0,
         "interior_mass_fraction": 1.0 - boundary_mass / total if total else 0.0,
-        "support_radius": radius,
+        "support_radius": _support_radius(pts, sol.minimizer),
         "omega_connected": bool(n_comp == 1),
         "omega_components": int(n_comp),
         "adjacency_factor": ADJACENCY_FACTOR,

@@ -20,8 +20,8 @@ from . import geometry
 from .balayage import sweep
 from .core import DiscreteMeasure, DomainConfig, PointSet
 from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
-                    exhaustion_mass_probe, explicit_solution, external_field,
-                    solve_gauss, support_descriptor, truncation_sweep)
+                    explicit_solution, external_field, family_sweep,
+                    solve_gauss, support_descriptor)
 from .green import build_green, green_sweep
 from .reports import csv_lines
 from .riesz import (_riesz_entries, _symmetric_kernel, assemble_riesz, capacity,
@@ -328,23 +328,25 @@ def criterion_6(seed: int = 0) -> tuple:
     f_idx = gs.cfg.f_indices
     xs = f_pts[:, 0]
     family = [f_idx[xs >= t] for t in (0.5, 0.0, -0.5, -2.0)]
-    inc = truncation_sweep(gs, fld, family)
-    dec = truncation_sweep(gs, fld, family[::-1])
-    para_ok = inc.max_excess <= PARALLELOGRAM_TOL
+    walk = family_sweep(gs, fld, family)
+    para_ok = walk.max_excess <= PARALLELOGRAM_TOL
+    grow = list(zip(walk.sizes, walk.w_values, walk.c_values, walk.swept_masses,
+                    walk.minimizers))
     rows = [("grow", s, w, c, m, cn)
-            for s, w, c, m, cn in zip(inc.sizes, inc.w_values, inc.c_values,
-                                      inc.swept_masses, inc.cauchy_norms)]
-    rows += [("shrink", s, w, c, m, cn)
-             for s, w, c, m, cn in zip(dec.sizes, dec.w_values, dec.c_values,
-                                       dec.swept_masses, dec.cauchy_norms)]
+            for (s, w, c, m, _), cn in zip(grow, walk.cauchy_norms)]
+    # the shrinking family is the growing one reversed: the same solves, in
+    # reverse order, measured against its last member, the smallest one
+    smallest = walk.minimizers[0]
+    rows += [("shrink", s, w, c, m, gs.distance(lam, smallest))
+             for s, w, c, m, lam in grow[::-1]]
     measured = {
-        "w_values": inc.w_values,
-        "c_values": inc.c_values,
+        "w_values": walk.w_values,
+        "c_values": walk.c_values,
         "parallelogram_ok": para_ok,
-        "max_parallelogram_excess": inc.max_excess,
-        "shrink_w_values": dec.w_values,
+        "max_parallelogram_excess": walk.max_excess,
+        "shrink_w_values": walk.w_values[::-1],
     }
-    return (para_ok and all(map(closed_form_applies, inc.swept_masses)),
+    return (para_ok and all(map(closed_form_applies, walk.swept_masses)),
             measured,
             ["direction", "f_size", "w", "c", "swept_mass", "cauchy_to_final"],
             rows)
@@ -374,11 +376,10 @@ def criterion_7(seed: int = 0) -> tuple:
     rows = []
 
     fld_half = external_field(gs, DiscreteMeasure.from_dict(n, {i_theta: 0.5}))
-    probe = exhaustion_mass_probe(gs, fld_half, family)
-    wm = [r["window_mass"] for r in probe["stages"]]
-    for stage, r in zip(_CONE_STAGES, probe["stages"]):
-        rows.append(("charge_0.5", stage, r["size"], r["window_mass"],
-                     r["swept_mass"], r["support_radius"]))
+    walk = family_sweep(gs, fld_half, family)
+    wm = walk.window_masses
+    rows += [("charge_0.5", *r) for r in zip(_CONE_STAGES, walk.sizes, wm,
+                                             walk.swept_masses, walk.support_radii)]
     ok_escape = wm[-3] > wm[-2] > wm[-1]
 
     gaps = []

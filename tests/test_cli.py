@@ -441,7 +441,7 @@ class TestGaussTask:
 
 
 class TestFamilyTasks:
-    def family_config(self, tmp_path, task):
+    def family_config(self, tmp_path, task="family"):
         (tmp_path / "pair.csv").write_text(
             "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n")
         return write_config(tmp_path, {
@@ -453,29 +453,40 @@ class TestFamilyTasks:
         })
 
     def test_truncation_hand_values(self, tmp_path):
-        cfg = self.family_config(tmp_path, "truncation")
+        cfg = self.family_config(tmp_path)
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
-        rep = read_report(out)
-        assert rep["results"]["direction"] == "increasing"
-        assert rep["results"]["w_values"] == pytest.approx([0.6, 0.28],
-                                                           abs=1e-12)
-        assert rep["results"]["c_values"] == pytest.approx([1.3, 0.9],
-                                                           abs=1e-12)
-        assert rep["results"]["parallelogram_max_excess"] <= 1e-9
-        assert os.path.exists(os.path.join(out, "tables", "truncation.csv"))
-        assert os.path.exists(os.path.join(out, "plots", "w_curve.svg"))
+        res = read_report(out)["results"]
+        assert res["direction"] == "increasing"
+        assert res["w_values"] == pytest.approx([0.6, 0.28], abs=1e-12)
+        assert res["c_values"] == pytest.approx([1.3, 0.9], abs=1e-12)
+        assert res["swept_masses"] == pytest.approx([0.35, 0.4], abs=1e-12)
+        assert res["parallelogram_max_excess"] <= 1e-9
+        with open(os.path.join(out, "tables", "family.csv")) as fh:
+            assert fh.readline().rstrip("\n").split(",") == [
+                "f_size", "w", "c", "swept_mass", "cauchy_to_final",
+                "window_mass", "support_radius", "dist_to_swept",
+                "extremal_energy"]
+        for plot in ("w_curve.svg", "window_mass.svg"):
+            assert os.path.exists(os.path.join(out, "plots", plot))
 
     def test_exhaustion_window_masses(self, tmp_path):
-        cfg = self.family_config(tmp_path, "exhaustion")
+        cfg = self.family_config(tmp_path)
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
-        rep = read_report(out)
-        stages = rep["results"]["stages"]
-        assert [s["window_mass"] for s in stages] == pytest.approx(
-            [1.0, 0.6], abs=1e-12)
-        for s in stages:
-            assert s["extremal_energy"] == pytest.approx(s["c"], abs=1e-12)
+        res = read_report(out)["results"]
+        assert res["window_size"] == 1
+        assert res["window_masses"] == pytest.approx([1.0, 0.6], abs=1e-12)
+        assert res["extremal_energies"] == pytest.approx(res["c_values"],
+                                                         abs=1e-12)
+
+    @pytest.mark.parametrize("task", ["truncation", "exhaustion"])
+    def test_replaced_tasks_are_config_errors(self, tmp_path, capsys, task):
+        cfg = self.family_config(tmp_path, task)
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"got {task!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSupportTask:
@@ -508,8 +519,7 @@ INVARIANTS = {
     "sweep": ["projection_first_order_conditions", "mass_not_increased"],
     "green": ["symmetrization_residual"],
     "gauss": ["stationarity_on_support", "no_descent_off_support"],
-    "truncation": ["parallelogram_bound"],
-    "exhaustion": [],
+    "family": ["parallelogram_bound"],
     "support": [],
 }
 
@@ -534,7 +544,7 @@ def task_configs(tmp_path) -> dict:
                   "regions": {"f": {"kind": "indices", "values": [0]},
                               "y": {"kind": "indices", "values": [2]}}},
         "gauss": on_f, "support": on_f,
-        "truncation": family, "exhaustion": family,
+        "family": family,
     }
     return {task: {"task": task, **body} for task, body in bodies.items()}
 
@@ -633,7 +643,7 @@ class TestReportContract:
         assert not {"alpha", "sigma"} & set(reports["kernel"]["results"])
         assert "alpha" not in reports["green"]["results"]
         # the paper's hypotheses are measured values in results
-        assert reports["exhaustion"]["results"]["theta_mass"] == 1.75
+        assert reports["family"]["results"]["theta_mass"] == 1.75
         assert reports["support"]["results"]["omega_connected"] is True
         assert reports["support"]["results"]["omega_components"] == 1
         res = reports["gauss"]["results"]
@@ -658,8 +668,7 @@ FOREIGN_KEYS = {
     "green": ("theta", {"points": [[-2.5, 0.0, 0.0]], "weights": [1.0]}),
     "gauss": ("seed", 0),
     "support": ("target", {"kind": "all"}),
-    "truncation": ("window", {"kind": "all"}),
-    "exhaustion": ("criteria", ["1"]),
+    "family": ("criteria", ["1"]),
     "verify-all": ("alpha", 2.0),
 }
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import greenpot.gauss
-from greenpot import geometry, solvers
+from greenpot import geometry, solvers, verify
 from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
                            PointSet, ValidationError, nearest_neighbor_distances)
-from greenpot.gauss import (dual_check, exhaustion_mass_probe, explicit_solution,
-                            external_field, solve_gauss, support_descriptor,
-                            truncation_sweep)
+from greenpot.gauss import (PARALLELOGRAM_TOL, dual_check, explicit_solution,
+                            external_field, family_sweep, solve_gauss,
+                            support_descriptor)
 from greenpot.green import build_green, green_equilibrium, green_sweep
 from greenpot.riesz import _simplex_minimum, weight_norm
 from greenpot.solvers import nonneg_qp, simplex_qp
@@ -205,8 +205,9 @@ class TestLambdaClass:
 class TestTruncationSweep:
     def test_growing_family_hand_values(self):
         gs, fld = field_system()
-        rep = truncation_sweep(gs, fld, [[0], [0, 1]])
+        rep = family_sweep(gs, fld, [[0], [0, 1]])
         assert rep.direction == "increasing"
+        assert rep.sizes == [1, 2]
         assert rep.w_values == pytest.approx([0.6, 0.28], abs=1e-12)
         assert rep.c_values == pytest.approx([1.3, 0.9], abs=1e-12)
         assert rep.swept_masses == pytest.approx([0.35, 0.4], abs=1e-12)
@@ -216,28 +217,29 @@ class TestTruncationSweep:
         assert pair["lhs"] <= pair["rhs"] + 1e-12
         assert rep.max_excess == pair["lhs"] - pair["rhs"]
         assert rep.cauchy_norms[-1] == 0.0
+        assert [lam.total_mass for lam in rep.minimizers] == pytest.approx(
+            [1.0, 1.0], abs=1e-12)
 
     def test_one_member_family_has_no_excess(self):
         gs, fld = field_system()
-        rep = truncation_sweep(gs, fld, [[0, 1]])
+        rep = family_sweep(gs, fld, [[0, 1]])
         assert rep.parallelogram == [] and rep.max_excess == 0.0
 
     def test_shrinking_family_direction(self):
         gs, fld = field_system()
-        rep = truncation_sweep(gs, fld, [[0, 1], [0]])
+        rep = family_sweep(gs, fld, [[0, 1], [0]])
         assert rep.direction == "decreasing"
         assert rep.w_values == pytest.approx([0.28, 0.6], abs=1e-12)
 
     def test_non_nested_family_rejected(self):
         gs, fld = field_system()
         with pytest.raises(ValidationError):
-            truncation_sweep(gs, fld, [[0], [1]])
+            family_sweep(gs, fld, [[0], [1]])
 
-    @pytest.mark.parametrize("run", [truncation_sweep, exhaustion_mass_probe])
-    def test_empty_family_rejected(self, run):
+    def test_empty_family_rejected(self):
         gs, fld = field_system()
         with pytest.raises(ValidationError, match="family must be nonempty"):
-            run(gs, fld, [])
+            family_sweep(gs, fld, [])
 
     @pytest.mark.parametrize("family, w, message", [
         ([[0], [0, 1]], [0.6, 0.6 + 2e-10], "rose along a growing family"),
@@ -248,16 +250,16 @@ class TestTruncationSweep:
              "fall_within_tol"])
     def test_value_against_the_nesting_raises(self, monkeypatch, family, w,
                                               message):
-        # the truncation report has no monotonicity row: this raise is the check
+        # the family report has no monotonicity row: this raise is the check
         gs, fld = field_system()
         real, values = greenpot.gauss.solve_gauss, iter(w)
         monkeypatch.setattr(greenpot.gauss, "solve_gauss",
                             lambda *args: replace(real(*args), w_value=next(values)))
         if message is None:
-            assert truncation_sweep(gs, fld, family).w_values == w
+            assert family_sweep(gs, fld, family).w_values == w
         else:
             with pytest.raises(InvariantError, match=message):
-                truncation_sweep(gs, fld, family)
+                family_sweep(gs, fld, family)
 
 
 def shell_system():
@@ -394,8 +396,7 @@ class TestFactorSlot:
 
 
 class TestFamilySweeps:
-    @pytest.mark.parametrize("run", [truncation_sweep, exhaustion_mass_probe])
-    def test_member_equal_to_f_reuses_field_sweep(self, run, monkeypatch):
+    def test_member_equal_to_f_reuses_field_sweep(self, monkeypatch):
         # the field already holds theta swept onto F, so a family ending in F
         # sweeps only its smaller members
         gs, fld = field_system()
@@ -406,39 +407,64 @@ class TestFamilySweeps:
             return green_sweep(gs, mu, f, **kwargs)
 
         monkeypatch.setattr(greenpot.gauss, "green_sweep", counting)
-        out = run(gs, fld, [[0], [0, 1]])
+        rep = family_sweep(gs, fld, [[0], [0, 1]])
         assert targets == [[0]]
-        masses = (out.swept_masses if run is truncation_sweep
-                  else [s["swept_mass"] for s in out["stages"]])
-        assert masses[-1] == green_sweep(gs, fld.theta, [0, 1]).swept.total_mass
+        assert rep.swept_masses[-1] == \
+            green_sweep(gs, fld.theta, [0, 1]).swept.total_mass
 
     def test_repeated_indices_count_once(self):
-        # a member is solved as its sorted, deduplicated index set, and both
-        # sweeps report that set's size and the swept measure's total mass
+        # a member is solved as its sorted, deduplicated index set, and the
+        # report holds that set's size and the swept measure's total mass
         gs, fld = field_system()
-        trunc = truncation_sweep(gs, fld, [[0, 0], [1, 0, 1]])
-        probe = exhaustion_mass_probe(gs, fld, [[0, 0], [1, 0, 1]])
-        assert trunc.sizes == [s["size"] for s in probe["stages"]] == [1, 2]
-        assert trunc.swept_masses == [s["swept_mass"] for s in probe["stages"]]
-        assert trunc == truncation_sweep(gs, fld, [[0], [0, 1]])
+        rep = family_sweep(gs, fld, [[0, 0], [1, 0, 1]])
+        assert rep.sizes == [1, 2]
+        assert rep == family_sweep(gs, fld, [[0], [0, 1]])
+
+    def test_reversed_family_is_the_walk_reversed(self):
+        # check 6 reads its shrinking rows off the growing walk on this premise
+        gs = shell_system()
+        n = len(gs.cfg.point_set)
+        fld = external_field(gs, DiscreteMeasure.from_dict(n, {51: 0.5, 52: 0.3}))
+        xs = gs.cfg.point_set.points[:50, 0]
+        family = [np.flatnonzero(xs >= t) for t in (0.5, 0.0, -2.0)]
+        grow = family_sweep(gs, fld, family)
+        shrink = family_sweep(gs, fld, family[::-1])
+        assert shrink.direction == "decreasing"
+        assert shrink.w_values == grow.w_values[::-1]
+        assert shrink.c_values == grow.c_values[::-1]
+        assert shrink.swept_masses == grow.swept_masses[::-1]
+        assert [lam.weights.tobytes() for lam in shrink.minimizers] == \
+            [lam.weights.tobytes() for lam in grow.minimizers[::-1]]
+        assert shrink.cauchy_norms == [gs.distance(lam, grow.minimizers[0])
+                                       for lam in grow.minimizers[::-1]]
+
+    @pytest.mark.parametrize("charge", [0.5, 1.0, 2.0])
+    def test_cone_family_keeps_the_monotone_laws(self, charge):
+        # check 7 walks this family at charge 0.5; the laws raise if broken
+        gs, family, i_theta = verify._cone_system()
+        n = len(gs.cfg.point_set)
+        fld = external_field(gs, DiscreteMeasure.from_dict(n, {i_theta: charge}))
+        rep = family_sweep(gs, fld, family)
+        assert rep.direction == "increasing"
+        assert rep.window_size == family[0].size
+        assert rep.max_excess <= PARALLELOGRAM_TOL
 
 
 class TestExhaustionProbe:
     def test_stage_rows_and_multiplier_identity(self):
         gs, fld = field_system()
-        probe = exhaustion_mass_probe(gs, fld, [[0], [0, 1]])
-        assert probe["window_size"] == 1
-        stages = probe["stages"]
-        assert [s["window_mass"] for s in stages] == pytest.approx(
-            [1.0, 0.6], abs=1e-12)
-        for s in stages:
-            assert s["extremal_energy"] == pytest.approx(s["c"], abs=1e-12)
-        assert stages[-1]["support_radius"] == pytest.approx(1.0)
+        rep = family_sweep(gs, fld, [[0], [0, 1]])
+        assert rep.window_size == 1
+        assert rep.window_masses == pytest.approx([1.0, 0.6], abs=1e-12)
+        assert rep.extremal_energies == pytest.approx(rep.c_values, abs=1e-12)
+        assert rep.support_radii[-1] == pytest.approx(1.0)
 
-    def test_shrinking_family_rejected(self):
+    def test_shrinking_family_windows_its_smallest_member(self):
         gs, fld = field_system()
-        with pytest.raises(ValidationError):
-            exhaustion_mass_probe(gs, fld, [[0, 1], [0]])
+        rep = family_sweep(gs, fld, [[0, 1], [0]])
+        assert rep.window_size == 1
+        assert rep.window_masses == pytest.approx([0.6, 1.0], abs=1e-12)
+        assert rep == family_sweep(gs, fld, [[0, 1], [0]], window=[0])
 
 
 class TestSupportDescriptor:
