@@ -202,6 +202,13 @@ class TestLambdaClass:
         assert heavy_norm - norm >= -1e-9 * max(1.0, norm)
 
 
+# the two call forms of family_sweep: the default window (the smallest
+# member), as a plain truncation walk, and an explicit window, as the mass
+# probe of an exhaustion
+WALK_WINDOWS = [pytest.param(None, id="truncation_sweep"),
+                pytest.param([0], id="exhaustion_mass_probe")]
+
+
 class TestTruncationSweep:
     def test_growing_family_hand_values(self):
         gs, fld = field_system()
@@ -236,10 +243,11 @@ class TestTruncationSweep:
         with pytest.raises(ValidationError):
             family_sweep(gs, fld, [[0], [1]])
 
-    def test_empty_family_rejected(self):
+    @pytest.mark.parametrize("window", WALK_WINDOWS)
+    def test_empty_family_rejected(self, window):
         gs, fld = field_system()
         with pytest.raises(ValidationError, match="family must be nonempty"):
-            family_sweep(gs, fld, [])
+            family_sweep(gs, fld, [], window=window)
 
     @pytest.mark.parametrize("family, w, message", [
         ([[0], [0, 1]], [0.6, 0.6 + 2e-10], "rose along a growing family"),
@@ -396,9 +404,10 @@ class TestFactorSlot:
 
 
 class TestFamilySweeps:
-    def test_member_equal_to_f_reuses_field_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("window", WALK_WINDOWS)
+    def test_member_equal_to_f_reuses_field_sweep(self, window, monkeypatch):
         # the field already holds theta swept onto F, so a family ending in F
-        # sweeps only its smaller members
+        # sweeps only its smaller members, whatever the window
         gs, fld = field_system()
         targets = []
 
@@ -407,7 +416,7 @@ class TestFamilySweeps:
             return green_sweep(gs, mu, f, **kwargs)
 
         monkeypatch.setattr(greenpot.gauss, "green_sweep", counting)
-        rep = family_sweep(gs, fld, [[0], [0, 1]])
+        rep = family_sweep(gs, fld, [[0], [0, 1]], window=window)
         assert targets == [[0]]
         assert rep.swept_masses[-1] == \
             green_sweep(gs, fld.theta, [0, 1]).swept.total_mass
