@@ -32,7 +32,8 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, PointSet,
 from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
                     explicit_solution, external_field, family_sweep,
                     solve_gauss, support_descriptor)
-from .green import build_green, frostman_excess, green_equilibrium
+from .green import (_build as _build_green, build_green, frostman_excess,
+                    green_equilibrium)
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
 from .riesz import assemble_riesz, capacity, equilibrium_measure, potential
@@ -187,6 +188,11 @@ def _build_cloud(cfg: dict, base_dir: str):
     dims = {c.shape[1] for c in chunks}
     if len(dims) > 1:
         raise ConfigError("config.geometry.parts: parts have mixed dimensions")
+    total = sum(len(c) for c in chunks)
+    if total > geometry.MAX_POINTS:
+        # each part is within the cap; their stack must be too
+        raise ValidationError(f"config.geometry.parts: the parts make {total} "
+                              f"points; a cloud has 1 to {geometry.MAX_POINTS}")
     return np.vstack(chunks), np.concatenate(ids), None
 
 
@@ -558,13 +564,13 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
 
 def _run_green(sc: Scenario, art: Artifacts) -> dict:
     cfg = sc.domain()
-    gs = build_green(cfg, sc.sigma)
+    gs, W = _build_green(cfg, sc.sigma)
     n_d = cfg.d_indices.size
     art.table("green_matrix.csv", [f"d{k}" for k in range(n_d)],
               gs.green.entries)
     if cfg.y_indices.size:
         art.table("dirac_sweep_to_y.csv", [f"source{k}" for k in range(n_d)],
-                  gs.dirac_sweep_to_y)
+                  W)
     G = gs.green.entries
     return {
         "results": {

@@ -4,6 +4,8 @@ All generators are pure functions of their parameters: no hidden randomness.
 Rotational offsets are explicit arguments so staggered multi-layer builds stay
 reproducible. Each generator computes its point count from its parameters
 before it allocates; a count below 1 or above MAX_POINTS is a ValidationError.
+A CSV cloud of more than MAX_POINTS rows is one too, raised before its array
+is built.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from .core import PointSet, ValidationError
 
 _GOLDEN = np.pi * (1 + 5 ** 0.5)
 
-# Most points one generator may produce: a dense kernel on this many points
-# takes 80 GB, so the cap refuses no cloud that a desk-scale run could finish.
+# Most points a generator may produce and a cloud may hold: a dense kernel on
+# this many points takes 80 GB, so the cap refuses no cloud that a desk-scale
+# run could finish.
 MAX_POINTS = 100_000
 
 
@@ -191,7 +194,8 @@ def load_csv(path) -> PointSet:
     """Read a cloud from CSV: one row per point, n coordinates, optional last
     column `cell_radius`. A header row is detected by non-numeric cells, and
     only a header whose last cell is `cell_radius` or `radius` marks a radius
-    column: every cell of a headerless row is a coordinate."""
+    column: every cell of a headerless row is a coordinate. Reading stops
+    at the first data row past MAX_POINTS, a ValidationError."""
     rows = []
     radius_header = False
     with open(path, newline="") as fh:
@@ -207,6 +211,9 @@ def load_csv(path) -> PointSet:
                     raise ValidationError(f"non-numeric row in {path}: {row}")
                 radius_header = row[-1].lower() in ("cell_radius", "radius")
                 continue
+            if len(rows) > MAX_POINTS:
+                raise ValidationError(f"{path} holds more than {MAX_POINTS} "
+                                      f"points; a cloud has 1 to {MAX_POINTS}")
     if not rows:
         raise ValidationError(f"no data rows in {path}")
     width = len(rows[0])

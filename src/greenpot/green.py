@@ -31,9 +31,8 @@ class GreenSystem:
     """Green kernel on the D-points of cfg's cloud.
 
     The green matrix is indexed by position within cfg.d_indices and keeps
-    no solve (KernelMatrix.solve); the system keeps no Riesz matrix.
-    dirac_sweep_to_y is the |Y| x |D| block whose column k is the swept unit
-    mass for the k-th D-point, row j its weight at the j-th Y-point. guide
+    no solve (KernelMatrix.solve); the system keeps no Riesz matrix and no
+    Dirac sweep onto Y (green._build returns it to the green task). guide
     is the F block of the factor that certified the build (build_green), or
     None; solves over all of F share green_f's factor slot, which carries
     it, and every other target is factored by its solver.
@@ -41,7 +40,6 @@ class GreenSystem:
 
     cfg: DomainConfig
     green: KernelMatrix
-    dirac_sweep_to_y: np.ndarray
     asymmetry_residual: float
     guide: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -98,6 +96,11 @@ class GreenSystem:
 
 
 def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
+    """The Green system of cfg (_build), which keeps no Dirac sweep."""
+    return _build(cfg, sigma)[0]
+
+
+def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
     """The Green system of cfg, certified positive definite by one Cholesky
     factorization whose F block becomes the guide.
 
@@ -110,6 +113,10 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     is factored as well. Every certificate factors in place
     (solvers._certify), and the build has a guide only when F leads the
     matrix that certifies it: when F's positions in it are 0, ..., |F| - 1.
+
+    Also returns the |Y| x |D| Dirac sweep W, whose column k is the swept
+    unit mass of the k-th D-point, row j its weight at the j-th Y-point
+    (0 x |D| when Y is empty).
     """
     d = cfg.d_indices
     y = cfg.y_indices
@@ -150,8 +157,8 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
         certified, f_pos = green, np.searchsorted(d, f)
     leads = np.array_equal(f_pos, np.arange(f.size))
     guide, _ = _certify(certified.entries, f.size if leads else 0)
-    return GreenSystem(cfg=cfg, green=green, dirac_sweep_to_y=W,
-                       asymmetry_residual=asym, guide=guide)
+    return GreenSystem(cfg=cfg, green=green, asymmetry_residual=asym,
+                       guide=guide), W
 
 
 def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,

@@ -15,6 +15,7 @@ entries unfactored and certifies them itself (green.build_green).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -124,12 +125,40 @@ def _riesz_entries(ps: PointSet, alpha: float, sigma: float) -> np.ndarray:
     # cdist row blocks fill the square matrix in place; |x - y| == |y - x|
     # bit for bit, so the result is exactly symmetric
     m = len(ps)
+    _trim_before_mapping(8 * m * m)
     dist = np.empty((m, m))
     for i in range(0, m, _TILE):
         cdist(ps.points[i:i + _TILE], ps.points, out=dist[i:i + _TILE])
     np.fill_diagonal(dist, sigma * ps.cell_radius)
     dist **= alpha - n
     return dist
+
+
+# glibc maps every request of 32 MiB or more on its own
+# (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit), so such a buffer never reuses
+# retained heap, and heap that is free but still resident when it is mapped
+# only adds to the peak: a freed smaller kernel raises glibc's dynamic mmap
+# threshold, and the next one of its size stays on the heap after it is freed.
+_TRIM_BYTES = 32 << 20
+
+
+@cache
+def _malloc_trim():
+    """glibc's malloc_trim, looked up on first use; None without it."""
+    import ctypes
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = (ctypes.c_size_t,)
+    return trim
+
+
+def _trim_before_mapping(nbytes: int) -> None:
+    """Hand free heap back to the system before a buffer of nbytes that
+    glibc maps on its own; a no-op for smaller buffers or without glibc."""
+    if nbytes >= _TRIM_BYTES and (trim := _malloc_trim()) is not None:
+        trim(0)
 
 
 def potential(K: KernelMatrix, mu: DiscreteMeasure) -> np.ndarray:

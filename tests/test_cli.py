@@ -958,6 +958,31 @@ class TestErrorPaths:
         assert f"makes 1 to {geometry.MAX_POINTS}" in proc.stderr
         assert not out.exists()
 
+    def test_csv_cloud_above_the_cap_exits_3(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setattr(geometry, "MAX_POINTS", 5)
+        (tmp_path / "ten.csv").write_text(
+            "".join(f"{k},0,0\n" for k in range(10)))
+        cfg = write_config(tmp_path, {"task": "capacity", "alpha": 2.0,
+                                      "geometry": {"csv": "ten.csv"}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "more than 5 points; a cloud has 1 to 5" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_parts_above_the_cap_together_exit_3(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # each part is within the cap, their stack is not
+        monkeypatch.setattr(geometry, "MAX_POINTS", 5)
+        part = {"generator": "sphere_shell", "params": {"count": 4}}
+        cfg = write_config(tmp_path, {"task": "capacity", "alpha": 2.0,
+                                      "geometry": {"parts": [part, part]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_VALIDATION
+        assert "the parts make 8 points; a cloud has 1 to 5" in (
+            capsys.readouterr().err)
+        assert not os.path.exists(out)
+
     def test_non_integer_count_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "task": "kernel", "alpha": 2.0,

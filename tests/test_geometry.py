@@ -276,6 +276,24 @@ class TestCsvRoundTrip:
         assert ps.cell_radius == pytest.approx([0.5, 0.5, 0.5 * np.sqrt(1.01)],
                                                rel=1e-15)
 
+    def test_rows_past_the_cap_are_refused_before_the_rest_is_read(
+            self, tmp_path, monkeypatch):
+        # the non-numeric eighth row is never reached: reading stops at the
+        # sixth data row, before any array is built
+        monkeypatch.setattr(geometry, "MAX_POINTS", 5)
+        rows = [f"{k},0,0" for k in range(10)]
+        path = tmp_path / "ten.csv"
+        path.write_text("\n".join(["x0,x1,x2", *rows]) + "\n")
+        with pytest.raises(ValidationError,
+                           match="more than 5 points; a cloud has 1 to 5"):
+            geometry.load_csv(path)
+        rows[7] = "oops,0,0"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match="more than 5 points"):
+            geometry.load_csv(path)
+        path.write_text("\n".join(rows[:5]) + "\n")
+        assert len(geometry.load_csv(path)) == 5
+
     def test_malformed_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,0,0\noops,0,0\n")

@@ -10,7 +10,7 @@ import greenpot.green
 import greenpot.riesz
 import greenpot.solvers
 from greenpot import geometry
-from greenpot.balayage import sweep
+from greenpot.balayage import dirac_sweep_matrix, sweep
 from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
                            PointSet, SolverError, ValidationError)
 from greenpot.green import (build_green, frostman_excess, green_equilibrium,
@@ -142,7 +142,7 @@ class TestCertificate:
         # the Green entries are read off it
         K = riesz_of(gs)
         d, y = cfg.d_indices, cfg.y_indices
-        raw = K.block(d) - (K.block(d, y) @ gs.dirac_sweep_to_y).T
+        raw = K.block(d) - (K.block(d, y) @ dirac_sweep_matrix(K, d, y)).T
         assert gs.green.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
     def test_plain_columns_factor_no_whole_cloud(self, monkeypatch):
@@ -185,8 +185,9 @@ class TestBuild:
                              [1.0 - 1.0 / 6.0, 2.0 - 0.25]])
         assert np.allclose(gs.green.entries, expected, atol=1e-15)
         assert gs.asymmetry_residual == 0.0
-        assert np.allclose(gs.dirac_sweep_to_y[0], [1.0 / 3.0, 0.5],
-                           atol=1e-15)
+        W = dirac_sweep_matrix(riesz_of(gs), gs.cfg.d_indices,
+                               gs.cfg.y_indices)
+        assert np.allclose(W[0], [1.0 / 3.0, 0.5], atol=1e-15)
 
     def test_empty_y_degenerates_to_riesz(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -197,7 +198,8 @@ class TestBuild:
         gs = build_green(cfg)
         K = assemble_riesz(ps, 2.0)
         assert np.array_equal(gs.green.entries, K.entries)
-        assert gs.dirac_sweep_to_y.shape == (0, 3)
+        # the green task reads the build's Dirac sweep: none onto an empty Y
+        assert greenpot.green._build(cfg, 1.0)[1].shape == (0, 3)
         assert gs.asymmetry_residual == 0.0
 
     def test_empty_y_block_is_checked_once(self, monkeypatch):
@@ -231,12 +233,14 @@ class TestBuild:
         assert cap == cap_ref
 
     def test_nonempty_y_drops_the_unread_riesz_factor(self):
-        # with Y non-empty no solve reads the Green factor, and only check
-        # 9's Riesz route reads a Riesz matrix, which it assembles itself:
-        # the system keeps neither
+        # with Y non-empty no solve reads the Green factor, only check 9's
+        # Riesz route reads a Riesz matrix, which it assembles itself, and
+        # only the green task reads the Dirac sweep, which _build returns to
+        # it: the system keeps none of them
         gs = enclosure_system()
         assert gs.green.solve is None
-        assert "riesz_full" not in {field.name for field in fields(gs)}
+        names = {field.name for field in fields(gs)}
+        assert "riesz_full" not in names and "dirac_sweep_to_y" not in names
         # the route reads the kernel's entries, not its kept solve
         K = riesz_of(gs)
         bare = KernelMatrix(K.entries, K.alpha, K.dim)
@@ -317,14 +321,15 @@ class TestMemory:
         assert peak <= 1.25
 
     def test_nonempty_y_keeps_no_riesz_matrix(self):
-        # the system holds the 501 x 501 Green matrix, the 800 x 501 Dirac
-        # block and the 500 x 500 guide: about 0.53 of the cloud's matrix
+        # the system holds the 501 x 501 Green matrix and the 500 x 500
+        # guide, 0.30 of the cloud's matrix, and not the 800 x 501 Dirac
+        # block, which would take it to 0.53
         pts = np.vstack([geometry.sphere_shell(500, 1.0),
                          geometry.sphere_shell(800, 2.0, rotate=0.3),
                          [[0.0, 0.0, 0.0]]])
         held, _ = self.traced_build(pts, np.arange(500, 1300),
                                     np.arange(500), omega=1)
-        assert held <= 0.6
+        assert held <= 0.35
 
 
 class TestPotential:

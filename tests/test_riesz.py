@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -452,3 +455,83 @@ class TestKernelMemory:
         matrix = 8 * m * m
         assert peak <= 1.25 * matrix
         assert held <= 1.05 * matrix
+
+
+# A fresh interpreter assembles Riesz kernels of sphere shells at m = 2000,
+# 2000 and 2100, dropping each, and prints how far its peak RSS rose (MiB).
+# The peak is VmHWM, the high-water mark of the interpreter's own address
+# space: ru_maxrss survives exec, so in a child of a large test process it
+# starts at the parent's peak.
+_REPEATED_KERNELS = """
+from greenpot import geometry
+from greenpot.core import PointSet
+from greenpot.riesz import assemble_riesz
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+clouds = [PointSet.from_points(geometry.sphere_shell(m)) for m in (2000, 2000, 2100)]
+before = peak_kib()
+for ps in clouds:
+    K = assemble_riesz(ps, 2.0)
+    del K
+print((peak_kib() - before) / 1024)
+"""
+
+
+def _run_fresh(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greenpot.riesz.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    return proc.stdout.strip()
+
+
+class TestHeapTrim:
+    """Free heap goes back to the system before every Riesz buffer of 32 MiB
+    or more, which glibc maps on its own (riesz._trim_before_mapping)."""
+
+    @staticmethod
+    def count_trims(monkeypatch, found=True) -> list:
+        calls = []
+        trim = calls.append if found else None
+        monkeypatch.setattr(greenpot.riesz, "_malloc_trim", lambda: trim)
+        return calls
+
+    def test_a_buffer_below_32_mib_makes_no_call(self, monkeypatch):
+        calls = self.count_trims(monkeypatch)
+        ps = PointSet.from_points(geometry.sphere_shell(2047))
+        greenpot.riesz._riesz_entries(ps, 2.0, 1.0)
+        assert calls == []
+
+    def test_a_buffer_of_32_mib_makes_one_call(self, monkeypatch):
+        calls = self.count_trims(monkeypatch)
+        ps = PointSet.from_points(geometry.sphere_shell(2048))
+        greenpot.riesz._riesz_entries(ps, 2.0, 1.0)
+        assert calls == [0]
+
+    def test_a_missing_symbol_is_a_no_op(self, monkeypatch):
+        ps = PointSet.from_points(geometry.sphere_shell(2048))
+        trimmed = greenpot.riesz._riesz_entries(ps, 2.0, 1.0)
+        self.count_trims(monkeypatch, found=False)
+        bare = greenpot.riesz._riesz_entries(ps, 2.0, 1.0)
+        assert bare.tobytes() == trimmed.tobytes()
+
+    def test_import_resolves_no_symbol(self):
+        # the lookup happens on the first large kernel, never at import, so
+        # it cannot move the time an import takes
+        assert _run_fresh(
+            "import greenpot, greenpot.cli, greenpot.riesz\n"
+            "print(greenpot.riesz._malloc_trim.cache_info().currsize)") == "0"
+
+    @pytest.mark.skipif(greenpot.riesz._malloc_trim() is None,
+                        reason="the C library has no malloc_trim")
+    def test_repeated_kernels_peak_at_the_live_set(self):
+        # the freed first kernel raises glibc's mmap threshold, so the second
+        # comes from the heap; untrimmed, it stays resident beside the mapped
+        # 2100-point kernel and the peak rises 72 MiB
+        largest = 8 * 2100 ** 2 / 2 ** 20
+        assert float(_run_fresh(_REPEATED_KERNELS)) < largest + 16
