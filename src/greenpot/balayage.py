@@ -33,7 +33,12 @@ class SweepResiduals:
 @dataclass(frozen=True)
 class BalayageResult:
     """A swept measure and its diagnostics; tolerance is the projection
-    solve's feasibility tolerance (0 when the input is returned unchanged)."""
+    solve's feasibility tolerance (0 when the input is returned unchanged).
+
+    algorithm is "identity" for an input returned unchanged, "direct-solve"
+    when the solver's first free set (every index, or the free set held in
+    its factor slot) was final, and "cone-projection" otherwise.
+    """
 
     swept: DiscreteMeasure
     mass_in: float

@@ -294,6 +294,12 @@ class Scenario:
             else:
                 raise ConfigError("config.theta: 'points' or 'indices' required")
 
+        total = self.n_geometry + len(theta_rows)
+        if total > geometry.MAX_POINTS:
+            # the charge's points join the cloud, so the cap counts them
+            raise ValidationError(
+                f"config.theta.points: the cloud and the charge make {total} "
+                f"points; a cloud has 1 to {geometry.MAX_POINTS}")
         points = np.vstack([geo_points, theta_rows]) if len(theta_rows) \
             else geo_points
         if radii is not None and len(theta_rows):
@@ -596,10 +602,8 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     m_swept = fld.theta_swept.total_mass
     rep: dict = {"applicable": closed_form_applies(m_swept)}
     if rep["applicable"]:
-        # each solve starts from the support its predecessor ended on, whose
-        # factor green_f's slot then holds
         dual = dual_check(gs, fld, sol=sol)
-        exp = explicit_solution(gs, fld, dual["dual"])
+        exp = explicit_solution(gs, fld)
         c_g = exp.diagnostics["green_capacity_of_f"]
         gamma = exp.diagnostics["green_equilibrium_of_f"]
         rep["lambda_gap_norm"] = gs.distance(lam, exp.minimizer)

@@ -20,7 +20,7 @@ from .core import (DiscreteMeasure, DomainConfig, InvariantError, ValidationErro
                    _index_array, nearest_neighbor_distances,
                    validate_field_separation)
 from .green import GreenSystem, green_equilibrium, green_sweep
-from .solvers import KKTRecord, _simplex_record, simplex_qp
+from .solvers import KKTRecord, _kkt_record, simplex_qp
 
 # An F-point is boundary when an Omega-point lies within this many of its
 # nearest-F-neighbour spacings; Omega-points connect under the same rule.
@@ -94,11 +94,6 @@ def _swept_charge(gs: GreenSystem, fld: ExternalField,
     return green_sweep(gs, fld.theta, f).swept
 
 
-def _support_on(mu: DiscreteMeasure, f: np.ndarray) -> np.ndarray:
-    """Sorted positions within f of the support of mu."""
-    return np.flatnonzero(mu.weights[f])
-
-
 def _check_value_bounds(gs: GreenSystem, fld: ExternalField, w_value: float) -> None:
     # dual_field_values is -(G @ swept_d), and negation is exact
     swept_d = gs.measure_on_d(fld.theta_swept)
@@ -118,18 +113,17 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
     constant; it is cross-checked against the integral of the weighted
     potential against the minimizer, and the gap is reported. kkt.gap_bound
     bounds the squared Green distance to the true minimizer at no extra
-    cost.
+    cost. Over all of F the solve starts from the free set in green_f's
+    slot, where the last solve on F ended: after the field's sweep, that
+    sweep's final free set, close to the minimizer's (the swept charge
+    plus a multiple of the equilibrium measure).
     """
     if f is None:
         f = gs.cfg.f_indices
     f, f_pos = _f_positions(gs, f)
     G, slot = gs.block_on(f)
     b = -fld.field_values[f_pos]
-    # over all of F the minimizer is the swept charge plus c times the
-    # equilibrium measure, so the pivoting starts from the sweep's support
-    start = (_support_on(fld.theta_swept, f)
-             if np.array_equal(f, gs.cfg.f_indices) else None)
-    x, rec = simplex_qp(G, b, start=start, slot=slot)
+    x, rec = simplex_qp(G, b, slot=slot)
     if rec.mass_error > 1e-12:
         raise InvariantError(f"minimizer mass off by {rec.mass_error}")
     energy = x @ (G @ x)
@@ -149,16 +143,14 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
                          diagnostics=diagnostics)
 
 
-def explicit_solution(gs: GreenSystem, fld: ExternalField,
-                      sol: GaussSolution) -> GaussSolution:
+def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
     """Closed-form minimizer on F: swept charge plus a rescaled equilibrium measure.
 
     Valid when the charge swept onto F carries mass at most 1; the remaining
     mass is supplied by the equilibrium measure of F scaled by the constant
-    c = (1 - swept mass) / capacity. sol is a minimizer on F solved under
-    the charge's field or the swept charge's (dual_check), which share their
-    minimizer; its support holds the equilibrium measure's when c > 0, so
-    the equilibrium solve starts there.
+    c = (1 - swept mass) / capacity. The minimizer's support holds the
+    equilibrium measure's when c > 0, so after a solve on F the equilibrium
+    solve starts from the free set that solve ended on (green_equilibrium).
     """
     f = gs.cfg.f_indices
     swept = fld.theta_swept
@@ -166,7 +158,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField,
     if not closed_form_applies(m):
         raise ValidationError(
             f"swept charge mass {m} exceeds 1; the closed form does not apply")
-    c_g, gamma = green_equilibrium(gs, f, start=_support_on(sol.minimizer, f))
+    c_g, gamma = green_equilibrium(gs, f)
     c = (1.0 - m) / c_g
     lam = swept.weights + c * gamma.weights
     G = gs.green_f.entries
@@ -175,7 +167,8 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField,
     w_value = float(x @ (G @ x) - 2.0 * (b @ x))
     return GaussSolution(minimizer=DiscreteMeasure(lam), w_value=w_value,
                          c_constant=c,
-                         kkt=_simplex_record(G, b, x, c, np.min(x), 0, 0.0),
+                         kkt=_kkt_record(G, b, x, c, np.min(x), 0, 0.0,
+                                         simplex=True),
                          diagnostics={"green_capacity_of_f": c_g,
                                       "green_equilibrium_of_f": gamma})
 
@@ -185,14 +178,14 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
 
     sol is the minimizer on F under the charge's own field. In the continuum
     the two problems share minimizer, constant, and value; the report
-    carries the three observed gaps plus the swept-field solution.
+    carries the three observed gaps plus the swept-field solution. The
+    solve starts from the free set in green_f's slot, where sol ended when
+    it was the last solve on F.
     """
     f = gs.cfg.f_indices
     G, slot = gs.block_on(f)
     b_dual = -fld.dual_field_values[gs.d_positions(f)]
-    # the two problems share their minimizer in the continuum
-    x2, rec2 = simplex_qp(G, b_dual, slot=slot,
-                          start=_support_on(sol.minimizer, f))
+    x2, rec2 = simplex_qp(G, b_dual, slot=slot)
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     dual = GaussSolution(minimizer=gs.lift(x2, f), w_value=w2,
                          c_constant=rec2.multiplier, kkt=rec2, diagnostics={})

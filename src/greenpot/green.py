@@ -59,9 +59,9 @@ class GreenSystem:
 
         Built on the first solve over all of F (sweep, Gauss solve, Green
         equilibrium, dual problem). The sweep pivots on the guide and
-        factors only its final free set; through the slot each solve hands
-        the factor of the free set it ended on to the next, since these
-        solves end on nearly the same support. So the whole block is
+        factors only its final free set; through the slot each solve starts
+        from the free set the last one ended on, with its factor, since
+        these solves end on nearly the same support. So the whole block is
         factored only when a solve ends on all of F. Each factor equals, bit
         for bit, the one a solver computes for its block.
         """
@@ -179,21 +179,20 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
     return replace(res, swept=gs.lift(res.swept.weights[f_pos], f))
 
 
-def green_equilibrium(gs: GreenSystem, f,
-                      start=None) -> tuple[float, DiscreteMeasure]:
+def green_equilibrium(gs: GreenSystem, f) -> tuple[float, DiscreteMeasure]:
     """Green capacity of f and the measure with Green potential 1 on f.
 
-    start, when given, holds the sorted positions within f of the solver's
-    first free set, such as a support the caller knows to be close.
+    Over all of F the solve starts from the free set in green_f's slot,
+    where the last solve on F ended.
     """
     f = _index_array(f, len(gs.cfg.point_set), "f")
     if f.size == 0:
         raise ValidationError("equilibrium target must be nonempty")
     if np.array_equal(f, gs.cfg.f_indices):
         # sorted distinct positions covering green_f: its whole-kernel path
-        energy, x = _simplex_minimum(gs.green_f, np.arange(f.size), start)
+        energy, x = _simplex_minimum(gs.green_f, np.arange(f.size))
     else:
-        energy, x = _simplex_minimum(gs.green, gs.d_positions(f), start)
+        energy, x = _simplex_minimum(gs.green, gs.d_positions(f))
     return 1.0 / energy, gs.lift(x / energy, f)
 
 

@@ -30,9 +30,10 @@ class KernelMatrix:
 
     solve is the m x 2 solve [u v] of entries [u v] = [0 1] on the
     Cholesky factor that make_kernel's check computed, or None: the first
-    free set of a simplex solve over the whole kernel holds every index,
-    and solve replaces its factorization (solvers.simplex_qp). slot is a
-    solvers.FactorSlot that whole-kernel solves read and refill, or None.
+    free set of a simplex solve over the whole kernel holds every index
+    unless the slot holds one, and solve replaces its factorization
+    (solvers.simplex_qp). slot is a solvers.FactorSlot that whole-kernel
+    solves start from and refill, or None.
     Neither takes part in comparisons or the repr.
     """
 
@@ -174,14 +175,12 @@ def weight_norm(K: KernelMatrix, u: np.ndarray) -> float:
     return float(np.sqrt(max(float(u @ (K.entries @ u)), 0.0)))
 
 
-def _simplex_minimum(K: KernelMatrix, a: np.ndarray,
-                     start=None) -> tuple[float, np.ndarray]:
+def _simplex_minimum(K: KernelMatrix, a: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimal energy over probability measures on `a`, and the minimizer.
 
     `a` holds sorted distinct indices, so a.size == K.size means every
     point: the solve then reads the entries in place, with the kernel's own
-    solve and slot. start, when given, holds the sorted positions within
-    `a` of the first free set (simplex_qp).
+    solve and slot, and starts from the slot's free set (simplex_qp).
     """
     if a.size == 1:
         # one-point problem: the Dirac is the only probability measure
@@ -190,7 +189,7 @@ def _simplex_minimum(K: KernelMatrix, a: np.ndarray,
         A, solve, slot = K.entries, K.solve, K.slot
     else:
         A, solve, slot = K.block(a), None, None
-    x, _ = simplex_qp(A, solve=solve, start=start, slot=slot)
+    x, _ = simplex_qp(A, solve=solve, slot=slot)
     return float(x @ A @ x), x
 
 

@@ -24,23 +24,24 @@ pivot exchanges infeasible indices between F and its complement:
 Only free indices with negative weight leave F, and the free weights of
 simplex_qp sum to one, so its free set never empties. Every choice is by
 index, so repeated runs visit identical pivot sequences. The first free set
-holds every index, unless simplex_qp is handed a start: the pivoting
-converges from any first free set, so a caller that knows the support
-approximately (a swept charge, a companion problem's minimizer) starts
-there and solves fewer free sets. tol is RTOL times the larger of 1,
-max |b| and the largest diagonal entry; nonneg_qp accepts its first solve
-down to -10 tol. KKTRecord.iterations counts the free sets solved, one more
-than the number of pivots, and 40 m + 100 caps it for an m-index problem.
+holds every index, unless the solver is handed a FactorSlot holding a free
+set: the pivoting converges from any first free set, and a solve starts
+where the last solve on its matrix ended, since the problems solved on one
+matrix (a sweep, the Gauss problem, its dual, the equilibrium) end on
+nearly the same support. tol is RTOL times the larger of 1, max |b| and
+the largest diagonal entry; nonneg_qp accepts a first free set holding
+every index down to -10 tol. KKTRecord.iterations counts the free sets
+solved, one more than the number of pivots, and 40 m + 100 caps it for an
+m-index problem.
 
 Kept factors. An interior minimizer costs one factorization from the full
 set, and none when simplex_qp is handed the solve [u v] of that set, such
 as KernelMatrix.solve, which make_kernel's positive-definiteness check
 computes on its factor before restoring the entries; it serves every free
-set holding every index. Either solver may also be handed a FactorSlot of
-its matrix, which carries the final free set of the last solve on that
-matrix and its factor: a solve that reaches that free set factors nothing.
-A kept factor or solve is the one _cholesky or _solve_free gives, bit for
-bit, so it changes no result.
+set holding every index. The FactorSlot also carries the factor of the
+last solve's final free set, so a solve that starts or ends there factors
+nothing for it. A kept factor or solve is the one _cholesky or _solve_free
+gives, bit for bit, so it changes no result.
 
 Guides. A slot may also carry a guide: a factor of the matrix up to
 rounding, such as the leading block of a larger matrix's factor (_certify).
@@ -184,12 +185,13 @@ class FactorSlot:
 
     free and factor are the final free set of the last solve on the matrix
     (a boolean mask) and its _cholesky factor. A solver handed the slot
-    reads them before factoring a free set, empties them before allocating
-    a new free block, and leaves its own final free set and factor in them.
-    So solves on one matrix that end on one free set factor it once, and at
-    most one free-set factor is live. guide, fixed at construction, is a
-    factor of the matrix up to rounding (_certify) on which nonneg_qp solves
-    the free sets it pivots through (module docstring), or None.
+    starts from a copy of free, reads factor before factoring a free set,
+    empties both before allocating a new free block, and leaves its own
+    final free set and factor in them. So solves on one matrix that end on
+    one free set factor it once, and at most one free-set factor is live.
+    guide, fixed at construction, is a factor of the matrix up to rounding
+    (_certify) on which nonneg_qp solves the free sets it pivots through
+    (module docstring), or None.
     """
 
     __slots__ = ("guide", "free", "factor")
@@ -282,34 +284,33 @@ def _infeasible(A, b, x, c, free, floor, tol) -> np.ndarray:
 
 
 def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
-           start: np.ndarray | None = None,
            slot: FactorSlot | None = None) -> tuple[np.ndarray, float, float, int]:
     """Block principal pivoting (see the module docstring).
 
-    The first free set holds the positions in start, or every index when
-    start is None or empty. solve, when given, is simplex_qp's solve of a
-    free set holding every index and replaces that set's factorization and
-    solve; slot, when given, is A's FactorSlot and replaces the
-    factorization of the free set it holds. Other free sets are solved on
-    the slot's guide when nonneg_qp has one and they miss few indices, and
-    otherwise, or when the guide finds them final, factored afresh. Returns
-    the clipped minimizer, the multiplier, the most negative free weight of
-    the final solve, and the number of free sets solved.
+    slot, when given, is A's FactorSlot: the first free set is a copy of the
+    free set it holds (every index when it holds none or an empty one), and
+    its factor replaces that set's factorization. solve, when given, is
+    simplex_qp's solve of a free set holding every index and replaces that
+    set's factorization and solve. Other free sets are solved on the slot's
+    guide when nonneg_qp has one and they miss few indices, and otherwise,
+    or when the guide finds them final, factored afresh. Returns the
+    clipped minimizer, the multiplier, the most negative free weight of the
+    final solve, and the number of free sets solved.
     """
     m = b.size
     max_iter = 40 * m + 100
-    if start is None or len(start) == 0:
-        free = np.ones(m, dtype=bool)
-    else:
-        free = np.zeros(m, dtype=bool)
-        free[start] = True
+    held = None if slot is None else slot.free
+    # a copy, since the exchanges below flip the mask in place; an empty
+    # held set (a cone projection onto nothing) is no start for the simplex
+    free = held.copy() if held is not None and held.any() else np.ones(m, dtype=bool)
     best, retries = m + 1, BLOCK_RETRIES
     last = None  # the factor of the last free set solved
     guided = (_Bordered(slot.guide, b)
               if not simplex and slot is not None and slot.guide is not None
               else None)
     for iters in range(1, max_iter + 1):
-        floor = 10 * tol if iters == 1 and not simplex else tol
+        # the plain solve's fast path, never a warm first set
+        floor = 10 * tol if iters == 1 and not simplex and free.all() else tol
         uv = solve if free.all() else None
         if uv is None and slot is not None and np.array_equal(free, slot.free):
             known = slot.factor
@@ -354,8 +355,8 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
               slot: FactorSlot | None = None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A.
 
-    slot, when given, is A's FactorSlot, whose guide, if any, steers the
-    pivoting (module docstring).
+    slot, when given, is A's FactorSlot: the solve starts from its free set,
+    and its guide, if any, steers the pivoting (module docstring).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -366,25 +367,10 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
         return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
     tol = _scale_tol(b, np.diag(A), RTOL)
     x, _, min_raw, iters = _pivot(A, b, tol, simplex=False, slot=slot)
-    return x, _nonneg_record(A, b, x, min_raw, iters, tol)
-
-
-def _nonneg_record(A, b, x, min_raw, iters, tol) -> KKTRecord:
-    g = A @ x - b
-    on = x > 0
-    support_residual = float(np.max(np.abs(g[on]))) if np.any(on) else 0.0
-    off_support_slack = float(max(0.0, np.max(-g[~on]))) if np.any(~on) else 0.0
-    return KKTRecord(support_residual=support_residual,
-                     off_support_slack=off_support_slack,
-                     min_weight=min(min_raw, 0.0),
-                     mass_error=0.0,
-                     multiplier=0.0,
-                     iterations=iters,
-                     tolerance=tol)
+    return x, _kkt_record(A, b, x, 0.0, min_raw, iters, tol, simplex=False)
 
 
 def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, solve=None,
-               start=None,
                slot: FactorSlot | None = None) -> tuple[np.ndarray, KKTRecord]:
     """Minimize x'Gx - 2 b'x over the probability simplex for SPD G.
 
@@ -392,11 +378,9 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, solve=None,
     >= c elsewhere; the reported multiplier is that constant. solve, when
     given, is the m x 2 solve [u v] of G [u v] = [b 1] on the _cholesky
     factor of G (b = 0 when None; such as KernelMatrix.solve) and saves the
-    factorization of any free set holding every index. start,
-    when given, holds the sorted positions of the first free set (None or
-    empty: every index); a start near the minimizer's support saves free
-    sets and reaches the same minimizer up to rounding. slot, when given,
-    is G's FactorSlot (module docstring); its guide is not read.
+    factorization of any free set holding every index. slot, when given,
+    is G's FactorSlot: the solve starts from its free set (module
+    docstring); its guide is not read.
     """
     G = np.asarray(G, dtype=float)
     m = G.shape[0]
@@ -407,30 +391,31 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, solve=None,
         raise SolverError(f"matrix shape {G.shape} does not match rhs size {b.size}")
     if m == 0:
         raise SolverError("cannot optimize over an empty index set")
-    if start is not None:
-        start = np.asarray(start, dtype=int)
-        if start.size and (start.min() < 0 or start.max() >= m):
-            raise SolverError(f"start positions outside 0..{m - 1}")
     if solve is not None and np.shape(solve) != (m, 2):
         raise SolverError(f"solve shape {np.shape(solve)} is not ({m}, 2)")
     tol = _scale_tol(b, np.diag(G), RTOL)
-    x, c, ymin, iters = _pivot(G, b, tol, simplex=True, solve=solve,
-                               start=start, slot=slot)
-    return x, _simplex_record(G, b, x, c, ymin, iters, tol)
+    x, c, ymin, iters = _pivot(G, b, tol, simplex=True, solve=solve, slot=slot)
+    return x, _kkt_record(G, b, x, c, ymin, iters, tol, simplex=True)
 
 
-def _simplex_record(G, b, x, c, ymin, iters, tol) -> KKTRecord:
-    g = G @ x - b
+def _kkt_record(A, b, x, c, zmin, iters, tol, simplex: bool) -> KKTRecord:
+    """The KKTRecord of x with multiplier c (0 for nonneg_qp) and most
+    negative raw weight zmin; mass_error and gap_bound only for the simplex."""
+    g = A @ x - b
     on = x > 0
     support_residual = float(np.max(np.abs(g[on] - c))) if np.any(on) else 0.0
     off_support_slack = float(max(0.0, np.max(c - g[~on]))) if np.any(~on) else 0.0
-    # g.x - min g for sum(x) = 1, summed as x.(g - min g): every term is
-    # nonnegative in floating point, so the bound never rounds below zero
+    mass_error = gap_bound = 0.0
+    if simplex:
+        # g.x - min g for sum(x) = 1, summed as x.(g - min g): every term is
+        # nonnegative in floating point, so the bound never rounds below zero
+        mass_error = abs(float(x.sum()) - 1.0)
+        gap_bound = float(x @ (g - np.min(g)))
     return KKTRecord(support_residual=support_residual,
                      off_support_slack=off_support_slack,
-                     min_weight=min(float(ymin), 0.0),
-                     mass_error=abs(float(x.sum()) - 1.0),
+                     min_weight=min(float(zmin), 0.0),
+                     mass_error=mass_error,
                      multiplier=float(c),
                      iterations=iters,
                      tolerance=tol,
-                     gap_bound=float(x @ (g - np.min(g))))
+                     gap_bound=gap_bound)

@@ -149,7 +149,7 @@ def _family(seed: int) -> list[dict]:
         theta = DiscreteMeasure.from_dict(n, {n - 2: th_w[0], n - 1: th_w[1]})
         fld = external_field(gs, theta)
         sol = solve_gauss(gs, fld)
-        exp = explicit_solution(gs, fld, sol)
+        exp = explicit_solution(gs, fld)
         n_f = len(f_pts)
         full_eq = exp.diagnostics["green_equilibrium_of_f"].support.size == n_f
         instances.append({"name": f"inst{inst:02d}", "alpha": alpha,
@@ -180,7 +180,7 @@ def criterion_1(seed: int = 0) -> tuple:
     theta = DiscreteMeasure.from_dict(3, {2: 1.75})
     fld = external_field(gs, theta)
     sol = solve_gauss(gs, fld)
-    exp = explicit_solution(gs, fld, sol)
+    exp = explicit_solution(gs, fld)
     expect = np.array([0.6, 0.4])
     f_block = gs.green.block(gs.d_positions(cfg.f_indices))
     kernel_err = float(np.max(np.abs(f_block

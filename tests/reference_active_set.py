@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from greenpot.core import SolverError
-from greenpot.solvers import KKTRecord, _nonneg_record, _scale_tol, _simplex_record
+from greenpot.solvers import KKTRecord, _kkt_record, _scale_tol
 
 
 class _ActiveFactor:
@@ -116,7 +116,8 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
     z = fac.solve(b)
     if np.min(z) >= -10 * tol:
         x = np.maximum(z, 0.0)
-        return x, _nonneg_record(A, b, x, float(np.min(z)), 1, tol)
+        return x, _kkt_record(A, b, x, 0.0, float(np.min(z)), 1, tol,
+                              simplex=False)
 
     x = np.zeros(m)
     fac = _ActiveFactor(A)
@@ -181,7 +182,7 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
         min_raw = min(min_raw, float(np.min(z)))
         x[:] = 0.0
         x[np.array(fac.idx)] = np.maximum(z, 0.0)
-    return x, _nonneg_record(A, b, x, min_raw, iters, tol)
+    return x, _kkt_record(A, b, x, 0.0, min_raw, iters, tol, simplex=False)
 
 
 def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
@@ -241,13 +242,15 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
             x[:] = 0.0
             x[idx] = np.maximum(y, 0.0)
             if not np.any(pinned):
-                return x, _simplex_record(G, b, x, c, ymin, iters, tol)
+                return x, _kkt_record(G, b, x, c, ymin, iters, tol,
+                                      simplex=True)
             g = G @ x - b
             wi = np.where(pinned)[0]
             s = g[wi] - c
             smin_pos = int(np.argmin(s))
             if s[smin_pos] >= -tol:
-                return x, _simplex_record(G, b, x, c, ymin, iters, tol)
+                return x, _kkt_record(G, b, x, c, ymin, iters, tol,
+                                      simplex=True)
             j = int(wi[smin_pos])
             fac.append(j)
             pinned[j] = False

@@ -983,6 +983,24 @@ class TestErrorPaths:
             capsys.readouterr().err)
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("count, code", [(5, cli.EXIT_VALIDATION), (4, 0)],
+                             ids=["over", "at_cap"])
+    def test_theta_points_count_toward_the_cap(self, tmp_path, monkeypatch,
+                                               capsys, count, code):
+        monkeypatch.setattr(geometry, "MAX_POINTS", 5)
+        cfg = write_config(tmp_path, {
+            "task": "sweep", "alpha": 2.0,
+            "geometry": {"parts": [{"generator": "sphere_shell",
+                                    "params": {"count": count}}]},
+            "theta": {"points": [[3.0, 0.0, 0.0]], "weights": [0.5]},
+            "target": {"kind": "indices", "values": [0, 1, 2, 3]}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == code
+        if code:
+            assert "make 6 points; a cloud has 1 to 5" in (
+                capsys.readouterr().err)
+        assert os.path.exists(out) == (code == 0)
+
     def test_non_integer_count_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "task": "kernel", "alpha": 2.0,

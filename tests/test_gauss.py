@@ -136,7 +136,7 @@ class TestExplicitSolution:
     def test_matches_solver_on_hand_instance(self):
         gs, fld = field_system()
         solved = solve_gauss(gs, fld)
-        built = explicit_solution(gs, fld, solved)
+        built = explicit_solution(gs, fld)
         assert np.allclose(built.minimizer.weights, solved.minimizer.weights,
                            atol=1e-13)
         assert built.c_constant == pytest.approx(solved.c_constant, abs=1e-13)
@@ -153,14 +153,14 @@ class TestExplicitSolution:
                            atol=1e-12)
         assert abs(sol.c_constant) <= 1e-12
         assert sol.w_value == pytest.approx(-1.625, abs=1e-12)
-        built = explicit_solution(gs, fld, sol)
+        built = explicit_solution(gs, fld)
         assert np.allclose(built.minimizer.weights, sol.minimizer.weights,
                            atol=1e-12)
 
     def test_overweight_sweep_rejected(self):
         gs, fld = field_system(charge=10.0)
         with pytest.raises(ValidationError):
-            explicit_solution(gs, fld, solve_gauss(gs, fld))
+            explicit_solution(gs, fld)
 
 
 class TestDualCheck:
@@ -291,9 +291,9 @@ def assert_warm_record(warm, cold):
 class TestSolvesOverF:
     """Solves over all of F give the bytes of the same solves on the block.
 
-    The Gauss and dual solves also start from a support the run holds (the
-    swept charge's, the primal minimizer's), which changes only the number
-    of free sets solved.
+    Each solve over F also starts from the free set that the last solve on F
+    ended on (green_f's slot), which changes only the number of free sets
+    solved.
     """
 
     def test_green_f_is_the_green_block_on_f(self):
@@ -371,7 +371,8 @@ class TestFactorSlot:
         f = gs.cfg.f_indices
         fld = external_field(gs, theta)
         sol = solve_gauss(gs, fld)
-        exp = explicit_solution(gs, fld, dual_check(gs, fld, sol)["dual"])
+        dual_check(gs, fld, sol)
+        exp = explicit_solution(gs, fld)
         cap = exp.diagnostics["green_capacity_of_f"]
         gamma = exp.diagnostics["green_equilibrium_of_f"]
         assert 0 < gamma.support.size < f.size
@@ -395,7 +396,8 @@ class TestFactorSlot:
         monkeypatch.setattr(solvers, "_cholesky", cholesky)
         fld = external_field(gs, theta)
         sol = solve_gauss(gs, fld)
-        explicit_solution(gs, fld, dual_check(gs, fld, sol)["dual"])
+        dual_check(gs, fld, sol)
+        explicit_solution(gs, fld)
         # the final free sets of the sweep, the Gauss solve and the dual: the
         # guide solves the sweep's other free sets, and the equilibrium ends
         # on the dual's

@@ -78,26 +78,39 @@ def test_gap_bound_covers_distance_to_reference(make, m, seed):
     assert rec.gap_bound + slack >= d @ G @ d
     # a point off the minimizer, where both sides are far above rounding
     z = 0.5 * x_ref + 0.5 * rng.dirichlet(np.ones(m))
-    gap = solvers._simplex_record(G, b, z, 0.0, 0.0, 0, 0.0).gap_bound
+    gap = solvers._kkt_record(G, b, z, 0.0, 0.0, 0, 0.0, simplex=True).gap_bound
     d = z - x_ref
     assert gap + slack >= d @ G @ d
 
 
 def warm_start(rng, m, support, kind):
-    """Sorted start positions of the given kind against the cold support."""
+    """A factor slot holding a first free set of the given kind against the
+    cold support, and no factor."""
     others = np.setdiff1d(np.arange(m), support)
     if kind == "empty":
-        return np.zeros(0, dtype=int)
-    if kind == "single":
-        return np.array([rng.integers(m)])
-    if kind == "missing":
+        start = np.zeros(0, dtype=int)
+    elif kind == "single":
+        start = np.array([rng.integers(m)])
+    elif kind == "missing":
         # a nonempty start that leaves out at least one support index
         if support.size == 1:
-            return rng.choice(others, 1)
-        keep = rng.choice(support, int(rng.integers(1, support.size)), replace=False)
-        return np.sort(keep)
-    extra = rng.choice(others, int(rng.integers(0, others.size + 1)), replace=False)
-    return np.union1d(support, extra)
+            start = rng.choice(others, 1)
+        else:
+            start = rng.choice(support, int(rng.integers(1, support.size)),
+                               replace=False)
+    else:
+        extra = rng.choice(others, int(rng.integers(0, others.size + 1)),
+                           replace=False)
+        start = np.union1d(support, extra)
+    return held_slot(m, start)
+
+
+def held_slot(m, start):
+    """A factor slot whose free set holds the positions in start."""
+    slot = solvers.FactorSlot()
+    slot.free = np.zeros(m, dtype=bool)
+    slot.free[start] = True
+    return slot
 
 
 @pytest.mark.parametrize("kind", ["empty", "single", "missing", "superset"])
@@ -108,8 +121,8 @@ def test_start_reaches_the_cold_minimizer(kind, make, m, seed):
     rng = np.random.default_rng(seed)
     G, b = make(rng, m)
     x_cold, rec_cold = simplex_qp(G, b)
-    start = warm_start(rng, m, np.flatnonzero(x_cold), kind)
-    x, rec = simplex_qp(G, b, start=start)
+    slot = warm_start(rng, m, np.flatnonzero(x_cold), kind)
+    x, rec = simplex_qp(G, b, slot=slot)
     x_ref, _ = reference.simplex_qp(G, b)
     objective = PROBLEMS["simplex"][2]
     obj, obj_ref = objective(G, b, x), objective(G, b, x_ref)
@@ -117,6 +130,7 @@ def test_start_reaches_the_cold_minimizer(kind, make, m, seed):
     assert np.max(np.abs(x - x_ref)) <= 1e-9
     assert replace(rec, iterations=rec_cold.iterations) == rec_cold
     if kind == "empty":
+        # an empty held set is no start: the solve starts from every index
         assert rec.iterations == rec_cold.iterations
 
 
@@ -135,7 +149,7 @@ def test_start_missing_a_support_index(monkeypatch):
 
     monkeypatch.setattr(solvers, "_solve_free", spy)
     rhs = np.column_stack((np.zeros(3), np.ones(3)))
-    x, rec = simplex_qp(G, start=[0],
+    x, rec = simplex_qp(G, slot=held_slot(3, [0]),
                         solve=cho_solve(solvers._cholesky(G), rhs))
     assert [(list(free), kept) for free, kept in factors] == [
         ([True, False, False], False), ([True, True, True], True)]
@@ -145,11 +159,6 @@ def test_start_missing_a_support_index(monkeypatch):
     x_cold, rec_cold = simplex_qp(G)
     assert x.tobytes() == x_cold.tobytes()
     assert replace(rec, iterations=1) == rec_cold
-
-
-def test_start_outside_the_matrix_rejected():
-    with pytest.raises(SolverError):
-        simplex_qp(np.eye(3), start=[1, 3])
 
 
 def test_solve_of_the_wrong_shape_rejected():

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -197,9 +197,31 @@ def factored(monkeypatch):
     return sizes
 
 
+def held_slot(free):
+    """A factor slot holding the boolean free set free and no factor."""
+    slot = FactorSlot()
+    slot.free = np.array(free, dtype=bool)
+    return slot
+
+
+@pytest.fixture
+def solved_sets(monkeypatch):
+    """The free sets the solvers solve from now on, in order."""
+    sets = []
+    real = solvers._solve_free
+
+    def spy(A, b, free, *args, **kwargs):
+        sets.append(free.copy())
+        return real(A, b, free, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_solve_free", spy)
+    return sets
+
+
 class TestFactorSlot:
-    """A free set held in the slot is not factored again, and the solve
-    returns the bytes of the same solve without the slot."""
+    """A solve starts from the free set held in the slot and does not factor
+    it again; it returns the bytes of the same solve without the slot, in
+    no more free sets."""
 
     def problem(self):
         # diagonally dominant with a mixed-sign target: the cone projection
@@ -209,8 +231,8 @@ class TestFactorSlot:
         return A, rng.normal(size=12)
 
     def test_nonneg_reads_the_held_free_set(self, factored):
-        # the pivoting goes from every index, solved on the guide (here A's
-        # own factor), to the free set the slot holds
+        # the cold pivoting goes from every index, solved on the guide (here
+        # A's own factor), to the final free set; the warm solve starts there
         A, b = self.problem()
         x_ref, rec_ref = nonneg_qp(A, b)
         assert rec_ref.iterations == 2
@@ -220,33 +242,76 @@ class TestFactorSlot:
         del factored[:]
         x, rec = nonneg_qp(A, b, slot=slot)
         assert factored == []
+        assert rec.iterations == 1
+        assert same_bytes(x, replace(rec, iterations=2), x_ref, rec_ref)
+
+    def test_nonneg_solves_the_held_free_set_first(self, solved_sets):
+        A, b = self.problem()
+        held = b > 0
+        held[np.flatnonzero(held)[0]] = False  # a warm set, not the final one
+        x_ref, rec_ref = nonneg_qp(A, b)
+        del solved_sets[:]
+        slot = held_slot(held)
+        x, rec = nonneg_qp(A, b, slot=slot)
+        assert np.array_equal(solved_sets[0], held)
+        assert len(solved_sets) == rec.iterations == 2
         assert same_bytes(x, rec, x_ref, rec_ref)
+
+    def test_held_mask_not_mutated_by_pivoting(self, factored):
+        # the held set and its factor are stale for a new target: pivoting
+        # on an alias of the mask would keep matching it and read that factor
+        A, b = self.problem()
+        slot = FactorSlot()
+        nonneg_qp(A, b, slot=slot)
+        mask, before = slot.free, slot.free.copy()
+        b = np.roll(b, 3)
+        x_ref, rec_ref = nonneg_qp(A, b)
+        x, rec = nonneg_qp(A, b, slot=slot)
+        assert np.array_equal(mask, before)
+        assert slot.free is not mask and not np.array_equal(slot.free, mask)
+        assert rec.iterations > 1
+        assert same_bytes(x, replace(rec, iterations=rec_ref.iterations),
+                          x_ref, rec_ref)
+
+    def test_relaxed_floor_only_on_every_index(self):
+        # x = b on the identity: a first solve on every index accepts a
+        # weight of -5 tol (tol = 1e-12 here), a warm first set does not
+        A = np.eye(4)
+        b = np.array([1.0, 0.5, -5e-12, -1.0])
+        x, rec = nonneg_qp(A[:3, :3], b[:3])
+        assert rec.iterations == 1 and rec.min_weight == -5e-12
+        x, rec = nonneg_qp(A[:3, :3], b[:3], slot=held_slot([1, 1, 1]))
+        assert rec.iterations == 1 and rec.min_weight == -5e-12
+        # warm on {0, 1, 2}, with index 3 fixed and feasible
+        x, rec = nonneg_qp(A, b, slot=held_slot([1, 1, 1, 0]))
+        assert rec.iterations == 2 and rec.min_weight == 0.0
+        assert x.tolist() == [1.0, 0.5, 0.0, 0.0]
 
     def test_simplex_started_on_the_held_free_set(self, factored):
         A, b = self.problem()
         b *= 30.0  # targets spread wider than the unit mass can cover
         slot = FactorSlot()
         simplex_qp(A, b, slot=slot)
-        start = np.flatnonzero(slot.free)
-        assert 0 < start.size < b.size
-        x_ref, rec_ref = simplex_qp(A, b, start=start)
+        held = slot.free.copy()
+        assert 0 < np.count_nonzero(held) < b.size
+        x_ref, rec_ref = simplex_qp(A, b, slot=held_slot(held))
         assert rec_ref.iterations == 1
         del factored[:]
-        x, rec = simplex_qp(A, b, start=start, slot=slot)
+        x, rec = simplex_qp(A, b, slot=slot)
         assert factored == []
         assert same_bytes(x, rec, x_ref, rec_ref)
-        # a rolled target ends on another free set of the same size, which
-        # the slot does not serve
+        # a rolled target ends on another free set of the same size: the
+        # solve starts on the held set, reads its factor, and factors every
+        # later free set
         b = np.roll(b, 1)
-        other = FactorSlot()
-        simplex_qp(A, b, slot=other)
-        moved = np.flatnonzero(other.free)
-        assert moved.size == start.size and not np.array_equal(moved, start)
-        x_ref, rec_ref = simplex_qp(A, b, start=moved)
-        assert rec_ref.iterations == 1
+        x_ref, rec_ref = simplex_qp(A, b, slot=held_slot(held))
         del factored[:]
-        x, rec = simplex_qp(A, b, start=moved, slot=slot)
-        assert factored == [moved.size]
+        x, rec = simplex_qp(A, b, slot=slot)
+        moved = slot.free
+        assert (np.count_nonzero(moved) == np.count_nonzero(held)
+                and not np.array_equal(moved, held))
+        assert len(factored) == rec.iterations - 1
+        assert factored[-1] == np.count_nonzero(moved)
         assert same_bytes(x, rec, x_ref, rec_ref)
 
 
