@@ -16,8 +16,8 @@ from .gauss import (ExternalField, GaussSolution, dual_check,
                     solve_gauss, support_descriptor)
 from .green import (GreenSystem, build_green, frostman_excess,
                     green_equilibrium, green_sweep)
-from .riesz import (KernelMatrix, assemble_riesz, capacity,
-                    equilibrium_measure, make_kernel, potential, weight_norm)
+from .riesz import (KernelMatrix, assemble_riesz, capacity, make_kernel,
+                    potential, weight_norm)
 from .solvers import KKTRecord, nonneg_qp, simplex_qp
 
 __version__ = "1.0.0"
@@ -27,10 +27,9 @@ __all__ = [
     "GaussSolution", "GreenSystem", "InvariantError", "KKTRecord",
     "KernelMatrix", "PointSet", "SolverError", "SweepResiduals",
     "ValidationError", "assemble_riesz", "build_green", "capacity",
-    "dirac_sweep_matrix", "dual_check", "equilibrium_measure",
-    "explicit_solution", "external_field", "family_sweep", "frostman_excess",
-    "green_equilibrium", "green_sweep", "make_kernel",
-    "nearest_neighbor_distances", "nonneg_qp", "potential", "simplex_qp",
-    "solve_gauss", "support_descriptor", "sweep", "validate_field_separation",
-    "weight_norm", "__version__",
+    "dirac_sweep_matrix", "dual_check", "explicit_solution", "external_field",
+    "family_sweep", "frostman_excess", "green_equilibrium", "green_sweep",
+    "make_kernel", "nearest_neighbor_distances", "nonneg_qp", "potential",
+    "simplex_qp", "solve_gauss", "support_descriptor", "sweep",
+    "validate_field_separation", "weight_norm", "__version__",
 ]

@@ -36,7 +36,7 @@ from .green import (_build as _build_green, build_green, frostman_excess,
                     green_equilibrium)
 from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
                       write_json)
-from .riesz import assemble_riesz, capacity, equilibrium_measure, potential
+from .riesz import assemble_riesz, capacity, potential
 from .solvers import _TILE
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 EXIT_INVARIANT = 5
 
-# Tolerance of the reported first-order, unit-potential and symmetrization
+# Tolerance of the reported first-order, potential and symmetrization
 # invariants.
 RESIDUAL_TOL = 1e-8
 
@@ -56,7 +56,6 @@ _CHARGED = ("alpha", "geometry", "regions", "theta")
 _TASK_KEYS = {
     "kernel": (("alpha", "geometry"), ("sigma",)),
     "capacity": (("alpha", "geometry"), ("sigma", "target", "plots")),
-    "equilibrium": (("alpha", "geometry"), ("sigma", "target", "plots")),
     "sweep": (("alpha", "geometry", "theta", "target"), ("sigma", "plots")),
     "green": (("alpha", "geometry", "regions"), ("sigma",)),
     "gauss": (_CHARGED, ("sigma", "plots")),
@@ -519,32 +518,11 @@ def _run_capacity(sc: Scenario, art: Artifacts) -> dict:
         },
         "invariants": [
             _at_most("unit_mass", abs(mu.total_mass - 1.0), 1e-12),
+            _at_most("potential_equals_energy_on_support",
+                     float(np.max(np.abs(u[supp] - energy))),
+                     RESIDUAL_TOL * energy),
             _at_most("potential_at_least_energy_on_target",
                      float(energy - u[target].min()), RESIDUAL_TOL * energy),
-        ],
-    }
-
-
-def _run_equilibrium(sc: Scenario, art: Artifacts) -> dict:
-    K = sc.kernel()
-    target = sc.target_indices()
-    gamma = equilibrium_measure(K, target)
-    u = potential(K, gamma)
-    supp = gamma.support
-    _write_measure(art, sc.point_set, "equilibrium.csv", target, gamma,
-                   "equilibrium measure support")
-    dev = float(np.max(np.abs(u[supp] - 1.0)))
-    return {
-        "results": {
-            "capacity": gamma.total_mass, "target_size": int(target.size),
-            "support_size": int(supp.size),
-            "potential_on_support_max_deviation": dev,
-            "potential_min_on_target": float(u[target].min()),
-        },
-        "invariants": [
-            _at_most("unit_potential_on_support", dev, RESIDUAL_TOL),
-            _at_most("potential_at_least_one_on_target",
-                     float(1.0 - u[target].min()), RESIDUAL_TOL),
         ],
     }
 
@@ -689,7 +667,6 @@ def _run_support(sc: Scenario, art: Artifacts) -> dict:
 _RUNNERS = {
     "kernel": _run_kernel,
     "capacity": _run_capacity,
-    "equilibrium": _run_equilibrium,
     "sweep": _run_sweep,
     "green": _run_green,
     "gauss": _run_gauss,

@@ -1,4 +1,4 @@
-"""Riesz kernel matrices, potentials, energies, capacities, equilibrium measures.
+"""Riesz kernel matrices, potentials, energies and capacities.
 
 The kernel on an n-point cloud is the matrix |x_i - x_j|^(alpha - n) off the
 diagonal. The singular diagonal is replaced by a finite cell self-energy
@@ -6,10 +6,10 @@ diagonal. The singular diagonal is replaced by a finite cell self-energy
 definite for non-overlapping cells; positive definiteness is checked at
 assembly by a Cholesky factorization in the matrix's own buffer, whose
 entries are then restored bit for bit. Before the restore the factor gives
-the first solve of simplex solves over the whole kernel (capacity and
-equilibrium measure of every point), which the kernel keeps in place of a
-factor, so a kernel holds one m x m array. A Green build assembles the same
-entries unfactored and certifies them itself (green.build_green).
+the first solve of simplex solves over the whole kernel (the capacity of
+every point), which the kernel keeps in place of a factor, so a kernel holds
+one m x m array. A Green build assembles the same entries unfactored and
+certifies them itself (green.build_green).
 """
 
 from __future__ import annotations
@@ -194,7 +194,13 @@ def _simplex_minimum(K: KernelMatrix, a: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def capacity(K: KernelMatrix, a) -> tuple[float, DiscreteMeasure]:
-    """Reciprocal of the minimal energy over probability measures on `a`."""
+    """Capacity cap = 1/E of `a`, E the minimal energy over probability
+    measures on `a`, and the minimizer mu.
+
+    The potential of mu is E on its support and at least E on `a`, so the
+    equilibrium measure of `a` is gamma = cap * mu: potential 1 on its
+    support, at least 1 on `a`, and mass cap.
+    """
     a = _index_array(a, K.size, "a")
     if a.size == 0:
         raise ValidationError("capacity of an empty index set is undefined")
@@ -202,18 +208,3 @@ def capacity(K: KernelMatrix, a) -> tuple[float, DiscreteMeasure]:
     w = np.zeros(K.size)
     w[a] = x
     return 1.0 / energy, DiscreteMeasure(w)
-
-
-def equilibrium_measure(K: KernelMatrix, a) -> DiscreteMeasure:
-    """Measure gamma on `a` with potential 1 on its support and >= 1 on `a`.
-
-    This is the capacity minimizer rescaled by the capacity, so its total
-    mass equals the capacity whenever the potential is 1 on all of `a`.
-    """
-    a = _index_array(a, K.size, "a")
-    if a.size == 0:
-        raise ValidationError("equilibrium measure of an empty set is undefined")
-    energy, x = _simplex_minimum(K, a)
-    w = np.zeros(K.size)
-    w[a] = x / energy
-    return DiscreteMeasure(w)

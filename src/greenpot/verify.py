@@ -19,9 +19,9 @@ from scipy.spatial.distance import cdist
 from . import geometry
 from .balayage import sweep
 from .core import DiscreteMeasure, DomainConfig, PointSet
-from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
-                    explicit_solution, external_field, family_sweep,
-                    solve_gauss, support_descriptor)
+from .gauss import (PARALLELOGRAM_TOL, _support_radius, closed_form_applies,
+                    dual_check, explicit_solution, external_field,
+                    family_sweep, solve_gauss, support_descriptor)
 from .green import build_green, green_sweep
 from .reports import csv_lines
 from .riesz import (_riesz_entries, _symmetric_kernel, assemble_riesz, capacity,
@@ -401,11 +401,10 @@ def criterion_7(seed: int = 0) -> tuple:
     pts = gs.cfg.point_set.points
     for stage, member in zip(_CONE_STAGES, family):
         sol = solve_gauss(gs, fld_two, member)
-        supp = sol.minimizer.support
-        r_supp = float(np.max(np.linalg.norm(pts[supp], axis=1)))
+        r_supp = _support_radius(pts, sol.minimizer)
         radii.append(r_supp)
         rows.append(("charge_2", stage, member.size, r_supp,
-                     float(supp.size), sol.c_constant))
+                     float(sol.minimizer.support.size), sol.c_constant))
     ok_freeze = abs(radii[-1] - radii[-2]) <= 1e-12
 
     return (ok_escape and ok_track and ok_freeze,

@@ -110,16 +110,19 @@ class TestCapacityAndEquilibrium:
         assert all(inv["passed"] for inv in rep["invariants"])
 
     def test_equilibrium_hand_value(self, tmp_path):
+        # the equilibrium measure is the minimizer scaled by the capacity
         cloud = hand_cloud(tmp_path)
         cfg = write_config(tmp_path, {
-            "task": "equilibrium", "alpha": 2.0, "geometry": {"csv": cloud}})
+            "task": "capacity", "alpha": 2.0, "geometry": {"csv": cloud}})
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
-        assert rep["results"]["capacity"] == pytest.approx(0.4, rel=1e-13)
-        assert rep["results"]["potential_on_support_max_deviation"] <= 1e-12
-        rows = (tmp_path / "out" / "tables" / "equilibrium.csv").read_text().splitlines()
-        weights = sorted(float(r.split(",")[-1]) for r in rows[1:])
+        cap = rep["results"]["capacity"]
+        on_support = {r["name"]: r for r in rep["invariants"]}[
+            "potential_equals_energy_on_support"]
+        assert on_support["value"] <= 1e-12 * rep["results"]["energy"]
+        rows = (tmp_path / "out" / "tables" / "minimizer.csv").read_text().splitlines()
+        weights = sorted(cap * float(r.split(",")[-1]) for r in rows[1:])
         assert weights == pytest.approx([0.2, 0.2], abs=1e-13)
 
 
@@ -480,7 +483,7 @@ class TestFamilyTasks:
         assert res["extremal_energies"] == pytest.approx(res["c_values"],
                                                          abs=1e-12)
 
-    @pytest.mark.parametrize("task", ["truncation", "exhaustion"])
+    @pytest.mark.parametrize("task", ["truncation", "exhaustion", "equilibrium"])
     def test_replaced_tasks_are_config_errors(self, tmp_path, capsys, task):
         cfg = self.family_config(tmp_path, task)
         out = tmp_path / "out"
@@ -513,9 +516,8 @@ class TestSupportTask:
 # any report is written.
 INVARIANTS = {
     "kernel": [],
-    "capacity": ["unit_mass", "potential_at_least_energy_on_target"],
-    "equilibrium": ["unit_potential_on_support",
-                    "potential_at_least_one_on_target"],
+    "capacity": ["unit_mass", "potential_equals_energy_on_support",
+                 "potential_at_least_energy_on_target"],
     "sweep": ["projection_first_order_conditions", "mass_not_increased"],
     "green": ["symmetrization_residual"],
     "gauss": ["stationarity_on_support", "no_descent_off_support"],
@@ -538,7 +540,7 @@ def task_configs(tmp_path) -> dict:
     family = {**on_f, "family": [{"kind": "indices", "values": [0]},
                                  {"kind": "all"}]}
     bodies = {
-        "kernel": bare, "capacity": bare, "equilibrium": bare,
+        "kernel": bare, "capacity": bare,
         "sweep": {**charged, "target": {"kind": "indices", "values": [0, 1]}},
         "green": {"alpha": 2.0, "geometry": {"csv": "line.csv"},
                   "regions": {"f": {"kind": "indices", "values": [0]},
@@ -663,7 +665,6 @@ class TestReportContract:
 FOREIGN_KEYS = {
     "kernel": ("plots", False),
     "capacity": ("theta", {"points": [[-2.5, 0.0, 0.0]], "weights": [1.0]}),
-    "equilibrium": ("regions", {"f": {"kind": "all"}}),
     "sweep": ("regions", {"f": {"kind": "all"}}),
     "green": ("theta", {"points": [[-2.5, 0.0, 0.0]], "weights": [1.0]}),
     "gauss": ("seed", 0),

@@ -17,8 +17,7 @@ from greenpot import geometry
 from greenpot.core import (DiscreteMeasure, PointSet, SolverError,
                            ValidationError)
 from greenpot.riesz import (_simplex_minimum, assemble_riesz, capacity,
-                            equilibrium_measure, make_kernel, potential,
-                            weight_norm)
+                            make_kernel, potential, weight_norm)
 from greenpot.solvers import _TILE, _certify, _cholesky, simplex_qp
 
 
@@ -242,17 +241,23 @@ class TestCapacity:
         assert c_small <= c_big + 1e-10
 
 
+def equilibrium(K, a):
+    """The equilibrium measure gamma = cap * mu of capacity's minimizer mu."""
+    cap, mu = capacity(K, a)
+    return DiscreteMeasure(cap * mu.weights)
+
+
 class TestEquilibrium:
     def test_hand_interior(self):
         K = kernel_2x2([[4.0, 1.0], [1.0, 4.0]])
-        gamma = equilibrium_measure(K, [0, 1])
+        gamma = equilibrium(K, [0, 1])
         assert np.allclose(gamma.weights, [0.2, 0.2], atol=1e-12)
         assert np.allclose(potential(K, gamma), [1.0, 1.0], atol=1e-12)
         assert gamma.total_mass == pytest.approx(0.4)
 
     def test_hand_pinned(self):
         K = kernel_2x2([[1.0, 2.0], [2.0, 8.0]])
-        gamma = equilibrium_measure(K, [0, 1])
+        gamma = equilibrium(K, [0, 1])
         assert np.allclose(gamma.weights, [1.0, 0.0], atol=1e-12)
         u = potential(K, gamma)
         assert np.allclose(u, [1.0, 2.0], atol=1e-12)
@@ -260,7 +265,7 @@ class TestEquilibrium:
 
     def test_hand_asymmetric(self):
         K = kernel_2x2([[2.0, 1.0], [1.0, 3.0]])
-        gamma = equilibrium_measure(K, [0, 1])
+        gamma = equilibrium(K, [0, 1])
         assert np.allclose(gamma.weights, [0.4, 0.2], atol=1e-12)
 
     def test_mass_equals_capacity(self):
@@ -268,7 +273,7 @@ class TestEquilibrium:
         M = rng.normal(size=(6, 6))
         K = make_kernel(M @ M.T + 6 * np.eye(6), 2.0, 3)
         c, _ = capacity(K, range(6))
-        gamma = equilibrium_measure(K, range(6))
+        gamma = equilibrium(K, range(6))
         assert gamma.total_mass == pytest.approx(c, abs=1e-10)
 
     def test_weight_norm_matches_energy_norm(self):
@@ -301,7 +306,7 @@ class TestKeptFactor:
     """make_kernel's check keeps its factor's solve of the first free set of
     a whole-kernel simplex solve, not the factor."""
 
-    @pytest.mark.parametrize("solve", [capacity, equilibrium_measure])
+    @pytest.mark.parametrize("solve", [capacity])
     def test_whole_kernel_solve_factors_once(self, monkeypatch, solve):
         # the positive-definiteness check's factorization is the solve's
         # only one, and the solve reads the entries in place
@@ -437,8 +442,8 @@ class TestInPlaceCertificate:
 
 
 class TestKernelMemory:
-    @pytest.mark.parametrize("solves", [(capacity,), (capacity, equilibrium_measure)],
-                             ids=["capacity", "capacity+equilibrium"])
+    @pytest.mark.parametrize("solves", [(capacity,), (capacity, capacity)],
+                             ids=["capacity", "capacity+capacity"])
     def test_whole_kernel_solves_hold_one_matrix(self, solves):
         # the kernel holds its entries and an m x 2 solve; neither its check
         # nor a solve over every point allocates a second m x m array
