@@ -2,9 +2,10 @@
 
 A single JSON config names a task and exactly the inputs that task reads
 (`_TASK_KEYS`): a point-cloud geometry, region assignments, an external
-charge and so on. The runner executes the task and writes report.json,
-tables/*.csv (17 significant digits), and optional plots/*.svg into the
-output directory (default `out`). Files are staged in a hidden
+charge and so on. The runner executes the task and writes report.json and
+tables/*.csv (17 significant digits) into the output directory (default
+`out`); verify-all also writes the wall times of its checks to timing.json
+beside them. Files are staged in a hidden
 subdirectory of it and moved in only once report.json is written; a run that
 stops with an error (a config, validation or solver error, or a raised
 invariant error) leaves the directory as it found it.
@@ -34,8 +35,7 @@ from .gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
                     solve_gauss, support_descriptor)
 from .green import (_build as _build_green, build_green, frostman_excess,
                     green_equilibrium)
-from .reports import (SCHEMA_VERSION, line_plot, scatter_plot, write_csv,
-                      write_json)
+from .reports import SCHEMA_VERSION, write_csv, write_json
 from .riesz import assemble_riesz, capacity, potential
 from .solvers import _TILE
 
@@ -55,13 +55,12 @@ _CHARGED = ("alpha", "geometry", "regions", "theta")
 # "task". A key outside its task's row is a config error.
 _TASK_KEYS = {
     "kernel": (("alpha", "geometry"), ("sigma",)),
-    "capacity": (("alpha", "geometry"), ("sigma", "target", "plots")),
-    "sweep": (("alpha", "geometry", "theta", "target"), ("sigma", "plots")),
+    "capacity": (("alpha", "geometry"), ("sigma", "target")),
+    "sweep": (("alpha", "geometry", "theta", "target"), ("sigma",)),
     "green": (("alpha", "geometry", "regions"), ("sigma",)),
-    "gauss": (_CHARGED, ("sigma", "plots")),
-    "support": (_CHARGED, ("sigma", "plots")),
-    "family": ((*_CHARGED, "family"), ("sigma", "window", "plots")),
-    "verify-all": ((), ("seed", "criteria", "plots")),
+    "gauss": (_CHARGED, ("sigma",)),
+    "family": ((*_CHARGED, "family"), ("sigma", "window")),
+    "verify-all": ((), ("seed", "criteria")),
 }
 TASKS = tuple(_TASK_KEYS)
 
@@ -119,8 +118,6 @@ def _load_config(path: str) -> dict:
     if not _is_int(seed) or seed < 0:
         raise ConfigError(
             f"config.seed: expected a non-negative integer, got {seed!r}")
-    if not isinstance(raw.get("plots", True), bool):
-        raise ConfigError(f"config.plots: expected true or false, got {raw['plots']!r}")
     return raw
 
 
@@ -379,11 +376,9 @@ class Artifacts:
     stops with an error leaves out_dir as it found it.
     """
 
-    def __init__(self, out_dir: str, want_plots: bool):
+    def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.want_plots = want_plots
         self.tables: list[str] = []
-        self.plots: list[str] = []
         self._stage: str | None = None
         self._made_out_dir = False
 
@@ -396,12 +391,6 @@ class Artifacts:
             self._stage = tempfile.mkdtemp(prefix=".greenpot-stage-",
                                            dir=self.out_dir)
         return self._stage
-
-    def _path(self, listing: list, sub: str, name: str) -> str:
-        """Stage path of sub/name, which is added to listing."""
-        os.makedirs(os.path.join(self.stage, sub), exist_ok=True)
-        listing.append(os.path.join(sub, name))
-        return os.path.join(self.stage, sub, name)
 
     def commit(self) -> None:
         """Move the staged files into out_dir, replacing files of the same name.
@@ -426,30 +415,21 @@ class Artifacts:
                 pass
 
     def table(self, name: str, header, rows) -> None:
-        write_csv(self._path(self.tables, "tables", name), header, rows)
-
-    def line(self, name: str, series, title, xlabel, ylabel, logy=False) -> None:
-        if self.want_plots:
-            line_plot(self._path(self.plots, "plots", name), series, title,
-                      xlabel, ylabel, logy=logy)
-
-    def scatter(self, name: str, xy, values, title) -> None:
-        if self.want_plots:
-            scatter_plot(self._path(self.plots, "plots", name), xy, values, title)
+        """Stage tables/name, which is added to the tables listing."""
+        os.makedirs(os.path.join(self.stage, "tables"), exist_ok=True)
+        self.tables.append(os.path.join("tables", name))
+        write_csv(os.path.join(self.stage, "tables", name), header, rows)
 
 
 def _write_measure(art: Artifacts, ps: PointSet, name: str, indices: np.ndarray,
-                   mu: DiscreteMeasure, title: str) -> None:
-    """Table of mu on indices (index, coordinates, weight) and its support scatter.
+                   mu: DiscreteMeasure) -> None:
+    """Table of mu on indices: index, coordinates, weight.
 
     The rows are floats for write_csv's array path, which prints the integral
-    index column as integers. An empty support draws no scatter.
+    index column as integers.
     """
     art.table(name, ["index", *[f"x{k}" for k in range(ps.dim)], "weight"],
               np.column_stack((indices, ps.points[indices], mu.weights[indices])))
-    supp = mu.support
-    if supp.size:
-        art.scatter("support.svg", ps.points[supp][:, :2], mu.weights[supp], title)
 
 
 def _field_system(sc: Scenario):
@@ -506,8 +486,7 @@ def _run_capacity(sc: Scenario, art: Artifacts) -> dict:
     cap, mu = capacity(K, target)
     u = potential(K, mu)
     supp = mu.support
-    _write_measure(art, sc.point_set, "minimizer.csv", target, mu,
-                   "capacity minimizer support")
+    _write_measure(art, sc.point_set, "minimizer.csv", target, mu)
     energy = 1.0 / cap
     return {
         "results": {
@@ -532,8 +511,7 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
     theta = sc.theta_measure()
     target = sc.target_indices()
     res = sweep(K, theta, target)
-    _write_measure(art, sc.point_set, "swept.csv", target, res.swept,
-                   "swept measure support")
+    _write_measure(art, sc.point_set, "swept.csv", target, res.swept)
     body = res.to_json_dict()
     kk = res.kkt_residuals
     worst = max(kk.equality_on_support, kk.inequality_on_target)
@@ -575,8 +553,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
     sol = solve_gauss(gs, fld)
     lam = sol.minimizer
     supp = lam.support
-    _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices, lam,
-                   "weighted minimizer support")
+    _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices, lam)
     m_swept = fld.theta_swept.total_mass
     rep: dict = {"applicable": closed_form_applies(m_swept)}
     if rep["applicable"]:
@@ -606,6 +583,7 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
             "diagnostics": {**sol.diagnostics, "green_capacity_of_f": c_g,
                             "frostman_excess": frostman_excess(gs, gamma)},
             "representation": rep,
+            "support": support_descriptor(sol, cfg),
         },
         "invariants": [
             _at_most("stationarity_on_support", kkt.support_residual,
@@ -629,11 +607,6 @@ def _run_family(sc: Scenario, art: Artifacts) -> dict:
                "dist_to_swept": rep.dist_to_swept,
                "extremal_energy": rep.extremal_energies}
     art.table("family.csv", list(columns), list(zip(*columns.values())))
-    sizes = [float(s) for s in rep.sizes]
-    art.line("w_curve.svg", [("w", sizes, rep.w_values), ("c", sizes, rep.c_values)],
-             "values along nested truncations", "truncation size", "value")
-    art.line("window_mass.svg", [("window mass", sizes, rep.window_masses)],
-             "mass kept inside the fixed window", "truncation size", "mass")
     return {
         "results": {
             "direction": rep.direction, "sizes": rep.sizes,
@@ -654,16 +627,6 @@ def _run_family(sc: Scenario, art: Artifacts) -> dict:
     }
 
 
-def _run_support(sc: Scenario, art: Artifacts) -> dict:
-    cfg, gs, fld = _field_system(sc)
-    sol = solve_gauss(gs, fld)
-    desc = support_descriptor(sol, cfg)
-    _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices,
-                   sol.minimizer, "minimizer support")
-    return {"results": {"w_value": sol.w_value, "c_constant": sol.c_constant,
-                        **desc}}
-
-
 _RUNNERS = {
     "kernel": _run_kernel,
     "capacity": _run_capacity,
@@ -671,7 +634,6 @@ _RUNNERS = {
     "green": _run_green,
     "gauss": _run_gauss,
     "family": _run_family,
-    "support": _run_support,
 }
 
 
@@ -685,11 +647,6 @@ def _run_verify_all(cfg: dict, art: Artifacts) -> tuple[dict, int]:
         raise ConfigError(str(exc))
     for name, header, rows in verify.tables(results):
         art.table(name, header, rows)
-    for r in results:
-        plot = verify.PLOTS.get(r.cid)
-        series = plot.series(r) if plot else []
-        if series:
-            art.line(plot.file, series, *plot.labels, logy=plot.logy)
     body = {
         "seed": seed,
         "criteria": [
@@ -700,9 +657,12 @@ def _run_verify_all(cfg: dict, art: Artifacts) -> tuple[dict, int]:
         "all_passed": all(r.passed for r in results),
     }
     # wall-clock times differ run to run, so they stay out of report.json
-    write_json(os.path.join(art.stage, "timing.json"),
-               {"criteria": [{"id": r.cid, "runtime_s": r.runtime_s}
-                             for r in results]})
+    timing = []
+    for r in results:
+        timing.append({"id": r.cid, "runtime_s": r.runtime_s})
+        if r.family_build_s is not None:
+            timing[-1]["family_build_s"] = r.family_build_s
+    write_json(os.path.join(art.stage, "timing.json"), {"criteria": timing})
     code = EXIT_OK if body["all_passed"] else EXIT_INVARIANT
     return body, code
 
@@ -726,7 +686,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     task = cfg["task"]
-    art = Artifacts(args.out, cfg.get("plots", True))
+    art = Artifacts(args.out)
     report = {"schema_version": SCHEMA_VERSION, "task": task}
     try:
         if task == "verify-all":
@@ -752,8 +712,7 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     else:
         report.update(body)
-        report["artifacts"] = {"tables": sorted(art.tables),
-                               "plots": sorted(art.plots)}
+        report["artifacts"] = {"tables": sorted(art.tables)}
         write_json(os.path.join(art.stage, "report.json"), report)
         art.commit()
         return code

@@ -25,7 +25,7 @@ from .solvers import KKTRecord, _kkt_record, simplex_qp
 # An F-point is boundary when an Omega-point lies within this many of its
 # nearest-F-neighbour spacings; Omega-points connect under the same rule.
 ADJACENCY_FACTOR = 1.5
-# Largest excess of |lam_s - lam_t|^2 over 2 |w_s - w_t| that a nested
+# Largest excess of |lam_s - lam_t|^2 over |w_s - w_t| that a nested
 # family's pairs may show (FamilyReport.max_excess).
 PARALLELOGRAM_TOL = 1e-9
 
@@ -205,9 +205,12 @@ class FamilyReport:
     window_masses the minimizers' masses on the window (window_size points),
     dist_to_swept their distances to the charge swept onto the member, and
     extremal_energies their weighted potentials integrated against
-    themselves. parallelogram holds each pair's lhs |lam_s - lam_t|^2 and rhs
-    2 |w_s - w_t|; max_excess is the largest lhs - rhs, 0.0 for a family of
-    one member.
+    themselves. parallelogram holds each pair's lhs |lam_s - lam_t|^2, rhs
+    |w_s - w_t| and slack 2 int (U_t - c_t) dlam_s, where F_s is the smaller
+    member and U_t = G lam_t + f the weighted potential of lam_t. The three
+    satisfy lhs + slack = rhs, and the slack is at least 0 because U_t >= c_t
+    on F_t, which carries lam_s; max_excess is the largest lhs - rhs, 0.0
+    for a family of one member.
     """
 
     direction: str
@@ -286,9 +289,13 @@ def family_sweep(gs: GreenSystem, fld: ExternalField, family,
     para = []
     for i in range(len(sols)):
         for j in range(i + 1, len(sols)):
+            # F_s is the smaller member of the pair, F_t the larger
+            s, t = (i, j) if direction == "increasing" else (j, i)
             diff = lam_ds[i] - lam_ds[j]
+            u_t = G @ lam_ds[t] + fld.field_values
             para.append({"i": i, "j": j, "lhs": float(diff @ (G @ diff)),
-                         "rhs": 2.0 * abs(w[i] - w[j])})
+                         "rhs": abs(w[i] - w[j]),
+                         "slack": 2.0 * float(lam_ds[s] @ (u_t - c[t]))})
     pts = gs.cfg.point_set.points
     return FamilyReport(
         direction=direction, window_size=int(window.size), sizes=sizes,
@@ -308,7 +315,8 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
     """Split the minimizer's mass between the boundary layer of F and its interior.
 
     An F-point is boundary when some Omega-point sits within ADJACENCY_FACTOR
-    times its spacing to the nearest other F-point. The report also records
+    times its spacing to the nearest other F-point. support_fraction is the
+    share of F's points that the minimizer charges. The report also records
     whether the Omega cloud is graph-connected under the same rule, since the
     support predictions assume a connected field region.
     """
@@ -342,8 +350,8 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
         "boundary_count": int(np.count_nonzero(boundary_mask)),
         "boundary_mass_fraction": boundary_mass / total if total else 0.0,
         "interior_mass_fraction": 1.0 - boundary_mass / total if total else 0.0,
+        "support_fraction": float(np.count_nonzero(w_f) / f.size),
         "support_radius": _support_radius(pts, sol.minimizer),
         "omega_connected": bool(n_comp == 1),
         "omega_components": int(n_comp),
-        "adjacency_factor": ADJACENCY_FACTOR,
     }

@@ -59,7 +59,7 @@ _BOUNDS = {
     "3": "residuals <= 1e-8 * scale, perturbation violates >= 10x",
     "4": "w, lambda-norm and c gaps <= 1e-8",
     "5": "capacity error <= 5% and kernel error <= 2%, both decreasing",
-    "6": "w monotone and c monotone to 1e-10, parallelogram bound to 1e-9",
+    "6": "w monotone and c monotone to 1e-10, sharp law |lam_s - lam_t|^2 <= |w_s - w_t| to 1e-9",
     "7": "window mass strictly falls / tracking gap <= 1e-6 / radius frozen to 1e-12",
     "8": "boundary mass >= 0.95 at alpha 2, interior mass >= 0.5 at alpha 1",
     "9": ">= 50 instances, fixed-point 1e-10, composition 1e-8, <= 10% warnings, no hard failures",
@@ -80,6 +80,9 @@ class CriterionResult:
     runtime_s: float
     table_header: list = field(default_factory=list)
     table_rows: list = field(default_factory=list)
+    # the part of runtime_s spent building the instance family of checks
+    # 2-4, on the first of them to run in a pass
+    family_build_s: float | None = None
 
 
 def _run_check(cid: str, body, *args) -> CriterionResult:
@@ -413,40 +416,6 @@ def criterion_7(seed: int = 0) -> tuple:
             rows)
 
 
-@dataclass(frozen=True)
-class LinePlot:
-    """Column x against each (label, column) of ys on the rows of a check's table
-    whose first cell is tag; labels are the title and the two axis labels."""
-
-    file: str
-    tag: str
-    x: str
-    ys: tuple
-    labels: tuple
-    logy: bool = False
-
-    def series(self, res: CriterionResult) -> list:
-        """(label, xs, ys) triples from res's table; none if no row has the tag."""
-        rows = [row for row in res.table_rows if row[0] == self.tag]
-        col = res.table_header.index
-        return [(label, [float(row[col(self.x)]) for row in rows],
-                 [float(row[col(y)]) for row in rows])
-                for label, y in self.ys] if rows else []
-
-
-# the plots of checks 5-7, by check id
-PLOTS = {
-    "5": LinePlot("half_space_error.svg", "half_space_kernel", "size",
-                  (("max relative error", "error"),),
-                  ("half-space kernel error under densification",
-                   "reflecting cloud size", "relative error"), logy=True),
-    "6": LinePlot("truncation_values.svg", "grow", "f_size", (("w", "w"), ("c", "c")),
-                  ("values along growing truncations", "size", "value")),
-    "7": LinePlot("window_mass.svg", "charge_0.5", "stage", (("window mass", "primary"),),
-                  ("mass left in the first window, charge 0.5", "stage", "mass")),
-}
-
-
 _BALL_RADII = (0.985, 0.925, 0.84, 0.725, 0.555, 0.325)
 _BALL_COUNTS = (750, 330, 230, 160, 90, 30)
 _COLLAR_OFFSET = 0.068
@@ -478,12 +447,12 @@ def criterion_8(seed: int = 0) -> tuple:
         rows.append((alpha, n_ball, desc["boundary_count"],
                      desc["boundary_mass_fraction"],
                      desc["interior_mass_fraction"],
-                     desc["omega_connected"]))
+                     desc["support_fraction"], desc["omega_connected"]))
     return (fractions[2.0][0] >= 0.95 and fractions[1.0][1] >= 0.5,
             {"boundary_fraction_alpha2": fractions[2.0][0],
              "interior_fraction_alpha1": fractions[1.0][1]},
             ["alpha", "f_size", "boundary_count", "boundary_mass_fraction",
-             "interior_mass_fraction", "omega_connected"],
+             "interior_mass_fraction", "support_fraction", "omega_connected"],
             rows)
 
 
@@ -607,18 +576,24 @@ def _run_pass(seed: int, ids: list[str]) -> list[CriterionResult]:
     """Run the checks ids (all among 1-9, in order) as one pass.
 
     Checks 2-4 share one instance family, built by the first of them to run
-    and dropped with the pass.
+    and dropped with the pass; that check's record carries the build time.
     """
     family: list[dict] = []
+    build_s: dict[str, float] = {}
 
     def body(cid: str) -> tuple:
         if cid not in _FAMILY_CHECKS:
             return _CHECKS[cid](seed)
         if not family:
+            t0 = time.perf_counter()
             family.extend(_family(seed))
+            build_s[cid] = time.perf_counter() - t0
         return _CHECKS[cid](family)
 
-    return [_run_check(cid, body, cid) for cid in ids]
+    results = [_run_check(cid, body, cid) for cid in ids]
+    for res in results:
+        res.family_build_s = build_s.get(res.cid)
+    return results
 
 
 def tables(results: list[CriterionResult]) -> list[tuple[str, list, list]]:

@@ -66,7 +66,7 @@ class TestKernelTask:
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
-        assert rep["schema_version"] == 3
+        assert rep["schema_version"] == 4
         assert rep["task"] == "kernel"
         assert rep["results"]["diagonal_min"] == 4.0
         assert rep["results"]["off_diagonal_max"] == 1.0
@@ -236,7 +236,7 @@ class TestGaussTask:
         # and the dual starting from the primal's each solve one free set,
         # the one the sweep factored, and factor nothing.
         path = write_config(tmp_path, {
-            "task": "gauss", "alpha": 2.0, "plots": False,
+            "task": "gauss", "alpha": 2.0,
             "geometry": {"parts": [
                 {"generator": "sphere_shell",
                  "params": {"count": 60, "radius": 1.0}},
@@ -287,7 +287,7 @@ class TestGaussTask:
         # support of about 700 of the 796 ball points
         counts = [round(c / 2) for c in (750, 330, 230, 160, 90, 30)]
         path = write_config(tmp_path, {
-            "task": "gauss", "alpha": 2.0, "plots": False,
+            "task": "gauss", "alpha": 2.0,
             "geometry": {"parts": [
                 {"generator": "layered_ball",
                  "params": {"radii": [0.985, 0.925, 0.84, 0.725, 0.555, 0.325],
@@ -388,7 +388,7 @@ class TestGaussTask:
             assert os.listdir(parent) == ["out"]
         finally:
             parent.chmod(0o755)
-        assert sorted(os.listdir(out)) == ["plots", "report.json", "tables"]
+        assert sorted(os.listdir(out)) == ["report.json", "tables"]
         assert read_report(out)["artifacts"]["tables"] == ["tables/minimizer.csv"]
 
     def test_capacity_reported_without_closed_form(self, tmp_path):
@@ -414,14 +414,6 @@ class TestGaussTask:
             b1 = open(os.path.join(out1, name), "rb").read()
             b2 = open(os.path.join(out2, name), "rb").read()
             assert b1 == b2
-
-    def test_plots_disabled(self, tmp_path):
-        cfg = gauss_config(tmp_path, {"plots": False})
-        out = str(tmp_path / "out")
-        assert cli.main(["run", cfg, "--out", out]) == 0
-        rep = read_report(out)
-        assert rep["artifacts"]["plots"] == []
-        assert not os.path.exists(os.path.join(out, "plots"))
 
     def test_parts_geometry_with_region_predicates(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -470,8 +462,6 @@ class TestFamilyTasks:
                 "f_size", "w", "c", "swept_mass", "cauchy_to_final",
                 "window_mass", "support_radius", "dist_to_swept",
                 "extremal_energy"]
-        for plot in ("w_curve.svg", "window_mass.svg"):
-            assert os.path.exists(os.path.join(out, "plots", plot))
 
     def test_exhaustion_window_masses(self, tmp_path):
         cfg = self.family_config(tmp_path)
@@ -483,7 +473,8 @@ class TestFamilyTasks:
         assert res["extremal_energies"] == pytest.approx(res["c_values"],
                                                          abs=1e-12)
 
-    @pytest.mark.parametrize("task", ["truncation", "exhaustion", "equilibrium"])
+    @pytest.mark.parametrize("task", ["truncation", "exhaustion", "equilibrium",
+                                      "support"])
     def test_replaced_tasks_are_config_errors(self, tmp_path, capsys, task):
         cfg = self.family_config(tmp_path, task)
         out = tmp_path / "out"
@@ -493,21 +484,17 @@ class TestFamilyTasks:
 
 
 class TestSupportTask:
+    """The gauss report's support block."""
+
     def test_far_charge_reads_interior(self, tmp_path):
-        (tmp_path / "pair.csv").write_text(
-            "x0,x1,x2,cell_radius\n0,0,0,0.5\n1,0,0,0.5\n")
-        cfg = write_config(tmp_path, {
-            "task": "support", "alpha": 2.0,
-            "geometry": {"csv": "pair.csv"},
-            "regions": {"f": {"kind": "all"}},
-            "theta": {"points": [[-2.5, 0.0, 0.0]], "weights": [1.75]},
-        })
         out = str(tmp_path / "out")
-        assert cli.main(["run", cfg, "--out", out]) == 0
-        rep = read_report(out)
-        assert rep["results"]["boundary_count"] == 0
-        assert rep["results"]["interior_mass_fraction"] == pytest.approx(1.0)
-        assert rep["results"]["omega_connected"] is True
+        assert cli.main(["run", gauss_config(tmp_path), "--out", out]) == 0
+        support = read_report(out)["results"]["support"]
+        assert support["boundary_count"] == 0
+        assert support["interior_mass_fraction"] == pytest.approx(1.0)
+        assert support["support_fraction"] == 1.0
+        assert support["omega_connected"] is True
+        assert "adjacency_factor" not in support
 
 
 # The invariant rows of each run task. Every other property a run relies on
@@ -522,7 +509,6 @@ INVARIANTS = {
     "green": ["symmetrization_residual"],
     "gauss": ["stationarity_on_support", "no_descent_off_support"],
     "family": ["parallelogram_bound"],
-    "support": [],
 }
 
 
@@ -545,7 +531,7 @@ def task_configs(tmp_path) -> dict:
         "green": {"alpha": 2.0, "geometry": {"csv": "line.csv"},
                   "regions": {"f": {"kind": "indices", "values": [0]},
                               "y": {"kind": "indices", "values": [2]}}},
-        "gauss": on_f, "support": on_f,
+        "gauss": on_f,
         "family": family,
     }
     return {task: {"task": task, **body} for task, body in bodies.items()}
@@ -635,20 +621,40 @@ class TestReportContract:
                             and not isinstance(r[key], bool)), (task, r)
                 assert r["passed"] == (r["value"] <= r["tolerance"]), (task, r)
 
+    def test_outputs_are_the_report_and_its_tables(self, tmp_path, capsys):
+        # verify-all alone writes timing.json beside them; no task takes a
+        # plots key or writes plots
+        configs = {**task_configs(tmp_path),
+                   "verify-all": {"task": "verify-all", "criteria": ["1"]}}
+        for task, cfg in configs.items():
+            out = tmp_path / f"out_{task}"
+            assert cli.main(["run", write_config(tmp_path, cfg), "--out",
+                             str(out)]) == 0, task
+            extra = ["timing.json"] if task == "verify-all" else []
+            assert sorted(os.listdir(out)) == ["report.json", "tables",
+                                               *extra], task
+            tables = sorted(f"tables/{n}" for n in os.listdir(out / "tables"))
+            assert read_report(out)["artifacts"] == {"tables": tables}, task
+            bad = tmp_path / f"bad_{task}"
+            path = write_config(tmp_path, {**cfg, "plots": False})
+            assert cli.main(["run", path, "--out", str(bad)]) == cli.EXIT_CONFIG
+            assert "unknown field(s) ['plots']" in capsys.readouterr().err
+            assert not bad.exists()
+
     def test_each_value_is_stated_once(self, tmp_path):
         reports = self.reports(tmp_path)
         for task, rep in reports.items():
             assert sorted(rep) == ["alpha", "artifacts", "invariants", "results",
                                    "schema_version", "sigma", "task"], task
-            assert rep["schema_version"] == 3
+            assert rep["schema_version"] == 4
         # alpha and sigma live at the top level only
         assert not {"alpha", "sigma"} & set(reports["kernel"]["results"])
         assert "alpha" not in reports["green"]["results"]
         # the paper's hypotheses are measured values in results
         assert reports["family"]["results"]["theta_mass"] == 1.75
-        assert reports["support"]["results"]["omega_connected"] is True
-        assert reports["support"]["results"]["omega_components"] == 1
         res = reports["gauss"]["results"]
+        assert res["support"]["omega_connected"] is True
+        assert res["support"]["omega_components"] == 1
         assert "theta_swept_mass" not in res["diagnostics"]
         assert res["theta_swept_mass"] == pytest.approx(0.4, abs=1e-12)
         # the kkt block is the solver's record; its multiplier is c_constant
@@ -668,7 +674,6 @@ FOREIGN_KEYS = {
     "sweep": ("regions", {"f": {"kind": "all"}}),
     "green": ("theta", {"points": [[-2.5, 0.0, 0.0]], "weights": [1.0]}),
     "gauss": ("seed", 0),
-    "support": ("target", {"kind": "all"}),
     "family": ("criteria", ["1"]),
     "verify-all": ("alpha", 2.0),
 }
@@ -736,7 +741,7 @@ class TestVerifyAllCommand:
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
-        assert rep["schema_version"] == 3 and rep["seed"] == 4
+        assert rep["schema_version"] == 4 and rep["seed"] == 4
         assert rep["all_passed"]
         assert len(rep["criteria"]) == 1
         row = rep["criteria"][0]
@@ -763,7 +768,27 @@ class TestVerifyAllCommand:
             timing = json.load(fh)
         [row] = timing["criteria"]
         assert row["id"] == "1" and row["runtime_s"] >= 0.0
+        assert "family_build_s" not in row
         assert not any(n.startswith(".greenpot-stage-") for n in os.listdir(outs[0]))
+
+    def test_family_build_time_beside_its_check(self, tmp_path, monkeypatch):
+        # the first of checks 2-4 to run carries the shared family's build
+        # time, which runtime_s includes; report.json carries no time
+        records = [
+            cli.verify.CriterionResult("2", cli.verify.TITLES["2"], True, {},
+                                       0.5, family_build_s=0.4),
+            cli.verify.CriterionResult("3", cli.verify.TITLES["3"], True, {},
+                                       0.1)]
+        monkeypatch.setattr(cli.verify, "run_all", lambda seed, which: records)
+        cfg = write_config(tmp_path, {"task": "verify-all"})
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing["criteria"] == [
+            {"id": "2", "runtime_s": 0.5, "family_build_s": 0.4},
+            {"id": "3", "runtime_s": 0.1}]
+        report = (out / "report.json").read_text()
+        assert "runtime_s" not in report and "family_build_s" not in report
 
     def test_criteria_listed_in_config(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "verify-all", "criteria": ["1"]})
@@ -848,14 +873,6 @@ class TestErrorPaths:
             "target": {"kind": "indices", "values": [0]}})
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert "config.theta.indices" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("plots", ["false", 0, None])
-    def test_non_boolean_plots(self, tmp_path, capsys, plots):
-        cfg = gauss_config(tmp_path, {"plots": plots})
-        out = str(tmp_path / "out")
-        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
-        assert "config.plots" in capsys.readouterr().err
-        assert not os.path.exists(out)
 
     def test_unknown_generator(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -220,12 +220,33 @@ class TestTruncationSweep:
         assert rep.swept_masses == pytest.approx([0.35, 0.4], abs=1e-12)
         pair = rep.parallelogram[0]
         assert pair["lhs"] == pytest.approx(0.32, abs=1e-12)
-        assert pair["rhs"] == pytest.approx(0.64, abs=1e-12)
+        assert pair["rhs"] == pytest.approx(0.32, abs=1e-12)
         assert pair["lhs"] <= pair["rhs"] + 1e-12
+        assert pair["slack"] == pytest.approx(0.0, abs=1e-12)
         assert rep.max_excess == pair["lhs"] - pair["rhs"]
         assert rep.cauchy_norms[-1] == 0.0
         assert [lam.total_mass for lam in rep.minimizers] == pytest.approx(
             [1.0, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["growing", "shrinking"])
+    def test_slack_closes_the_sharp_law(self, reverse):
+        # lhs + slack = |w_s - w_t| on every pair of the hand family and of
+        # check 7's cone family at charges 0.5, 1 and 2
+        gs, fld = field_system()
+        walks = [(gs, fld, [[0], [0, 1]])]
+        cone, family, i_theta = verify._cone_system()
+        n = len(cone.cfg.point_set)
+        for charge in (0.5, 1.0, 2.0):
+            theta = DiscreteMeasure.from_dict(n, {i_theta: charge})
+            walks.append((cone, external_field(cone, theta), family))
+        for gs, fld, members in walks:
+            rep = family_sweep(gs, fld, members[::-1] if reverse else members)
+            assert rep.parallelogram
+            for pair in rep.parallelogram:
+                assert pair["lhs"] + pair["slack"] == pytest.approx(
+                    pair["rhs"], rel=0, abs=1e-12)
+                assert pair["slack"] >= -1e-12
 
     def test_one_member_family_has_no_excess(self):
         gs, fld = field_system()
@@ -488,6 +509,21 @@ class TestSupportDescriptor:
         assert rep["support_radius"] == pytest.approx(1.0)
         assert rep["omega_connected"]
         assert rep["omega_components"] == 1
+
+    @pytest.mark.parametrize("charge, expected", [(2.0, 1.0), (4.0, 1.0 / 3.0)])
+    def test_support_fraction_counts_charged_points(self, charge, expected):
+        # F is three unit-spaced points on a line, the charge 1.5 before
+        # the first: a charge of 4 pulls all the mass onto that point
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                        [-1.5, 0.0, 0.0]])
+        cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                           d_indices=np.arange(4),
+                           y_indices=np.array([], dtype=int),
+                           f_indices=np.array([0, 1, 2]), alpha=2.0)
+        gs = build_green(cfg)
+        theta = DiscreteMeasure.from_dict(4, {3: charge})
+        sol = solve_gauss(gs, external_field(gs, theta))
+        assert support_descriptor(sol, cfg)["support_fraction"] == expected
 
     def test_split_field_region_reported_disconnected(self):
         pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0],

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greenpot import reports
-from greenpot.reports import (SCHEMA_VERSION, csv_cell, csv_lines, line_plot,
-                              scatter_plot, write_csv, write_json)
+from greenpot.reports import (SCHEMA_VERSION, csv_cell, csv_lines, write_csv,
+                              write_json)
 
 
 class TestJson:
@@ -130,88 +129,3 @@ class TestCsv:
         write_csv(p1, ["i", "root"], rows)
         write_csv(p2, ["i", "root"], rows)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestPlots:
-    def test_line_plot_structure(self, tmp_path):
-        path = tmp_path / "p.svg"
-        line_plot(path, [("a", [0, 1, 2], [1.0, 0.5, 0.25]),
-                         ("b", [0, 1, 2], [2.0, 1.0, 0.5])],
-                  title="decay", xlabel="stage", ylabel="value")
-        text = path.read_text()
-        assert text.startswith("<svg")
-        assert text.rstrip().endswith("</svg>")
-        assert text.count("<polyline") == 2
-        assert "decay" in text
-
-    def test_line_plot_log_axis_and_flat_series(self, tmp_path):
-        log = tmp_path / "log.svg"
-        line_plot(log, [("e", [1, 2, 3], [1e-2, 1e-5, 1e-9])], logy=True)
-        assert "1e" in log.read_text()
-        flat = tmp_path / "flat.svg"
-        line_plot(flat, [("c", [0, 1], [3.0, 3.0])])
-        assert "<polyline" in flat.read_text()
-
-    def test_line_plot_deterministic(self, tmp_path):
-        series = [("s", np.arange(5), np.sqrt(np.arange(5) + 1.0))]
-        p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        line_plot(p1, series)
-        line_plot(p2, series)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_scatter_plot_marks_every_point(self, tmp_path):
-        path = tmp_path / "s.svg"
-        xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        scatter_plot(path, xy, [0.0, 1.0, 2.0, 3.0], title="field")
-        text = path.read_text()
-        assert text.count("<circle") == 4
-        assert "value range" in text
-
-    def test_scatter_plot_constant_values(self, tmp_path):
-        path = tmp_path / "c.svg"
-        scatter_plot(path, np.array([[0.0, 0.0], [1.0, 1.0]]), [5.0, 5.0])
-        assert path.read_text().count("<circle") == 2
-
-
-def circles_one_by_one(xy, values) -> list[str]:
-    """scatter_plot's circles formatted point by point, the way the writer
-    did before it formatted them in one pass: the byte oracle."""
-    xy = np.asarray(xy, dtype=float)
-    values = np.asarray(values, dtype=float)
-    x_lo, x_hi = float(np.min(xy[:, 0])), float(np.max(xy[:, 0]))
-    y_lo, y_hi = float(np.min(xy[:, 1])), float(np.max(xy[:, 1]))
-    v_lo, v_hi = float(np.min(values)), float(np.max(values))
-    ax = (reports._PAD, reports._W - reports._PAD, reports._H - reports._PAD,
-          reports._PAD)
-    lines = []
-    for (x, y), v in zip(xy, values):
-        t = 0.5 if v_hi == v_lo else (v - v_lo) / (v_hi - v_lo)
-        r, g, b = int(40 + 215 * t), 64, int(255 - 215 * t)
-        px = reports._map(x, x_lo, x_hi, ax[0], ax[1])
-        py = reports._map(y, y_lo, y_hi, ax[2], ax[3])
-        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
-                     f'fill="#{r:02x}{g:02x}{b:02x}"/>')
-    return lines
-
-
-class TestScatterBytes:
-    @pytest.mark.parametrize("case", ["random", "all_equal", "single_point",
-                                      "tiny_spread"])
-    def test_circles_match_the_per_point_loop(self, tmp_path, case):
-        rng = np.random.default_rng(5)
-        xy, values = {
-            "random": (rng.normal(size=(300, 2)), rng.normal(size=300)),
-            "all_equal": (rng.uniform(-2, 2, (40, 2)), np.full(40, 1.25)),
-            "single_point": (np.array([[0.4, -0.3]]), np.array([2.0])),
-            "tiny_spread": (1e-9 * rng.normal(size=(50, 2)),
-                            rng.exponential(size=50)),
-        }[case]
-        path = tmp_path / "s.svg"
-        scatter_plot(path, xy, values)
-        lines = path.read_text().splitlines()
-        assert [s for s in lines if s.startswith("<circle")] == \
-            circles_one_by_one(xy, values)
-
-    def test_non_finite_value_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="finite"):
-            scatter_plot(tmp_path / "n.svg", np.eye(2), [0.0, np.nan])

@@ -89,6 +89,9 @@ class TestSharedFamily:
         assert all(r.passed for r in results)
         assert len(solves) == 24
         assert len(equilibria) == 24
+        # the first of them builds the family, inside its own runtime
+        assert 0.0 < results[0].family_build_s < results[0].runtime_s
+        assert [r.family_build_s for r in results[1:]] == [None, None]
 
     def test_every_pass_builds_its_own_family(self, monkeypatch, tmp_path):
         # each of the 24 instances builds one Green system
@@ -159,18 +162,3 @@ class TestRerunCheck:
         assert not passed
         assert measured["byte_mismatches"] == ["criterion_01.csv"]
 
-
-class TestPlots:
-    def test_specs_read_their_checks_by_column_name(self):
-        assert sorted(verify.PLOTS) == ["5", "6", "7"]
-        res = _result("5", [("sphere_capacity", 1000, 0.99, 0.01),
-                            ("half_space_kernel", 358, 0.02, 0.02),
-                            ("half_space_kernel", 931, 0.01, 0.01)])
-        assert verify.PLOTS["5"].series(res) == [
-            ("max relative error", [358.0, 931.0], [0.02, 0.01])]
-
-    def test_no_tagged_rows_draw_nothing(self):
-        failed = verify.CriterionResult(cid="6", title=verify.TITLES["6"],
-                                        passed=False, measured={"error": "x"},
-                                        runtime_s=0.0)
-        assert verify.PLOTS["6"].series(failed) == []
