@@ -433,10 +433,8 @@ def _write_measure(art: Artifacts, ps: PointSet, name: str, indices: np.ndarray,
 
 
 def _field_system(sc: Scenario):
-    """Domain, Green system and external field of a scenario with a charge."""
-    cfg = sc.domain()
-    gs = build_green(cfg, sc.sigma)
-    return cfg, gs, external_field(gs, sc.theta_measure())
+    """External field of a scenario with a charge, on its Green system."""
+    return external_field(build_green(sc.domain(), sc.sigma), sc.theta_measure())
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +547,17 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
 
 
 def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
-    cfg, gs, fld = _field_system(sc)
-    sol = solve_gauss(gs, fld)
+    fld = _field_system(sc)
+    gs, cfg = fld.system, fld.system.cfg
+    sol = solve_gauss(fld)
     lam = sol.minimizer
     supp = lam.support
     _write_measure(art, sc.point_set, "minimizer.csv", cfg.f_indices, lam)
     m_swept = fld.theta_swept.total_mass
     rep: dict = {"applicable": closed_form_applies(m_swept)}
     if rep["applicable"]:
-        dual = dual_check(gs, fld, sol=sol)
-        exp = explicit_solution(gs, fld)
+        dual = dual_check(fld, sol=sol)
+        exp = explicit_solution(fld)
         c_g = exp.diagnostics["green_capacity_of_f"]
         gamma = exp.diagnostics["green_equilibrium_of_f"]
         rep["lambda_gap_norm"] = gs.distance(lam, exp.minimizer)
@@ -595,11 +594,11 @@ def _run_gauss(sc: Scenario, art: Artifacts) -> dict:
 
 
 def _run_family(sc: Scenario, art: Artifacts) -> dict:
-    _, gs, fld = _field_system(sc)
+    fld = _field_system(sc)
     window = None
     if "window" in sc.cfg:
         window = sc.region_indices(sc.cfg["window"], "config.window")
-    rep = family_sweep(gs, fld, sc.family_indices(), window=window)
+    rep = family_sweep(fld, sc.family_indices(), window=window)
     columns = {"f_size": rep.sizes, "w": rep.w_values, "c": rep.c_values,
                "swept_mass": rep.swept_masses, "cauchy_to_final": rep.cauchy_norms,
                "window_mass": rep.window_masses,

@@ -102,8 +102,10 @@ class PointSet:
 
 def _index_array(indices, size: int, name: str) -> np.ndarray:
     """Sorted distinct indices in 0..size-1; a float entry is truncated
-    toward zero, as int() does."""
+    toward zero, as int() does, and a boolean mask is refused."""
     raw = np.asarray(indices).ravel()
+    if raw.dtype.kind == "b":
+        raise ValidationError(f"{name} must hold indices, not a boolean mask")
     if raw.dtype.kind == "c":
         raise ValidationError(f"{name} must hold real indices")
     if raw.dtype.kind == "f":

@@ -5,6 +5,8 @@ carried by F through the functional |mu|_g^2 - 2 int U^theta_g dmu, a strictly
 convex quadratic on the simplex. The minimizer, the weighted equilibrium
 constant, the walk along a nested family (monotone values and escaping
 mass), support splits, and the dual-field consistency checks all live here.
+One ExternalField is one problem: it holds the Green system whose F it
+targets, and a family member's is built on a restricted system.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class ExternalField:
     field_values holds f = -U^theta_g on the D-points; dual_field_values the
     analogous vector for the swept charge; mass_bound is the a-priori cap
     theta(D) / rho^(n - alpha) on the field energy of any probability measure
-    on F.
+    on F. system is the Green system it was built on, whose F is the target.
     """
 
     theta: DiscreteMeasure
@@ -52,6 +54,7 @@ class ExternalField:
     dual_field_values: np.ndarray
     theta_swept: DiscreteMeasure
     mass_bound: float
+    system: GreenSystem = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -73,30 +76,13 @@ def external_field(gs: GreenSystem, theta: DiscreteMeasure) -> ExternalField:
     return ExternalField(theta=theta, rho=rho,
                          field_values=-u_theta,
                          dual_field_values=-u_swept,
-                         theta_swept=swept,
+                         theta_swept=swept, system=gs,
                          mass_bound=theta.total_mass / rho ** (n - alpha))
 
 
-def _f_positions(gs: GreenSystem, f) -> tuple[np.ndarray, np.ndarray]:
-    f = _index_array(f, len(gs.cfg.point_set), "f")
-    if f.size == 0:
-        raise ValidationError("target set must be nonempty")
-    if not np.isin(f, gs.cfg.f_indices).all():
-        raise ValidationError("target set must lie inside F")
-    return f, gs.d_positions(f)
-
-
-def _swept_charge(gs: GreenSystem, fld: ExternalField,
-                  f: np.ndarray) -> DiscreteMeasure:
-    """Theta swept onto the sorted target f, reusing the field's sweep onto F."""
-    if np.array_equal(f, gs.cfg.f_indices):
-        return fld.theta_swept
-    return green_sweep(gs, fld.theta, f).swept
-
-
-def _check_value_bounds(gs: GreenSystem, fld: ExternalField, w_value: float) -> None:
+def _check_value_bounds(fld: ExternalField, w_value: float) -> None:
     # dual_field_values is -(G @ swept_d), and negation is exact
-    swept_d = gs.measure_on_d(fld.theta_swept)
+    swept_d = fld.system.measure_on_d(fld.theta_swept)
     lower_obs = float(swept_d @ fld.dual_field_values)
     lower_mass = -2.0 * fld.mass_bound
     slack = 1e-8 * max(1.0, abs(w_value))
@@ -106,29 +92,28 @@ def _check_value_bounds(gs: GreenSystem, fld: ExternalField, w_value: float) -> 
             f"({lower_obs}, {lower_mass})")
 
 
-def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
-    """Minimize the functional over probability measures on f.
+def solve_gauss(fld: ExternalField) -> GaussSolution:
+    """Minimize the functional over probability measures on the field's F.
 
     The simplex solver's equality multiplier is the weighted equilibrium
     constant; it is cross-checked against the integral of the weighted
     potential against the minimizer, and the gap is reported. kkt.gap_bound
     bounds the squared Green distance to the true minimizer at no extra
-    cost. Over all of F the solve starts from the free set in green_f's
-    slot, where the last solve on F ended: after the field's sweep, that
-    sweep's final free set, close to the minimizer's (the swept charge
-    plus a multiple of the equilibrium measure).
+    cost. The solve starts from the free set in green_f's slot, where the
+    last solve on F ended: after the field's sweep, that sweep's final free
+    set, close to the minimizer's (the swept charge plus a multiple of the
+    equilibrium measure).
     """
-    if f is None:
-        f = gs.cfg.f_indices
-    f, f_pos = _f_positions(gs, f)
-    G, slot = gs.block_on(f)
-    b = -fld.field_values[f_pos]
-    x, rec = simplex_qp(G, b, slot=slot)
+    gs = fld.system
+    f = gs.cfg.f_indices
+    G = gs.green_f.entries
+    b = -fld.field_values[gs.d_positions(f)]
+    x, rec = simplex_qp(G, b, slot=gs.green_f.slot)
     if rec.mass_error > 1e-12:
         raise InvariantError(f"minimizer mass off by {rec.mass_error}")
     energy = x @ (G @ x)
     w_value = float(energy - 2.0 * (b @ x))
-    _check_value_bounds(gs, fld, w_value)
+    _check_value_bounds(fld, w_value)
     c_cross = float(energy - x @ b)
     field_energy = float(b @ x)
     if field_energy > fld.mass_bound + 1e-8 * max(1.0, fld.mass_bound):
@@ -143,7 +128,7 @@ def solve_gauss(gs: GreenSystem, fld: ExternalField, f=None) -> GaussSolution:
                          diagnostics=diagnostics)
 
 
-def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
+def explicit_solution(fld: ExternalField) -> GaussSolution:
     """Closed-form minimizer on F: swept charge plus a rescaled equilibrium measure.
 
     Valid when the charge swept onto F carries mass at most 1; the remaining
@@ -152,6 +137,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
     equilibrium measure's when c > 0, so after a solve on F the equilibrium
     solve starts from the free set that solve ended on (green_equilibrium).
     """
+    gs = fld.system
     f = gs.cfg.f_indices
     swept = fld.theta_swept
     m = swept.total_mass
@@ -173,7 +159,7 @@ def explicit_solution(gs: GreenSystem, fld: ExternalField) -> GaussSolution:
                                       "green_equilibrium_of_f": gamma})
 
 
-def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
+def dual_check(fld: ExternalField, sol: GaussSolution) -> dict:
     """Solve on F under the swept charge's field and compare with sol.
 
     sol is the minimizer on F under the charge's own field. In the continuum
@@ -182,10 +168,11 @@ def dual_check(gs: GreenSystem, fld: ExternalField, sol: GaussSolution) -> dict:
     solve starts from the free set in green_f's slot, where sol ended when
     it was the last solve on F.
     """
+    gs = fld.system
     f = gs.cfg.f_indices
-    G, slot = gs.block_on(f)
+    G = gs.green_f.entries
     b_dual = -fld.dual_field_values[gs.d_positions(f)]
-    x2, rec2 = simplex_qp(G, b_dual, slot=slot)
+    x2, rec2 = simplex_qp(G, b_dual, slot=gs.green_f.slot)
     w2 = float(x2 @ (G @ x2) - 2.0 * (b_dual @ x2))
     dual = GaussSolution(minimizer=gs.lift(x2, f), w_value=w2,
                          c_constant=rec2.multiplier, kkt=rec2, diagnostics={})
@@ -246,10 +233,12 @@ def _support_radius(pts: np.ndarray, mu: DiscreteMeasure) -> float:
     return float(np.max(np.linalg.norm(pts[supp], axis=1))) if supp.size else 0.0
 
 
-def family_sweep(gs: GreenSystem, fld: ExternalField, family,
-                 window=None) -> FamilyReport:
-    """Solve and sweep each member of a nested family once, in order, and
-    check the monotone-value laws.
+def family_sweep(fld: ExternalField, family, window=None) -> FamilyReport:
+    """Sweep onto and solve on each member of a nested family once, in
+    order, and check the monotone-value laws.
+
+    A member's field is built on its GreenSystem.restrict system (F's is
+    fld itself), so the member's sweep and solve share one factor slot.
 
     Along growing targets the optimal value may only fall (and the constant
     may only fall when every swept mass is at most 1); along shrinking
@@ -261,16 +250,18 @@ def family_sweep(gs: GreenSystem, fld: ExternalField, family,
     above 1 its support freezes. The report leaves interpretation to the
     caller.
     """
+    gs = fld.system
     direction = _nesting_direction(family)
     if window is None:
         window = family[0] if direction == "increasing" else family[-1]
     window = _index_array(window, len(gs.cfg.point_set), "window")
     sols, swept, sizes = [], [], []
     for member in family:
-        f, _ = _f_positions(gs, member)
-        sols.append(solve_gauss(gs, fld, f))
-        swept.append(_swept_charge(gs, fld, f))
-        sizes.append(int(f.size))
+        sub = gs.restrict(member)
+        sub_fld = fld if sub is gs else external_field(sub, fld.theta)
+        swept.append(sub_fld.theta_swept)
+        sols.append(solve_gauss(sub_fld))
+        sizes.append(int(sub.cfg.f_indices.size))
     w = [s.w_value for s in sols]
     c = [s.c_constant for s in sols]
     masses = [s.total_mass for s in swept]
@@ -325,19 +316,19 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
     omega = cfg.omega_indices
     f_pts = pts[f]
     spacing = nearest_neighbor_distances(f_pts)
-    omega_tree = cKDTree(pts[omega])
+    omega_pts = pts[omega]
+    omega_tree = cKDTree(omega_pts)
     d_to_omega, _ = omega_tree.query(f_pts, k=1)
     boundary_mask = d_to_omega <= ADJACENCY_FACTOR * spacing
     w_f = sol.minimizer.weights[f]
     total = float(w_f.sum())
     boundary_mass = float(w_f[boundary_mask].sum())
 
-    omega_pts = pts[omega]
     if omega.size > 1:
-        o_spacing = nearest_neighbor_distances(omega_pts)
+        o_spacing = omega_tree.query(omega_pts, k=2)[0][:, 1]
         # each point's list holds the point itself; connected_components
         # ignores such self-pairs
-        near = cKDTree(omega_pts).query_ball_point(
+        near = omega_tree.query_ball_point(
             omega_pts, ADJACENCY_FACTOR * o_spacing)
         rows_i = np.repeat(np.arange(omega.size), [len(n) for n in near])
         rows_j = np.concatenate(near)

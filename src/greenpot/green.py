@@ -6,7 +6,8 @@ x_j. Rows are assembled source by source and the matrix is symmetrized by
 averaging. The pre-symmetrization residual is kept; it is rounding in the
 two products (about 1e-15) unless a Dirac column falls back to the cone
 projection. With Y empty the construction degenerates to the Riesz matrix
-on D.
+on D. A system's F is the target of its Gauss problems, and
+GreenSystem.restrict gives the system of a smaller F on the same matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class GreenSystem:
     Dirac sweep onto Y (green._build returns it to the green task). guide
     is the F block of the factor that certified the build (build_green), or
     None; solves over all of F share green_f's factor slot, which carries
-    it, and every other target is factored by its solver.
+    it, and every other target is factored by its solver. A restricted
+    system (restrict) holds its own green_f and slot, with no guide.
     """
 
     cfg: DomainConfig
@@ -58,23 +60,27 @@ class GreenSystem:
         factor slot that carries the guide.
 
         Built on the first solve over all of F (sweep, Gauss solve, Green
-        equilibrium, dual problem). The sweep pivots on the guide and
-        factors only its final free set; through the slot each solve starts
-        from the free set the last one ended on, with its factor, since
-        these solves end on nearly the same support. So the whole block is
-        factored only when a solve ends on all of F. Each factor equals, bit
-        for bit, the one a solver computes for its block.
+        equilibrium, dual problem). Through the slot each solve starts from
+        the free set the last one ended on, with its factor, since these
+        solves end on nearly the same support; the sweep pivots on the
+        guide, if any. A kept factor is, bit for bit, a solver's own.
         """
         entries = self.green.block(self.d_positions(self.cfg.f_indices))
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
                             slot=FactorSlot(self.guide))
 
-    def block_on(self, f: np.ndarray) -> tuple[np.ndarray, FactorSlot | None]:
-        """Green block on the sorted target f within D, with green_f's factor
-        slot if f is F (None otherwise)."""
-        if np.array_equal(f, self.cfg.f_indices):
-            return self.green_f.entries, self.green_f.slot
-        return self.green.block(self.d_positions(f)), None
+    def restrict(self, f) -> GreenSystem:
+        """The system of the same D, Y and green matrix whose F is f, a
+        nonempty subset of F (F itself gives this system)."""
+        f = _index_array(f, len(self.cfg.point_set), "f")
+        if f.size == 0:
+            raise ValidationError("target set must be nonempty")
+        if not np.isin(f, self.cfg.f_indices).all():
+            raise ValidationError("target set must lie inside F")
+        if f.size == self.cfg.f_indices.size:
+            return self
+        return GreenSystem(replace(self.cfg, f_indices=f), self.green,
+                           self.asymmetry_residual)
 
     def measure_on_d(self, mu: DiscreteMeasure) -> np.ndarray:
         if len(mu) != len(self.cfg.point_set):
@@ -175,7 +181,10 @@ def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,
     f = _index_array(f, len(gs.cfg.point_set), "f")
     f_pos = gs.d_positions(f)
     res = _sweep(gs.green, DiscreteMeasure(gs.measure_on_d(mu)), f_pos,
-                 force_projection, lambda _: gs.block_on(f))
+                 force_projection,
+                 lambda _: ((gs.green_f.entries, gs.green_f.slot)
+                            if np.array_equal(f, gs.cfg.f_indices)
+                            else (gs.green.block(f_pos), None)))
     return replace(res, swept=gs.lift(res.swept.weights[f_pos], f))
 
 

@@ -151,19 +151,19 @@ def _family(seed: int) -> list[dict]:
         n = len(gs.cfg.point_set)
         theta = DiscreteMeasure.from_dict(n, {n - 2: th_w[0], n - 1: th_w[1]})
         fld = external_field(gs, theta)
-        sol = solve_gauss(gs, fld)
-        exp = explicit_solution(gs, fld)
+        sol = solve_gauss(fld)
+        exp = explicit_solution(fld)
         n_f = len(f_pts)
         full_eq = exp.diagnostics["green_equilibrium_of_f"].support.size == n_f
         instances.append({"name": f"inst{inst:02d}", "alpha": alpha,
-                          "gs": gs, "fld": fld, "sol": sol, "exp": exp,
+                          "fld": fld, "sol": sol, "exp": exp,
                           "full_sweep": fld.theta_swept.support.size == n_f,
                           "full_eq": full_eq})
     return instances
 
 
 def _weighted_potential(inst, sol):
-    gs = inst["gs"]
+    gs = inst["fld"].system
     f_pos = gs.d_positions(gs.cfg.f_indices)
     G = gs.green.block(f_pos)
     b = -inst["fld"].field_values[f_pos]
@@ -182,8 +182,8 @@ def criterion_1(seed: int = 0) -> tuple:
     gs = build_green(cfg)
     theta = DiscreteMeasure.from_dict(3, {2: 1.75})
     fld = external_field(gs, theta)
-    sol = solve_gauss(gs, fld)
-    exp = explicit_solution(gs, fld)
+    sol = solve_gauss(fld)
+    exp = explicit_solution(fld)
     expect = np.array([0.6, 0.4])
     f_block = gs.green.block(gs.d_positions(cfg.f_indices))
     kernel_err = float(np.max(np.abs(f_block
@@ -205,7 +205,7 @@ def criterion_1(seed: int = 0) -> tuple:
 def criterion_2(family: list[dict]) -> tuple:
     rows = []
     for inst in family:
-        gs, sol, exp = inst["gs"], inst["sol"], inst["exp"]
+        gs, sol, exp = inst["fld"].system, inst["sol"], inst["exp"]
         rel = (gs.distance(sol.minimizer, exp.minimizer)
                / max(weight_norm(gs.green, gs.measure_on_d(sol.minimizer)), 1e-300))
         c_gap = abs(sol.c_constant - exp.c_constant)
@@ -224,7 +224,7 @@ def criterion_2(family: list[dict]) -> tuple:
 def criterion_3(family: list[dict]) -> tuple:
     rows = []
     for inst in family:
-        gs, sol = inst["gs"], inst["sol"]
+        gs, sol = inst["fld"].system, inst["sol"]
         G, b, x, u = _weighted_potential(inst, sol)
         c = sol.c_constant
         scale = max(float(np.max(np.abs(u))), 1e-12)
@@ -264,7 +264,7 @@ def criterion_3(family: list[dict]) -> tuple:
 def criterion_4(family: list[dict]) -> tuple:
     rows = []
     for inst in family:
-        rep = dual_check(inst["gs"], inst["fld"], sol=inst["sol"])
+        rep = dual_check(inst["fld"], sol=inst["sol"])
         inst_ok = (rep["w_gap"] <= 1e-8 and rep["lambda_gap_norm"] <= 1e-8
                    and rep["c_gap"] <= 1e-8)
         rows.append((inst["name"], inst["alpha"], rep["w_gap"],
@@ -331,7 +331,7 @@ def criterion_6(seed: int = 0) -> tuple:
     f_idx = gs.cfg.f_indices
     xs = f_pts[:, 0]
     family = [f_idx[xs >= t] for t in (0.5, 0.0, -0.5, -2.0)]
-    walk = family_sweep(gs, fld, family)
+    walk = family_sweep(fld, family)
     para_ok = walk.max_excess <= PARALLELOGRAM_TOL
     grow = list(zip(walk.sizes, walk.w_values, walk.c_values, walk.swept_masses,
                     walk.minimizers))
@@ -379,36 +379,35 @@ def criterion_7(seed: int = 0) -> tuple:
     rows = []
 
     fld_half = external_field(gs, DiscreteMeasure.from_dict(n, {i_theta: 0.5}))
-    walk = family_sweep(gs, fld_half, family)
+    walk = family_sweep(fld_half, family)
     wm = walk.window_masses
     rows += [("charge_0.5", *r) for r in zip(_CONE_STAGES, walk.sizes, wm,
                                              walk.swept_masses, walk.support_radii)]
     ok_escape = wm[-3] > wm[-2] > wm[-1]
 
-    gaps = []
+    # one restricted system per member serves its unit-swept and charge-2
+    # problems; the rows list one charge after the other
+    track, freeze = [], []
     unit = DiscreteMeasure.from_dict(n, {i_theta: 1.0})
-    for stage, member in zip(_CONE_STAGES, family):
-        m_hat = green_sweep(gs, unit, member).mass_out
-        fld_s = external_field(
-            gs, DiscreteMeasure.from_dict(n, {i_theta: 1.0 / m_hat}))
-        sol = solve_gauss(gs, fld_s, member)
-        swept = green_sweep(gs, fld_s.theta, member).swept
-        gap = gs.distance(sol.minimizer, swept)
-        gaps.append(gap)
-        rows.append(("charge_unit_swept", stage, member.size, gap,
-                     swept.total_mass, sol.c_constant))
-    ok_track = all(g <= 1e-6 for g in gaps)
-
-    fld_two = external_field(gs, DiscreteMeasure.from_dict(n, {i_theta: 2.0}))
-    radii = []
     pts = gs.cfg.point_set.points
     for stage, member in zip(_CONE_STAGES, family):
-        sol = solve_gauss(gs, fld_two, member)
-        r_supp = _support_radius(pts, sol.minimizer)
-        radii.append(r_supp)
-        rows.append(("charge_2", stage, member.size, r_supp,
-                     float(sol.minimizer.support.size), sol.c_constant))
+        sub = gs.restrict(member)
+        m_hat = green_sweep(sub, unit, member).mass_out
+        fld_s = external_field(
+            sub, DiscreteMeasure.from_dict(n, {i_theta: 1.0 / m_hat}))
+        sol, swept = solve_gauss(fld_s), fld_s.theta_swept
+        track.append(("charge_unit_swept", stage, member.size,
+                      gs.distance(sol.minimizer, swept), swept.total_mass,
+                      sol.c_constant))
+        sol = solve_gauss(external_field(
+            sub, DiscreteMeasure.from_dict(n, {i_theta: 2.0})))
+        freeze.append(("charge_2", stage, member.size,
+                       _support_radius(pts, sol.minimizer),
+                       float(sol.minimizer.support.size), sol.c_constant))
+    gaps, radii = [r[3] for r in track], [r[3] for r in freeze]
+    ok_track = all(g <= 1e-6 for g in gaps)
     ok_freeze = abs(radii[-1] - radii[-2]) <= 1e-12
+    rows += track + freeze
 
     return (ok_escape and ok_track and ok_freeze,
             {"window_masses": wm, "tracking_gaps": gaps, "support_radii": radii},
@@ -440,7 +439,7 @@ def criterion_8(seed: int = 0) -> tuple:
         gs = build_green(cfg)
         theta = DiscreteMeasure.from_dict(len(pts), {len(pts) - 1: 0.5})
         fld = external_field(gs, theta)
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         desc = support_descriptor(sol, cfg)
         fractions[alpha] = (desc["boundary_mass_fraction"],
                             desc["interior_mass_fraction"])

@@ -660,8 +660,7 @@ class TestReportContract:
         # the kkt block is the solver's record; its multiplier is c_constant
         with open(tmp_path / "gauss.json") as fh:
             sc = cli.Scenario(json.load(fh), str(tmp_path))
-        _, gs, fld = cli._field_system(sc)
-        kkt = asdict(solve_gauss(gs, fld).kkt)
+        kkt = asdict(solve_gauss(cli._field_system(sc)).kkt)
         assert res["c_constant"] == kkt.pop("multiplier")
         assert res["kkt"] == kkt
 

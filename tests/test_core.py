@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import greenpot.core
+from greenpot import geometry
+from greenpot.balayage import sweep
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
                            ValidationError, _index_array,
                            nearest_neighbor_distances, validate_field_separation)
+from greenpot.green import build_green, green_sweep
+from greenpot.riesz import assemble_riesz, capacity
+
+# a boolean mask over a four-point cloud
+MASK = np.array([True, False, True, True])
 
 
 def two_point_cloud():
@@ -86,7 +93,7 @@ class TestIndexArray:
         (np.array([5, 0, 5], dtype=np.int32), [0, 5]),
         ([[1, 2], [2, 0]], [0, 1, 2]),
         ([0.0, 2.7, 2.2, -0.5], [0, 2]),
-        (np.array([True, False]), [0, 1]),
+        (np.array([1, 0], dtype=np.uint8), [0, 1]),
         (4, [4]),
         ([], [])])
     def test_sorted_distinct_and_truncated(self, indices, expected):
@@ -96,10 +103,27 @@ class TestIndexArray:
 
     @pytest.mark.parametrize("indices", [
         [0, np.nan], [np.inf], [1.0, -np.inf], [10], [-1], [-1.5], [1e20],
-        [2 ** 70], [1 + 0j]])
+        [2 ** 70], [1 + 0j], np.array([True, False])])
     def test_invalid_entries_raise(self, indices):
         with pytest.raises(ValidationError, match="q "):
             _index_array(indices, 10, "q")
+
+    @pytest.mark.parametrize("call", [
+        lambda ps, gs: capacity(assemble_riesz(ps, 2.0), MASK),
+        lambda ps, gs: sweep(assemble_riesz(ps, 2.0),
+                             DiscreteMeasure.from_dict(4, {1: 1.0}), MASK),
+        lambda ps, gs: DomainConfig(ps, range(4), [], MASK, 2.0),
+        lambda ps, gs: green_sweep(gs, DiscreteMeasure.from_dict(4, {3: 1.0}),
+                                   MASK),
+        lambda ps, gs: gs.restrict(MASK)],
+        ids=["capacity", "sweep", "domain_config", "green_sweep", "restrict"])
+    def test_boolean_mask_rejected(self, call):
+        # read as integers the mask would name {0, 1}, where np.flatnonzero
+        # names {0, 2, 3}
+        ps = PointSet.from_points(geometry.sphere_shell(4, 1.0))
+        gs = build_green(DomainConfig(ps, range(4), [], [0, 1, 2], 2.0))
+        with pytest.raises(ValidationError, match="boolean mask"):
+            call(ps, gs)
 
 
 class TestDiscreteMeasure:

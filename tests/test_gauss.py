@@ -47,6 +47,13 @@ class TestExternalField:
         assert np.allclose(fld.theta_swept.weights, [0.3, 0.1, 0.0],
                            atol=1e-14)
 
+    def test_field_carries_its_system(self):
+        # every solve on the field reads the system it was built on
+        gs, fld = field_system()
+        assert fld.system is gs
+        assert "system" not in repr(fld)
+        assert replace(fld, system=None) == fld
+
     def test_charge_on_f_rejected(self):
         gs, _ = field_system()
         with pytest.raises(ValidationError):
@@ -56,7 +63,7 @@ class TestExternalField:
 class TestSolveGauss:
     def test_hand_minimizer(self):
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         assert np.allclose(sol.minimizer.weights, [0.6, 0.4, 0.0], atol=1e-12)
         assert sol.c_constant == pytest.approx(0.9, abs=1e-12)
         assert sol.w_value == pytest.approx(0.28, abs=1e-12)
@@ -67,13 +74,13 @@ class TestSolveGauss:
 
     def test_objective_agrees_with_functional(self):
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         assert gauss_value(gs, fld, sol.minimizer) == pytest.approx(
             sol.w_value, abs=1e-13)
 
     def test_minimizer_beats_competitors(self):
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         dirac = DiscreteMeasure.from_dict(3, {0: 1.0})
         assert gauss_value(gs, fld, dirac) == pytest.approx(0.6, abs=1e-13)
         assert sol.w_value < gauss_value(gs, fld, dirac)
@@ -92,14 +99,15 @@ class TestSolveGauss:
         monkeypatch.setattr(greenpot.gauss, "simplex_qp", off)
         if raises:
             with pytest.raises(InvariantError, match="minimizer mass off by"):
-                solve_gauss(gs, fld)
+                solve_gauss(fld)
         else:
-            assert solve_gauss(gs, fld).kkt.mass_error == mass_error
+            assert solve_gauss(fld).kkt.mass_error == mass_error
 
     def test_target_outside_f_rejected(self):
-        gs, fld = field_system()
-        with pytest.raises(ValidationError):
-            solve_gauss(gs, fld, f=[2])
+        # a smaller target is the problem on a restricted system
+        gs, _ = field_system()
+        with pytest.raises(ValidationError, match="inside F"):
+            gs.restrict([2])
 
     def test_random_instances_beat_sampled_measures(self):
         rng = np.random.default_rng(5)
@@ -115,7 +123,7 @@ class TestSolveGauss:
             theta = DiscreteMeasure.from_dict(
                 42, {40: rng.uniform(0.1, 2.0), 41: rng.uniform(0.1, 2.0)})
             fld = external_field(gs, theta)
-            sol = solve_gauss(gs, fld)
+            sol = solve_gauss(fld)
             samples = rng.dirichlet(np.ones(40), size=200)
             for s in samples:
                 w = np.zeros(42)
@@ -125,7 +133,7 @@ class TestSolveGauss:
 
     def test_multiplier_equals_extremal_energy(self):
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         lam_d = gs.measure_on_d(sol.minimizer)
         extremal = float(lam_d @ (gs.green.entries @ lam_d)
                          + fld.field_values @ lam_d)
@@ -135,8 +143,8 @@ class TestSolveGauss:
 class TestExplicitSolution:
     def test_matches_solver_on_hand_instance(self):
         gs, fld = field_system()
-        solved = solve_gauss(gs, fld)
-        built = explicit_solution(gs, fld)
+        solved = solve_gauss(fld)
+        built = explicit_solution(fld)
         assert np.allclose(built.minimizer.weights, solved.minimizer.weights,
                            atol=1e-13)
         assert built.c_constant == pytest.approx(solved.c_constant, abs=1e-13)
@@ -148,25 +156,25 @@ class TestExplicitSolution:
         # charge scaled so its sweep onto F carries exactly mass one; the
         # minimizer then is the swept charge and the constant vanishes
         gs, fld = field_system(charge=4.375)
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         assert np.allclose(sol.minimizer.weights, [0.75, 0.25, 0.0],
                            atol=1e-12)
         assert abs(sol.c_constant) <= 1e-12
         assert sol.w_value == pytest.approx(-1.625, abs=1e-12)
-        built = explicit_solution(gs, fld)
+        built = explicit_solution(fld)
         assert np.allclose(built.minimizer.weights, sol.minimizer.weights,
                            atol=1e-12)
 
     def test_overweight_sweep_rejected(self):
         gs, fld = field_system(charge=10.0)
         with pytest.raises(ValidationError):
-            explicit_solution(gs, fld)
+            explicit_solution(fld)
 
 
 class TestDualCheck:
     def test_hand_instance_gaps_vanish(self):
         gs, fld = field_system()
-        rep = dual_check(gs, fld, solve_gauss(gs, fld))
+        rep = dual_check(fld, solve_gauss(fld))
         assert rep["w_gap"] <= 1e-12
         assert rep["lambda_gap_norm"] <= 1e-7
         assert rep["c_gap"] <= 1e-12
@@ -180,7 +188,7 @@ class TestLambdaClass:
         # F, the minimizer has the pointwise-smallest weighted potential on D
         # and the smallest energy norm
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         f_pos = gs.d_positions(gs.cfg.f_indices)
 
         def weighted(mu):
@@ -212,7 +220,7 @@ WALK_WINDOWS = [pytest.param(None, id="truncation_sweep"),
 class TestTruncationSweep:
     def test_growing_family_hand_values(self):
         gs, fld = field_system()
-        rep = family_sweep(gs, fld, [[0], [0, 1]])
+        rep = family_sweep(fld, [[0], [0, 1]])
         assert rep.direction == "increasing"
         assert rep.sizes == [1, 2]
         assert rep.w_values == pytest.approx([0.6, 0.28], abs=1e-12)
@@ -234,14 +242,14 @@ class TestTruncationSweep:
         # lhs + slack = |w_s - w_t| on every pair of the hand family and of
         # check 7's cone family at charges 0.5, 1 and 2
         gs, fld = field_system()
-        walks = [(gs, fld, [[0], [0, 1]])]
+        walks = [(fld, [[0], [0, 1]])]
         cone, family, i_theta = verify._cone_system()
         n = len(cone.cfg.point_set)
         for charge in (0.5, 1.0, 2.0):
             theta = DiscreteMeasure.from_dict(n, {i_theta: charge})
-            walks.append((cone, external_field(cone, theta), family))
-        for gs, fld, members in walks:
-            rep = family_sweep(gs, fld, members[::-1] if reverse else members)
+            walks.append((external_field(cone, theta), family))
+        for fld, members in walks:
+            rep = family_sweep(fld, members[::-1] if reverse else members)
             assert rep.parallelogram
             for pair in rep.parallelogram:
                 assert pair["lhs"] + pair["slack"] == pytest.approx(
@@ -250,25 +258,25 @@ class TestTruncationSweep:
 
     def test_one_member_family_has_no_excess(self):
         gs, fld = field_system()
-        rep = family_sweep(gs, fld, [[0, 1]])
+        rep = family_sweep(fld, [[0, 1]])
         assert rep.parallelogram == [] and rep.max_excess == 0.0
 
     def test_shrinking_family_direction(self):
         gs, fld = field_system()
-        rep = family_sweep(gs, fld, [[0, 1], [0]])
+        rep = family_sweep(fld, [[0, 1], [0]])
         assert rep.direction == "decreasing"
         assert rep.w_values == pytest.approx([0.28, 0.6], abs=1e-12)
 
     def test_non_nested_family_rejected(self):
         gs, fld = field_system()
         with pytest.raises(ValidationError):
-            family_sweep(gs, fld, [[0], [1]])
+            family_sweep(fld, [[0], [1]])
 
     @pytest.mark.parametrize("window", WALK_WINDOWS)
     def test_empty_family_rejected(self, window):
         gs, fld = field_system()
         with pytest.raises(ValidationError, match="family must be nonempty"):
-            family_sweep(gs, fld, [], window=window)
+            family_sweep(fld, [], window=window)
 
     @pytest.mark.parametrize("family, w, message", [
         ([[0], [0, 1]], [0.6, 0.6 + 2e-10], "rose along a growing family"),
@@ -285,10 +293,10 @@ class TestTruncationSweep:
         monkeypatch.setattr(greenpot.gauss, "solve_gauss",
                             lambda *args: replace(real(*args), w_value=next(values)))
         if message is None:
-            assert family_sweep(gs, fld, family).w_values == w
+            assert family_sweep(fld, family).w_values == w
         else:
             with pytest.raises(InvariantError, match=message):
-                family_sweep(gs, fld, family)
+                family_sweep(fld, family)
 
 
 def shell_system():
@@ -340,11 +348,11 @@ class TestSolvesOverF:
         assert swept.tobytes() == nonneg_qp(G, u_theta[f_pos])[0].tobytes()
 
         fld = external_field(gs, theta)
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         x, rec = simplex_qp(G, -fld.field_values[f_pos])
         assert sol.minimizer.weights[f].tobytes() == x.tobytes()
         assert_warm_record(sol.kkt, rec)
-        dual = dual_check(gs, fld, sol=sol)["dual"]
+        dual = dual_check(fld, sol=sol)["dual"]
         x, rec = simplex_qp(G, -fld.dual_field_values[f_pos])
         assert dual.minimizer.weights[f].tobytes() == x.tobytes()
         assert_warm_record(dual.kkt, rec)
@@ -391,9 +399,9 @@ class TestFactorSlot:
         gs, theta = system()
         f = gs.cfg.f_indices
         fld = external_field(gs, theta)
-        sol = solve_gauss(gs, fld)
-        dual_check(gs, fld, sol)
-        exp = explicit_solution(gs, fld)
+        sol = solve_gauss(fld)
+        dual_check(fld, sol)
+        exp = explicit_solution(fld)
         cap = exp.diagnostics["green_capacity_of_f"]
         gamma = exp.diagnostics["green_equilibrium_of_f"]
         assert 0 < gamma.support.size < f.size
@@ -416,9 +424,9 @@ class TestFactorSlot:
 
         monkeypatch.setattr(solvers, "_cholesky", cholesky)
         fld = external_field(gs, theta)
-        sol = solve_gauss(gs, fld)
-        dual_check(gs, fld, sol)
-        explicit_solution(gs, fld)
+        sol = solve_gauss(fld)
+        dual_check(fld, sol)
+        explicit_solution(fld)
         # the final free sets of the sweep, the Gauss solve and the dual: the
         # guide solves the sweep's other free sets, and the equilibrium ends
         # on the dual's
@@ -439,18 +447,40 @@ class TestFamilySweeps:
             return green_sweep(gs, mu, f, **kwargs)
 
         monkeypatch.setattr(greenpot.gauss, "green_sweep", counting)
-        rep = family_sweep(gs, fld, [[0], [0, 1]], window=window)
+        rep = family_sweep(fld, [[0], [0, 1]], window=window)
         assert targets == [[0]]
         assert rep.swept_masses[-1] == \
             green_sweep(gs, fld.theta, [0, 1]).swept.total_mass
+
+    def test_member_sweep_and_solve_share_one_factor(self, monkeypatch):
+        # each smaller member is swept onto and then solved on its
+        # restricted system: under this charge both end on the whole
+        # member, which is factored once, and the solve on F starts from
+        # the field's sweep in green_f's slot
+        gs = shell_system()
+        fld = external_field(gs, DiscreteMeasure.from_dict(83, {51: 0.5}))
+        xs = gs.cfg.point_set.points[:50, 0]
+        family = [np.flatnonzero(xs >= t) for t in (0.5, 0.0, -2.0)]
+        blocks = []
+        real = solvers._cholesky
+
+        def cholesky(block, *args, **kwargs):
+            blocks.append(block.tobytes())
+            return real(block, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_cholesky", cholesky)
+        family_sweep(fld, family)
+        assert len(blocks) == len(family) - 1
+        assert blocks == [gs.green.block(gs.d_positions(m)).tobytes()
+                          for m in family[:-1]]
 
     def test_repeated_indices_count_once(self):
         # a member is solved as its sorted, deduplicated index set, and the
         # report holds that set's size and the swept measure's total mass
         gs, fld = field_system()
-        rep = family_sweep(gs, fld, [[0, 0], [1, 0, 1]])
+        rep = family_sweep(fld, [[0, 0], [1, 0, 1]])
         assert rep.sizes == [1, 2]
-        assert rep == family_sweep(gs, fld, [[0], [0, 1]])
+        assert rep == family_sweep(fld, [[0], [0, 1]])
 
     def test_reversed_family_is_the_walk_reversed(self):
         # check 6 reads its shrinking rows off the growing walk on this premise
@@ -459,8 +489,8 @@ class TestFamilySweeps:
         fld = external_field(gs, DiscreteMeasure.from_dict(n, {51: 0.5, 52: 0.3}))
         xs = gs.cfg.point_set.points[:50, 0]
         family = [np.flatnonzero(xs >= t) for t in (0.5, 0.0, -2.0)]
-        grow = family_sweep(gs, fld, family)
-        shrink = family_sweep(gs, fld, family[::-1])
+        grow = family_sweep(fld, family)
+        shrink = family_sweep(fld, family[::-1])
         assert shrink.direction == "decreasing"
         assert shrink.w_values == grow.w_values[::-1]
         assert shrink.c_values == grow.c_values[::-1]
@@ -476,7 +506,7 @@ class TestFamilySweeps:
         gs, family, i_theta = verify._cone_system()
         n = len(gs.cfg.point_set)
         fld = external_field(gs, DiscreteMeasure.from_dict(n, {i_theta: charge}))
-        rep = family_sweep(gs, fld, family)
+        rep = family_sweep(fld, family)
         assert rep.direction == "increasing"
         assert rep.window_size == family[0].size
         assert rep.max_excess <= PARALLELOGRAM_TOL
@@ -485,7 +515,7 @@ class TestFamilySweeps:
 class TestExhaustionProbe:
     def test_stage_rows_and_multiplier_identity(self):
         gs, fld = field_system()
-        rep = family_sweep(gs, fld, [[0], [0, 1]])
+        rep = family_sweep(fld, [[0], [0, 1]])
         assert rep.window_size == 1
         assert rep.window_masses == pytest.approx([1.0, 0.6], abs=1e-12)
         assert rep.extremal_energies == pytest.approx(rep.c_values, abs=1e-12)
@@ -493,16 +523,16 @@ class TestExhaustionProbe:
 
     def test_shrinking_family_windows_its_smallest_member(self):
         gs, fld = field_system()
-        rep = family_sweep(gs, fld, [[0, 1], [0]])
+        rep = family_sweep(fld, [[0, 1], [0]])
         assert rep.window_size == 1
         assert rep.window_masses == pytest.approx([0.6, 1.0], abs=1e-12)
-        assert rep == family_sweep(gs, fld, [[0, 1], [0]], window=[0])
+        assert rep == family_sweep(fld, [[0, 1], [0]], window=[0])
 
 
 class TestSupportDescriptor:
     def test_far_field_region_reads_interior(self):
         gs, fld = field_system()
-        sol = solve_gauss(gs, fld)
+        sol = solve_gauss(fld)
         rep = support_descriptor(sol, gs.cfg)
         assert rep["boundary_count"] == 0
         assert rep["interior_mass_fraction"] == pytest.approx(1.0)
@@ -522,7 +552,7 @@ class TestSupportDescriptor:
                            f_indices=np.array([0, 1, 2]), alpha=2.0)
         gs = build_green(cfg)
         theta = DiscreteMeasure.from_dict(4, {3: charge})
-        sol = solve_gauss(gs, external_field(gs, theta))
+        sol = solve_gauss(external_field(gs, theta))
         assert support_descriptor(sol, cfg)["support_fraction"] == expected
 
     def test_split_field_region_reported_disconnected(self):
@@ -535,7 +565,7 @@ class TestSupportDescriptor:
                            f_indices=np.array([0, 1]), alpha=2.0)
         gs = build_green(cfg)
         theta = DiscreteMeasure.from_dict(6, {4: 0.5})
-        sol = solve_gauss(gs, external_field(gs, theta))
+        sol = solve_gauss(external_field(gs, theta))
         rep = support_descriptor(sol, gs.cfg)
         assert not rep["omega_connected"]
         assert rep["omega_components"] == 2
@@ -553,7 +583,7 @@ class TestSupportDescriptor:
                            f_indices=np.array([0, 1]), alpha=2.0)
         gs = build_green(cfg)
         theta = DiscreteMeasure.from_dict(52, {2: 0.5})
-        sol = solve_gauss(gs, external_field(gs, theta))
+        sol = solve_gauss(external_field(gs, theta))
         reach = (greenpot.gauss.ADJACENCY_FACTOR
                  * nearest_neighbor_distances(omega))[:, None]
         dist = np.linalg.norm(omega[:, None] - omega[None], axis=2)

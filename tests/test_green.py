@@ -461,6 +461,43 @@ class TestGreenSweep:
                            rtol=0, atol=1e-13)
 
 
+class TestRestrict:
+    def test_f_itself_is_the_system(self):
+        gs = enclosure_system()
+        assert gs.restrict(gs.cfg.f_indices) is gs
+        # repeated and unordered indices count once
+        assert gs.restrict([*gs.cfg.f_indices[::-1], 0]) is gs
+
+    def test_shares_the_green_matrix_and_holds_its_own_slot(self):
+        gs = enclosure_system()
+        f = gs.cfg.f_indices[::2]
+        sub = gs.restrict(f)
+        assert sub.green is gs.green
+        assert np.array_equal(sub.cfg.f_indices, f)
+        assert np.array_equal(sub.cfg.d_indices, gs.cfg.d_indices)
+        assert np.array_equal(sub.cfg.y_indices, gs.cfg.y_indices)
+        assert sub.guide is None and sub.green_f.slot.guide is None
+        assert sub.green_f.slot is not gs.green_f.slot
+        assert (sub.green_f.entries.tobytes()
+                == gs.green.block(gs.d_positions(f)).tobytes())
+
+    def test_sweep_onto_its_f_is_the_block_sweep(self):
+        # the restricted system sweeps on its green_f and slot, with the
+        # bytes of the parent's sweep onto the same target
+        gs = enclosure_system()
+        f = gs.cfg.f_indices[:40]
+        mu = DiscreteMeasure.from_dict(len(gs.cfg.point_set), {82: 1.0})
+        sub = gs.restrict(f)
+        res = green_sweep(sub, mu, f)
+        assert sub.green_f.slot.free is not None
+        assert (res.swept.weights.tobytes()
+                == green_sweep(gs, mu, f).swept.weights.tobytes())
+
+    def test_empty_target_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            enclosure_system().restrict([])
+
+
 class TestGreenEquilibrium:
     def test_single_point_hand_value(self):
         gs = line_system()

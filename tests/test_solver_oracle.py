@@ -250,7 +250,7 @@ def test_pivot_bound_on_ball_and_collar(monkeypatch):
     monkeypatch.setattr(greenpot.gauss, "simplex_qp", spy(simplex_qp))
     gs = build_green(cfg)
     fld = external_field(gs, DiscreteMeasure.from_dict(n, {n - 1: 0.5}))
-    sol = solve_gauss(gs, fld)
+    sol = solve_gauss(fld)
     assert [name for name, _ in records] == ["nonneg_qp", "simplex_qp"]
     assert all(1 < iters <= 10 for _, iters in records)
     assert sol.kkt.support_residual <= 10 * sol.kkt.tolerance

@@ -52,6 +52,20 @@ def test_only_solvers_calls_cho_factor():
     assert users == {"solvers.py"}
 
 
+def test_no_gauss_function_takes_a_system_beside_its_field():
+    # a field carries the system it was built on (ExternalField.system), so
+    # a function taking both could pair a field with another system
+    tree = ast.parse((SRC / "gauss.py").read_text(encoding="utf-8"))
+    both = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            kinds = {ast.unparse(p.annotation) for p in params if p.annotation}
+            if {"GreenSystem", "ExternalField"} <= kinds:
+                both.add(fn.name)
+    assert both == set()
+
+
 def test_certificates_go_through_solvers():
     # outside solvers.py (whose _certify is every positive-definiteness
     # certificate) only the Dirac sweep factors, in the upper form its Green

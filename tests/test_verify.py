@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import io
 import sys
 
 import pytest
 
-from greenpot import gauss, green, verify
+from greenpot import gauss, green, solvers, verify
 from greenpot.reports import csv_lines, write_csv
 
 
@@ -103,6 +104,41 @@ class TestSharedFamily:
             write_tables(results, tmp_path / run)
             blobs.append((tmp_path / run / "tables" / "criterion_02.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _factored_blocks(monkeypatch) -> list:
+    """Digest of every block a greenpot module factors from now on, taken
+    before the factorization overwrites it."""
+    digests = []
+    real = solvers._cholesky
+
+    def hashing(block, *args, **kwargs):
+        digests.append(hashlib.sha256(block.tobytes()).hexdigest())
+        return real(block, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "greenpot" or name.startswith("greenpot."))
+                and getattr(module, "_cholesky", None) is real):
+            monkeypatch.setattr(module, "_cholesky", hashing)
+    return digests
+
+
+class TestNoSolveRepeated:
+    def test_check_6_factors_no_block_twice(self, monkeypatch):
+        # each truncation member is swept onto and solved on one restricted
+        # system, and both end on the whole member
+        blocks = _factored_blocks(monkeypatch)
+        assert verify.criterion_6()[0]
+        assert len(set(blocks)) == len(blocks)
+
+    def test_check_7_factorizations(self, monkeypatch):
+        # each cone member's unit-swept and charge-2 problems share one
+        # restricted system; the repeats left fall between them and the
+        # charge-0.5 walk, whose family_sweep builds its own systems
+        blocks = _factored_blocks(monkeypatch)
+        assert verify.criterion_7()[0]
+        assert len(blocks) <= 43
+        assert len(blocks) - len(set(blocks)) <= 14
 
 
 class TestTableWriter:
