@@ -60,12 +60,18 @@ class GreenSystem:
         factor slot that carries the guide.
 
         Built on the first solve over all of F (sweep, Gauss solve, Green
-        equilibrium, dual problem). Through the slot each solve starts from
-        the free set the last one ended on, with its factor, since these
-        solves end on nearly the same support; the sweep pivots on the
-        guide, if any. A kept factor is, bit for bit, a solver's own.
+        equilibrium, dual problem). When F leads D (F's D-positions are 0,
+        ..., |F| - 1, as for every prefix member of restrict) the entries
+        are a view of green's leading block, which no solve writes;
+        otherwise they are a gathered copy. Through the slot each solve
+        starts from the free set the last one ended on, with its factor,
+        since these solves end on nearly the same support; the sweep pivots
+        on the guide, if any. A kept factor is, bit for bit, a solver's own.
         """
-        entries = self.green.block(self.d_positions(self.cfg.f_indices))
+        f_pos = self.d_positions(self.cfg.f_indices)
+        k = f_pos.size
+        entries = (self.green.entries[:k, :k]
+                   if f_pos[-1] == k - 1 else self.green.block(f_pos))
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
                             slot=FactorSlot(self.guide))
 

@@ -137,7 +137,9 @@ def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
 
 def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
     """A[np.ix_(rows, cols)], the same bytes, gathered _TILE rows at
-    a time: no temporary is taller than one row block."""
+    a time: no temporary is taller than one row block. Rows are indexed,
+    not taken: take copies a non-contiguous A (such as green_f's view of
+    the Green matrix) whole before it gathers."""
     rows = np.asarray(rows, dtype=int)
     cols = rows if cols is None else np.asarray(cols, dtype=int)
     n = A.shape[1]
@@ -146,8 +148,8 @@ def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
         raise IndexError(f"column index out of bounds for size {n}")
     out = np.empty((rows.size, cols.size), dtype=A.dtype)
     for i in range(0, rows.size, _TILE):
-        A.take(rows[i:i + _TILE], axis=0).take(
-            cols, axis=1, out=out[i:i + _TILE], mode="wrap")
+        A[rows[i:i + _TILE]].take(cols, axis=1, out=out[i:i + _TILE],
+                                  mode="wrap")
     return out
 
 

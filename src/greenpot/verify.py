@@ -441,6 +441,7 @@ def criterion_8(seed: int = 0) -> tuple:
         fld = external_field(gs, theta)
         sol = solve_gauss(fld)
         desc = support_descriptor(sol, cfg)
+        del gs, fld, sol  # one system at a time: free it before the next build
         fractions[alpha] = (desc["boundary_mass_fraction"],
                             desc["interior_mass_fraction"])
         rows.append((alpha, n_ball, desc["boundary_count"],

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import greenpot.balayage
-from greenpot.balayage import dirac_sweep_matrix, sweep
+from greenpot import solvers
+from greenpot.balayage import _domination_excess, dirac_sweep_matrix, sweep
 from greenpot.core import DiscreteMeasure, PointSet, SolverError, ValidationError
 from greenpot.riesz import (KernelMatrix, assemble_riesz, make_kernel, potential,
                             weight_norm)
@@ -94,6 +95,33 @@ class TestSweep:
         second = sweep(K, first.swept, q, force_projection=True)
         assert np.allclose(second.swept.weights, first.swept.weights,
                            atol=1e-10)
+
+
+class TestDominationExcess:
+    """The off-target potential is formed one _TILE-row block at a time,
+    with the bytes of the one-shot product."""
+
+    @pytest.mark.parametrize("n_off", [1, 127, 128, 129, 300])
+    def test_tiled_equals_one_shot(self, n_off):
+        rng = np.random.default_rng(n_off)
+        n = n_off + 40
+        entries = rng.uniform(0.1, 1.0, size=(n, n))
+        K = KernelMatrix(entries, 2.0, 3)
+        q = np.sort(rng.choice(n, 40, replace=False))
+        off = np.setdiff1d(np.arange(n), q)
+        x = rng.uniform(0.0, 1.0, q.size)
+        u_off = solvers._gather(entries, off, q) @ x
+        u_in = np.zeros(n)
+        # u_in at the one-shot potential, against the tiled potential of x
+        # and of -x (negation is exact): both excesses are 0 only if every
+        # row agrees bit for bit
+        u_in[off] = u_off
+        assert _domination_excess(K, x, q, u_in) == 0.0
+        u_in[off] = -u_off
+        assert _domination_excess(K, -x, q, u_in) == 0.0
+        u_in[off] = rng.uniform(0.0, 1.0, n_off)
+        assert (_domination_excess(K, x, q, u_in)
+                == float(max(0.0, np.max(u_off - u_in[off]))))
 
 
 class TestDiracMatrix:

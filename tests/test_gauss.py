@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ import greenpot.gauss
 from greenpot import geometry, solvers, verify
 from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
                            PointSet, ValidationError, nearest_neighbor_distances)
-from greenpot.gauss import (PARALLELOGRAM_TOL, dual_check, explicit_solution,
-                            external_field, family_sweep, solve_gauss,
-                            support_descriptor)
+from greenpot.gauss import (PARALLELOGRAM_TOL, closed_form_applies, dual_check,
+                            explicit_solution, external_field, family_sweep,
+                            solve_gauss, support_descriptor)
 from greenpot.green import build_green, green_equilibrium, green_sweep
 from greenpot.riesz import _simplex_minimum, weight_norm
 from greenpot.solvers import nonneg_qp, simplex_qp
@@ -333,6 +334,20 @@ class TestSolvesOverF:
         # nothing factors the block eagerly; its slot carries the guide
         assert gs.green_f.solve is None
         assert gs.green_f.slot.guide is gs.guide is not None
+
+    @pytest.mark.parametrize("charge", [{51: 0.5}, {52: 2.0}])
+    def test_solves_leave_the_green_matrix_unchanged(self, charge):
+        # green_f is a view of the green matrix, which no solve may write
+        gs = shell_system()
+        assert np.shares_memory(gs.green_f.entries, gs.green.entries)
+        before = hashlib.sha256(gs.green.entries.tobytes()).hexdigest()
+        fld = external_field(gs, DiscreteMeasure.from_dict(83, charge))
+        sol = solve_gauss(fld)
+        dual_check(fld, sol)
+        green_equilibrium(gs, gs.cfg.f_indices)
+        if closed_form_applies(fld.theta_swept.total_mass):
+            explicit_solution(fld)
+        assert hashlib.sha256(gs.green.entries.tobytes()).hexdigest() == before
 
     # the first charge leaves every solve on its first free set; under the
     # second the sweep and both Gauss solves pivot

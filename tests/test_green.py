@@ -13,11 +13,13 @@ from greenpot import geometry
 from greenpot.balayage import dirac_sweep_matrix, sweep
 from greenpot.core import (DiscreteMeasure, DomainConfig, InvariantError,
                            PointSet, SolverError, ValidationError)
+from greenpot.gauss import (dual_check, explicit_solution, external_field,
+                            solve_gauss)
 from greenpot.green import (build_green, frostman_excess, green_equilibrium,
                             green_sweep)
 from greenpot.riesz import KernelMatrix, assemble_riesz, make_kernel
 from greenpot.solvers import nonneg_qp
-from greenpot.verify import _riesz_route_gap
+from greenpot.verify import _cone_system, _riesz_route_gap
 
 
 def line_system():
@@ -309,6 +311,29 @@ class TestMemory:
                                     np.arange(400), omega=201)
         assert peak <= 1.6
 
+    def test_gauss_chain_with_f_leading_peaks_below_two_and_a_half_matrices(self):
+        # the cloud of the test above through the Gauss solves, which read
+        # F's block in place: the Riesz matrix, the 400 x 400 guide and one
+        # free-set factor, with no second copy of F's block
+        pts = np.vstack([geometry.sphere_shell(400, 1.0),
+                         geometry.sphere_shell(200, 1.1, rotate=0.3),
+                         [[0.0, 0.0, 1.8]]])
+        cfg = DomainConfig(PointSet.from_points(pts), np.arange(601), [],
+                           np.arange(400), 2.0)
+        theta = DiscreteMeasure.from_dict(601, {600: 0.5})
+        tracemalloc.start()
+        try:
+            fld = external_field(build_green(cfg), theta)
+            sol = solve_gauss(fld)
+            dual_check(fld, sol)
+            explicit_solution(fld)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * 601 ** 2) <= 2.4
+        assert np.shares_memory(fld.system.green_f.entries,
+                                fld.system.green.entries)
+
     def test_empty_y_with_f_behind_factors_in_place(self):
         # the charge and the collar lead, so the build has no guide and its
         # certificate factors the Riesz matrix in place: the peak is about
@@ -496,6 +521,44 @@ class TestRestrict:
     def test_empty_target_rejected(self):
         with pytest.raises(ValidationError, match="nonempty"):
             enclosure_system().restrict([])
+
+
+class TestGreenFBlock:
+    """green_f reads F's block of the green matrix in place when F leads D,
+    and gathers its own copy otherwise; the bytes are the block's either way."""
+
+    @staticmethod
+    def assert_block(gs, view: bool):
+        entries = gs.green_f.entries
+        assert np.shares_memory(entries, gs.green.entries) == view
+        assert entries.flags.c_contiguous != view
+        assert (np.ascontiguousarray(entries).tobytes()
+                == gs.green.block(gs.d_positions(gs.cfg.f_indices)).tobytes())
+
+    def test_leading_f_is_a_view(self):
+        self.assert_block(enclosure_system(), view=True)
+
+    def test_prefix_member_is_a_view(self):
+        # check 7's cone stages: the first shells of the master F
+        gs, family, _ = _cone_system()
+        for member in family:
+            self.assert_block(gs.restrict(member), view=True)
+
+    def test_non_leading_member_is_a_copy(self):
+        # a check-6-style member: the F-points with x >= 0
+        gs = enclosure_system()
+        f = gs.cfg.f_indices
+        member = f[gs.cfg.point_set.points[f, 0] >= 0.0]
+        assert member[-1] >= member.size  # not a prefix of F
+        self.assert_block(gs.restrict(member), view=False)
+
+    def test_f_behind_omega_is_a_copy(self):
+        pts = np.vstack([[[0.0, 0.0, 0.2], [1.6, 0.0, 0.0]],
+                         geometry.sphere_shell(40, 1.0, rotate=0.2),
+                         3.0 * geometry.sphere_shell(40, 1.0, rotate=0.7)])
+        cfg = DomainConfig(PointSet.from_points(pts), np.arange(42),
+                           np.arange(42, 82), np.arange(2, 42), 2.0)
+        self.assert_block(build_green(cfg), view=False)
 
 
 class TestGreenEquilibrium:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -313,6 +314,50 @@ class TestFactorSlot:
         assert len(factored) == rec.iterations - 1
         assert factored[-1] == np.count_nonzero(moved)
         assert same_bytes(x, rec, x_ref, rec_ref)
+
+
+class TestGather:
+    """_gather is A[np.ix_(rows, cols)] on strided views too, without a
+    whole copy of the view."""
+
+    @staticmethod
+    def view(rng, m=300, pad=37):
+        # the leading m x m block of a larger matrix, as green_f reads it
+        return rng.normal(size=(m + pad, m + pad))[:m, :m]
+
+    @pytest.mark.parametrize("rows, cols", [
+        (np.arange(0, 300, 2), None),                 # sorted, over two tiles
+        (np.arange(299, -1, -3), np.arange(40, 90)),  # unsorted, |cols| < |rows|
+        (np.array([-1, -300, 5, 5]), np.array([-2, 7, -299])),  # negative
+        (np.array([], dtype=int), np.arange(10)),     # no rows
+        (np.arange(5), np.array([], dtype=int)),      # no columns
+        (np.arange(130), np.arange(299, 0, -1)),      # |cols| > |rows|
+    ])
+    def test_strided_view_equals_contiguous_copy(self, rows, cols):
+        A = self.view(np.random.default_rng(0))
+        assert not A.flags.c_contiguous
+        out = solvers._gather(A, rows, cols)
+        ref = solvers._gather(np.ascontiguousarray(A), rows, cols)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+        assert out.tobytes() == A[np.ix_(rows, rows if cols is None
+                                         else cols)].tobytes()
+
+    def test_out_of_bounds_column_raises(self):
+        with pytest.raises(IndexError):
+            solvers._gather(self.view(np.random.default_rng(0)), [0], [300])
+
+    def test_peak_is_output_plus_two_row_tiles(self):
+        A = self.view(np.random.default_rng(1), m=1000, pad=100)
+        rows, cols = np.arange(0, 1000, 5), np.arange(0, 1000, 2)
+        tracemalloc.start()
+        try:
+            out = solvers._gather(A, rows, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * solvers._TILE * A.shape[1] * A.itemsize
+
 
 
 def shell_sweep_problem(inner=10):
