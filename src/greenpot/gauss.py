@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import (DiscreteMeasure, DomainConfig, InvariantError, ValidationError,
@@ -302,14 +300,39 @@ def family_sweep(fld: ExternalField, family, window=None) -> FamilyReport:
         minimizers=lams)
 
 
+def _component_count(n: int, i: np.ndarray, j: np.ndarray) -> int:
+    """Connected components of the graph on nodes 0, ..., n - 1 whose edges
+    are the pairs (i[k], j[k]), each joining both ways, by minimum-label
+    hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982).
+
+    parent points every node at a smaller or equal node of its component.
+    Each round hooks every root onto the smallest root across its edges,
+    then jumps every pointer to its root; once no edge joins two roots, the
+    roots are the components.
+    """
+    parent = np.arange(n)
+    while True:
+        ri, rj = parent[i], parent[j]
+        low = np.minimum(ri, rj)
+        hooked = parent.copy()
+        np.minimum.at(hooked, ri, low)
+        np.minimum.at(hooked, rj, low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, parent):
+            return int(np.count_nonzero(parent == np.arange(n)))
+        parent = hooked
+
+
 def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
     """Split the minimizer's mass between the boundary layer of F and its interior.
 
     An F-point is boundary when some Omega-point sits within ADJACENCY_FACTOR
     times its spacing to the nearest other F-point. support_fraction is the
     share of F's points that the minimizer charges. The report also records
-    whether the Omega cloud is graph-connected under the same rule, since the
-    support predictions assume a connected field region.
+    whether the Omega cloud is graph-connected under the same rule, a pair
+    being adjacent when either point reaches the other, since the support
+    predictions assume a connected field region.
     """
     pts = cfg.point_set.points
     f = cfg.f_indices
@@ -326,15 +349,12 @@ def support_descriptor(sol: GaussSolution, cfg: DomainConfig) -> dict:
 
     if omega.size > 1:
         o_spacing = omega_tree.query(omega_pts, k=2)[0][:, 1]
-        # each point's list holds the point itself; connected_components
-        # ignores such self-pairs
+        # each point's list holds the point itself, which joins nothing
         near = omega_tree.query_ball_point(
             omega_pts, ADJACENCY_FACTOR * o_spacing)
-        rows_i = np.repeat(np.arange(omega.size), [len(n) for n in near])
-        rows_j = np.concatenate(near)
-        adj = csr_matrix((np.ones(rows_i.size), (rows_i, rows_j)),
-                         shape=(omega.size, omega.size))
-        n_comp, _ = connected_components(adj, directed=False)
+        n_comp = _component_count(
+            omega.size, np.repeat(np.arange(omega.size), [len(n) for n in near]),
+            np.concatenate(near))
     else:
         n_comp = 1
     return {

@@ -48,10 +48,12 @@ rounding, such as the leading block of a larger matrix's factor (_certify).
 nonneg_qp solves each free set that misses at most GUIDE_SHARE of the
 indices on the guide, through the bordered system (_Bordered), and pivots
 on that solution. A free set the guide finds final is solved again from its
-own factor, or the slot's, and tested again in the same iteration. So the
-guide only steers the pivoting: the result, its record and the slot's
-content are those of a solve without the guide, unless rounding moves an
-index across the feasibility tolerance on the way.
+own factor, or the slot's, and tested again in the same iteration; the
+bordered columns are freed before that factor is allocated, so they and a
+free-set factor are never live together. So the guide only steers the
+pivoting: the result, its record and the slot's content are those of a
+solve without the guide, unless rounding moves an index across the
+feasibility tolerance on the way.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ RTOL = 1e-12
 # solved on a guide (_Bordered); past it the bordered system costs about as
 # much as a fresh factorization.
 GUIDE_SHARE = 0.25
-# Rows per block of _gather and of riesz's distance fill, and the side of the
-# square tiles of _certify's restore and riesz's symmetry check.
+# Rows per block of _gather, of balayage's domination check and of riesz's
+# distance fill, and the side of the square tiles of _certify's restore and
+# riesz's symmetry check.
 _TILE = 128
 
 
@@ -209,7 +212,9 @@ class _Bordered:
 
     With C the fixed indices, y = A^-1 b, V = L^-1 E_C and (V'V) lam = y_C,
     the solution on the free set is x = y - L^-T V lam, zero on C. V's
-    columns are kept per index while C changes.
+    columns are kept per index while C changes; _pivot empties columns
+    before it factors a free set found final, and a later solve rebuilds
+    the ones it needs.
     """
 
     def __init__(self, guide: tuple, b: np.ndarray) -> None:
@@ -326,7 +331,10 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
                 last = None
                 infeasible = _infeasible(A, b, x, 0.0, free, floor, tol)
                 if not infeasible.any():
-                    infeasible = None  # final on the guide: solve it exactly
+                    # final on the guide: solve it exactly, after freeing
+                    # the bordered columns, which are rebuilt on demand
+                    infeasible = None
+                    guided.columns.clear()
         if infeasible is None:
             if known is None:
                 # drop the last factor and empty the slot before the new

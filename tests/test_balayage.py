@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,27 @@ class TestDominationExcess:
         u_in[off] = rng.uniform(0.0, 1.0, n_off)
         assert (_domination_excess(K, x, q, u_in)
                 == float(max(0.0, np.max(u_off - u_in[off]))))
+
+    def test_transient_is_one_block_of_the_target_columns(self):
+        # on a wide matrix one full-width row block (1.2 MB here) dwarfs a
+        # block of K[off, q] (40 kB); the slack covers the few |off|-long
+        # vectors (the index, the potential, its difference with u_in) and
+        # the buffers of numpy's indexing iterator, at most 8192 entries
+        # of each of the two index arrays
+        rng = np.random.default_rng(3)
+        n, n_q = 1200, 40
+        K = KernelMatrix(rng.uniform(0.1, 1.0, size=(n, n)), 2.0, 3)
+        q = np.sort(rng.choice(n, n_q, replace=False))
+        x = rng.uniform(0.0, 1.0, n_q)
+        u_in = rng.uniform(0.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            _domination_excess(K, x, q, u_in)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # in bytes of doubles and of 64-bit indices
+        assert peak <= 8 * (solvers._TILE * n_q + 8 * n + 2 * 8192)
 
 
 class TestDiracMatrix:

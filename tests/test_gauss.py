@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -614,3 +615,81 @@ class TestSupportDescriptor:
         count = np.unique(label).size
         assert count >= 2
         assert support_descriptor(sol, gs.cfg)["omega_components"] == count
+
+
+def omega_clouds():
+    """Seeded Omega clouds for the component oracle, by name, with their
+    component counts."""
+    rng = np.random.default_rng(8)
+    # a 4 x 4 x 4 grid of unit spacing jittered by at most 0.05 per axis
+    # joins every point to its axis neighbours: they are at most 1.11
+    # apart, and every spacing is at least 0.9, so every reach 1.35
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
+    blobs = [grid + rng.uniform(-0.05, 0.05, grid.shape) + [10.0 * k, 0.0, 0.0]
+             for k in range(4)]
+    chain = np.zeros((3000, 3))
+    chain[:, 0] = 0.01 * np.arange(3000)
+    return {
+        "one cluster": (blobs[0], 1),
+        "two clusters": (np.vstack(blobs[:2]), 2),
+        "three clusters": (np.vstack(blobs[:3]), 3),
+        "four clusters": (rng.permutation(np.vstack(blobs)), 4),
+        # shuffled, so that neighbours along the chain carry unrelated labels
+        "3000-point chain": (rng.permutation(chain), 1),
+        "single point": (np.zeros((1, 3)), 1),
+        # 0 reaches 1 (1 <= 1.5 x its spacing 1), but 1 does not reach 0
+        # (1 > 1.5 x its spacing 0.1): the pair joins one way only
+        "one-way pair": (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                   [1.1, 0.0, 0.0]]), 1),
+    }
+
+
+class TestOmegaComponents:
+    """support_descriptor's component count against scipy's graph routine
+    on the same neighbour pairs, each joining both ways."""
+
+    @staticmethod
+    def reference(omega: np.ndarray) -> int:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+        from scipy.spatial import cKDTree
+
+        reach = greenpot.gauss.ADJACENCY_FACTOR * nearest_neighbor_distances(omega)
+        near = cKDTree(omega).query_ball_point(omega, reach)
+        i = np.repeat(np.arange(len(omega)), [len(n) for n in near])
+        adj = csr_matrix((np.ones(i.size), (i, np.concatenate(near))),
+                         shape=(len(omega),) * 2)
+        return connected_components(adj, directed=False)[0]
+
+    @pytest.mark.parametrize("name", list(omega_clouds()))
+    def test_count_matches_scipy(self, name):
+        omega, expected = omega_clouds()[name]
+        # F is two points far above the cloud; the counts read only Omega
+        pts = np.vstack([[[0.0, 0.0, 100.0], [1.0, 0.0, 100.0]], omega])
+        cfg = DomainConfig(point_set=PointSet.from_points(pts),
+                           d_indices=np.arange(len(pts)),
+                           y_indices=np.array([], dtype=int),
+                           f_indices=np.array([0, 1]), alpha=2.0)
+        sol = SimpleNamespace(
+            minimizer=DiscreteMeasure.from_dict(len(pts), {0: 0.5, 1: 0.5}))
+        rep = support_descriptor(sol, cfg)
+        count = self.reference(omega)
+        assert rep["omega_components"] == count
+        assert rep["omega_connected"] == (count == 1)
+        assert count == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_edge_lists_match_scipy(self, seed):
+        # sparse random graphs with isolated nodes, repeated edges and
+        # self-pairs, in both edge orders
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
+        ref = connected_components(
+            coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)),
+            directed=False)[0]
+        assert greenpot.gauss._component_count(n, i, j) == ref
+        assert greenpot.gauss._component_count(n, j, i) == ref

@@ -311,10 +311,10 @@ class TestMemory:
                                     np.arange(400), omega=201)
         assert peak <= 1.6
 
-    def test_gauss_chain_with_f_leading_peaks_below_two_and_a_half_matrices(self):
-        # the cloud of the test above through the Gauss solves, which read
-        # F's block in place: the Riesz matrix, the 400 x 400 guide and one
-        # free-set factor, with no second copy of F's block
+    @staticmethod
+    def traced_gauss_chain():
+        """The Gauss chain on the cloud of the test above; returns its
+        field and its peak in m x m doubles."""
         pts = np.vstack([geometry.sphere_shell(400, 1.0),
                          geometry.sphere_shell(200, 1.1, rotate=0.3),
                          [[0.0, 0.0, 1.8]]])
@@ -330,9 +330,23 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (8 * 601 ** 2) <= 2.4
+        return fld, peak / (8 * 601 ** 2)
+
+    def test_gauss_chain_with_f_leading_peaks_below_two_and_a_half_matrices(self):
+        # the Gauss solves read F's block in place: the Riesz matrix, the
+        # 400 x 400 guide and one free-set factor, with no second copy of
+        # F's block
+        fld, peak = self.traced_gauss_chain()
+        assert peak <= 2.4
         assert np.shares_memory(fld.system.green_f.entries,
                                 fld.system.green.entries)
+
+    def test_gauss_chain_gathers_no_full_rows_off_f(self):
+        # the sweep onto F checks domination off F one 128 x 400 block of
+        # K[off, F] at a time; a gather through the full 601-wide rows
+        # takes the peak to 2.26 matrices
+        _, peak = self.traced_gauss_chain()
+        assert peak <= 2.15
 
     def test_empty_y_with_f_behind_factors_in_place(self):
         # the charge and the collar lead, so the build has no guide and its

@@ -394,6 +394,37 @@ class TestGuide:
         assert slot.factor[0].tobytes() == fresh[0].tobytes()
         assert np.allclose(x, nnls_oracle(A, b), rtol=0, atol=1e-12)
 
+    def test_final_free_set_is_factored_with_no_bordered_columns(
+            self, monkeypatch):
+        # the guide solves the 60-point free set on 10 bordered columns and
+        # finds it final; they are freed before its block is factored
+        A, b, guide = shell_sweep_problem()
+        x_ref, rec_ref = nonneg_qp(A, b)
+        bordered, live = [], []
+
+        class Recorded(solvers._Bordered):
+            def __init__(self, *args):
+                super().__init__(*args)
+                bordered.append(self)
+
+        def solve_free(*args, **kwargs):
+            live.append(sum(len(s.columns) for s in bordered))
+            return real(*args, **kwargs)
+
+        real = solvers._solve_free
+        monkeypatch.setattr(solvers, "_Bordered", Recorded)
+        monkeypatch.setattr(solvers, "_solve_free", solve_free)
+        x, rec = nonneg_qp(A, b, slot=FactorSlot(guide))
+        assert len(bordered) == 1
+        assert live == [0]
+        assert same_bytes(x, rec, x_ref, rec_ref)
+        # the columns are rebuilt on demand: the emptied cache solves the
+        # final free set again as before
+        F = np.zeros(A.shape[0], dtype=bool)
+        F[:60] = True
+        assert bordered[0].solve(F) is not None
+        assert len(bordered[0].columns) == 10
+
     def test_free_sets_missing_many_indices_are_factored(self, factored):
         # an inner shell of 30 of 90 points is more than GUIDE_SHARE of the
         # indices, so its free set is factored afresh; the guide still

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import greenpot
@@ -76,3 +79,31 @@ def test_certificates_go_through_solvers():
                == "_cholesky"}
     assert {c for c in callers if c[0] != "solvers.py"} == {
         ("balayage.py", "dirac_sweep_matrix")}
+
+
+def test_no_module_imports_scipy_sparse():
+    # support_descriptor counts Omega's components in numpy; scipy.sparse's
+    # graph routines cost every run their import
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.sparse" or n.startswith("scipy.sparse.")
+                   for n in names):
+                users.add(path.name)
+    assert users == set()
+
+
+def test_cli_import_leaves_csgraph_out():
+    code = ("import sys, greenpot.cli; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.stdout.strip() == "False"
