@@ -12,7 +12,7 @@ GreenSystem.restrict gives the system of a smaller F on the same matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,17 +33,18 @@ class GreenSystem:
 
     The green matrix is indexed by position within cfg.d_indices and keeps
     no solve (KernelMatrix.solve); the system keeps no Riesz matrix and no
-    Dirac sweep onto Y (green._build returns it to the green task). guide
-    is the F block of the factor that certified the build (build_green), or
-    None; solves over all of F share green_f's factor slot, which carries
-    it, and every other target is factored by its solver. A restricted
-    system (restrict) holds its own green_f and slot, with no guide.
+    Dirac sweep onto Y (green._build returns it to the green task). Solves
+    over all of F share green_f's factor slot, and every other target is
+    factored by its solver. When F leads the matrix that certified the
+    build, the slot starts out holding that factor's F block as its guide
+    (green._build), which the first sweep onto F takes and frees
+    (solvers.FactorSlot). A restricted system (restrict) holds its own
+    green_f and slot, with no guide.
     """
 
     cfg: DomainConfig
     green: KernelMatrix
     asymmetry_residual: float
-    guide: tuple | None = field(default=None, compare=False, repr=False)
 
     def d_positions(self, global_indices) -> np.ndarray:
         idx = np.asarray(global_indices, dtype=int)
@@ -56,24 +57,26 @@ class GreenSystem:
 
     @cached_property
     def green_f(self) -> KernelMatrix:
-        """Green matrix on F, a principal block of the checked green, with a
-        factor slot that carries the guide.
+        """Green matrix on F, a principal block of the checked green, with
+        the factor slot of the solves over all of F.
 
-        Built on the first solve over all of F (sweep, Gauss solve, Green
-        equilibrium, dual problem). When F leads D (F's D-positions are 0,
-        ..., |F| - 1, as for every prefix member of restrict) the entries
-        are a view of green's leading block, which no solve writes;
-        otherwise they are a gathered copy. Through the slot each solve
-        starts from the free set the last one ended on, with its factor,
-        since these solves end on nearly the same support; the sweep pivots
-        on the guide, if any. A kept factor is, bit for bit, a solver's own.
+        Built by a build that has a guide, which it hands to the slot, and
+        otherwise on the first solve over all of F (sweep, Gauss solve,
+        Green equilibrium, dual problem). When F leads D (F's D-positions
+        are 0, ..., |F| - 1, as for every prefix member of restrict, and
+        always when there is a guide) the entries are a view of green's
+        leading block, which no solve writes; otherwise they are a gathered
+        copy. Through the slot each solve starts from the free set the last
+        one ended on, with its factor, since these solves end on nearly the
+        same support; the first sweep pivots on the guide, if any, and
+        frees it. A kept factor is, bit for bit, a solver's own.
         """
         f_pos = self.d_positions(self.cfg.f_indices)
         k = f_pos.size
         entries = (self.green.entries[:k, :k]
                    if f_pos[-1] == k - 1 else self.green.block(f_pos))
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
-                            slot=FactorSlot(self.guide))
+                            slot=FactorSlot())
 
     def restrict(self, f) -> GreenSystem:
         """The system of the same D, Y and green matrix whose F is f, a
@@ -114,7 +117,7 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
 
 def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
     """The Green system of cfg, certified positive definite by one Cholesky
-    factorization whose F block becomes the guide.
+    factorization whose F block becomes the guide in green_f's slot.
 
     With Y empty the certificate factors the Riesz matrix of the whole
     cloud. Otherwise the Dirac sweep factors K_YY, and the certificate
@@ -125,6 +128,7 @@ def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
     is factored as well. Every certificate factors in place
     (solvers._certify), and the build has a guide only when F leads the
     matrix that certifies it: when F's positions in it are 0, ..., |F| - 1.
+    The slot is then the guide's only owner.
 
     Also returns the |Y| x |D| Dirac sweep W, whose column k is the swept
     unit mass of the k-th D-point, row j its weight at the j-th Y-point
@@ -169,8 +173,10 @@ def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
         certified, f_pos = green, np.searchsorted(d, f)
     leads = np.array_equal(f_pos, np.arange(f.size))
     guide, _ = _certify(certified.entries, f.size if leads else 0)
-    return GreenSystem(cfg=cfg, green=green, asymmetry_residual=asym,
-                       guide=guide), W
+    gs = GreenSystem(cfg=cfg, green=green, asymmetry_residual=asym)
+    if guide is not None:
+        gs.green_f.slot.guide = guide
+    return gs, W
 
 
 def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,

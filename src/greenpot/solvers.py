@@ -48,12 +48,15 @@ rounding, such as the leading block of a larger matrix's factor (_certify).
 nonneg_qp solves each free set that misses at most GUIDE_SHARE of the
 indices on the guide, through the bordered system (_Bordered), and pivots
 on that solution. A free set the guide finds final is solved again from its
-own factor, or the slot's, and tested again in the same iteration; the
-bordered columns are freed before that factor is allocated, so they and a
-free-set factor are never live together. So the guide only steers the
-pivoting: the result, its record and the slot's content are those of a
-solve without the guide, unless rounding moves an index across the
-feasibility tolerance on the way.
+own factor, or the slot's, and tested again in the same iteration. A guide
+serves one solve: nonneg_qp takes it out of the slot into the bordered
+system, and drops that system, with its columns and the guide, before it
+factors a free set found final, or at the latest when it returns. So no
+factor of a free set the guide finds final is live beside them, and no
+later solve on the slot holds them. The guide only steers the
+pivoting: the result, its record and the slot's free set and factor are
+those of a solve without the guide, unless rounding moves an index across
+the feasibility tolerance on the way.
 """
 
 from __future__ import annotations
@@ -194,9 +197,10 @@ class FactorSlot:
     empties both before allocating a new free block, and leaves its own
     final free set and factor in them. So solves on one matrix that end on
     one free set factor it once, and at most one free-set factor is live.
-    guide, fixed at construction, is a factor of the matrix up to rounding
-    (_certify) on which nonneg_qp solves the free sets it pivots through
-    (module docstring), or None.
+    guide is a factor of the matrix up to rounding (_certify) on which the
+    next nonneg_qp solve handed the slot pivots, or None. That solve takes
+    it, leaving None, and frees it before it factors a free set the guide
+    finds final, or when it returns (module docstring).
     """
 
     __slots__ = ("guide", "free", "factor")
@@ -212,9 +216,9 @@ class _Bordered:
 
     With C the fixed indices, y = A^-1 b, V = L^-1 E_C and (V'V) lam = y_C,
     the solution on the free set is x = y - L^-T V lam, zero on C. V's
-    columns are kept per index while C changes; _pivot empties columns
-    before it factors a free set found final, and a later solve rebuilds
-    the ones it needs.
+    columns are kept per index while C changes. The system holds the only
+    reference to its guide, and _pivot drops it, columns and guide, before
+    it factors a free set found final.
     """
 
     def __init__(self, guide: tuple, b: np.ndarray) -> None:
@@ -300,7 +304,8 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
     simplex_qp's solve of a free set holding every index and replaces that
     set's factorization and solve. Other free sets are solved on the slot's
     guide when nonneg_qp has one and they miss few indices, and otherwise,
-    or when the guide finds them final, factored afresh. Returns the
+    or when the guide finds them final, factored afresh; the guide leaves
+    the slot for good. Returns the
     clipped minimizer, the multiplier, the most negative free weight of the
     final solve, and the number of free sets solved.
     """
@@ -312,9 +317,11 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
     free = held.copy() if held is not None and held.any() else np.ones(m, dtype=bool)
     best, retries = m + 1, BLOCK_RETRIES
     last = None  # the factor of the last free set solved
-    guided = (_Bordered(slot.guide, b)
-              if not simplex and slot is not None and slot.guide is not None
-              else None)
+    guided = None
+    if not simplex and slot is not None and slot.guide is not None:
+        # the guide serves this solve alone: the bordered system takes it
+        # from the slot, and it is freed with that system
+        guided, slot.guide = _Bordered(slot.guide, b), None
     for iters in range(1, max_iter + 1):
         # the plain solve's fast path, never a warm first set
         floor = 10 * tol if iters == 1 and not simplex and free.all() else tol
@@ -331,10 +338,9 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
                 last = None
                 infeasible = _infeasible(A, b, x, 0.0, free, floor, tol)
                 if not infeasible.any():
-                    # final on the guide: solve it exactly, after freeing
-                    # the bordered columns, which are rebuilt on demand
-                    infeasible = None
-                    guided.columns.clear()
+                    # final on the guide: free the bordered system, its
+                    # columns and the guide, then solve the set exactly
+                    infeasible = guided = None
         if infeasible is None:
             if known is None:
                 # drop the last factor and empty the slot before the new
@@ -366,7 +372,8 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
     """Minimize 0.5 x'Ax - b'x over x >= 0 for symmetric positive definite A.
 
     slot, when given, is A's FactorSlot: the solve starts from its free set,
-    and its guide, if any, steers the pivoting (module docstring).
+    and its guide, if any, steers the pivoting of this solve alone (module
+    docstring).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()

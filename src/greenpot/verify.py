@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import geometry
-from .balayage import sweep
+from .balayage import _sweep
 from .core import DiscreteMeasure, DomainConfig, PointSet
 from .gauss import (PARALLELOGRAM_TOL, _support_radius, closed_form_applies,
                     dual_check, explicit_solution, external_field,
                     family_sweep, solve_gauss, support_descriptor)
 from .green import build_green, green_sweep
 from .reports import csv_lines
-from .riesz import (_riesz_entries, _symmetric_kernel, assemble_riesz, capacity,
-                    weight_norm)
+from .riesz import (KernelMatrix, _riesz_entries, _symmetric_kernel,
+                    assemble_riesz, capacity, weight_norm)
+from .solvers import FactorSlot
 
 CRITERION_IDS = [str(k) for k in range(1, 11)]
 
@@ -479,16 +479,40 @@ def _sweep_algebra(run, norm, xi, whole, part) -> dict:
     }
 
 
-def _riesz_route_gap(gs, K, mu, f, res) -> float:
+def _per_target(make):
+    """target -> make(target), made once per target (a sorted index array)."""
+    made = {}
+
+    def get(target):
+        key = target.tobytes()
+        if key not in made:
+            made[key] = make(target)
+        return made[key]
+    return get
+
+
+def _target_sweeps(K: KernelMatrix):
+    """balayage.sweep on K, where the sweeps onto one target share one
+    FactorSlot: a solve starts where the last one on that block ended, with
+    its factor, so no target block is factored twice for one free set."""
+    slot_of = _per_target(lambda q: FactorSlot())
+
+    def run(mu, target, force_projection=False):
+        return _sweep(K, mu, target, force_projection,
+                      lambda q: (K.block(q), slot_of(q)))
+    return run
+
+
+def _riesz_route_gap(gs, riesz, mu, f, res) -> float:
     """Worst weight gap on the sorted target f between res, mu's Green sweep
-    onto f, and the part on f of mu's Riesz sweep onto f and Y jointly in
-    K, the Riesz kernel of gs's cloud.
+    onto f, and the part on f of mu's Riesz sweep onto f and Y jointly,
+    made by riesz (_target_sweeps on the Riesz kernel of gs's cloud).
 
     The Green kernel is perfect, so the two routes agree in the continuum;
     on a sample the gap measures the Y-sampling error.
     """
     joint = np.union1d(f, gs.cfg.y_indices)
-    alt = sweep(K, mu, joint).swept.weights[f]
+    alt = riesz(mu, joint).swept.weights[f]
     return float(np.max(np.abs(alt - res.swept.weights[f])))
 
 
@@ -530,11 +554,17 @@ def criterion_9(seed: int = 0) -> tuple:
         src_idx = np.arange(n_all - n_src, n_all)
         xi = DiscreteMeasure.from_dict(n_all, dict(zip(src_idx, src_w)))
         sub_idx = q_idx[sub_mask]
-        r = _sweep_algebra(partial(sweep, K), lambda mu: weight_norm(K, mu.weights),
+        # every target block is factored once per free set: the Riesz
+        # sweeps onto one target share a slot, and the Green sweeps onto
+        # one target solve on its restricted system (q_idx is F itself)
+        riesz = _target_sweeps(K)
+        system_of = _per_target(gs.restrict)
+        r = _sweep_algebra(riesz, lambda mu: weight_norm(K, mu.weights),
                            xi, q_idx, sub_idx)
-        g = _sweep_algebra(partial(green_sweep, gs),
-                           lambda mu: weight_norm(gs.green, gs.measure_on_d(mu)),
-                           xi, q_idx, sub_idx)
+        g = _sweep_algebra(
+            lambda mu, f, **kw: green_sweep(system_of(f), mu, f, **kw),
+            lambda mu: weight_norm(gs.green, gs.measure_on_d(mu)),
+            xi, q_idx, sub_idx)
         comp_ok = r["composition"] <= 1e-8 and g["composition"] <= 1e-8
         sets_differ = r["sets_differ"] or g["sets_differ"]
         hard_bad = (r["idempotence"] > 1e-10 or g["idempotence"] > 1e-10
@@ -542,7 +572,7 @@ def criterion_9(seed: int = 0) -> tuple:
                     or not r["contraction"] or not g["contraction"]
                     or (not comp_ok and not sets_differ))
         # a Green sweep warns when it drifts from the Riesz route
-        route_warned = any(_riesz_route_gap(gs, K, mu, target, res)
+        route_warned = any(_riesz_route_gap(gs, riesz, mu, target, res)
                            > 10 * max(res.tolerance, 1e-14)
                            for mu, target, res in g["sweeps"])
         warn_inst = route_warned or (not comp_ok and sets_differ)

@@ -1,5 +1,6 @@
 import hashlib
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -332,9 +333,12 @@ class TestSolvesOverF:
         f_pos = gs.d_positions(gs.cfg.f_indices)
         assert gs.green_f is gs.green_f
         assert gs.green_f.entries.tobytes() == gs.green.block(f_pos).tobytes()
-        # nothing factors the block eagerly; its slot carries the guide
+        # nothing factors the block eagerly; before the first solve over F
+        # its slot holds the guide, the F block of the build's certificate
         assert gs.green_f.solve is None
-        assert gs.green_f.slot.guide is gs.guide is not None
+        assert gs.green_f.slot.free is None
+        guide, lower = gs.green_f.slot.guide
+        assert lower and guide.shape == (50, 50)
 
     @pytest.mark.parametrize("charge", [{51: 0.5}, {52: 2.0}])
     def test_solves_leave_the_green_matrix_unchanged(self, charge):
@@ -448,6 +452,37 @@ class TestFactorSlot:
         # on the dual's
         assert len(sizes) == 3 and max(sizes) < gs.green_f.size
         assert slot.free is not None
+
+
+class TestGuideRelease:
+    """green_f's slot is the guide's only owner, and the field's sweep onto
+    F, the one guided solve, releases it before it factors its final free
+    set; later solves on the slot are those of a slot that held none."""
+
+    @pytest.mark.parametrize("system", [inner_shell_system, half_ball_system])
+    def test_guide_dies_with_the_field_sweep(self, system):
+        gs, theta = system()
+        assert "guide" not in {fld.name for fld in fields(gs)}
+        guide = weakref.ref(gs.green_f.slot.guide[0])
+        external_field(gs, theta)
+        assert gs.green_f.slot.guide is None
+        assert guide() is None
+        assert gs.green_f.slot.factor is not None
+
+    @pytest.mark.parametrize("system", [inner_shell_system, half_ball_system])
+    def test_sweep_after_the_release_is_the_cold_sweep(self, system):
+        gs, theta = system()
+        f = gs.cfg.f_indices
+        f_pos = gs.d_positions(f)
+        fld = external_field(gs, theta)
+        G = gs.green.block(f_pos)
+        for mu in (theta, DiscreteMeasure(0.5 * theta.weights)):
+            u = gs.green.entries @ gs.measure_on_d(mu)
+            cold, _ = nonneg_qp(G, u[f_pos])
+            swept = green_sweep(gs, mu, f).swept.weights
+            assert swept[f].tobytes() == cold.tobytes()
+        assert fld.theta_swept.weights[f].tobytes() == nonneg_qp(
+            G, (gs.green.entries @ gs.measure_on_d(theta))[f_pos])[0].tobytes()
 
 
 class TestFamilySweeps:

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -397,46 +398,67 @@ class TestGuide:
     def test_final_free_set_is_factored_with_no_bordered_columns(
             self, monkeypatch):
         # the guide solves the 60-point free set on 10 bordered columns and
-        # finds it final; they are freed before its block is factored
+        # finds it final; the bordered system, and with it its columns, is
+        # gone before the set's block is factored, and so is the slot's guide
         A, b, guide = shell_sweep_problem()
         x_ref, rec_ref = nonneg_qp(A, b)
-        bordered, live = [], []
+        bordered, live, columns = [], [], []
+        slot = FactorSlot(guide)
 
         class Recorded(solvers._Bordered):
             def __init__(self, *args):
                 super().__init__(*args)
-                bordered.append(self)
+                bordered.append(weakref.ref(self))
+
+            def solve(self, free):
+                x = super().solve(free)
+                columns.append(len(self.columns))
+                return x
 
         def solve_free(*args, **kwargs):
-            live.append(sum(len(s.columns) for s in bordered))
+            live.append((sum(len(s.columns) for ref in bordered
+                             if (s := ref()) is not None), slot.guide))
             return real(*args, **kwargs)
 
         real = solvers._solve_free
         monkeypatch.setattr(solvers, "_Bordered", Recorded)
         monkeypatch.setattr(solvers, "_solve_free", solve_free)
-        x, rec = nonneg_qp(A, b, slot=FactorSlot(guide))
-        assert len(bordered) == 1
-        assert live == [0]
+        x, rec = nonneg_qp(A, b, slot=slot)
+        assert len(bordered) == 1 and columns == [0, 10]
+        assert live == [(0, None)]
+        assert bordered[0]() is None
         assert same_bytes(x, rec, x_ref, rec_ref)
-        # the columns are rebuilt on demand: the emptied cache solves the
-        # final free set again as before
-        F = np.zeros(A.shape[0], dtype=bool)
-        F[:60] = True
-        assert bordered[0].solve(F) is not None
-        assert len(bordered[0].columns) == 10
+        assert np.count_nonzero(slot.free) == 60 and slot.factor is not None
+
+    def test_released_slot_solves_as_a_slot_without_guide(self, factored):
+        # a second solve on the released slot starts from its final free set
+        # and factor, exactly as on a slot that never held a guide
+        A, b, guide = shell_sweep_problem()
+        guided, plain = FactorSlot(guide), FactorSlot()
+        nonneg_qp(A, b, slot=guided)
+        nonneg_qp(A, b, slot=plain)
+        assert guided.guide is None
+        for scale in (0.5, 2.0):
+            del factored[:]
+            x, rec = nonneg_qp(A, scale * b, slot=guided)
+            assert factored == []
+            assert same_bytes(x, rec, *nonneg_qp(A, scale * b, slot=plain))
 
     def test_free_sets_missing_many_indices_are_factored(self, factored):
         # an inner shell of 30 of 90 points is more than GUIDE_SHARE of the
         # indices, so its free set is factored afresh; the guide still
-        # solves the full set
+        # solves the full set, and the slot no longer holds it after the
+        # solve, though no free set was final on it
         A, b, guide = shell_sweep_problem(inner=30)
         del factored[:]
         x_ref, rec_ref = nonneg_qp(A, b)
         cold = list(factored)
         del factored[:]
-        x, rec = nonneg_qp(A, b, slot=FactorSlot(guide))
+        slot = FactorSlot(guide)
+        x, rec = nonneg_qp(A, b, slot=slot)
         assert factored == cold[1:]
         assert same_bytes(x, rec, x_ref, rec_ref)
+        assert slot.guide is None
 
     def test_gram_that_does_not_factor_falls_back_to_a_fresh_factor(
             self, factored):

@@ -140,6 +140,16 @@ class TestNoSolveRepeated:
         assert len(blocks) <= 43
         assert len(blocks) - len(set(blocks)) <= 14
 
+    def test_check_9_factors_no_block_twice(self, monkeypatch):
+        # the Riesz sweeps onto one target share a factor slot and the
+        # Green sweeps onto the part solve on its restricted system, so the
+        # idempotence re-runs and the composition sweeps reuse the factor
+        # of the sweep before them: 8 factorizations per instance
+        blocks = _factored_blocks(monkeypatch)
+        assert verify.criterion_9()[0]
+        assert len(blocks) <= 400
+        assert len(set(blocks)) == len(blocks)
+
 
 class TestTableWriter:
     def test_layout_and_short_floats(self, tmp_path):
