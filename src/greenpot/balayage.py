@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve
 
 from .core import DiscreteMeasure, ValidationError, _index_array
 from .riesz import KernelMatrix, potential
-from .solvers import _TILE, _cholesky, nonneg_qp
+from .solvers import _TILE, _cholesky, _gather, nonneg_qp
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,17 @@ class BalayageResult:
 def _domination_excess(K: KernelMatrix, x_on_q: np.ndarray, q: np.ndarray,
                        u_in: np.ndarray) -> float:
     """Largest excess, at least 0, of the potential of x_on_q on q over u_in
-    off q, formed one _TILE-row block of K[off, q] at a time. Each block is
-    gathered straight from K's entries, so the transient is one |q|-wide
-    block, never K's full rows, and each row has the whole product's bytes."""
+    off q, formed one _TILE-row block of K[off, q] at a time, so each row has
+    the whole product's bytes. Each block is gathered by _gather, whose rows
+    of K hold no more entries than the block: the transient is two |q|-wide
+    blocks at most, never _TILE full rows of K."""
     off = np.ones(K.size, dtype=bool)
     off[q] = False
     off = np.flatnonzero(off)
     if not off.size:
         return 0.0
     u_swept_off = np.concatenate([
-        K.entries[np.ix_(off[i:i + _TILE], q)] @ x_on_q
+        _gather(K.entries, off[i:i + _TILE], q) @ x_on_q
         for i in range(0, off.size, _TILE)])
     return float(max(0.0, np.max(u_swept_off - u_in[off])))
 

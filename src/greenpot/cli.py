@@ -608,16 +608,8 @@ def _run_family(sc: Scenario, art: Artifacts) -> dict:
     art.table("family.csv", list(columns), list(zip(*columns.values())))
     return {
         "results": {
-            "direction": rep.direction, "sizes": rep.sizes,
-            "w_values": rep.w_values, "c_values": rep.c_values,
-            "swept_masses": rep.swept_masses,
-            "cauchy_norms": rep.cauchy_norms,
+            "direction": rep.direction, "window_size": rep.window_size,
             "parallelogram_max_excess": rep.max_excess,
-            "window_size": rep.window_size,
-            "window_masses": rep.window_masses,
-            "support_radii": rep.support_radii,
-            "dist_to_swept": rep.dist_to_swept,
-            "extremal_energies": rep.extremal_energies,
             "theta_mass": fld.theta.total_mass,
         },
         "invariants": [

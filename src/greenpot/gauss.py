@@ -151,8 +151,7 @@ def explicit_solution(fld: ExternalField) -> GaussSolution:
     w_value = float(x @ (G @ x) - 2.0 * (b @ x))
     return GaussSolution(minimizer=DiscreteMeasure(lam), w_value=w_value,
                          c_constant=c,
-                         kkt=_kkt_record(G, b, x, c, np.min(x), 0, 0.0,
-                                         simplex=True),
+                         kkt=_kkt_record(G, b, x, c, 0, 0.0, simplex=True),
                          diagnostics={"green_capacity_of_f": c_g,
                                       "green_equilibrium_of_f": gamma})
 

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _plain(obj):

@@ -11,9 +11,13 @@ free set F, fixes x = 0 off F, and solves the subproblem on F from a
 Cholesky factorization of the free block: A_FF x_F = b_F for nonneg_qp, and
 for simplex_qp the same factor applied to [b_F, 1], giving u and v, with
 x_F = u + c v and c = (1 - sum u) / sum v chosen so that x_F sums to one.
-An index is infeasible when it is free with x_i < -tol, or fixed with
-reduced gradient (A x - b - c)_i < -tol, where c = 0 for nonneg_qp. Each
-pivot exchanges infeasible indices between F and its complement:
+An index is infeasible when it is free with x_i < 0, or fixed with
+reduced gradient (A x - b - c)_i < -tol, where c = 0 for nonneg_qp. Every
+free set solved, first, warm, guided or exact, takes this one test, and a
+solve returns the weights of the first free set with no infeasible index
+as they are: none is clipped, so the weights of simplex_qp sum to one up to
+the rounding of the solve. NNLS (Lawson & Hanson, 1974) stops on the same
+test. Each pivot exchanges infeasible indices between F and its complement:
 
   - while the infeasible count keeps setting new lows, the whole infeasible
     set is exchanged;
@@ -29,8 +33,7 @@ set: the pivoting converges from any first free set, and a solve starts
 where the last solve on its matrix ended, since the problems solved on one
 matrix (a sweep, the Gauss problem, its dual, the equilibrium) end on
 nearly the same support. tol is RTOL times the larger of 1, max |b| and
-the largest diagonal entry; nonneg_qp accepts a first free set holding
-every index down to -10 tol. KKTRecord.iterations counts the free sets
+the largest diagonal entry. KKTRecord.iterations counts the free sets
 solved, one more than the number of pivots, and 40 m + 100 caps it for an
 m-index problem.
 
@@ -56,7 +59,7 @@ factor of a free set the guide finds final is live beside them, and no
 later solve on the slot holds them. The guide only steers the
 pivoting: the result, its record and the slot's free set and factor are
 those of a solve without the guide, unless rounding moves an index across
-the feasibility tolerance on the way.
+the final-set test on the way.
 """
 
 from __future__ import annotations
@@ -78,19 +81,19 @@ RTOL = 1e-12
 # solved on a guide (_Bordered); past it the bordered system costs about as
 # much as a fresh factorization.
 GUIDE_SHARE = 0.25
-# Rows per block of _gather, of balayage's domination check and of riesz's
-# distance fill, and the side of the square tiles of _certify's restore and
-# riesz's symmetry check.
+# Rows per output block of _gather, of balayage's domination check and of
+# riesz's distance fill, and the side of the square tiles of _certify's
+# restore and riesz's symmetry check.
 _TILE = 128
 
 
 @dataclass(frozen=True)
 class KKTRecord:
-    """Optimality diagnostics reported by both solvers.
+    """Optimality diagnostics reported by both solvers, whose weights are
+    all at least 0 as solved.
 
     support_residual: worst stationarity violation on the support
     off_support_slack: worst sign violation of the reduced gradient off support
-    min_weight: most negative solution entry before clipping
     mass_error: |sum(x) - 1| (zero for the unconstrained-mass solver)
     multiplier: equality-constraint multiplier (zero when absent)
     gap_bound: for simplex_qp, the Frank-Wolfe gap g.x - min_i g_i with
@@ -100,7 +103,6 @@ class KKTRecord:
 
     support_residual: float
     off_support_slack: float
-    min_weight: float
     mass_error: float
     multiplier: float
     iterations: int
@@ -142,10 +144,11 @@ def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
 
 
 def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
-    """A[np.ix_(rows, cols)], the same bytes, gathered _TILE rows at
-    a time: no temporary is taller than one row block. Rows are indexed,
-    not taken: take copies a non-contiguous A (such as green_f's view of
-    the Green matrix) whole before it gathers."""
+    """A[np.ix_(rows, cols)], the same bytes, gathered a few full rows of
+    A at a time: at most _TILE, and no more entries than _TILE rows of the
+    output, so a narrow gather from a wide A holds no wide temporary. Rows
+    are indexed, not taken: take copies a non-contiguous A (such as
+    green_f's view of the Green matrix) whole before it gathers."""
     rows = np.asarray(rows, dtype=int)
     cols = rows if cols is None else np.asarray(cols, dtype=int)
     n = A.shape[1]
@@ -153,9 +156,9 @@ def _gather(A: np.ndarray, rows, cols=None) -> np.ndarray:
     if cols.size and (cols.min() < -n or cols.max() >= n):
         raise IndexError(f"column index out of bounds for size {n}")
     out = np.empty((rows.size, cols.size), dtype=A.dtype)
-    for i in range(0, rows.size, _TILE):
-        A[rows[i:i + _TILE]].take(cols, axis=1, out=out[i:i + _TILE],
-                                  mode="wrap")
+    step = max(1, min(_TILE, _TILE * cols.size // max(n, 1)))
+    for i in range(0, rows.size, step):
+        A[rows[i:i + step]].take(cols, axis=1, out=out[i:i + step], mode="wrap")
     return out
 
 
@@ -256,9 +259,9 @@ class _Bordered:
 
 def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
                 simplex: bool, factor=None,
-                uv=None) -> tuple[np.ndarray, float, float, tuple]:
-    """Subproblem on the free set: weights (zero off it), multiplier, raw
-    minimum, and the factor used.
+                uv=None) -> tuple[np.ndarray, float, tuple]:
+    """Subproblem on the free set: weights (zero off it, as solved on it,
+    negative ones included), multiplier, and the factor used.
 
     factor, when given, is the _cholesky factor of the free block; otherwise
     the block is factored here (an empty free set needs none). uv, when
@@ -268,7 +271,7 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     F = np.flatnonzero(free)
     x = np.zeros(b.size)
     if F.size == 0:
-        return x, 0.0, 0.0, None
+        return x, 0.0, None
     if factor is None and uv is None:
         factor = _cholesky(_gather(A, F), overwrite=True)
     if simplex:
@@ -283,19 +286,19 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     else:
         c, z = 0.0, cho_solve(factor, b[F], check_finite=False)
     x[F] = z
-    return x, c, float(np.min(z)), factor
+    return x, c, factor
 
 
-def _infeasible(A, b, x, c, free, floor, tol) -> np.ndarray:
-    """Free indices with x_i < -floor, and fixed ones with (A x - b - c)_i < -tol."""
-    infeasible = free & (x < -floor)
+def _infeasible(A, b, x, c, free, tol) -> np.ndarray:
+    """Free indices with x_i < 0, and fixed ones with (A x - b - c)_i < -tol."""
+    infeasible = free & (x < 0.0)
     if not free.all():
         infeasible |= ~free & (A @ x - b - c < -tol)
     return infeasible
 
 
 def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
-           slot: FactorSlot | None = None) -> tuple[np.ndarray, float, float, int]:
+           slot: FactorSlot | None = None) -> tuple[np.ndarray, float, int]:
     """Block principal pivoting (see the module docstring).
 
     slot, when given, is A's FactorSlot: the first free set is a copy of the
@@ -305,9 +308,9 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
     set's factorization and solve. Other free sets are solved on the slot's
     guide when nonneg_qp has one and they miss few indices, and otherwise,
     or when the guide finds them final, factored afresh; the guide leaves
-    the slot for good. Returns the
-    clipped minimizer, the multiplier, the most negative free weight of the
-    final solve, and the number of free sets solved.
+    the slot for good. Every free set takes one final-set test
+    (_infeasible). Returns the minimizer, the multiplier and the number of
+    free sets solved.
     """
     m = b.size
     max_iter = 40 * m + 100
@@ -323,8 +326,6 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
         # from the slot, and it is freed with that system
         guided, slot.guide = _Bordered(slot.guide, b), None
     for iters in range(1, max_iter + 1):
-        # the plain solve's fast path, never a warm first set
-        floor = 10 * tol if iters == 1 and not simplex and free.all() else tol
         uv = solve if free.all() else None
         if uv is None and slot is not None and np.array_equal(free, slot.free):
             known = slot.factor
@@ -336,7 +337,7 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
             x = guided.solve(free)
             if x is not None:
                 last = None
-                infeasible = _infeasible(A, b, x, 0.0, free, floor, tol)
+                infeasible = _infeasible(A, b, x, 0.0, free, tol)
                 if not infeasible.any():
                     # final on the guide: free the bordered system, its
                     # columns and the guide, then solve the set exactly
@@ -349,12 +350,12 @@ def _pivot(A: np.ndarray, b: np.ndarray, tol: float, simplex: bool, solve=None,
                 last = None
                 if slot is not None:
                     slot.free = slot.factor = None
-            x, c, zmin, last = _solve_free(A, b, free, simplex, known, uv)
-            infeasible = _infeasible(A, b, x, c, free, floor, tol)
+            x, c, last = _solve_free(A, b, free, simplex, known, uv)
+            infeasible = _infeasible(A, b, x, c, free, tol)
             if not infeasible.any():
                 if slot is not None:
                     slot.free, slot.factor = free, last
-                return np.maximum(x, 0.0), c, zmin, iters
+                return x, c, iters
         count = int(np.count_nonzero(infeasible))
         if count < best:
             best, retries = count, BLOCK_RETRIES
@@ -381,10 +382,10 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, *,
     if A.shape != (m, m):
         raise SolverError(f"matrix shape {A.shape} does not match rhs size {m}")
     if m == 0:
-        return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
+        return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0, 0.0)
     tol = _scale_tol(b, np.diag(A), RTOL)
-    x, _, min_raw, iters = _pivot(A, b, tol, simplex=False, slot=slot)
-    return x, _kkt_record(A, b, x, 0.0, min_raw, iters, tol, simplex=False)
+    x, _, iters = _pivot(A, b, tol, simplex=False, slot=slot)
+    return x, _kkt_record(A, b, x, 0.0, iters, tol, simplex=False)
 
 
 def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, solve=None,
@@ -411,13 +412,13 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, *, solve=None,
     if solve is not None and np.shape(solve) != (m, 2):
         raise SolverError(f"solve shape {np.shape(solve)} is not ({m}, 2)")
     tol = _scale_tol(b, np.diag(G), RTOL)
-    x, c, ymin, iters = _pivot(G, b, tol, simplex=True, solve=solve, slot=slot)
-    return x, _kkt_record(G, b, x, c, ymin, iters, tol, simplex=True)
+    x, c, iters = _pivot(G, b, tol, simplex=True, solve=solve, slot=slot)
+    return x, _kkt_record(G, b, x, c, iters, tol, simplex=True)
 
 
-def _kkt_record(A, b, x, c, zmin, iters, tol, simplex: bool) -> KKTRecord:
-    """The KKTRecord of x with multiplier c (0 for nonneg_qp) and most
-    negative raw weight zmin; mass_error and gap_bound only for the simplex."""
+def _kkt_record(A, b, x, c, iters, tol, simplex: bool) -> KKTRecord:
+    """The KKTRecord of x with multiplier c (0 for nonneg_qp); mass_error
+    and gap_bound only for the simplex."""
     g = A @ x - b
     on = x > 0
     support_residual = float(np.max(np.abs(g[on] - c))) if np.any(on) else 0.0
@@ -430,7 +431,6 @@ def _kkt_record(A, b, x, c, zmin, iters, tol, simplex: bool) -> KKTRecord:
         gap_bound = float(x @ (g - np.min(g)))
     return KKTRecord(support_residual=support_residual,
                      off_support_slack=off_support_slack,
-                     min_weight=min(float(zmin), 0.0),
                      mass_error=mass_error,
                      multiplier=float(c),
                      iterations=iters,

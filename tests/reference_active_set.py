@@ -104,7 +104,7 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
     if A.shape != (m, m):
         raise SolverError(f"matrix shape {A.shape} does not match rhs size {m}")
     if m == 0:
-        return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
+        return np.zeros(0), KKTRecord(0.0, 0.0, 0.0, 0.0, 0, 0.0)
     tol = _scale_tol(b, np.diag(A), rtol)
     if max_iter is None:
         max_iter = 40 * m + 100
@@ -116,8 +116,7 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
     z = fac.solve(b)
     if np.min(z) >= -10 * tol:
         x = np.maximum(z, 0.0)
-        return x, _kkt_record(A, b, x, 0.0, float(np.min(z)), 1, tol,
-                              simplex=False)
+        return x, _kkt_record(A, b, x, 0.0, 1, tol, simplex=False)
 
     x = np.zeros(m)
     fac = _ActiveFactor(A)
@@ -175,14 +174,12 @@ def nonneg_qp(A: np.ndarray, b: np.ndarray, rtol: float = 1e-12,
         else:
             w = b.copy()
 
-    min_raw = float(np.min(x)) if m else 0.0
     if fac.idx:
         fac.refactor()
         z = fac.solve(b[np.array(fac.idx)])
-        min_raw = min(min_raw, float(np.min(z)))
         x[:] = 0.0
         x[np.array(fac.idx)] = np.maximum(z, 0.0)
-    return x, _kkt_record(A, b, x, 0.0, min_raw, iters, tol, simplex=False)
+    return x, _kkt_record(A, b, x, 0.0, iters, tol, simplex=False)
 
 
 def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
@@ -242,15 +239,13 @@ def simplex_qp(G: np.ndarray, b: np.ndarray | None = None, rtol: float = 1e-12,
             x[:] = 0.0
             x[idx] = np.maximum(y, 0.0)
             if not np.any(pinned):
-                return x, _kkt_record(G, b, x, c, ymin, iters, tol,
-                                      simplex=True)
+                return x, _kkt_record(G, b, x, c, iters, tol, simplex=True)
             g = G @ x - b
             wi = np.where(pinned)[0]
             s = g[wi] - c
             smin_pos = int(np.argmin(s))
             if s[smin_pos] >= -tol:
-                return x, _kkt_record(G, b, x, c, ymin, iters, tol,
-                                      simplex=True)
+                return x, _kkt_record(G, b, x, c, iters, tol, simplex=True)
             j = int(wi[smin_pos])
             fac.append(j)
             pinned[j] = False

@@ -127,10 +127,10 @@ class TestDominationExcess:
 
     def test_transient_is_one_block_of_the_target_columns(self):
         # on a wide matrix one full-width row block (1.2 MB here) dwarfs a
-        # block of K[off, q] (40 kB); the slack covers the few |off|-long
-        # vectors (the index, the potential, its difference with u_in) and
-        # the buffers of numpy's indexing iterator, at most 8192 entries
-        # of each of the two index arrays
+        # block of K[off, q] (40 kB); the peak is that block, the rows of K
+        # that _gather holds while it fills the block (no more entries than
+        # the block), and the few |off|-long vectors (the index, the
+        # potential, its difference with u_in)
         rng = np.random.default_rng(3)
         n, n_q = 1200, 40
         K = KernelMatrix(rng.uniform(0.1, 1.0, size=(n, n)), 2.0, 3)
@@ -144,7 +144,7 @@ class TestDominationExcess:
         finally:
             tracemalloc.stop()
         # in bytes of doubles and of 64-bit indices
-        assert peak <= 8 * (solvers._TILE * n_q + 8 * n + 2 * 8192)
+        assert peak <= 8 * (2 * solvers._TILE * n_q + 8 * n)
 
 
 class TestDiracMatrix:

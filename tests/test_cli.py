@@ -58,6 +58,13 @@ def read_report(out_dir):
         return json.load(fh)
 
 
+def read_columns(out_dir, name):
+    """A numeric table's columns by header name, as lists of floats."""
+    with open(os.path.join(out_dir, "tables", name)) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    return {h: [float(row[k]) for row in rows] for k, h in enumerate(header)}
+
+
 class TestKernelTask:
     def test_hand_matrix_written(self, tmp_path):
         cloud = hand_cloud(tmp_path)
@@ -66,7 +73,7 @@ class TestKernelTask:
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
-        assert rep["schema_version"] == 4
+        assert rep["schema_version"] == 5
         assert rep["task"] == "kernel"
         assert rep["results"]["diagonal_min"] == 4.0
         assert rep["results"]["off_diagonal_max"] == 1.0
@@ -453,15 +460,15 @@ class TestFamilyTasks:
         assert cli.main(["run", cfg, "--out", out]) == 0
         res = read_report(out)["results"]
         assert res["direction"] == "increasing"
-        assert res["w_values"] == pytest.approx([0.6, 0.28], abs=1e-12)
-        assert res["c_values"] == pytest.approx([1.3, 0.9], abs=1e-12)
-        assert res["swept_masses"] == pytest.approx([0.35, 0.4], abs=1e-12)
+        table = read_columns(out, "family.csv")
+        assert table["w"] == pytest.approx([0.6, 0.28], abs=1e-12)
+        assert table["c"] == pytest.approx([1.3, 0.9], abs=1e-12)
+        assert table["swept_mass"] == pytest.approx([0.35, 0.4], abs=1e-12)
         assert res["parallelogram_max_excess"] <= 1e-9
-        with open(os.path.join(out, "tables", "family.csv")) as fh:
-            assert fh.readline().rstrip("\n").split(",") == [
-                "f_size", "w", "c", "swept_mass", "cauchy_to_final",
-                "window_mass", "support_radius", "dist_to_swept",
-                "extremal_energy"]
+        assert list(table) == [
+            "f_size", "w", "c", "swept_mass", "cauchy_to_final",
+            "window_mass", "support_radius", "dist_to_swept",
+            "extremal_energy"]
 
     def test_exhaustion_window_masses(self, tmp_path):
         cfg = self.family_config(tmp_path)
@@ -469,9 +476,9 @@ class TestFamilyTasks:
         assert cli.main(["run", cfg, "--out", out]) == 0
         res = read_report(out)["results"]
         assert res["window_size"] == 1
-        assert res["window_masses"] == pytest.approx([1.0, 0.6], abs=1e-12)
-        assert res["extremal_energies"] == pytest.approx(res["c_values"],
-                                                         abs=1e-12)
+        table = read_columns(out, "family.csv")
+        assert table["window_mass"] == pytest.approx([1.0, 0.6], abs=1e-12)
+        assert table["extremal_energy"] == pytest.approx(table["c"], abs=1e-12)
 
     @pytest.mark.parametrize("task", ["truncation", "exhaustion", "equilibrium",
                                       "support"])
@@ -646,12 +653,16 @@ class TestReportContract:
         for task, rep in reports.items():
             assert sorted(rep) == ["alpha", "artifacts", "invariants", "results",
                                    "schema_version", "sigma", "task"], task
-            assert rep["schema_version"] == 4
+            assert rep["schema_version"] == 5
         # alpha and sigma live at the top level only
         assert not {"alpha", "sigma"} & set(reports["kernel"]["results"])
         assert "alpha" not in reports["green"]["results"]
         # the paper's hypotheses are measured values in results
         assert reports["family"]["results"]["theta_mass"] == 1.75
+        # the family's per-member values live in family.csv alone
+        assert sorted(reports["family"]["results"]) == [
+            "direction", "parallelogram_max_excess", "theta_mass",
+            "window_size"]
         res = reports["gauss"]["results"]
         assert res["support"]["omega_connected"] is True
         assert res["support"]["omega_components"] == 1
@@ -663,6 +674,9 @@ class TestReportContract:
         kkt = asdict(solve_gauss(cli._field_system(sc)).kkt)
         assert res["c_constant"] == kkt.pop("multiplier")
         assert res["kkt"] == kkt
+        assert sorted(kkt) == ["gap_bound", "iterations", "mass_error",
+                               "off_support_slack", "support_residual",
+                               "tolerance"]
 
 
 # One key outside each task's row of cli._TASK_KEYS. A theta on a capacity
@@ -740,7 +754,7 @@ class TestVerifyAllCommand:
         out = str(tmp_path / "out")
         assert cli.main(["run", cfg, "--out", out]) == 0
         rep = read_report(out)
-        assert rep["schema_version"] == 4 and rep["seed"] == 4
+        assert rep["schema_version"] == 5 and rep["seed"] == 4
         assert rep["all_passed"]
         assert len(rep["criteria"]) == 1
         row = rep["criteria"][0]

@@ -17,6 +17,8 @@ from greenpot.green import build_green, green_equilibrium, green_sweep
 from greenpot.riesz import _simplex_minimum, weight_norm
 from greenpot.solvers import nonneg_qp, simplex_qp
 
+from kelvin_oracle import kelvin_green, kelvin_shells
+
 
 def field_system(charge=1.75):
     """F = {0, 1} on the x-axis, charge at (-2.5, 0, 0), no complement sample.
@@ -141,6 +143,39 @@ class TestSolveGauss:
         extremal = float(lam_d @ (gs.green.entries @ lam_d)
                          + fld.field_values @ lam_d)
         assert extremal == pytest.approx(sol.c_constant, abs=1e-13)
+
+
+class TestKelvinTracking:
+    """The unit charge at the centre of B_2 against concentric shells, on
+    Kelvin's exact kernel: the minimizer tracks the swept charge (c = 0)."""
+
+    def test_kernel_is_the_image_formula(self):
+        R = 2.0
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-1.0, 1.0, size=(30, 3))
+        pts[0] = 0.0
+        G = kelvin_green(pts, R, np.full(30, 7.0))
+        assert np.array_equal(G, G.T)
+        for i, j in [(1, 2), (3, 17), (29, 5)]:
+            x, y = pts[i], pts[j]
+            image = R * R * x / (x @ x)
+            assert G[i, j] == pytest.approx(
+                1 / np.linalg.norm(x - y)
+                - R / (np.linalg.norm(x) * np.linalg.norm(y - image)), rel=1e-13)
+        assert G[0, 1:] == pytest.approx(
+            1 / np.linalg.norm(pts[1:], axis=1) - 1 / R, rel=1e-13)
+        assert G[3, 3] == 7.0 - R / (R * R - pts[3] @ pts[3])
+
+    def test_tracking_charge_passes_the_mass_gate(self):
+        # at swept mass 1 many free weights are zero up to rounding; with
+        # none clipped the minimizer keeps unit mass to rounding
+        gs, theta = kelvin_shells()
+        fld = external_field(gs, theta)
+        assert fld.theta_swept.total_mass == pytest.approx(1.0, abs=1e-6)
+        sol = solve_gauss(fld)
+        assert sol.kkt.mass_error <= 1e-12
+        assert abs(sol.c_constant) <= 1e-6
+        assert gs.distance(sol.minimizer, fld.theta_swept) <= 1e-3
 
 
 class TestExplicitSolution:

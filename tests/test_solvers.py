@@ -62,7 +62,7 @@ class TestNonnegQP:
         assert np.min(g[~on]) >= -10 * rec.tolerance
         assert rec.support_residual <= 10 * rec.tolerance
         assert rec.off_support_slack <= 10 * rec.tolerance
-        assert rec.min_weight >= 0.0
+        assert np.all(x >= 0)
 
     def test_all_negative_target_gives_zero(self):
         A = np.eye(4)
@@ -155,6 +155,20 @@ class TestSimplexQP:
         x, rec = simplex_qp(G, b)
         assert rec.mass_error <= 1e-12
         assert abs(x.sum() - 1.0) <= 1e-12
+
+    def test_free_zeros_below_zero_are_fixed_not_clipped(self):
+        # the unconstrained minimizer on the identity is b: half its weights
+        # are -5e-13, within tol = 1e-12 of zero, and the other half carry
+        # the mass they leave, 1 + 2.5e-10; clipping them would add 2.5e-10
+        # of mass, so the solve must fix them and solve the rest again
+        m = 1000
+        b = np.full(m, (1.0 + 2.5e-10) / (m // 2))
+        b[::2] = -5e-13
+        x, rec = simplex_qp(np.eye(m), b)
+        assert rec.iterations == 2
+        assert np.all(x[::2] == 0.0) and np.all(x[1::2] > 0.0)
+        assert rec.mass_error <= 1e-15
+        assert abs(x.sum() - 1.0) <= 1e-15
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(13)
@@ -275,18 +289,19 @@ class TestFactorSlot:
         assert same_bytes(x, replace(rec, iterations=rec_ref.iterations),
                           x_ref, rec_ref)
 
-    def test_relaxed_floor_only_on_every_index(self):
-        # x = b on the identity: a first solve on every index accepts a
-        # weight of -5 tol (tol = 1e-12 here), a warm first set does not
+    def test_negative_free_weight_is_never_final(self):
+        # x = b on the identity: a weight of -5 tol (tol = 1e-12 here) is
+        # fixed and its set solved again, whether the first free set holds
+        # every index or is warm
         A = np.eye(4)
         b = np.array([1.0, 0.5, -5e-12, -1.0])
-        x, rec = nonneg_qp(A[:3, :3], b[:3])
-        assert rec.iterations == 1 and rec.min_weight == -5e-12
-        x, rec = nonneg_qp(A[:3, :3], b[:3], slot=held_slot([1, 1, 1]))
-        assert rec.iterations == 1 and rec.min_weight == -5e-12
+        for slot in (None, held_slot([1, 1, 1])):
+            x, rec = nonneg_qp(A[:3, :3], b[:3], slot=slot)
+            assert rec.iterations == 2
+            assert x.tolist() == [1.0, 0.5, 0.0]
         # warm on {0, 1, 2}, with index 3 fixed and feasible
         x, rec = nonneg_qp(A, b, slot=held_slot([1, 1, 1, 0]))
-        assert rec.iterations == 2 and rec.min_weight == 0.0
+        assert rec.iterations == 2
         assert x.tolist() == [1.0, 0.5, 0.0, 0.0]
 
     def test_simplex_started_on_the_held_free_set(self, factored):
