@@ -298,14 +298,11 @@ class Scenario:
                 f"points; a cloud has 1 to {geometry.MAX_POINTS}")
         points = np.vstack([geo_points, theta_rows]) if len(theta_rows) \
             else geo_points
+        nn = None
         if radii is not None and len(theta_rows):
-            extra = np.empty(len(theta_rows))
-            for k, row in enumerate(theta_rows):
-                d = np.linalg.norm(points - row, axis=1)
-                d[self.n_geometry + k] = np.inf
-                extra[k] = 0.5 * float(d.min())
-            radii = np.concatenate([radii, extra])
-        self.point_set = (PointSet(points, radii) if radii is not None
+            nn = nearest_neighbor_distances(points)
+            radii = np.concatenate([radii, nn[self.n_geometry:] / 2])
+        self.point_set = (PointSet(points, radii, nn) if radii is not None
                           else PointSet.from_points(points))
         self.theta_entries = theta_entries
 

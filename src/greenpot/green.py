@@ -35,9 +35,9 @@ class GreenSystem:
     no solve (KernelMatrix.solve); the system keeps no Riesz matrix and no
     Dirac sweep onto Y (green._build returns it to the green task). Solves
     over all of F share green_f's factor slot, and every other target is
-    factored by its solver. When F leads the matrix that certified the
-    build, the slot starts out holding that factor's F block as its guide
-    (green._build), which the first sweep onto F takes and frees
+    factored by its solver. When F leads D (_leads), the slot starts out
+    holding the F block of the certificate's factor as its guide
+    (_system), which the first sweep onto F takes and frees
     (solvers.FactorSlot). A restricted system (restrict) holds its own
     green_f and slot, with no guide.
     """
@@ -60,21 +60,20 @@ class GreenSystem:
         """Green matrix on F, a principal block of the checked green, with
         the factor slot of the solves over all of F.
 
-        Built by a build that has a guide, which it hands to the slot, and
-        otherwise on the first solve over all of F (sweep, Gauss solve,
-        Green equilibrium, dual problem). When F leads D (F's D-positions
-        are 0, ..., |F| - 1, as for every prefix member of restrict, and
-        always when there is a guide) the entries are a view of green's
-        leading block, which no solve writes; otherwise they are a gathered
-        copy. Through the slot each solve starts from the free set the last
-        one ended on, with its factor, since these solves end on nearly the
-        same support; the first sweep pivots on the guide, if any, and
-        frees it. A kept factor is, bit for bit, a solver's own.
+        Built by _system when it has a guide, which it hands to the slot,
+        and otherwise on the first solve over all of F (sweep, Gauss solve,
+        Green equilibrium, dual problem). When F leads D (_leads; as for
+        every prefix member of restrict, and always when there is a guide)
+        the entries are a view of green's leading block, which no solve
+        writes; otherwise they are a gathered copy. Through the slot each
+        solve starts from the free set the last one ended on, with its
+        factor, since these solves end on nearly the same support; the
+        first sweep pivots on the guide, if any, and frees it. A kept
+        factor is, bit for bit, a solver's own.
         """
-        f_pos = self.d_positions(self.cfg.f_indices)
-        k = f_pos.size
-        entries = (self.green.entries[:k, :k]
-                   if f_pos[-1] == k - 1 else self.green.block(f_pos))
+        f = self.cfg.f_indices
+        entries = (self.green.entries[:f.size, :f.size] if _leads(self.cfg)
+                   else self.green.block(self.d_positions(f)))
         return KernelMatrix(entries, self.green.alpha, self.green.dim,
                             slot=FactorSlot())
 
@@ -116,36 +115,26 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
 
 
 def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
-    """The Green system of cfg, certified positive definite by one Cholesky
-    factorization whose F block becomes the guide in green_f's slot.
+    """The Green system of cfg (_system) and the |Y| x |D| Dirac sweep W,
+    whose column k is the swept unit mass of the k-th D-point, row j its
+    weight at the j-th Y-point (0 x |D| when Y is empty).
 
-    With Y empty the certificate factors the Riesz matrix of the whole
-    cloud. Otherwise the Dirac sweep factors K_YY, and the certificate
-    factors the Green matrix on D, which is the Schur complement of K_YY in
-    the Riesz matrix: the two are positive definite if and only if the
-    Riesz matrix is (Haynsworth, 1968). A column the sweep recomputes by
-    cone projection leaves that Schur complement, so then the Riesz matrix
-    is factored as well. Every certificate factors in place
-    (solvers._certify), and the build has a guide only when F leads the
-    matrix that certifies it: when F's positions in it are 0, ..., |F| - 1.
-    The slot is then the guide's only owner.
-
-    Also returns the |Y| x |D| Dirac sweep W, whose column k is the swept
-    unit mass of the k-th D-point, row j its weight at the j-th Y-point
-    (0 x |D| when Y is empty).
+    With Y empty the Green matrix is the Riesz matrix on D. Otherwise the
+    Dirac sweep factors K_YY, and the Green matrix is the Schur complement
+    of K_YY in the Riesz matrix: the two are positive definite if and only
+    if the Riesz matrix is (Haynsworth, 1968). A column the sweep recomputes
+    by cone projection leaves that Schur complement, so then the Riesz
+    matrix is factored as well.
     """
-    d = cfg.d_indices
-    y = cfg.y_indices
-    f = cfg.f_indices
+    d, y = cfg.d_indices, cfg.y_indices
     # no solve reads a kept solve of either kernel: sweeps and strict
     # targets take blocks, and solves over F share green_f's slot
     K = _symmetric_kernel(_riesz_entries(cfg.point_set, cfg.alpha, sigma),
                           cfg.alpha, cfg.point_set.dim)
     if y.size == 0:
-        # a principal block of the certified SPD matrix is exactly symmetric
-        # and SPD (Cauchy interlacing). A D of every point shares its entries.
+        # an exactly symmetric block; a D of every point shares K's entries
         green = K if d.size == K.size else KernelMatrix(K.block(d), K.alpha, K.dim)
-        certified, f_pos, W, asym = K, f, np.zeros((0, d.size)), 0.0
+        W, asym = np.zeros((0, d.size)), 0.0
     else:
         fallbacks = []
         W = dirac_sweep_matrix(K, d, y, _fallbacks=fallbacks)
@@ -169,14 +158,27 @@ def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
         if float(np.max(entries - K_d)) > ENTRY_TOL:
             raise InvariantError("Green entries exceed the Riesz entries")
         green = _symmetric_kernel(entries, K.alpha, K.dim)
-        del K, K_d, raw  # the system keeps none of them: free before the certificate
-        certified, f_pos = green, np.searchsorted(d, f)
-    leads = np.array_equal(f_pos, np.arange(f.size))
-    guide, _ = _certify(certified.entries, f.size if leads else 0)
+        del K_d, raw
+    del K  # the system keeps no Riesz matrix: free it before the certificate
+    return _system(cfg, green, asym), W
+
+
+def _leads(cfg: DomainConfig) -> bool:
+    """Whether F leads D: F's D-positions are 0, ..., |F| - 1."""
+    return np.array_equal(cfg.d_indices[:cfg.f_indices.size], cfg.f_indices)
+
+
+def _system(cfg: DomainConfig, green: KernelMatrix, asym: float) -> GreenSystem:
+    """The Green system of cfg on green, its exactly symmetric Green matrix
+    on D, certified positive definite by one Cholesky factorization in
+    green's own buffer (solvers._certify). When F leads D (_leads) the
+    factor's F block becomes the guide in green_f's slot, its only owner.
+    """
+    guide, _ = _certify(green.entries, cfg.f_indices.size if _leads(cfg) else 0)
     gs = GreenSystem(cfg=cfg, green=green, asymmetry_residual=asym)
     if guide is not None:
         gs.green_f.slot.guide = guide
-    return gs, W
+    return gs
 
 
 def green_sweep(gs: GreenSystem, mu: DiscreteMeasure, f,

@@ -4,7 +4,7 @@ Each check builds its instances through the public package API, measures the
 relevant residuals or trends, and returns its verdict, measured values and a
 per-instance table; one harness times it, captures its errors and applies its
 runtime limit. The suite is shared by the test harness and the command-line
-runner; check 10 re-runs the other nine from scratch and compares their tables' text.
+runner; check 10 re-runs the others from scratch and compares their tables' text.
 """
 
 from __future__ import annotations
@@ -603,7 +603,7 @@ _FAMILY_CHECKS = ("2", "3", "4")
 
 
 def _run_pass(seed: int, ids: list[str]) -> list[CriterionResult]:
-    """Run the checks ids (all among 1-9, in order) as one pass.
+    """Run the checks ids (all among _CHECK_IDS, in order) as one pass.
 
     Checks 2-4 share one instance family, built by the first of them to run
     and dropped with the pass; that check's record carries the build time.
@@ -646,10 +646,10 @@ def _short(v) -> str:
 
 def criterion_10(seed: int = 0,
                  reference: list[CriterionResult] | None = None) -> tuple:
-    """Re-run checks 1-9 as a fresh pass and compare the text of its tables
-    with reference's, table by table.
+    """Re-run the checks of _CHECK_IDS as a fresh pass and compare the text
+    of its tables with reference's, table by table.
 
-    Without a reference (fewer than nine checks ran), a first pass is made
+    Without a reference (not every one of them ran), a first pass is made
     here too.
     """
     if reference is None:
@@ -670,7 +670,7 @@ def criterion_10(seed: int = 0,
 def run_all(seed: int = 0, which: list[str] | None = None) -> list[CriterionResult]:
     """Run the requested checks (all ten by default) and return their records.
 
-    Checks 1-9 run as one pass; check 10 then re-runs them as another.
+    _CHECK_IDS run as one pass, and check 10 re-runs them as another.
     """
     chosen = CRITERION_IDS if which is None else [str(w) for w in which]
     bad = [w for w in chosen if w not in CRITERION_IDS]
@@ -679,5 +679,5 @@ def run_all(seed: int = 0, which: list[str] | None = None) -> list[CriterionResu
     base = _run_pass(seed, [c for c in _CHECK_IDS if c in chosen])
     if "10" not in chosen:
         return base
-    reference = base if len(base) == 9 else None
+    reference = base if len(base) == len(_CHECK_IDS) else None
     return base + [_run_check("10", criterion_10, seed, reference)]

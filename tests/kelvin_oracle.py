@@ -18,9 +18,8 @@ from scipy.spatial.distance import cdist
 from greenpot import geometry
 from greenpot.core import (DiscreteMeasure, DomainConfig, PointSet,
                            nearest_neighbor_distances)
-from greenpot.green import GreenSystem
+from greenpot.green import GreenSystem, _system
 from greenpot.riesz import _symmetric_kernel
-from greenpot.solvers import _certify
 
 # The concentric shells of F in B_2, each with round(250 s^2) points.
 SHELLS = (1.0, 1.3, 1.55, 1.75, 1.875, 1.95)
@@ -51,8 +50,8 @@ def kelvin_shells(radius: float = 2.0, sigma: float = 0.5, shells=SHELLS,
     The k-th shell is sphere_shell(round(density s^2), s, rotate=0.37 k).
     A point's self-energy is the Riesz cell's 1 / (sigma r) with r half its
     nearest-neighbour distance within its own shell (the origin's: to the
-    nearest shell point). The system is certified and given the guide of
-    its leading F block, as a sampled build is (green._build).
+    nearest shell point). F leads D, so green._system certifies the
+    system and hands it the guide of its F block, as for a sampled build.
     """
     parts = [geometry.sphere_shell(round(density * s * s), s, rotate=0.37 * k)
              for k, s in enumerate(shells)]
@@ -64,7 +63,5 @@ def kelvin_shells(radius: float = 2.0, sigma: float = 0.5, shells=SHELLS,
                        np.arange(m - 1), 2.0)
     green = _symmetric_kernel(kelvin_green(pts, radius, 1.0 / (sigma * own)),
                               2.0, 3)
-    guide, _ = _certify(green.entries, m - 1)
-    gs = GreenSystem(cfg=cfg, green=green, asymmetry_residual=0.0)
-    gs.green_f.slot.guide = guide
-    return gs, DiscreteMeasure.from_dict(m, {m - 1: 1.0})
+    return (_system(cfg, green, 0.0),
+            DiscreteMeasure.from_dict(m, {m - 1: 1.0}))

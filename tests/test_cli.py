@@ -925,6 +925,20 @@ class TestErrorPaths:
         assert "lo < hi" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_charge_points_nearest_each_other_take_half_their_distance(
+            self, tmp_path):
+        # a CSV cloud with a radius column: each charge point's cell radius
+        # is half its nearest-neighbour distance, here to the other charge
+        cfg = write_config(tmp_path, {
+            "task": "gauss", "alpha": 2.0,
+            "geometry": {"csv": hand_cloud(tmp_path)},
+            "regions": {"f": {"kind": "all"}},
+            "theta": {"points": [[-2.5, 0.0, 0.0], [-2.75, 0.0, 0.0]],
+                      "weights": [0.5, 0.5]}})
+        with open(cfg, encoding="utf-8") as fh:
+            sc = cli.Scenario(json.load(fh), str(tmp_path))
+        assert sc.point_set.cell_radius.tolist() == [0.25, 0.25, 0.125, 0.125]
+
     def test_coincident_charge_points_named(self, tmp_path, capsys):
         # from_points turns the duplicate into a zero cell radius, which used
         # to be reported in its place

@@ -17,7 +17,8 @@ from greenpot.gauss import (dual_check, explicit_solution, external_field,
                             solve_gauss)
 from greenpot.green import (build_green, frostman_excess, green_equilibrium,
                             green_sweep)
-from greenpot.riesz import KernelMatrix, assemble_riesz, make_kernel
+from greenpot.riesz import (KernelMatrix, _riesz_entries, _symmetric_kernel,
+                            assemble_riesz, make_kernel)
 from greenpot.solvers import nonneg_qp
 from greenpot.verify import _cone_system, _riesz_route_gap, _target_sweeps
 
@@ -207,7 +208,8 @@ class TestBuild:
 
     def test_empty_y_block_is_checked_once(self, monkeypatch):
         # with Y empty on a strict subset D the Green matrix is the D-block of
-        # the certified Riesz matrix, so only that matrix is factored
+        # the Riesz matrix, and the certificate factors that block alone:
+        # the matrix the system uses, not the whole cloud's
         pts = np.vstack([geometry.sphere_shell(30, 1.0), [[0.0, 0.0, 1.7]]])
         cfg = DomainConfig(point_set=PointSet.from_points(pts),
                            d_indices=np.arange(20),
@@ -215,9 +217,35 @@ class TestBuild:
                            f_indices=np.arange(10), alpha=2.0)
         sizes = count_factorizations(monkeypatch)
         gs = build_green(cfg)
-        assert sizes == [31]
+        assert sizes == [20]
         K_d = riesz_of(gs).block(cfg.d_indices)
         assert gs.green.entries.tobytes() == K_d.tobytes()
+
+    def test_empty_y_f_leading_d_behind_ignored_points_has_a_guide(
+            self, monkeypatch):
+        # 12 points outside D and Y lead the cloud, then F and Omega: F leads
+        # D but not the cloud, so the certificate of the Green matrix on D
+        # hands F's block to the slot as the guide
+        pts = np.vstack([geometry.sphere_shell(12, 3.0, rotate=0.5),
+                         geometry.sphere_shell(40, 1.0, rotate=0.2),
+                         [[0.0, 0.0, 0.2], [0.1, -0.1, 0.0]]])
+        cfg = DomainConfig(PointSet.from_points(pts), np.arange(12, 54), [],
+                           np.arange(12, 52), 2.0)
+        theta = DiscreteMeasure.from_dict(54, {52: 0.5})
+        sizes = count_factorizations(monkeypatch)
+        gs = build_green(cfg)
+        assert sizes == [42]
+        guide, lower = gs.green_f.slot.guide
+        assert lower and guide.shape == (40, 40)
+        assert np.shares_memory(gs.green_f.entries, gs.green.entries)
+        # the guide only steers: the same solution as on the same system
+        # without it, bit for bit
+        bare = build_green(cfg)
+        bare.green_f.slot.guide = None
+        sol, ref = (solve_gauss(external_field(g, theta)) for g in (gs, bare))
+        assert sol.w_value == ref.w_value
+        assert sol.c_constant == ref.c_constant
+        assert sol.minimizer.weights.tobytes() == ref.minimizer.weights.tobytes()
 
     def test_empty_y_whole_cloud_shares_the_riesz_matrix(self):
         # with Y empty and D every point the Green matrix is the Riesz one,
@@ -282,6 +310,42 @@ class TestBuild:
         gs = line_system()
         with pytest.raises(ValidationError):
             gs.measure_on_d(DiscreteMeasure.from_dict(3, {2: 1.0}))
+
+
+class TestSystem:
+    """green._system certifies a given Green matrix and hands the guide as a
+    sampled build does: on Y-empty Riesz entries it is build_green's system."""
+
+    @staticmethod
+    def cloud(f_leads: bool) -> DomainConfig:
+        """A 40-point unit sphere F and two Omega points inside it, Y empty;
+        F first or behind Omega."""
+        shell = geometry.sphere_shell(40, 1.0, rotate=0.2)
+        omega = np.array([[0.0, 0.0, 0.2], [0.1, -0.1, 0.0]])
+        pts = np.vstack([shell, omega] if f_leads else [omega, shell])
+        f = np.arange(40) if f_leads else np.arange(2, 42)
+        return DomainConfig(PointSet.from_points(pts), np.arange(42), [], f, 2.0)
+
+    @pytest.mark.parametrize("f_leads", [True, False],
+                             ids=["f_leading", "f_behind_omega"])
+    def test_riesz_entries_give_build_greens_system(self, f_leads):
+        cfg = self.cloud(f_leads)
+        green = _symmetric_kernel(_riesz_entries(cfg.point_set, 2.0, 1.0),
+                                  2.0, 3)
+        gs, ref = greenpot.green._system(cfg, green, 0.0), build_green(cfg)
+        assert gs.green.entries.tobytes() == ref.green.entries.tobytes()
+        assert gs.asymmetry_residual == ref.asymmetry_residual == 0.0
+        guides = []
+        for system in (gs, ref):
+            slot = system.green_f.slot
+            assert slot.free is None and slot.factor is None
+            guides.append(slot.guide)
+        if f_leads:
+            (L, lower), (L_ref, lower_ref) = guides
+            assert L.tobytes() == L_ref.tobytes() and lower == lower_ref
+            assert L.flags.f_contiguous and L_ref.flags.f_contiguous
+        else:
+            assert guides == [None, None]
 
 
 class TestMemory:

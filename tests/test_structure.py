@@ -107,3 +107,37 @@ def test_cli_import_leaves_csgraph_out():
         timeout=60, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.stdout.strip() == "False"
+
+
+def _assigned_attrs(node) -> list:
+    """Attribute targets of an assignment node, tuple targets unpacked."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+               else [])
+    found = []
+    for target in targets:
+        found += [t for t in ast.walk(target) if isinstance(t, ast.Attribute)]
+    return found
+
+
+def test_green_systems_come_from_system_and_restrict():
+    # green._system certifies every Green matrix a system is built on;
+    # restrict shares an already certified one
+    makers = {(name, fn) for name, fn, node in owned_nodes()
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "GreenSystem"}
+    assert makers == {("green.py", "_system"), ("green.py", "restrict")}
+
+
+def test_only_system_hands_a_guide():
+    # outside solvers.py, whose FactorSlot holds a guide and whose solver
+    # takes it, a guide is set in one place, and no slot is made with one
+    setters = {(name, fn) for name, fn, node in owned_nodes()
+               if any(t.attr == "guide" for t in _assigned_attrs(node))}
+    assert {s for s in setters if s[0] != "solvers.py"} == {("green.py", "_system")}
+    seeded = {(name, fn) for name, fn, node in owned_nodes()
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "FactorSlot"
+              and (node.args or node.keywords)}
+    assert {s for s in seeded if s[0] != "solvers.py"} == set()

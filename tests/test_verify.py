@@ -67,6 +67,31 @@ class TestRuntimeLimit:
         assert late.table_rows == on_time.table_rows
 
 
+class TestCheckTenReusesTheBasePass:
+    def test_every_check_body_runs_twice(self, monkeypatch):
+        # with every id of _CHECK_IDS in the first pass, check 10 compares
+        # it with one fresh pass; it must not count a fixed number of checks
+        runs = []
+
+        def fake(cid):
+            def body(seed):
+                runs.append(cid)
+                return True, {"seed": seed}, ["cid"], [(cid,)]
+            return body
+
+        ids = [str(k) for k in range(1, 9)]
+        monkeypatch.setattr(verify, "_CHECKS", {cid: fake(cid) for cid in ids})
+        monkeypatch.setattr(verify, "_CHECK_IDS", ids)
+        monkeypatch.setattr(verify, "CRITERION_IDS", ids + ["10"])
+        # the fakes take the seed: none of them builds the shared family
+        monkeypatch.setattr(verify, "_FAMILY_CHECKS", ())
+        results = verify.run_all(seed=0)
+        assert [r.cid for r in results] == ids + ["10"]
+        assert all(r.passed for r in results)
+        assert results[-1].measured["files_compared"] == len(ids) + 1
+        assert sorted(runs) == sorted(ids * 2)
+
+
 def _spy(monkeypatch, fn) -> list:
     """Count calls of fn through every greenpot module that holds it."""
     calls = []
