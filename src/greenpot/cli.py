@@ -155,7 +155,8 @@ def _build_part(spec, ctx: str) -> np.ndarray:
 
 
 def _build_cloud(cfg: dict, base_dir: str):
-    """Return (points, part_ids, radii-or-None) for the geometry block."""
+    """Return (points, part_ids, radii-or-None) for the geometry block: a
+    CSV's radius column, if it has one, states its own rows' radii."""
     geom = cfg["geometry"]
     _check_keys(geom, "config.geometry", (), ("parts", "csv"))
     has_parts = "parts" in geom
@@ -169,10 +170,10 @@ def _build_cloud(cfg: dict, base_dir: str):
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
-            ps = geometry.load_csv(path)
+            points, radii = geometry._read_csv(path)
         except OSError as exc:
             raise ConfigError(f"config.geometry.csv: {exc}")
-        return ps.points, np.zeros(len(ps), dtype=int), ps.cell_radius
+        return points, np.zeros(len(points), dtype=int), radii
     parts = geom["parts"]
     if not isinstance(parts, list) or not parts:
         raise ConfigError("config.geometry.parts: expected a nonempty array")
@@ -225,8 +226,14 @@ def _predicate_mask(pred, ctx: str, points: np.ndarray,
         return mask
     if kind == "parts":
         vals = pred["values"]
-        if not isinstance(vals, list) or not all(_is_int(v) for v in vals):
+        if not isinstance(vals, list):
             raise ConfigError(f"{ctx}.values: expected an array of part numbers")
+        # part_ids numbers the parts 0, 1, ... in order; a CSV cloud is part 0
+        last = int(part_ids[-1])
+        for v in vals:
+            if not _is_int(v) or not (0 <= v <= last):
+                raise ConfigError(
+                    f"{ctx}.values: expected a part number in 0..{last}, got {v!r}")
         return np.isin(part_ids, vals)
     if kind == "radius_band":
         lo = _number(pred.get("lo", 0.0), f"{ctx}.lo")
@@ -465,7 +472,7 @@ def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
     nn = nearest_neighbor_distances(sc.point_set.points) if K.size > 1 else None
     return {
         "results": {
-            "size": K.size, "dim": K.dim,
+            "size": K.size, "dim": sc.point_set.dim,
             "diagonal_min": float(diag.min()), "diagonal_max": float(diag.max()),
             "off_diagonal_max": _off_diagonal_max(K.entries),
             "cell_radius_min": float(np.min(sc.point_set.cell_radius)),
@@ -521,7 +528,7 @@ def _run_sweep(sc: Scenario, art: Artifacts) -> dict:
 
 def _run_green(sc: Scenario, art: Artifacts) -> dict:
     cfg = sc.domain()
-    gs, W = _build_green(cfg, sc.sigma)
+    gs, W, asym = _build_green(cfg, sc.sigma)
     n_d = cfg.d_indices.size
     art.table("green_matrix.csv", [f"d{k}" for k in range(n_d)],
               gs.green.entries)
@@ -533,12 +540,11 @@ def _run_green(sc: Scenario, art: Artifacts) -> dict:
         "results": {
             "f_size": int(cfg.f_indices.size), "y_size": int(cfg.y_indices.size),
             "d_size": int(n_d),
-            "asymmetry_residual": gs.asymmetry_residual,
+            "asymmetry_residual": asym,
             "entry_min": float(G.min()), "diagonal_min": float(np.diag(G).min()),
         },
         "invariants": [
-            _at_most("symmetrization_residual", gs.asymmetry_residual,
-                     RESIDUAL_TOL),
+            _at_most("symmetrization_residual", asym, RESIDUAL_TOL),
         ],
     }
 

@@ -192,12 +192,21 @@ GENERATORS = {
 
 def load_csv(path) -> PointSet:
     """Read a cloud from CSV: one row per point, n coordinates, optional last
-    column `cell_radius`. A header row is detected by non-numeric cells, and
-    only a header whose last cell is `cell_radius` or `radius` marks a radius
-    column: every cell of a headerless row is a coordinate. Reading stops
-    at the first data row past MAX_POINTS, a ValidationError."""
+    column `cell_radius`. Only the first non-empty row may be a header, which
+    is detected by non-numeric cells, and only a header whose last cell is
+    `cell_radius` or `radius` marks a radius column: every cell of a
+    headerless row is a coordinate. Without a radius column each radius is
+    half the nearest-neighbor distance. Reading stops at the first data row
+    past MAX_POINTS, a ValidationError."""
+    points, radii = _read_csv(path)
+    return (PointSet.from_points(points) if radii is None
+            else PointSet(points, radii))
+
+
+def _read_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """load_csv's points and the radius column, or None without one."""
     rows = []
-    radius_header = False
+    header = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -207,9 +216,9 @@ def load_csv(path) -> PointSet:
             try:
                 rows.append([float(c) for c in row])
             except ValueError:
-                if rows:
+                if rows or header is not None:
                     raise ValidationError(f"non-numeric row in {path}: {row}")
-                radius_header = row[-1].lower() in ("cell_radius", "radius")
+                header = row
                 continue
             if len(rows) > MAX_POINTS:
                 raise ValidationError(f"{path} holds more than {MAX_POINTS} "
@@ -220,11 +229,11 @@ def load_csv(path) -> PointSet:
     if any(len(r) != width for r in rows):
         raise ValidationError(f"ragged rows in {path}")
     arr = np.asarray(rows)
-    if radius_header:
-        if width < 3:
-            raise ValidationError(f"radius column leaves dim < 2 in {path}")
-        return PointSet(arr[:, :-1], arr[:, -1])
-    return PointSet.from_points(arr)
+    if header is None or header[-1].lower() not in ("cell_radius", "radius"):
+        return arr, None
+    if width < 3:
+        raise ValidationError(f"radius column leaves dim < 2 in {path}")
+    return arr[:, :-1], arr[:, -1]
 
 
 def save_csv(path, ps: PointSet) -> None:

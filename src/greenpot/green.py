@@ -3,11 +3,12 @@
 Entry (i, j) of the Green matrix is the Riesz kernel minus the potential of
 the unit point mass at x_i swept onto the complement sample Y, evaluated at
 x_j. Rows are assembled source by source and the matrix is symmetrized by
-averaging. The pre-symmetrization residual is kept; it is rounding in the
-two products (about 1e-15) unless a Dirac column falls back to the cone
-projection. With Y empty the construction degenerates to the Riesz matrix
-on D. A system's F is the target of its Gauss problems, and
-GreenSystem.restrict gives the system of a smaller F on the same matrix.
+averaging. The build returns the pre-symmetrization residual beside the
+system; it is rounding in the two products (about 1e-15) unless a Dirac
+column falls back to the cone projection. With Y empty the construction
+degenerates to the Riesz matrix on D. A system's F is the target of its
+Gauss problems, and GreenSystem.restrict gives the system of a smaller F on
+the same matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class GreenSystem:
 
     cfg: DomainConfig
     green: KernelMatrix
-    asymmetry_residual: float
 
     def d_positions(self, global_indices) -> np.ndarray:
         idx = np.asarray(global_indices, dtype=int)
@@ -74,8 +74,7 @@ class GreenSystem:
         f = self.cfg.f_indices
         entries = (self.green.entries[:f.size, :f.size] if _leads(self.cfg)
                    else self.green.block(self.d_positions(f)))
-        return KernelMatrix(entries, self.green.alpha, self.green.dim,
-                            slot=FactorSlot())
+        return KernelMatrix(entries, slot=FactorSlot())
 
     def restrict(self, f) -> GreenSystem:
         """The system of the same D, Y and green matrix whose F is f, a
@@ -87,8 +86,7 @@ class GreenSystem:
             raise ValidationError("target set must lie inside F")
         if f.size == self.cfg.f_indices.size:
             return self
-        return GreenSystem(replace(self.cfg, f_indices=f), self.green,
-                           self.asymmetry_residual)
+        return GreenSystem(replace(self.cfg, f_indices=f), self.green)
 
     def measure_on_d(self, mu: DiscreteMeasure) -> np.ndarray:
         if len(mu) != len(self.cfg.point_set):
@@ -114,10 +112,12 @@ def build_green(cfg: DomainConfig, sigma: float = 1.0) -> GreenSystem:
     return _build(cfg, sigma)[0]
 
 
-def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
-    """The Green system of cfg (_system) and the |Y| x |D| Dirac sweep W,
+def _build(cfg: DomainConfig,
+           sigma: float) -> tuple[GreenSystem, np.ndarray, float]:
+    """The Green system of cfg (_system), the |Y| x |D| Dirac sweep W,
     whose column k is the swept unit mass of the k-th D-point, row j its
-    weight at the j-th Y-point (0 x |D| when Y is empty).
+    weight at the j-th Y-point (0 x |D| when Y is empty), and the
+    pre-symmetrization residual max |raw - raw.T| (0.0 when Y is empty).
 
     With Y empty the Green matrix is the Riesz matrix on D. Otherwise the
     Dirac sweep factors K_YY, and the Green matrix is the Schur complement
@@ -129,11 +129,10 @@ def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
     d, y = cfg.d_indices, cfg.y_indices
     # no solve reads a kept solve of either kernel: sweeps and strict
     # targets take blocks, and solves over F share green_f's slot
-    K = _symmetric_kernel(_riesz_entries(cfg.point_set, cfg.alpha, sigma),
-                          cfg.alpha, cfg.point_set.dim)
+    K = _symmetric_kernel(_riesz_entries(cfg.point_set, cfg.alpha, sigma))
     if y.size == 0:
         # an exactly symmetric block; a D of every point shares K's entries
-        green = K if d.size == K.size else KernelMatrix(K.block(d), K.alpha, K.dim)
+        green = K if d.size == K.size else KernelMatrix(K.block(d))
         W, asym = np.zeros((0, d.size)), 0.0
     else:
         fallbacks = []
@@ -157,10 +156,10 @@ def _build(cfg: DomainConfig, sigma: float) -> tuple[GreenSystem, np.ndarray]:
                 f"Green entries reach {low}; complement sampling is too coarse")
         if float(np.max(entries - K_d)) > ENTRY_TOL:
             raise InvariantError("Green entries exceed the Riesz entries")
-        green = _symmetric_kernel(entries, K.alpha, K.dim)
+        green = _symmetric_kernel(entries)
         del K_d, raw
     del K  # the system keeps no Riesz matrix: free it before the certificate
-    return _system(cfg, green, asym), W
+    return _system(cfg, green), W, asym
 
 
 def _leads(cfg: DomainConfig) -> bool:
@@ -168,14 +167,14 @@ def _leads(cfg: DomainConfig) -> bool:
     return np.array_equal(cfg.d_indices[:cfg.f_indices.size], cfg.f_indices)
 
 
-def _system(cfg: DomainConfig, green: KernelMatrix, asym: float) -> GreenSystem:
+def _system(cfg: DomainConfig, green: KernelMatrix) -> GreenSystem:
     """The Green system of cfg on green, its exactly symmetric Green matrix
     on D, certified positive definite by one Cholesky factorization in
     green's own buffer (solvers._certify). When F leads D (_leads) the
     factor's F block becomes the guide in green_f's slot, its only owner.
     """
     guide, _ = _certify(green.entries, cfg.f_indices.size if _leads(cfg) else 0)
-    gs = GreenSystem(cfg=cfg, green=green, asymmetry_residual=asym)
+    gs = GreenSystem(cfg, green)
     if guide is not None:
         gs.green_f.slot.guide = guide
     return gs

@@ -26,7 +26,7 @@ from .solvers import _TILE, FactorSlot, _certify, _gather, simplex_qp
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric positive definite kernel matrix with parameter metadata.
+    """Symmetric positive definite kernel matrix.
 
     solve is the m x 2 solve [u v] of entries [u v] = [0 1] on the
     Cholesky factor that make_kernel's check computed, or None: the first
@@ -38,8 +38,6 @@ class KernelMatrix:
     """
 
     entries: np.ndarray
-    alpha: float
-    dim: int
     solve: np.ndarray | None = field(default=None, compare=False, repr=False)
     slot: FactorSlot | None = field(default=None, compare=False, repr=False)
 
@@ -51,7 +49,7 @@ class KernelMatrix:
         return _gather(self.entries, rows, cols)
 
 
-def _symmetric_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
+def _symmetric_kernel(entries: np.ndarray) -> KernelMatrix:
     """Validate that the matrix is square and exactly symmetric, then wrap
     it with no solve.
 
@@ -64,10 +62,10 @@ def _symmetric_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatr
         raise ValidationError(f"kernel matrix must be square, got {entries.shape}")
     if not _exactly_symmetric(entries):
         raise ValidationError("kernel matrix must be exactly symmetric")
-    return KernelMatrix(entries=entries, alpha=float(alpha), dim=int(dim))
+    return KernelMatrix(entries)
 
 
-def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
+def make_kernel(entries: np.ndarray) -> KernelMatrix:
     """Validate symmetry and positive definiteness, then wrap the matrix.
 
     The Cholesky factorization that certifies definiteness runs in the
@@ -77,7 +75,7 @@ def make_kernel(entries: np.ndarray, alpha: float, dim: int) -> KernelMatrix:
     kernel keeps the factor's solve of the first free set of a whole-kernel
     simplex solve as K.solve.
     """
-    K = _symmetric_kernel(entries, alpha, dim)
+    K = _symmetric_kernel(entries)
     if not K.size:
         return K
     # the right-hand side [b 1] that solvers._solve_free stacks for b = 0
@@ -113,7 +111,7 @@ def assemble_riesz(ps: PointSet, alpha: float, sigma: float = 1.0) -> KernelMatr
     sigma in (0, 1] rescales the diagonal cell radius; smaller values raise
     the self-energy, which compensates for flat (codimension-one) cells.
     """
-    return make_kernel(_riesz_entries(ps, alpha, sigma), alpha, ps.dim)
+    return make_kernel(_riesz_entries(ps, alpha, sigma))
 
 
 def _riesz_entries(ps: PointSet, alpha: float, sigma: float) -> np.ndarray:

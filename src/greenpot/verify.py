@@ -547,8 +547,7 @@ def criterion_9(seed: int = 0) -> tuple:
         gs = _green_from_parts(q_pts, y_pts, src, alpha)
         # the Riesz entries the build assembled and certified, at sigma 1:
         # the sweeps and norms read only entries, so no second certificate
-        ps = gs.cfg.point_set
-        K = _symmetric_kernel(_riesz_entries(ps, alpha, 1.0), alpha, ps.dim)
+        K = _symmetric_kernel(_riesz_entries(gs.cfg.point_set, alpha, 1.0))
         n_all = K.size
         q_idx = np.arange(n_q)
         src_idx = np.arange(n_all - n_src, n_all)

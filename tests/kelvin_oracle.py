@@ -61,7 +61,6 @@ def kelvin_shells(radius: float = 2.0, sigma: float = 0.5, shells=SHELLS,
     m = len(pts)
     cfg = DomainConfig(PointSet.from_points(pts), np.arange(m), [],
                        np.arange(m - 1), 2.0)
-    green = _symmetric_kernel(kelvin_green(pts, radius, 1.0 / (sigma * own)),
-                              2.0, 3)
-    return (_system(cfg, green, 0.0),
+    green = _symmetric_kernel(kelvin_green(pts, radius, 1.0 / (sigma * own)))
+    return (_system(cfg, green),
             DiscreteMeasure.from_dict(m, {m - 1: 1.0}))

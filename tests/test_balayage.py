@@ -17,7 +17,7 @@ def hand_kernel():
     entries = np.array([[2.0, 1.0, 1.0],
                         [1.0, 2.0, 0.5],
                         [1.0, 0.5, 2.0]])
-    return make_kernel(entries, 2.0, 3)
+    return make_kernel(entries)
 
 
 class TestSweep:
@@ -108,7 +108,7 @@ class TestDominationExcess:
         rng = np.random.default_rng(n_off)
         n = n_off + 40
         entries = rng.uniform(0.1, 1.0, size=(n, n))
-        K = KernelMatrix(entries, 2.0, 3)
+        K = KernelMatrix(entries)
         q = np.sort(rng.choice(n, 40, replace=False))
         off = np.setdiff1d(np.arange(n), q)
         x = rng.uniform(0.0, 1.0, q.size)
@@ -133,7 +133,7 @@ class TestDominationExcess:
         # potential, its difference with u_in)
         rng = np.random.default_rng(3)
         n, n_q = 1200, 40
-        K = KernelMatrix(rng.uniform(0.1, 1.0, size=(n, n)), 2.0, 3)
+        K = KernelMatrix(rng.uniform(0.1, 1.0, size=(n, n)))
         q = np.sort(rng.choice(n, n_q, replace=False))
         x = rng.uniform(0.0, 1.0, n_q)
         u_in = rng.uniform(0.0, 1.0, n)
@@ -165,7 +165,7 @@ class TestDiracMatrix:
         # is indefinite, and the cone solver already says so the same way
         K = KernelMatrix(np.array([[1.0, 2.0, 0.5],
                                    [2.0, 1.0, 0.5],
-                                   [0.5, 0.5, 1.0]]), 2.0, 3)
+                                   [0.5, 0.5, 1.0]]))
         with pytest.raises(SolverError, match="size 2"):
             nonneg_qp(K.block([0, 1]), K.block([0, 1], [2])[:, 0])
         with pytest.raises(SolverError, match="size 2 is not positive definite"):
@@ -175,7 +175,7 @@ class TestDiracMatrix:
         # OpenBLAS's potrf carries this NaN pivot through without an error
         K = KernelMatrix(np.array([[2.0, 0.5, 0.3],
                                    [0.5, np.nan, 0.2],
-                                   [0.3, 0.2, 1.0]]), 2.0, 3)
+                                   [0.3, 0.2, 1.0]]))
         with pytest.raises(SolverError, match="non-finite pivot"):
             dirac_sweep_matrix(K, [2], [0, 1])
 

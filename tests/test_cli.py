@@ -939,6 +939,48 @@ class TestErrorPaths:
             sc = cli.Scenario(json.load(fh), str(tmp_path))
         assert sc.point_set.cell_radius.tolist() == [0.25, 0.25, 0.125, 0.125]
 
+    def test_csv_without_radius_column_takes_whole_cloud_radii(self, tmp_path):
+        # the charge point lies closer to a cloud point than the cloud's own
+        # spacing: its radii come from the whole cloud, as for the same points
+        # given as a part, where those of the CSV rows alone exceeded half
+        # their nearest-neighbour distance
+        shell = geometry.sphere_shell(40, 1.0)
+        (tmp_path / "shell.csv").write_text(
+            "".join(",".join(f"{v:.17g}" for v in p) + "\n" for p in shell))
+        charged = {"task": "gauss", "alpha": 2.0,
+                   "regions": {"f": {"kind": "all"}},
+                   "theta": {"points": [list(1.1 * shell[0])], "weights": [0.5]}}
+        runs = {"csv": {"csv": "shell.csv"},
+                "parts": {"parts": [{"generator": "sphere_shell",
+                                     "params": {"count": 40, "radius": 1.0}}]}}
+        tables = {}
+        for name, geom in runs.items():
+            cfg = write_config(tmp_path, {**charged, "geometry": geom},
+                               f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["run", cfg, "--out", str(out)]) == 0
+            tables[name] = (out / "tables" / "minimizer.csv").read_bytes()
+        assert tables["csv"] == tables["parts"]
+
+    @pytest.mark.parametrize("geom, values", [
+        ({"parts": [{"generator": "sphere_shell", "params": {"count": 30}},
+                    {"generator": "sphere_shell", "params": {"count": 20},
+                     "offset": [4.0, 0.0, 0.0]}]}, [2]),
+        ({"csv": "cloud.csv"}, [1])], ids=["parts", "csv"])
+    def test_unknown_part_number_is_a_config_error(self, tmp_path, capsys,
+                                                   geom, values):
+        # a part number that names no part selected no point: the green task
+        # ran with an empty Y and returned the Riesz matrix
+        hand_cloud(tmp_path)
+        cfg = write_config(tmp_path, {
+            "task": "green", "alpha": 2.0, "geometry": geom,
+            "regions": {"f": {"kind": "indices", "values": [0]},
+                        "y": {"kind": "parts", "values": values}}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == cli.EXIT_CONFIG
+        assert "config.regions.y.values" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_coincident_charge_points_named(self, tmp_path, capsys):
         # from_points turns the duplicate into a zero cell radius, which used
         # to be reported in its place

@@ -294,6 +294,13 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(rows[:5]) + "\n")
         assert len(geometry.load_csv(path)) == 5
 
+    def test_only_the_first_row_may_be_a_header(self, tmp_path):
+        # the typo row used to be read as a second header and dropped
+        path = tmp_path / "typo.csv"
+        path.write_text("x,y,z\n1,0,0x\n0,0,0\n1,1,1\n2,0,1\n")
+        with pytest.raises(ValidationError, match="non-numeric row"):
+            geometry.load_csv(path)
+
     def test_malformed_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,0,0\noops,0,0\n")

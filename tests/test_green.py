@@ -188,7 +188,7 @@ class TestBuild:
         expected = np.array([[2.0 - 1.0 / 9.0, 1.0 - 1.0 / 6.0],
                              [1.0 - 1.0 / 6.0, 2.0 - 0.25]])
         assert np.allclose(gs.green.entries, expected, atol=1e-15)
-        assert gs.asymmetry_residual == 0.0
+        assert greenpot.green._build(gs.cfg, 1.0)[2] == 0.0
         W = dirac_sweep_matrix(riesz_of(gs), gs.cfg.d_indices,
                                gs.cfg.y_indices)
         assert np.allclose(W[0], [1.0 / 3.0, 0.5], atol=1e-15)
@@ -203,8 +203,9 @@ class TestBuild:
         K = assemble_riesz(ps, 2.0)
         assert np.array_equal(gs.green.entries, K.entries)
         # the green task reads the build's Dirac sweep: none onto an empty Y
-        assert greenpot.green._build(cfg, 1.0)[1].shape == (0, 3)
-        assert gs.asymmetry_residual == 0.0
+        _, W, asym = greenpot.green._build(cfg, 1.0)
+        assert W.shape == (0, 3)
+        assert asym == 0.0
 
     def test_empty_y_block_is_checked_once(self, monkeypatch):
         # with Y empty on a strict subset D the Green matrix is the D-block of
@@ -274,7 +275,7 @@ class TestBuild:
         assert "riesz_full" not in names and "dirac_sweep_to_y" not in names
         # the route reads the kernel's entries, not its kept solve
         K = riesz_of(gs)
-        bare = KernelMatrix(K.entries, K.alpha, K.dim)
+        bare = KernelMatrix(K.entries)
         mu = DiscreteMeasure.from_dict(K.size, {81: 1.0})
         f = np.arange(80)
         res = green_sweep(gs, mu, f)
@@ -330,11 +331,10 @@ class TestSystem:
                              ids=["f_leading", "f_behind_omega"])
     def test_riesz_entries_give_build_greens_system(self, f_leads):
         cfg = self.cloud(f_leads)
-        green = _symmetric_kernel(_riesz_entries(cfg.point_set, 2.0, 1.0),
-                                  2.0, 3)
-        gs, ref = greenpot.green._system(cfg, green, 0.0), build_green(cfg)
+        green = _symmetric_kernel(_riesz_entries(cfg.point_set, 2.0, 1.0))
+        gs, ref = greenpot.green._system(cfg, green), build_green(cfg)
         assert gs.green.entries.tobytes() == ref.green.entries.tobytes()
-        assert gs.asymmetry_residual == ref.asymmetry_residual == 0.0
+        assert greenpot.green._build(cfg, 1.0)[2] == 0.0
         guides = []
         for system in (gs, ref):
             slot = system.green_f.slot
@@ -686,7 +686,7 @@ class TestMaximumPrinciples:
                            y_indices=np.array([], dtype=int),
                            f_indices=np.array([0, 2]), alpha=2.0)
         G = make_kernel(np.array([[2.0, 1.9, 0.5], [1.9, 4.0, 1.9],
-                                  [0.5, 1.9, 2.0]]), 2.0, 3)
+                                  [0.5, 1.9, 2.0]]))
         gs = replace(build_green(cfg), green=G)
         ends = DiscreteMeasure.from_dict(3, {0: 1.0, 2: 1.0})
         assert frostman_excess(gs, ends) == pytest.approx(1.3, abs=1e-14)

@@ -21,8 +21,8 @@ from greenpot.riesz import (_simplex_minimum, assemble_riesz, capacity,
 from greenpot.solvers import _TILE, _certify, _cholesky, simplex_qp
 
 
-def kernel_2x2(entries, alpha=2.0, dim=3):
-    return make_kernel(np.array(entries, dtype=float), alpha, dim)
+def kernel_2x2(entries):
+    return make_kernel(np.array(entries, dtype=float))
 
 
 def spd(m, seed=0):
@@ -81,22 +81,22 @@ class TestAssembly:
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(SolverError):
-            make_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), 2.0, 3)
+            make_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     @pytest.mark.parametrize("d", [0.0, -1.0], ids=["zero", "negative"])
     def test_non_positive_diagonal_fails_the_factorization(self, d):
         entries = np.array([[2.0, 0.5, 0.0], [0.5, d, 0.0], [0.0, 0.0, 2.0]])
         with pytest.raises(SolverError, match="size 3 is not positive definite"):
-            make_kernel(entries, 2.0, 3)
+            make_kernel(entries)
 
     def test_nan_diagonal_rejected(self):
         # NaN != NaN, so the exact symmetry check refuses it before any
         # factor, though its bit patterns match
         entries = np.array([[2.0, 0.5], [0.5, np.nan]])
         with pytest.raises(ValidationError, match="symmetric"):
-            make_kernel(entries, 2.0, 3)
+            make_kernel(entries)
         with pytest.raises(ValidationError, match="symmetric"):
-            make_kernel(np.array([[2.0, np.nan], [np.nan, 2.0]]), 2.0, 3)
+            make_kernel(np.array([[2.0, np.nan], [np.nan, 2.0]]))
 
     def test_nan_pivot_is_a_failed_factorization(self):
         # LAPACK's potrf in OpenBLAS returns a NaN factor here without an error
@@ -105,7 +105,7 @@ class TestAssembly:
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError):
-            make_kernel(np.array([[2.0, 1.0], [0.5, 2.0]]), 2.0, 3)
+            make_kernel(np.array([[2.0, 1.0], [0.5, 2.0]]))
 
     def test_scaling_law(self):
         # dilating the cloud by s scales every entry by s^(alpha - n)
@@ -133,17 +133,17 @@ class TestTiledSymmetryCheck:
     @pytest.mark.parametrize("m", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
     def test_one_flipped_entry_is_rejected(self, m):
         entries = spd(m, seed=m)
-        assert make_kernel(entries, 2.0, 3).size == m
+        assert make_kernel(entries).size == m
         for i, j in self.flip_positions(m):
             flipped = entries.copy()
             flipped[i, j] = np.nextafter(flipped[i, j], 2.0)
             with pytest.raises(ValidationError):
-                make_kernel(flipped, 2.0, 3)
+                make_kernel(flipped)
             # equal values, unequal bits: zeros of opposite sign
             signed = entries.copy()
             signed[i, j], signed[j, i] = -0.0, 0.0
             with pytest.raises(ValidationError):
-                make_kernel(signed, 2.0, 3)
+                make_kernel(signed)
 
 
 @given(shape=st.sampled_from([(2, 1.0), (2, 1.5), (3, 1.0), (3, 1.5), (3, 2.0)]),
@@ -189,7 +189,7 @@ class TestPotentialAndEnergy:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 10))
         M = rng.normal(size=(m, m))
-        K = make_kernel(M @ M.T + m * np.eye(m), 2.0, 3)
+        K = make_kernel(M @ M.T + m * np.eye(m))
         mu = rng.uniform(size=m)
         nu = rng.uniform(size=m)
         lhs = abs(float(mu @ (K.entries @ nu)))
@@ -214,7 +214,7 @@ class TestCapacity:
     def test_brute_force_grid(self):
         rng = np.random.default_rng(6)
         M = rng.normal(size=(3, 3))
-        K = make_kernel(M @ M.T + 3 * np.eye(3), 2.0, 3)
+        K = make_kernel(M @ M.T + 3 * np.eye(3))
         c, mu = capacity(K, [0, 1, 2])
         best = np.inf
         steps = 150
@@ -232,7 +232,7 @@ class TestCapacity:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 9))
         M = rng.normal(size=(m, m))
-        K = make_kernel(M @ M.T + m * np.eye(m), 2.0, 3)
+        K = make_kernel(M @ M.T + m * np.eye(m))
         k = int(rng.integers(1, m))
         small = list(range(k))
         big = list(range(m))
@@ -271,7 +271,7 @@ class TestEquilibrium:
     def test_mass_equals_capacity(self):
         rng = np.random.default_rng(8)
         M = rng.normal(size=(6, 6))
-        K = make_kernel(M @ M.T + 6 * np.eye(6), 2.0, 3)
+        K = make_kernel(M @ M.T + 6 * np.eye(6))
         c, _ = capacity(K, range(6))
         gamma = equilibrium(K, range(6))
         assert gamma.total_mass == pytest.approx(c, abs=1e-10)
@@ -394,7 +394,7 @@ class TestInPlaceCertificate:
             assert guide[0].tobytes() == factor[0][:k, :k].tobytes()
         else:
             assert guide is None
-        K = make_kernel(entries, 2.0, 3)
+        K = make_kernel(entries)
         assert np.shares_memory(K.entries, entries)
         assert entries.tobytes() == before
         assert K.solve.shape == (m, 2)
@@ -406,7 +406,7 @@ class TestInPlaceCertificate:
         entries[-1, -1] = -1.0
         before = entries.tobytes()
         for certify in (lambda a: _certify(a, 2, np.ones((m, 2))),
-                        lambda a: make_kernel(a, 2.0, 3)):
+                        make_kernel):
             with pytest.raises(SolverError, match="not positive definite"):
                 certify(entries)
             assert entries.tobytes() == before
@@ -416,17 +416,17 @@ class TestInPlaceCertificate:
         before = entries.tobytes()
         assert _certify(entries) == (None, None)
         assert entries.tobytes() == before
-        make_kernel(entries, 2.0, 3)
+        make_kernel(entries)
         assert entries.tobytes() == before
 
     def test_zeros_of_opposite_sign_are_not_symmetric(self):
         # the certificate's restore would turn the -0.0 into 0.0
         with pytest.raises(ValidationError, match="symmetric"):
-            make_kernel(np.array([[2.0, -0.0], [0.0, 3.0]]), 2.0, 3)
+            make_kernel(np.array([[2.0, -0.0], [0.0, 3.0]]))
 
     def test_read_only_and_non_contiguous_inputs_are_copied(self):
         m = _TILE + 5
-        ref = make_kernel(spd(m), 2.0, 3)
+        ref = make_kernel(spd(m))
         read_only = spd(m)
         read_only.flags.writeable = False
         wide = np.zeros((m, 2 * m))
@@ -434,7 +434,7 @@ class TestInPlaceCertificate:
         for entries in (read_only, np.asfortranarray(spd(m)), wide[:, ::2],
                         spd(m).tolist()):
             before = np.array(entries).tobytes()
-            K = make_kernel(entries, 2.0, 3)
+            K = make_kernel(entries)
             assert not np.shares_memory(K.entries, entries)
             assert np.array(entries).tobytes() == before
             assert K.entries.tobytes() == ref.entries.tobytes()

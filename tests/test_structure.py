@@ -2,9 +2,12 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import greenpot
+from greenpot.green import GreenSystem
+from greenpot.riesz import KernelMatrix
 
 SRC = Path(greenpot.__file__).parent
 
@@ -141,3 +144,10 @@ def test_only_system_hands_a_guide():
               and getattr(node.func, "id", None) == "FactorSlot"
               and (node.args or node.keywords)}
     assert {s for s in seeded if s[0] != "solvers.py"} == set()
+
+
+def test_kernels_and_green_systems_carry_only_what_a_solve_reads():
+    # no solve reads a kernel's alpha or dimension, and the green task takes
+    # the symmetrization residual from green._build beside the system
+    assert [f.name for f in fields(KernelMatrix)] == ["entries", "solve", "slot"]
+    assert [f.name for f in fields(GreenSystem)] == ["cfg", "green"]
