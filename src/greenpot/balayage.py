@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve
 
 from .core import DiscreteMeasure, ValidationError, _index_array
 from .riesz import KernelMatrix, potential
-from .solvers import _TILE, _cholesky, _gather, nonneg_qp
+from .solvers import _cholesky, nonneg_qp
 
 
 @dataclass(frozen=True)
@@ -63,24 +63,6 @@ class BalayageResult:
         }
 
 
-def _domination_excess(K: KernelMatrix, x_on_q: np.ndarray, q: np.ndarray,
-                       u_in: np.ndarray) -> float:
-    """Largest excess, at least 0, of the potential of x_on_q on q over u_in
-    off q, formed one _TILE-row block of K[off, q] at a time, so each row has
-    the whole product's bytes. Each block is gathered by _gather, whose rows
-    of K hold no more entries than the block: the transient is two |q|-wide
-    blocks at most, never _TILE full rows of K."""
-    off = np.ones(K.size, dtype=bool)
-    off[q] = False
-    off = np.flatnonzero(off)
-    if not off.size:
-        return 0.0
-    u_swept_off = np.concatenate([
-        _gather(K.entries, off[i:i + _TILE], q) @ x_on_q
-        for i in range(0, off.size, _TILE)])
-    return float(max(0.0, np.max(u_swept_off - u_in[off])))
-
-
 def sweep(K: KernelMatrix, xi: DiscreteMeasure, q,
           force_projection: bool = False) -> BalayageResult:
     """Project xi onto nonnegative measures supported on q, in the K-form.
@@ -111,15 +93,20 @@ def _sweep(K: KernelMatrix, xi: DiscreteMeasure, q, force_projection: bool,
     u_in = potential(K, xi)
     A, slot = block_on(q)
     x, rec = nonneg_qp(A, u_in[q], slot=slot)
+    w = np.zeros(K.size)
+    w[q] = x
+    swept = DiscreteMeasure(w)
+    # the excess off q, from one more product with the whole kernel
+    off = np.ones(K.size, dtype=bool)
+    off[q] = False
+    excess = (potential(K, swept) - u_in)[off]
     res = SweepResiduals(
         equality_on_support=rec.support_residual,
         inequality_on_target=rec.off_support_slack,
-        domination_off_target=_domination_excess(K, x, q, u_in),
+        domination_off_target=float(max(0.0, excess.max())) if excess.size else 0.0,
     )
-    w = np.zeros(K.size)
-    w[q] = x
     algorithm = "direct-solve" if rec.iterations == 1 else "cone-projection"
-    return BalayageResult(swept=DiscreteMeasure(w), mass_in=xi.total_mass,
+    return BalayageResult(swept=swept, mass_in=xi.total_mass,
                           mass_out=float(x.sum()), kkt_residuals=res,
                           algorithm=algorithm,
                           active_set_size=int(np.count_nonzero(x)),
@@ -146,7 +133,7 @@ def dirac_sweep_matrix(K: KernelMatrix, sources, q, *,
     if sources.size == 0:
         return np.zeros((q.size, 0))
     # factored in place, in the upper form the Green outputs are pinned to
-    block = _cholesky(K.block(q), overwrite=True, _lower=False)
+    block = _cholesky(K.block(q), _lower=False)
     rhs = K.block(q, sources)
     W = cho_solve(block, rhs, check_finite=False)
     del block  # the block now holds the factor; free it before any fallback

@@ -10,8 +10,9 @@ subdirectory of it and moved in only once report.json is written; a run that
 stops with an error (a config, validation or solver error, or a raised
 invariant error) leaves the directory as it found it.
 
-Exit codes: 0 success, 2 config parse failure, 3 validation failure,
-4 solver failure, 5 invariant failure.
+Exit codes: 0 success, 2 config parse failure or usage error (such as an
+--out that is, or lies under, a file), 3 validation failure, 4 solver
+failure, 5 invariant failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .green import (_build as _build_green, build_green, frostman_excess,
                     green_equilibrium)
 from .reports import SCHEMA_VERSION, write_csv, write_json
 from .riesz import assemble_riesz, capacity, potential
-from .solvers import _TILE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -454,22 +454,19 @@ def _at_most(name: str, value, tolerance) -> dict:
 
 def _off_diagonal_max(a: np.ndarray) -> float:
     """Largest entry of the square matrix a off its diagonal (0.0 when there
-    is none), from one copied row block at a time with its diagonal part
-    masked: no m x m mask or copy."""
-    best = 0.0 if a.shape[0] < 2 else -np.inf
-    for i in range(0, a.shape[0], _TILE):
-        rows = a[i:i + _TILE].copy()
-        k = np.arange(rows.shape[0])
-        rows[k, i + k] = -np.inf
-        best = max(best, float(rows.max()))
-    return best
+    is none). Past the first, the m * m - 1 C-ordered entries of a form
+    m - 1 rows of m + 1 whose last entry is on the diagonal, so a strided
+    view without that column holds the rest: no mask or copy."""
+    m = a.shape[0]
+    if m < 2:
+        return 0.0
+    return float(a.ravel()[1:].reshape(m - 1, m + 1)[:, :-1].max())
 
 
 def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
     K = sc.kernel()
     art.table("kernel.csv", [f"k{j}" for j in range(K.size)], K.entries)
     diag = np.diag(K.entries)
-    nn = nearest_neighbor_distances(sc.point_set.points) if K.size > 1 else None
     return {
         "results": {
             "size": K.size, "dim": sc.point_set.dim,
@@ -477,7 +474,9 @@ def _run_kernel(sc: Scenario, art: Artifacts) -> dict:
             "off_diagonal_max": _off_diagonal_max(K.entries),
             "cell_radius_min": float(np.min(sc.point_set.cell_radius)),
             "cell_radius_max": float(np.max(sc.point_set.cell_radius)),
-            "nearest_neighbor_min": float(nn.min()) if nn is not None else None,
+            # PointSet keeps the distances it checked the radii against
+            "nearest_neighbor_min": (float(sc.point_set._nn.min()) if K.size > 1
+                                     else None),
         },
     }
 
@@ -672,6 +671,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.out:
         p.error("--out: expected a nonempty path")
+    # the nearest existing path must be a directory, or the output directory
+    # could not be made once the task has run
+    there = os.path.abspath(args.out)
+    while not os.path.lexists(there):
+        there = os.path.dirname(there)
+    if not os.path.isdir(there):
+        p.error(f"--out: {there} is not a directory")
 
     try:
         cfg = _load_config(args.config)

@@ -7,7 +7,7 @@ subset F of D. Measures are nonnegative weight vectors over the cloud.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,12 +27,11 @@ class InvariantError(RuntimeError):
 
 
 def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest distinct neighbor."""
-    if len(points) == 1:
-        return np.array([np.inf])
-    tree = cKDTree(points)
-    d, _ = tree.query(points, k=2)
-    return d[:, 1]
+    """Distance from each point to its nearest distinct neighbor (inf for
+    a point with none), in an array of its own: no view of the search's
+    m x 2 distances, which a PointSet would keep alive."""
+    d, _ = cKDTree(points).query(points, k=2)
+    return d[:, 1].copy()
 
 
 def _check_points(pts: np.ndarray) -> None:
@@ -53,18 +52,19 @@ class PointSet:
 
     points: np.ndarray            # (m, n) float array
     cell_radius: np.ndarray       # (m,) positive floats
-    # from_points hands over the nearest-neighbour distances it derived the
-    # radii from, so the cloud is searched once
-    _nn: InitVar[np.ndarray | None] = None
+    # the nearest-neighbour distances the radii are checked against, kept;
+    # a caller that derived the radii from them hands them over, so the
+    # cloud is searched once
+    _nn: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self, _nn):
+    def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         rad = np.asarray(self.cell_radius, dtype=float)
         _check_points(pts)
         if rad.shape != (len(pts),):
             raise ValidationError("cell_radius must have one entry per point")
         # distinctness first: from_points turns a duplicate into a zero radius
-        nn = nearest_neighbor_distances(pts) if _nn is None else _nn
+        nn = nearest_neighbor_distances(pts) if self._nn is None else self._nn
         if np.any(nn <= 0):
             i = int(np.flatnonzero(nn <= 0)[0])
             j = int(np.flatnonzero((pts == pts[i]).all(axis=1))[1])
@@ -80,6 +80,7 @@ class PointSet:
                 f"nearest-neighbor distance {nn[worst] / 2:.6g}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "cell_radius", rad)
+        object.__setattr__(self, "_nn", nn)
 
     @classmethod
     def from_points(cls, points) -> "PointSet":

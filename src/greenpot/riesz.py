@@ -121,13 +121,12 @@ def _riesz_entries(ps: PointSet, alpha: float, sigma: float) -> np.ndarray:
         raise ValidationError(f"alpha={alpha} outside (0, {n}] cap 2")
     if not 0 < sigma <= 1:
         raise ValidationError(f"sigma={sigma} outside (0, 1]")
-    # cdist row blocks fill the square matrix in place; |x - y| == |y - x|
-    # bit for bit, so the result is exactly symmetric
+    # cdist fills the square matrix in place; |x - y| == |y - x| bit for
+    # bit, so the result is exactly symmetric
     m = len(ps)
     _trim_before_mapping(8 * m * m)
     dist = np.empty((m, m))
-    for i in range(0, m, _TILE):
-        cdist(ps.points[i:i + _TILE], ps.points, out=dist[i:i + _TILE])
+    cdist(ps.points, ps.points, out=dist)
     np.fill_diagonal(dist, sigma * ps.cell_radius)
     dist **= alpha - n
     return dist

@@ -81,9 +81,8 @@ RTOL = 1e-12
 # solved on a guide (_Bordered); past it the bordered system costs about as
 # much as a fresh factorization.
 GUIDE_SHARE = 0.25
-# Rows per output block of _gather, of balayage's domination check and of
-# riesz's distance fill, and the side of the square tiles of _certify's
-# restore and riesz's symmetry check.
+# Rows per output block of _gather, and the side of the square tiles of
+# _certify's restore and riesz's symmetry check.
 _TILE = 128
 
 
@@ -117,11 +116,11 @@ def _scale_tol(b: np.ndarray, diag: np.ndarray, rtol: float) -> float:
     return rtol * scale
 
 
-def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
+def _cholesky(block: np.ndarray, _lower: bool = True):
     """Lower Cholesky factor of a symmetric matrix, in cho_solve's (c, lower) form.
 
     LAPACK reads the transpose, which is Fortran-ordered for a C-ordered
-    block, so overwrite=True factors such a block in place; its lower
+    block, so such a block is always factored in place and lost: its lower
     triangle is the block's upper one. make_kernel's positive-definiteness
     check and the solvers both factor through here, so the solve kept from
     the check equals the one a solver would compute, bit for bit. The Dirac
@@ -130,7 +129,7 @@ def _cholesky(block: np.ndarray, overwrite: bool = False, _lower: bool = True):
     positive definite, here and only here.
     """
     try:
-        factor = cho_factor(block.T, lower=_lower, overwrite_a=overwrite,
+        factor = cho_factor(block.T, lower=_lower, overwrite_a=True,
                             check_finite=False)
     except np.linalg.LinAlgError as exc:
         reason = str(exc)
@@ -176,7 +175,7 @@ def _certify(a: np.ndarray, k: int = 0, rhs: np.ndarray | None = None) -> tuple:
     """
     diag = np.diagonal(a).copy()
     try:
-        factor = _cholesky(a, overwrite=True)
+        factor = _cholesky(a)
         guide = (np.array(factor[0][:k, :k], order="F"), factor[1]) if k else None
         return guide, (None if rhs is None
                        else cho_solve(factor, rhs, check_finite=False))
@@ -273,7 +272,7 @@ def _solve_free(A: np.ndarray, b: np.ndarray, free: np.ndarray,
     if F.size == 0:
         return x, 0.0, None
     if factor is None and uv is None:
-        factor = _cholesky(_gather(A, F), overwrite=True)
+        factor = _cholesky(_gather(A, F))
     if simplex:
         if uv is None:
             uv = cho_solve(factor, np.column_stack((b[F], np.ones(F.size))),

@@ -164,9 +164,8 @@ def _family(seed: int) -> list[dict]:
 
 def _weighted_potential(inst, sol):
     gs = inst["fld"].system
-    f_pos = gs.d_positions(gs.cfg.f_indices)
-    G = gs.green.block(f_pos)
-    b = -inst["fld"].field_values[f_pos]
+    G = gs.green_f.entries
+    b = -inst["fld"].field_values[gs.d_positions(gs.cfg.f_indices)]
     x = sol.minimizer.weights[gs.cfg.f_indices]
     return G, b, x, G @ x - b
 
@@ -185,8 +184,7 @@ def criterion_1(seed: int = 0) -> tuple:
     sol = solve_gauss(fld)
     exp = explicit_solution(fld)
     expect = np.array([0.6, 0.4])
-    f_block = gs.green.block(gs.d_positions(cfg.f_indices))
-    kernel_err = float(np.max(np.abs(f_block
+    kernel_err = float(np.max(np.abs(gs.green_f.entries
                                      - np.array([[2.0, 1.0], [1.0, 2.0]]))))
     errs = {
         "kernel_err": kernel_err,

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import greenpot.balayage
-from greenpot import solvers
-from greenpot.balayage import _domination_excess, dirac_sweep_matrix, sweep
+from greenpot.balayage import dirac_sweep_matrix, sweep
 from greenpot.core import DiscreteMeasure, PointSet, SolverError, ValidationError
 from greenpot.riesz import (KernelMatrix, assemble_riesz, make_kernel, potential,
                             weight_norm)
-from greenpot.solvers import nonneg_qp
+from greenpot.solvers import KKTRecord, nonneg_qp
 
 
 def hand_kernel():
@@ -100,51 +99,71 @@ class TestSweep:
 
 
 class TestDominationExcess:
-    """The off-target potential is formed one _TILE-row block at a time,
-    with the bytes of the one-shot product."""
+    """The sweep takes its excess off the target from one more product with
+    the whole kernel: max(0, max((K w - u_in)[off])), w the swept weights."""
+
+    @staticmethod
+    def kernel(kind, n, rng):
+        if kind == "riesz":
+            return assemble_riesz(
+                PointSet.from_points(rng.uniform(-1, 1, size=(n, 3))), 2.0)
+        # a random SPD matrix holds no domination principle, so the excess
+        # is mostly positive
+        B = rng.normal(size=(n, n))
+        return make_kernel(B @ B.T + n * np.eye(n))
 
     @pytest.mark.parametrize("n_off", [1, 127, 128, 129, 300])
-    def test_tiled_equals_one_shot(self, n_off):
+    def test_equals_the_excess_of_the_whole_product(self, n_off):
         rng = np.random.default_rng(n_off)
         n = n_off + 40
-        entries = rng.uniform(0.1, 1.0, size=(n, n))
-        K = KernelMatrix(entries)
-        q = np.sort(rng.choice(n, 40, replace=False))
-        off = np.setdiff1d(np.arange(n), q)
-        x = rng.uniform(0.0, 1.0, q.size)
-        u_off = solvers._gather(entries, off, q) @ x
-        u_in = np.zeros(n)
-        # u_in at the one-shot potential, against the tiled potential of x
-        # and of -x (negation is exact): both excesses are 0 only if every
-        # row agrees bit for bit
-        u_in[off] = u_off
-        assert _domination_excess(K, x, q, u_in) == 0.0
-        u_in[off] = -u_off
-        assert _domination_excess(K, -x, q, u_in) == 0.0
-        u_in[off] = rng.uniform(0.0, 1.0, n_off)
-        assert (_domination_excess(K, x, q, u_in)
-                == float(max(0.0, np.max(u_off - u_in[off]))))
+        excesses = []
+        for kind in ("riesz", "random_spd"):
+            K = self.kernel(kind, n, rng)
+            q = np.sort(rng.choice(n, 40, replace=False))
+            off = np.setdiff1d(np.arange(n), q)
+            weights = np.zeros(n)
+            weights[off] = rng.uniform(0.0, 1.0, n_off)
+            res = sweep(K, DiscreteMeasure(weights), q)
+            u_in = K.entries @ weights
+            excess = float(np.max((K.entries @ res.swept.weights - u_in)[off]))
+            assert res.kkt_residuals.domination_off_target == max(0.0, excess)
+            excesses.append(excess)
+        # the Riesz sweep stays below the input potential off the target,
+        # so there the floor at 0 decides; on the random kernel it does not,
+        # unless the one point off the target holds the input's mass
+        assert excesses[0] < 0.0
+        assert (excesses[1] > 0.0) == (n_off > 1)
 
-    def test_transient_is_one_block_of_the_target_columns(self):
-        # on a wide matrix one full-width row block (1.2 MB here) dwarfs a
-        # block of K[off, q] (40 kB); the peak is that block, the rows of K
-        # that _gather holds while it fills the block (no more entries than
-        # the block), and the few |off|-long vectors (the index, the
-        # potential, its difference with u_in)
+    def test_target_of_every_index_has_none(self):
+        rng = np.random.default_rng(5)
+        K = self.kernel("random_spd", 30, rng)
+        xi = DiscreteMeasure(rng.uniform(0.0, 1.0, 30))
+        res = sweep(K, xi, np.arange(30), force_projection=True)
+        assert res.algorithm != "identity"
+        assert res.kkt_residuals.domination_off_target == 0.0
+
+    def test_transient_is_a_few_cloud_vectors(self, monkeypatch):
+        # with the solve stubbed, a sweep onto 40 of 1200 indices holds the
+        # input potential, the swept weights, their potential and its
+        # excess, and the off-target mask: a few m-vectors, no block of K
+        # (one 128-row block of K[off, q] alone is 40 kB, one m-vector 9.6 kB)
         rng = np.random.default_rng(3)
         n, n_q = 1200, 40
         K = KernelMatrix(rng.uniform(0.1, 1.0, size=(n, n)))
         q = np.sort(rng.choice(n, n_q, replace=False))
         x = rng.uniform(0.0, 1.0, n_q)
-        u_in = rng.uniform(0.0, 1.0, n)
+        rec = KKTRecord(0.0, 0.0, 0.0, 0.0, 2, 0.0)
+        monkeypatch.setattr(greenpot.balayage, "nonneg_qp",
+                            lambda A, b, slot=None: (x, rec))
+        xi = DiscreteMeasure(rng.uniform(0.0, 1.0, n))
         tracemalloc.start()
         try:
-            _domination_excess(K, x, q, u_in)
+            res = greenpot.balayage._sweep(K, xi, q, True, lambda q: (None, None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # in bytes of doubles and of 64-bit indices
-        assert peak <= 8 * (2 * solvers._TILE * n_q + 8 * n)
+        assert res.swept.weights[q].tobytes() == x.tobytes()
+        assert peak <= 5 * 8 * n
 
 
 class TestDiracMatrix:

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenpot.core
 import greenpot.green
 import greenpot.riesz
 import greenpot.solvers
 from greenpot import cli, geometry
-from greenpot.core import InvariantError, SolverError
+from greenpot.core import InvariantError, SolverError, nearest_neighbor_distances
 from greenpot.gauss import solve_gauss
 from greenpot.green import build_green, green_equilibrium
 
@@ -81,7 +82,41 @@ class TestKernelTask:
         assert lines == ["k0,k1", "4,1", "1,4"]
         assert rep["artifacts"]["tables"] == ["tables/kernel.csv"]
 
-    @pytest.mark.parametrize("m", [0, 1, 2, greenpot.solvers._TILE,
+    @pytest.mark.parametrize("cloud", ["parts", "csv_radii", "csv_one_point"])
+    def test_one_neighbour_search_per_kernel_task(self, tmp_path, monkeypatch,
+                                                  cloud):
+        # nearest_neighbor_min reads the distances PointSet checked the
+        # radii against, with the bytes of a search of its own
+        if cloud == "parts":
+            points = geometry.sphere_shell(50)
+            geom = {"parts": [{"generator": "sphere_shell",
+                               "params": {"count": 50}}]}
+        else:
+            points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                               [0.3, 2.9, 0.1]])
+            if cloud == "csv_one_point":
+                points = points[:1]
+            rows = "".join(f"{x},{y},{z},0.25\n" for x, y, z in points)
+            (tmp_path / "c.csv").write_text("x0,x1,x2,cell_radius\n" + rows)
+            geom = {"csv": "c.csv"}
+        expected = (float(nearest_neighbor_distances(points).min())
+                    if len(points) > 1 else None)
+        searches = []
+
+        class CountingTree(greenpot.core.cKDTree):
+            def query(self, *args, **kwargs):
+                searches.append(len(self.data))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(greenpot.core, "cKDTree", CountingTree)
+        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
+                                      "geometry": geom})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", cfg, "--out", out]) == 0
+        assert searches == [len(points)]
+        assert read_report(out)["results"]["nearest_neighbor_min"] == expected
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, greenpot.solvers._TILE,
                                    greenpot.solvers._TILE + 1,
                                    2 * greenpot.solvers._TILE + 3])
     def test_off_diagonal_max_matches_the_masked_copy(self, m):
@@ -90,6 +125,12 @@ class TestKernelTask:
         np.fill_diagonal(a, 10.0)
         expected = float(a[~np.eye(m, dtype=bool)].max()) if m > 1 else 0.0
         assert cli._off_diagonal_max(a) == expected
+        # the first and last entries off the diagonal, and the corners
+        for i, j in {(0, 1), (1, 0), (m - 1, m - 2), (m - 2, m - 1),
+                     (0, m - 1), (m - 1, 0)} if m > 1 else ():
+            b = a.copy()
+            b[i, j] = 5.0
+            assert cli._off_diagonal_max(b) == 5.0
 
     def test_console_script_entry_point(self, tmp_path):
         exe = shutil.which("greenpot")
@@ -818,6 +859,28 @@ class TestVerifyAllCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_at_or_under_a_file_is_a_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch, under):
+        # refused before the task runs, with every path left as it was
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        cfg = write_config(tmp_path, {"task": "kernel", "alpha": 2.0,
+                                      "geometry": {"csv": hand_cloud(tmp_path)}})
+
+        def scenario(*args):
+            raise AssertionError("the task ran")
+
+        monkeypatch.setattr(cli, "Scenario", scenario)
+        before = sorted(os.listdir(tmp_path))
+        out = str(afile / "sub" if under else afile)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", cfg, "--out", out])
+        assert exc.value.code == 2
+        assert f"--out: {afile} is not a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert afile.read_text() == "kept"
+
     def test_missing_config_file(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = cli.main(["run", str(tmp_path / "nope.json"), "--out", out])

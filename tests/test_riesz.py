@@ -351,7 +351,7 @@ def assert_same_solve(K):
     assert rec == rec_ref
     # the kept solve is the cold first solve of _solve_free, bit for bit
     rhs = np.column_stack((np.zeros(K.size), np.ones(K.size)))
-    cold = cho_solve(_cholesky(K.entries), rhs, check_finite=False)
+    cold = cho_solve(_cholesky(K.entries.copy()), rhs, check_finite=False)
     assert K.solve.tobytes() == cold.tobytes()
     return rec
 
@@ -387,7 +387,7 @@ class TestInPlaceCertificate:
         guide, solve = _certify(entries, k, rhs)
         assert entries.tobytes() == before
         # both are read off the factor before the restore
-        factor = _cholesky(entries)
+        factor = _cholesky(entries.copy())
         assert solve.tobytes() == cho_solve(factor, rhs).tobytes()
         if k:
             assert guide[1] == factor[1]

@@ -150,7 +150,7 @@ def test_start_missing_a_support_index(monkeypatch):
     monkeypatch.setattr(solvers, "_solve_free", spy)
     rhs = np.column_stack((np.zeros(3), np.ones(3)))
     x, rec = simplex_qp(G, slot=held_slot(3, [0]),
-                        solve=cho_solve(solvers._cholesky(G), rhs))
+                        solve=cho_solve(solvers._cholesky(G.copy()), rhs))
     assert [(list(free), kept) for free, kept in factors] == [
         ([True, False, False], False), ([True, True, True], True)]
     assert rec.iterations == 2

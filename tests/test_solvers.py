@@ -252,7 +252,7 @@ class TestFactorSlot:
         A, b = self.problem()
         x_ref, rec_ref = nonneg_qp(A, b)
         assert rec_ref.iterations == 2
-        slot = FactorSlot(solvers._cholesky(A))
+        slot = FactorSlot(solvers._cholesky(A.copy()))
         nonneg_qp(A, b, slot=slot)
         assert 0 < np.count_nonzero(slot.free) < b.size
         del factored[:]

@@ -151,3 +151,15 @@ def test_kernels_and_green_systems_carry_only_what_a_solve_reads():
     # the symmetrization residual from green._build beside the system
     assert [f.name for f in fields(KernelMatrix)] == ["entries", "solve", "slot"]
     assert [f.name for f in fields(GreenSystem)] == ["cfg", "green"]
+
+
+def test_only_solvers_and_riesz_tile_or_gather():
+    # whole-matrix passes read their matrix in place; _TILE's row blocks
+    # and tiles and _gather's copies serve the solvers' free blocks, the
+    # certificate's restore, and the kernel's blocks and symmetry check
+    names = {"_TILE", "_gather"}
+    users = {name for name, _, node in owned_nodes()
+             if getattr(node, "id", getattr(node, "attr", None)) in names
+             or isinstance(node, ast.ImportFrom)
+             and any(a.name in names for a in node.names)}
+    assert users == {"solvers.py", "riesz.py"}
